@@ -1,12 +1,15 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race race-dag fuzz-smoke bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench pool-bench idx-bench mut-bench clean
+.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench pool-bench idx-bench mut-bench clean
 
 # The full gate: compile everything, vet, check formatting, run the
 # suite in shuffled order, race-test the concurrent packages (fast
 # feedback), run the whole suite under the race detector, then smoke
-# the fuzz targets.
-check: build vet fmt test race-dag race fuzz-smoke
+# the fuzz targets. bench-test builds and smoke-runs the end-to-end
+# benchmark (its own module, invisible to ./...), so a change that
+# breaks an internal API the benchmark compiles against fails here and
+# not at the next benchmark build.
+check: build vet fmt test bench-test race-dag race fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +26,11 @@ fmt:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The end-to-end benchmark's own tests: all five workloads, untraced
+# and traced, at scale 0.01; BENCHMARK.json == `bench -describe`.
+bench-test:
+	$(GO) test -C bench .
+
 race:
 	$(GO) test -race ./...
 
@@ -37,12 +45,32 @@ race-dag:
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
-# codec, spill record codec, selection-vector expansion) — regression
-# smoke, not a fuzzing session.
+# codec and sort order, spill record codec, selection-vector expansion)
+# — regression smoke, not a fuzzing session.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedKeyRoundTrip -fuzztime 5s
+	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedSortOrder -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSpillRecCodec -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSelVecExpand -fuzztime 5s
+
+# End-to-end benchmark, recorded and compared (bench/README.md). Record
+# one file per commit — seeds 1-10 of every workload, a run each — then
+# compare the two: medians, spreads and each metric's BENCHMARK.json
+# bound, exit 1 on a regression.
+#   make bench-record OUT=base.jsonl      (on the parent commit)
+#   make bench-record OUT=new.jsonl       (on the change)
+#   make bench-compare BASE=base.jsonl NEW=new.jsonl
+BENCH_WORKLOADS = scan_cold probe_warm lattice_wide session_cached maint_mixed
+
+bench-record:
+	@test -n "$(OUT)" || { echo "usage: make bench-record OUT=file.jsonl"; exit 2; }
+	for s in 1 2 3 4 5 6 7 8 9 10; do for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed $$s --seconds 10 --record $(OUT) || exit 1; \
+	done; done
+
+bench-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make bench-compare BASE=a.jsonl NEW=b.jsonl"; exit 2; }
+	bash bench/run.sh -compare $(BASE) $(NEW)
 
 # All benchmarks: the Go micro/paper benchmarks plus the scan, serve,
 # mem and cache experiments (all seeded deterministically; they write

@@ -19,10 +19,10 @@ import (
 // and it is re-checked here) and the aggregate to be decomposable from
 // final values: SUM and COUNT merge by addition, MIN/MAX by min/max.
 // AVG is excluded by the cache itself. The aggregation state is an
-// ordinary aggTable, so it reserves broker memory and may spill like
-// any other pipeline's; the output ordering (raw key bytes) matches the
-// scan operators', keeping cache-served results byte-identical to
-// uncached execution.
+// ordinary fold table (or byte-key aggTable), so it reserves broker
+// memory and may spill like any other pipeline's, and it is finalized
+// by the same finalizeGroups, keeping cache-served results — order
+// included — byte-identical to uncached execution.
 //
 // The stats accumulated into stats are entirely the query's own work —
 // there is no shared pass to attribute. Per-query cancellation
@@ -118,24 +118,11 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 		if detached {
 			res = &Result{Query: q, Err: env.QueryCtx(q).Err(), Cached: true}
 		} else {
-			var pairs []aggPair
-			var err error
-			if packed {
-				pairs, err = ftab.pairs()
-			} else {
-				pairs, err = tab.pairs()
-			}
+			// Cached values are already final: AVG never reaches the
+			// cache, so the plain value is the aggregate.
+			groups, err := finalizeGroups(ftab, tab, false)
 			if err != nil {
 				return err
-			}
-			groups := make([]Group, len(pairs))
-			for i, pr := range pairs {
-				k := pr.key
-				g := Group{Keys: make([]int32, nd), Value: pr.ac.a}
-				for d := 0; d < nd; d++ {
-					g.Keys[d] = int32(uint32(k[d*4]) | uint32(k[d*4+1])<<8 | uint32(k[d*4+2])<<16 | uint32(k[d*4+3])<<24)
-				}
-				groups[i] = g
 			}
 			res = &Result{Query: q, Groups: groups, Cached: true}
 		}

@@ -1,0 +1,254 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"mdxopt/internal/datagen"
+	"mdxopt/internal/mem"
+	"mdxopt/internal/query"
+)
+
+// Result finalization: a fold table becomes sorted, slab-backed Groups
+// without ever building the canonical byte keys, so the order it
+// produces is checked here against the oracle, which sorts exactly
+// those byte keys.
+
+// straddleSpec is a five-dimension schema whose level cardinalities sit
+// on both sides of the one- and two-byte code boundaries (255, 256, 257;
+// 65,280, 66,049), where little-endian byte order and numeric order of
+// the codes disagree. Dense uniform facts spread the codes over the
+// whole range of every level.
+func straddleSpec() datagen.Spec {
+	return datagen.Spec{
+		Rows: 2500,
+		Seed: 12,
+		Cards: [][]int{
+			{66049, 257},     // 17 bits / 3 sort bytes, 9 bits / 2
+			{65280, 255, 5},  // 16 bits / 2, 8 bits / 1, 3 bits / 1
+			{66049, 257},     // as A
+			{768, 256, 2},    // 10 bits / 2, exactly one byte, 1 bit
+			{131072, 512, 4}, // 17 bits / 3, 9 bits / 2, 2 bits / 1
+		},
+		PoolFrames: 256,
+	}
+}
+
+// TestFinalizeOrderMatchesOracle runs every aggregate of group-bys over
+// the straddling schema — level vectors whose sort key fits a word, ones
+// that need the fallback comparator, one too wide to pack at all —
+// through the shared scan at 1, 2 and 4 workers, unspilled and under a
+// 4 KiB budget, and requires groups, order and values equal to Naive's.
+func TestFinalizeOrderMatchesOracle(t *testing.T) {
+	db, err := datagen.Build(filepath.Join(t.TempDir(), "db"), straddleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	schema := db.Schema
+	all := func(d int) int { return schema.Dims[d].AllLevel() }
+
+	vectors := [][]int{
+		{1, 1, 1, 1, 1},                     // 8 sort bytes: sort key, every field at a byte edge
+		{0, 0, all(2), all(3), all(4)},      // 5 sort bytes, two wide fields
+		{0, 1, 1, 0, 2},                     // 3+1+2+2+1 = 9 sort bytes in 46 bits: comparator
+		{0, 0, 0, all(3), all(4)},           // 8 sort bytes exactly: sort key
+		{0, all(1), 0, 1, 0},                // 3+3+1+3 = 10 sort bytes in 59 bits: comparator
+		{0, 0, 0, 0, 0},                     // 77 bits: byte-key table
+		{all(0), 2, all(2), all(3), all(4)}, // five groups
+	}
+	rng := rand.New(rand.NewSource(20260925))
+	for len(vectors) < 12 {
+		v := make([]int, schema.NumDims())
+		for d := range v {
+			v[d] = rng.Intn(all(d) + 1)
+		}
+		vectors = append(vectors, v)
+	}
+
+	var sortKeyed, compared, byteKeyed int
+	for vi, levels := range vectors {
+		kp, packed := newKeyPacker(schema, levels)
+		switch {
+		case !packed:
+			byteKeyed++
+		case kp.sortSteps == nil:
+			compared++
+		default:
+			sortKeyed++
+		}
+		var group []*query.Query
+		for _, agg := range []query.Agg{query.Sum, query.Count, query.Min, query.Max, query.Avg} {
+			q, err := query.New(fmt.Sprintf("v%d_%s", vi, agg), schema, levels, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Agg = agg
+			group = append(group, q)
+		}
+		oenv := NewEnv(db)
+		want := make([]*Result, len(group))
+		for i, q := range group {
+			want[i] = oracle(t, oenv, q)
+		}
+		// One ungoverned lookup set per vector: the wide dimension
+		// tables are scanned once, and the 4 KiB budget below is the
+		// fold tables' alone.
+		lookups := NewLookupSet(nil)
+		var builds []LookupBuild
+		for d := range levels {
+			builds = append(builds, LookupBuild{Query: group[0], Dim: d, ViewLevel: 0})
+		}
+		var bst Stats
+		if err := oenv.BuildLookups(lookups, builds, &bst); err != nil {
+			t.Fatal(err)
+		}
+		budgets := []int64{0, 4 << 10}
+		if !packed {
+			// The byte-key merge absorbs one key per overflow sub-pass
+			// at this budget (quadratic); its spill has its own suite.
+			budgets = budgets[:1]
+		}
+		for _, budget := range budgets {
+			for _, workers := range []int{1, 2, 4} {
+				env := NewEnv(db)
+				env.Parallelism = workers
+				env.MorselPages = 2
+				env.SpillDir = t.TempDir()
+				env.Mem = mem.New(budget)
+				env.Lookups = lookups
+				var st Stats
+				got, err := SharedScanHash(env, db.Base(), group, &st)
+				if err != nil {
+					t.Fatalf("levels %v budget %d workers %d: %v", levels, budget, workers, err)
+				}
+				for i := range got {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("levels %v budget %d workers %d: %s differs from the oracle (%d groups, want %d)",
+							levels, budget, workers, got[i].Query.Name, len(got[i].Groups), len(want[i].Groups))
+					}
+				}
+				if budget > 0 && len(want[0].Groups) > 1000 && st.SpillBytes == 0 {
+					t.Fatalf("levels %v: %d groups did not spill under %d bytes", levels, len(want[0].Groups), budget)
+				}
+				checkDrained(t, env.Mem)
+			}
+		}
+	}
+	if sortKeyed < 3 || compared < 2 || byteKeyed < 1 {
+		t.Fatalf("coverage: %d sort-keyed, %d comparator, %d byte-key vectors", sortKeyed, compared, byteKeyed)
+	}
+}
+
+// TestGroupKeysDoNotAlias: one result's Keys share a slab, so each must
+// be cut with its capacity clipped — an append on one group's keys must
+// reallocate, not overwrite the next group's — on both table kinds.
+func TestGroupKeysDoNotAlias(t *testing.T) {
+	db, qs := testDB(t)
+	for _, noPacked := range []bool{false, true} {
+		env := NewEnv(db)
+		env.NoPackedKeys = noPacked
+		var st Stats
+		r, err := HashJoinQuery(env, db.Base(), qs["Q1"], &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Groups) < 2 {
+			t.Fatalf("%d groups, want several", len(r.Groups))
+		}
+		for i := range r.Groups[:len(r.Groups)-1] {
+			g := r.Groups[i]
+			if cap(g.Keys) != len(g.Keys) {
+				t.Fatalf("noPacked=%v group %d: keys len %d cap %d", noPacked, i, len(g.Keys), cap(g.Keys))
+			}
+			next := append([]int32(nil), r.Groups[i+1].Keys...)
+			_ = append(g.Keys, -1)
+			if !equalKeys(r.Groups[i+1].Keys, next) {
+				t.Fatalf("noPacked=%v: append on group %d changed group %d", noPacked, i, i+1)
+			}
+		}
+	}
+}
+
+// filledPipeline returns a packed pipeline over a 4x8-bit key space
+// holding n distinct groups, each folded twice.
+func filledPipeline(tb testing.TB, env *Env, n int) *queryPipeline {
+	tb.Helper()
+	_, qs := testDB(tb)
+	kp, ok := newKeyPackerFromCards([]int32{256, 256, 256, 256})
+	if !ok {
+		tb.Fatal("4x8-bit key did not pack")
+	}
+	q := *qs["Q1"]
+	q.Agg = query.Avg
+	p := &queryPipeline{q: &q, packer: kp, ftab: newFoldTable(env, q.Agg, kp, "finalize")}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			// An odd multiplier permutes the 32-bit key space: n
+			// distinct keys in scattered order.
+			key := uint64(uint32(i) * 2654435761)
+			if err := p.ftab.fold(key, accum{a: float64(i), b: 1, set: true}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return p
+}
+
+// TestFinalizeAllocs pins result() to a constant number of allocations
+// whatever the group count: the row buffer, the groups, the key slab
+// and the Result — no per-group key, string or slice.
+func TestFinalizeAllocs(t *testing.T) {
+	db, _ := testDB(t)
+	env := NewEnv(db)
+	for _, n := range []int{100, 10000} {
+		p := filledPipeline(t, env, n)
+		defer p.close()
+		allocs := testing.AllocsPerRun(5, func() {
+			r, err := p.result()
+			if err != nil || len(r.Groups) != n {
+				t.Fatalf("result: %d groups, err %v", len(r.Groups), err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("result() allocates %v objects for %d groups, want at most 4", allocs, n)
+		}
+	}
+}
+
+// BenchmarkFinalize measures result() alone — merge, sort, decode — on
+// resident and spilled tables of 1k and 100k groups.
+func BenchmarkFinalize(b *testing.B) {
+	db, _ := testDB(b)
+	for _, n := range []int{1000, 100000} {
+		for _, spilled := range []bool{false, true} {
+			name := fmt.Sprintf("groups=%d/unspilled", n)
+			if spilled {
+				name = fmt.Sprintf("groups=%d/spilled", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				env := NewEnv(db)
+				if spilled {
+					// A quarter of what the resident table would hold.
+					env.Mem = mem.New(int64(n) * foldSlotBytes / 4)
+					env.SpillDir = b.TempDir()
+				}
+				p := filledPipeline(b, env, n)
+				defer p.close()
+				if spilled != (p.ftab.sp != nil) {
+					b.Fatalf("spilled = %v, want %v", p.ftab.sp != nil, spilled)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := p.result()
+					if err != nil || len(r.Groups) != n {
+						b.Fatalf("result: %d groups, err %v", len(r.Groups), err)
+					}
+				}
+			})
+		}
+	}
+}

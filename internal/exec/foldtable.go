@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
@@ -28,8 +29,10 @@ import (
 //     (spillFiles, with 8-byte keys), the probe hash routing each
 //     record to its partition so a key's records stay in one partition
 //     in arrival order;
-//   - finalization decodes packed keys back to the canonical byte-key
-//     form (keyPacker.legacyKey) and sorts on it, so results are
+//   - finalization (rows, groups) copies the groups into one flat
+//     buffer, orders it by the packer's order-preserving sort key —
+//     the canonical byte-key order without ever building a byte key —
+//     and decodes into slab-backed Groups, so results are
 //     byte-identical to the byte-key path whichever one ran.
 const (
 	// foldInitialSlots is the initial slot-array capacity. Its slab
@@ -284,15 +287,23 @@ func (t *foldTable) mergeFrom(o *foldTable) error {
 	return nil
 }
 
-// pairs returns every group fully merged as canonical byte-key pairs,
-// sorted exactly as the byte-key path sorts them. Spilled partitions
-// are merged one at a time (overflow sub-passes handle partitions that
-// alone exceed the budget).
-func (t *foldTable) pairs() ([]aggPair, error) {
-	var out []aggPair
+// foldRow is one finalized group of a packed table: its packed key, the
+// key's sort key (0 when the packer has none) and the accumulator.
+type foldRow struct {
+	sortKey, key uint64
+	a, b         float64
+}
+
+// rows returns every group fully merged, in canonical order — exactly
+// the order the byte-key path sorts its raw keys into. Spilled
+// partitions are merged one at a time into the same buffer (overflow
+// sub-passes handle partitions that alone exceed the budget). The
+// buffer is result state, not operator state: like the groups decoded
+// from it, it is not charged to the broker.
+func (t *foldTable) rows() ([]foldRow, error) {
+	var out []foldRow
 	if t.sp == nil {
-		out = make([]aggPair, 0, t.n)
-		out = t.appendPairs(out)
+		out = t.appendRows(make([]foldRow, 0, t.n))
 	} else {
 		if err := t.sp.flushBufs(); err != nil {
 			return nil, err
@@ -306,24 +317,45 @@ func (t *foldTable) pairs() ([]aggPair, error) {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	if t.kp.sortSteps != nil {
+		slices.SortFunc(out, func(x, y foldRow) int { return cmp.Compare(x.sortKey, y.sortKey) })
+	} else {
+		slices.SortFunc(out, func(x, y foldRow) int { return t.kp.compareKeys(x.key, y.key) })
+	}
 	return out, nil
 }
 
-// appendPairs decodes every resident slot to its canonical byte key
-// and appends the pairs to out.
-func (t *foldTable) appendPairs(out []aggPair) []aggPair {
+// appendRows appends every resident slot to out.
+func (t *foldTable) appendRows(out []foldRow) []foldRow {
 	for i := range t.slots {
 		s := &t.slots[i]
 		if !s.used {
 			continue
 		}
-		out = append(out, aggPair{
-			key: string(t.kp.legacyKey(nil, s.key)),
-			ac:  accum{a: s.a, b: s.b, set: s.set},
-		})
+		out = append(out, foldRow{sortKey: t.kp.sortKey(s.key), key: s.key, a: s.a, b: s.b})
 	}
 	return out
+}
+
+// groups finalizes the table into sorted result groups. All Keys slices
+// are cut from one slab with their capacity clipped, so appending to one
+// group's keys cannot reach the next group's. avg selects the AVG
+// finalization (sum over count) over the plain value.
+func (t *foldTable) groups(avg bool) ([]Group, error) {
+	rows, err := t.rows()
+	if err != nil {
+		return nil, err
+	}
+	nd := len(t.kp.shifts)
+	groups := make([]Group, len(rows))
+	slab := make([]int32, len(rows)*nd)
+	for i := range rows {
+		r := &rows[i]
+		keys := slab[i*nd : (i+1)*nd : (i+1)*nd]
+		t.kp.unpack(r.key, keys)
+		groups[i] = Group{Keys: keys, Value: finalValue(avg, r.a, r.b)}
+	}
+	return groups, nil
 }
 
 // mergePartition replays one partition's records into a transient fold
@@ -338,7 +370,7 @@ func (t *foldTable) appendPairs(out []aggPair) []aggPair {
 // already resident goes to the overflow writer without consulting the
 // broker again, so a key can never surface twice with a split
 // aggregate when a concurrent pipeline releases memory mid-merge.
-func (t *foldTable) mergePartition(pi int, out []aggPair) ([]aggPair, error) {
+func (t *foldTable) mergePartition(pi int, out []foldRow) ([]foldRow, error) {
 	pages := t.sp.parts[pi].pages
 	for len(pages) > 0 {
 		mt := &foldTable{
@@ -366,7 +398,7 @@ func (t *foldTable) mergePartition(pi int, out []aggPair) ([]aggPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = mt.appendPairs(out)
+		out = mt.appendRows(out)
 		t.res.Shrink(mt.held)
 		pages = nil
 		if overflow != nil {

@@ -2,11 +2,81 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/bits"
 	"testing"
 )
+
+// legacyKey appends the canonical byte-key form of packed key k — each
+// dimension's code as a little-endian int32, the exact layout the
+// byte-key fold path builds and the oracle sorts on. The engine no
+// longer materializes it; it is the reference the packed sort order is
+// checked against.
+func (kp *keyPacker) legacyKey(dst []byte, k uint64) []byte {
+	for i := range kp.shifts {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(k>>kp.shifts[i]&kp.masks[i]))
+	}
+	return dst
+}
+
+// fuzzCards maps four fuzzed words to legal cardinalities.
+func fuzzCards(c0, c1, c2, c3 uint32) []int32 {
+	return []int32{
+		int32(c0%(1<<30)) + 1,
+		int32(c1%(1<<30)) + 1,
+		int32(c2%(1<<30)) + 1,
+		int32(c3%(1<<30)) + 1,
+	}
+}
+
+// FuzzPackedSortOrder checks the finalizer's ordering against the
+// canonical one: for any two keys of any packer, comparing sort keys
+// (or, when the packer has none, compareKeys) must agree with
+// bytes.Compare on the legacy byte keys, and a sort key must exist
+// exactly when the significant code bytes fit a word.
+func FuzzPackedSortOrder(f *testing.F) {
+	// One byte per dim; codes differing only in the high byte of a
+	// two-byte field (where byte order and numeric order disagree);
+	// cards straddling 256 and 65,536; three 17-bit dims = 9 sort bytes
+	// in 51 packed bits (fallback comparator); ALL-level dims.
+	f.Add(uint32(12), uint32(30), uint32(200), uint32(2), uint64(0x1234), uint64(0x4321))
+	f.Add(uint32(1000), uint32(1000), uint32(1), uint32(1), uint64(0x0100), uint64(0x00ff))
+	f.Add(uint32(255), uint32(256), uint32(65535), uint32(65536), uint64(0xffffffffffff), uint64(0xff00ff00ff00))
+	f.Add(uint32(65537), uint32(65537), uint32(65537), uint32(1), uint64(0x10000), uint64(0x0ffff))
+	f.Add(uint32(1), uint32(1), uint32(1), uint32(1), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, c0, c1, c2, c3 uint32, x, y uint64) {
+		cards := fuzzCards(c0, c1, c2, c3)
+		kp, ok := newKeyPackerFromCards(cards)
+		if !ok {
+			return
+		}
+		sortBytes := 0
+		for _, c := range cards {
+			sortBytes += (bits.Len32(uint32(c)-1) + 7) / 8
+		}
+		if has := kp.sortSteps != nil; has != (sortBytes <= 8) {
+			t.Fatalf("cards %v (%d sort bytes): has sort key = %v", cards, sortBytes, has)
+		}
+		// Any bit pattern under the field masks is a legal packed key.
+		var all uint64
+		for i, m := range kp.masks {
+			all |= m << kp.shifts[i]
+		}
+		x, y = x&all, y&all
+		want := bytes.Compare(kp.legacyKey(nil, x), kp.legacyKey(nil, y))
+		if got := kp.compareKeys(x, y); got != want {
+			t.Fatalf("cards %v keys %#x %#x: compareKeys = %d, bytes.Compare = %d", cards, x, y, got, want)
+		}
+		if kp.sortSteps != nil {
+			if got := cmp.Compare(kp.sortKey(x), kp.sortKey(y)); got != want {
+				t.Fatalf("cards %v keys %#x %#x: sort keys %#x %#x compare %d, bytes.Compare = %d",
+					cards, x, y, kp.sortKey(x), kp.sortKey(y), got, want)
+			}
+		}
+	})
+}
 
 // FuzzPackedKeyRoundTrip checks the packed-key codec against arbitrary
 // per-dimension cardinalities and codes: construction must succeed
@@ -20,12 +90,7 @@ func FuzzPackedKeyRoundTrip(f *testing.F) {
 	f.Add(uint32(1), uint32(1), uint32(1), uint32(1), uint32(0), uint32(0), uint32(0), uint32(0))
 	f.Add(uint32(1<<30), uint32(1<<30), uint32(16), uint32(1), uint32(7), uint32(8), uint32(9), uint32(0))
 	f.Fuzz(func(t *testing.T, c0, c1, c2, c3, k0, k1, k2, k3 uint32) {
-		cards := []int32{
-			int32(c0%(1<<30)) + 1,
-			int32(c1%(1<<30)) + 1,
-			int32(c2%(1<<30)) + 1,
-			int32(c3%(1<<30)) + 1,
-		}
+		cards := fuzzCards(c0, c1, c2, c3)
 		total := 0
 		for _, c := range cards {
 			total += bits.Len32(uint32(c) - 1)

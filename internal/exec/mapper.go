@@ -244,15 +244,6 @@ func (p *queryPipeline) close() {
 	p.ftab.close()
 }
 
-// pairs finalizes the pipeline's aggregation table — whichever
-// representation it runs — into sorted canonical byte-key pairs.
-func (p *queryPipeline) pairs() ([]aggPair, error) {
-	if p.ftab != nil {
-		return p.ftab.pairs()
-	}
-	return p.tab.pairs()
-}
-
 // tabMemStats reports the aggregation table's memory counters.
 func (p *queryPipeline) tabMemStats() (peak, spillBytes, spillParts int64) {
 	if p.ftab != nil {
@@ -635,15 +626,4 @@ func (p *queryPipeline) absorbPacked(pk uint64, vals [4]float64) {
 	if err := p.ftab.fold(pk, deltaOf(p.q.Agg, vals)); err != nil {
 		p.ioErr = err
 	}
-}
-
-// finalize converts a group's accumulation state into its result value.
-func (p *queryPipeline) finalize(ac accum) float64 {
-	if p.q.Agg == query.Avg {
-		if ac.b == 0 {
-			return 0
-		}
-		return ac.a / ac.b
-	}
-	return ac.a
 }

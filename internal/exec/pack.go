@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"mdxopt/internal/star"
@@ -19,10 +18,11 @@ import (
 // and equality is one word compare. Queries whose widths exceed 64
 // bits fall back to the byte-key path (keyPacker construction fails).
 //
-// The byte layout of the legacy key — little-endian int32 per
-// dimension — remains the canonical result ordering: legacyKey
-// reconstructs it exactly, so sorted output is byte-identical whichever
-// representation folded the tuples.
+// The byte layout of the byte-key form — little-endian int32 per
+// dimension — remains the canonical result ordering. Finalization never
+// materializes it: sortKey permutes a packed key's bytes into a uint64
+// whose numeric order equals that byte order, so sorted output is
+// byte-identical whichever representation folded the tuples.
 
 // keyPacker packs and unpacks a query's group-by key. Immutable after
 // construction; safe to share across worker pipelines.
@@ -30,6 +30,17 @@ type keyPacker struct {
 	shifts []uint // bit offset of each dimension's field
 	masks  []uint64
 	bits   int
+	// sortSteps moves the packed key's significant code bytes into
+	// sort-key position (see sortKey); nil when they exceed 64 bits and
+	// ordering falls back to compareKeys.
+	sortSteps []sortStep
+}
+
+// sortStep copies one code byte: the packed key's bits [src, src+8)
+// under mask land at bit dst of the sort key.
+type sortStep struct {
+	src, dst uint
+	mask     uint64
 }
 
 // newKeyPacker builds a packer for a group-by at the given levels, or
@@ -59,7 +70,60 @@ func newKeyPackerFromCards(cards []int32) (*keyPacker, bool) {
 		return nil, false
 	}
 	kp.bits = shift
+	kp.sortSteps = kp.buildSortSteps()
 	return kp, true
+}
+
+// buildSortSteps lays out the sort key: dimension by dimension, each
+// code's significant bytes (those a field of its width can set) from
+// least to most significant, concatenated big-endian. That is the
+// canonical byte key with its always-zero bytes dropped, so comparing
+// two sort keys as integers is bytes.Compare on the canonical keys. A
+// field width is rounded up to whole bytes here, so the sort key can
+// need more than the 64 bits the packed key fits in; nil then.
+func (kp *keyPacker) buildSortSteps() []sortStep {
+	nbytes := 0
+	for _, m := range kp.masks {
+		nbytes += (bits.Len64(m) + 7) / 8
+	}
+	if nbytes > 8 {
+		return nil
+	}
+	steps := make([]sortStep, 0, nbytes)
+	dst := uint(8 * nbytes)
+	for i, m := range kp.masks {
+		for off := uint(0); m>>off != 0; off += 8 {
+			dst -= 8
+			steps = append(steps, sortStep{src: kp.shifts[i] + off, dst: dst, mask: m >> off & 0xff})
+		}
+	}
+	return steps
+}
+
+// sortKey returns the order-preserving sort key of packed key k; 0 for
+// every key when the packer has no sort steps.
+func (kp *keyPacker) sortKey(k uint64) uint64 {
+	var sk uint64
+	for _, st := range kp.sortSteps {
+		sk |= k >> st.src & st.mask << st.dst
+	}
+	return sk
+}
+
+// compareKeys orders two packed keys canonically without a sort key:
+// the first differing dimension decides, its codes compared as
+// little-endian byte strings (byte-reversed integers).
+func (kp *keyPacker) compareKeys(a, b uint64) int {
+	for i, sh := range kp.shifts {
+		ca, cb := uint32(a>>sh&kp.masks[i]), uint32(b>>sh&kp.masks[i])
+		if ca != cb {
+			if bits.ReverseBytes32(ca) < bits.ReverseBytes32(cb) {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // pack encodes one code per dimension into the packed key. Codes must
@@ -77,19 +141,6 @@ func (kp *keyPacker) unpack(k uint64, out []int32) {
 	for i := range out {
 		out[i] = int32(k >> kp.shifts[i] & kp.masks[i])
 	}
-}
-
-// legacyKey appends the canonical byte-key form of k — each dimension's
-// code as a little-endian int32, the exact layout the byte-key fold
-// path builds — and returns the extended slice. Result ordering and the
-// Group key decode both go through this form.
-func (kp *keyPacker) legacyKey(dst []byte, k uint64) []byte {
-	for i := range kp.shifts {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(k>>kp.shifts[i]&kp.masks[i]))
-		dst = append(dst, b[:]...)
-	}
-	return dst
 }
 
 // hash64 is a wyhash-style single multiply-fold of the packed key; it

@@ -31,7 +31,7 @@ import (
 //
 // Determinism: morsel assignment is racy, but every per-worker table is
 // merged into worker 0's primary state in worker index order, table
-// finalization sorts on canonical byte keys, and the workload's measures
+// finalization sorts into canonical byte-key order, and the measures
 // sum exactly in float64 — so results and the deterministic work
 // counters are byte-identical at every width, morsel or static, to the
 // serial pass.

@@ -8,14 +8,18 @@ import (
 )
 
 // Group is one row of a query result: the group-by member codes (at the
-// query's levels) and the aggregated measure.
+// query's levels) and the aggregated measure. The Keys of one Result's
+// groups are sub-slices of a single backing array, each with its
+// capacity clipped to its length: writing through one group's Keys
+// stays inside that group, and append reallocates.
 type Group struct {
 	Keys  []int32
 	Value float64
 }
 
 // Result is the evaluated output of one query, with groups in ascending
-// key order.
+// key order. Its groups share backing arrays (see Group), so keeping
+// one group alive keeps the whole result's keys alive.
 type Result struct {
 	Query  *query.Query
 	Groups []Group
@@ -37,22 +41,50 @@ type Result struct {
 // Spilled tables are merged partition by partition (spill.go); the
 // groups come out in the same raw-key order either way.
 func (p *queryPipeline) result() (*Result, error) {
-	pairs, err := p.pairs()
+	groups, err := finalizeGroups(p.ftab, p.tab, p.q.Agg == query.Avg)
 	if err != nil {
 		return nil, err
 	}
-	q := p.q
-	nd := q.Schema.NumDims()
-	groups := make([]Group, len(pairs))
-	for i, pr := range pairs {
-		k := pr.key
-		g := Group{Keys: make([]int32, nd), Value: p.finalize(pr.ac)}
-		for d := 0; d < nd; d++ {
-			g.Keys[d] = int32(uint32(k[d*4]) | uint32(k[d*4+1])<<8 | uint32(k[d*4+2])<<16 | uint32(k[d*4+3])<<24)
-		}
-		groups[i] = g
+	return &Result{Query: p.q, Groups: groups}, nil
+}
+
+// finalizeGroups is the one way an aggregation table — the packed
+// ftab, or the byte-key tab when ftab is nil — becomes result groups:
+// fully merged, in canonical (raw byte-key) order, every Keys slice cut
+// from one shared slab with its capacity clipped. avg selects the AVG
+// finalization over the plain accumulated value.
+func finalizeGroups(ftab *foldTable, tab *aggTable, avg bool) ([]Group, error) {
+	if ftab != nil {
+		return ftab.groups(avg)
 	}
-	return &Result{Query: q, Groups: groups}, nil
+	pairs, err := tab.pairs()
+	if err != nil {
+		return nil, err
+	}
+	nd := tab.keyLen / 4
+	groups := make([]Group, len(pairs))
+	slab := make([]int32, len(pairs)*nd)
+	for i, pr := range pairs {
+		keys := slab[i*nd : (i+1)*nd : (i+1)*nd]
+		k := pr.key
+		for d := range keys {
+			keys[d] = int32(uint32(k[d*4]) | uint32(k[d*4+1])<<8 | uint32(k[d*4+2])<<16 | uint32(k[d*4+3])<<24)
+		}
+		groups[i] = Group{Keys: keys, Value: finalValue(avg, pr.ac.a, pr.ac.b)}
+	}
+	return groups, nil
+}
+
+// finalValue converts a group's accumulator components into its result
+// value: sum over count for AVG, component a otherwise.
+func finalValue(avg bool, a, b float64) float64 {
+	if !avg {
+		return a
+	}
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }
 
 // Find returns the value for the given group keys.
@@ -104,16 +136,19 @@ func (r *Result) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d groups\n", r.Query, len(r.Groups))
 	for _, g := range r.Groups {
-		parts := make([]string, 0, len(g.Keys))
+		b.WriteString("  (")
+		sep := ""
 		for d, k := range g.Keys {
 			dim := r.Query.Schema.Dims[d]
 			lvl := r.Query.Levels[d]
 			if lvl == dim.AllLevel() {
 				continue
 			}
-			parts = append(parts, dim.MemberName(lvl, k))
+			b.WriteString(sep)
+			b.WriteString(dim.MemberName(lvl, k))
+			sep = ", "
 		}
-		fmt.Fprintf(&b, "  (%s) = %.2f\n", strings.Join(parts, ", "), g.Value)
+		fmt.Fprintf(&b, ") = %.2f\n", g.Value)
 	}
 	return b.String()
 }

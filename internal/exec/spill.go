@@ -6,7 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"mdxopt/internal/mem"
@@ -60,7 +61,8 @@ const (
 // spillSeq disambiguates temp spill files within one process.
 var spillSeq atomic.Uint64
 
-// aggPair is one finalized group: the packed key and its accumulator.
+// aggPair is one finalized group of a byte-key table: the raw key and
+// its accumulator.
 type aggPair struct {
 	key string
 	ac  accum
@@ -267,7 +269,7 @@ func (t *aggTable) pairs() ([]aggPair, error) {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	slices.SortFunc(out, func(x, y aggPair) int { return strings.Compare(x.key, y.key) })
 	return out, nil
 }
 

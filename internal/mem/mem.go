@@ -24,10 +24,12 @@
 //     releases memory. Deferred claims are granted in strict FIFO
 //     order, so a large claim is never starved by a stream of small
 //     ones: once it is the oldest waiter every newcomer queues behind
-//     it, running work drains, and at the latest the idle broker grants
-//     it. A claim on an idle broker always succeeds, even past the
-//     limit, so a batch larger than the whole budget still runs
-//     (relying on the operators' spill paths to stay within it). A
+//     it, admitted work drains, and at the latest the idle broker
+//     grants it. A claim on an idle broker — one with no unreleased
+//     admission claim, whatever bytes standing reservations hold —
+//     always succeeds, even past the limit, so a batch larger than the
+//     whole budget still runs (relying on the operators' spill paths
+//     to stay within it). A
 //     claim decays as the work's real reservations materialize through
 //     the claim's linked broker (see Claim.Broker), charging a running
 //     batch max(estimate, reserved) rather than their sum.
@@ -58,6 +60,7 @@ type Broker struct {
 	used      int64          // bytes held by reservations
 	peak      int64          // high-water mark of used
 	claimed   int64          // bytes held by admission claims
+	claims    int            // admission claims granted and not yet released
 	overdraft int64          // bytes granted past the limit by MustGrow
 	denied    int64          // TryGrow calls refused
 	admitted  int64          // Admit calls granted
@@ -202,19 +205,31 @@ func (b *Broker) shrink(n int64) {
 
 // admitsLocked reports whether a claim of estimate bytes can be granted
 // now: it fits alongside current usage and claims, or the broker is
-// completely idle (the oversize-claim escape hatch). Callers hold b.mu.
+// idle (the oversize-claim escape hatch). Idle means no admitted work
+// is running — every granted claim has been released — not that no byte
+// is held: reservations that outlive any one unit of work (a request's
+// hoisted lookup set, the result cache's standing charge) are released
+// by nobody a waiter could wait for, so counting them would wedge a
+// claim that does not fit beside them forever. Callers hold b.mu.
 func (b *Broker) admitsLocked(estimate int64) bool {
 	if b.limit == 0 || b.used+b.claimed+estimate <= b.limit {
 		return true
 	}
-	return b.used == 0 && b.claimed == 0
+	return b.claims == 0
+}
+
+// grantLocked books a granted claim of estimate bytes. Callers hold b.mu.
+func (b *Broker) grantLocked(estimate int64) {
+	b.claimed += estimate
+	b.claims++
+	b.admitted++
 }
 
 // wakeAdmitsLocked grants queued admission claims in FIFO order until
 // the oldest no longer fits. Strict ordering — a later claim never
 // overtakes the head — is what makes large claims starvation-free:
 // once a claim is the oldest waiter every newcomer queues behind it,
-// running work drains, and at the latest the idle broker grants it.
+// admitted work drains, and at the latest the idle broker grants it.
 // Callers hold b.mu.
 func (b *Broker) wakeAdmitsLocked() {
 	for len(b.waiters) > 0 {
@@ -222,8 +237,7 @@ func (b *Broker) wakeAdmitsLocked() {
 		if !b.admitsLocked(w.estimate) {
 			return
 		}
-		b.claimed += w.estimate
-		b.admitted++
+		b.grantLocked(w.estimate)
 		w.granted = true
 		close(w.ch)
 		b.waiters[0] = nil
@@ -322,9 +336,11 @@ func (r *Reservation) Peak() int64 {
 // Admit claims estimate bytes for a unit of work about to execute,
 // deferring (blocking) while the claim does not fit alongside current
 // usage and other claims. Deferred claims are granted strictly oldest
-// first. A claim on an otherwise idle broker is always granted, even
-// past the limit — execution then relies on the operators' spill paths
-// — so admission can only defer work, never wedge it permanently. The
+// first. A claim on an idle broker — no other claim granted and not yet
+// released — is always granted, even past the limit and whatever bytes
+// reservations hold; execution then relies on the operators' spill
+// paths. Every deferred claim therefore waits only for claims that will
+// be released, so admission can only defer work, never wedge it. The
 // returned release function must be called when the work finishes (it
 // is idempotent). Admit returns ctx's error if the context is done
 // first.
@@ -355,8 +371,7 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 	}
 	b.mu.Lock()
 	if len(b.waiters) == 0 && b.admitsLocked(estimate) {
-		b.claimed += estimate
-		b.admitted++
+		b.grantLocked(estimate)
 		b.mu.Unlock()
 		return &Claim{b: b, remaining: estimate}, nil
 	}
@@ -378,6 +393,7 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 		if w.granted {
 			// Granted between ctx firing and us taking the lock; the
 			// caller is abandoning the work, so return the claim.
+			b.claims--
 			b.claimed -= w.estimate
 			if b.claimed < 0 {
 				b.claimed = 0
@@ -449,6 +465,7 @@ func (c *Claim) Release() {
 	c.b.mu.Lock()
 	if !c.released {
 		c.released = true
+		c.b.claims--
 		c.b.claimed -= c.remaining
 		if c.b.claimed < 0 {
 			c.b.claimed = 0

@@ -168,10 +168,72 @@ func TestAdmitIdleOversizeGranted(t *testing.T) {
 	defer release()
 }
 
+// TestAdmitIdleIgnoresStandingReservations: idle means no unreleased
+// admission claim, not zero bytes in use. Reservations held outside any
+// claim (a request's hoisted lookups, the result cache) are released by
+// nobody a waiter could wait for, so an oversize claim beside them must
+// be granted at once — and the next one must wait for that claim's
+// release, not for the standing bytes.
+func TestAdmitIdleIgnoresStandingReservations(t *testing.T) {
+	b := New(100)
+	standing := b.Reserve("lookups")
+	standing.MustGrow(30)
+	defer standing.Release()
+
+	first, err := b.AdmitClaim(context.Background(), 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan *Claim, 1)
+	go func() {
+		cl, err := b.AdmitClaim(context.Background(), 150)
+		if err != nil {
+			t.Error(err)
+		}
+		second <- cl
+	}()
+	waitFor(t, func() bool { return b.Stats().Waiting == 1 })
+	// A fully drawn-down claim is still unreleased work.
+	r := first.Broker().Reserve("op")
+	r.MustGrow(150)
+	r.Release()
+	select {
+	case <-second:
+		t.Fatal("second oversize claim granted while the first was unreleased")
+	case <-time.After(20 * time.Millisecond):
+	}
+	first.Release()
+	select {
+	case cl := <-second:
+		cl.Release()
+	case <-time.After(2 * time.Second):
+		t.Fatal("oversize claim never granted beside a standing reservation")
+	}
+	if st := b.Stats(); st.Claimed != 0 || st.Waiting != 0 || st.Used != 30 {
+		t.Fatalf("residue: %+v", st)
+	}
+}
+
+// admitRunning models admitted work in flight: a granted claim of n
+// bytes, all of it materialized as a reservation under the claim. The
+// returned function ends the work.
+func admitRunning(t *testing.T, b *Broker, n int64) (finish func()) {
+	t.Helper()
+	cl, err := b.AdmitClaim(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cl.Broker().Reserve("running")
+	r.MustGrow(n)
+	return func() {
+		r.Release()
+		cl.Release()
+	}
+}
+
 func TestAdmitDefersUntilRelease(t *testing.T) {
 	b := New(100)
-	r := b.Reserve("running")
-	r.MustGrow(90)
+	finish := admitRunning(t, b, 90)
 	admitted := make(chan struct{})
 	go func() {
 		release, err := b.Admit(context.Background(), 50)
@@ -186,7 +248,7 @@ func TestAdmitDefersUntilRelease(t *testing.T) {
 		t.Fatal("admitted while saturated")
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.Release()
+	finish()
 	select {
 	case <-admitted:
 	case <-time.After(2 * time.Second):
@@ -199,8 +261,7 @@ func TestAdmitDefersUntilRelease(t *testing.T) {
 
 func TestAdmitContextCanceled(t *testing.T) {
 	b := New(100)
-	r := b.Reserve("running")
-	r.MustGrow(100)
+	finish := admitRunning(t, b, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -209,7 +270,10 @@ func TestAdmitContextCanceled(t *testing.T) {
 	if _, err := b.Admit(ctx, 10); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	r.Release()
+	finish()
+	if st := b.Stats(); st.Used != 0 || st.Claimed != 0 || st.Waiting != 0 {
+		t.Fatalf("residue: %+v", st)
+	}
 }
 
 // TestAdmitFIFONoStarvation: an oversize claim queued behind running
@@ -218,8 +282,7 @@ func TestAdmitContextCanceled(t *testing.T) {
 // policy would defer the large claim forever.
 func TestAdmitFIFONoStarvation(t *testing.T) {
 	b := New(100)
-	r := b.Reserve("running")
-	r.MustGrow(80)
+	finish := admitRunning(t, b, 80)
 
 	var mu sync.Mutex
 	var order []string
@@ -248,7 +311,7 @@ func TestAdmitFIFONoStarvation(t *testing.T) {
 	}
 	waitFor(t, func() bool { return b.Stats().Waiting == 5 })
 
-	r.Release() // idle broker: the big claim is granted first
+	finish() // idle broker: the big claim is granted first
 	wg.Wait()
 	if len(order) != 5 || order[0] != "big" {
 		t.Fatalf("grant order = %v, want big first", order)

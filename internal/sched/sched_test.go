@@ -209,9 +209,13 @@ func emptyPlanFn(subQ [][]*query.Query, keys []string) ([][]*query.Query, *plan.
 func TestExecAdmissionDefersUntilRelease(t *testing.T) {
 	// A saturated memory broker must defer the batch — not error it —
 	// and let it run once memory is released.
+	// The running work is itself an admitted claim: a broker with no
+	// unreleased claim is idle and admits anything.
 	broker := mem.New(1 << 10)
-	blocker := broker.Reserve("blocker")
-	blocker.MustGrow(1 << 10)
+	releaseBlocker, err := broker.Admit(context.Background(), 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	admit := func(ctx context.Context, g *plan.Global) (func(), error) {
 		return broker.Admit(ctx, 512)
@@ -228,7 +232,7 @@ func TestExecAdmissionDefersUntilRelease(t *testing.T) {
 		t.Fatal("batch ran while the broker was saturated")
 	case <-time.After(20 * time.Millisecond):
 	}
-	blocker.Release()
+	releaseBlocker()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -251,9 +255,11 @@ func TestExecAdmissionCanceledContextFailsBatch(t *testing.T) {
 	// A canceled context bounds the admission wait: the batch fails with
 	// the context's error instead of waiting forever.
 	broker := mem.New(100)
-	blocker := broker.Reserve("blocker")
-	defer blocker.Release()
-	blocker.MustGrow(100)
+	releaseBlocker, err := broker.Admit(context.Background(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseBlocker()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -668,13 +668,18 @@ func (l *Loader) Close() error {
 }
 
 // ResultRow is one group of a query result, with member names at the
-// query's group-by levels.
+// query's group-by levels. Members is nil for a query that groups by no
+// dimension (a grand total).
 type ResultRow struct {
 	Members []string
 	Value   float64
 }
 
-// QueryResult is the evaluated output of one component query.
+// QueryResult is the evaluated output of one component query. The
+// Members of its Rows are sub-slices of one backing array, each with its
+// capacity clipped to its length: assigning to a row's members stays in
+// that row, append reallocates, and holding one row keeps the query's
+// whole member array alive.
 type QueryResult struct {
 	Name      string   // q1, q2, ... in variant order
 	GroupBy   string   // paper notation, e.g. A'B''C''D'
@@ -759,7 +764,8 @@ type ClassStats struct {
 	SimulatedSeconds float64
 }
 
-// Answer is the result of evaluating one MDX expression.
+// Answer is the result of evaluating one MDX expression. The rows of
+// each of its Queries share backing arrays (see QueryResult).
 type Answer struct {
 	Queries []QueryResult
 	Plan    string // the global plan in the paper's notation
@@ -1067,6 +1073,9 @@ func classStatsOut(cs core.ClassStat) ClassStats {
 	}
 }
 
+// formatResult renders one query's groups with member names. The rows
+// and their Members are presized: one []ResultRow and one []string slab
+// per query, whatever the group count.
 func (d *DB) formatResult(q *query.Query, r *exec.Result) QueryResult {
 	schema := d.db.Schema
 	qr := QueryResult{Name: q.Name, GroupBy: q.GroupByName(), Aggregate: q.Agg.String()}
@@ -1077,12 +1086,22 @@ func (d *DB) formatResult(q *query.Query, r *exec.Result) QueryResult {
 			qr.Columns = append(qr.Columns, schema.Dims[i].Name)
 		}
 	}
-	for _, g := range r.Groups {
-		row := ResultRow{Value: g.Value}
-		for _, i := range dims {
-			row.Members = append(row.Members, schema.Dims[i].MemberName(q.Levels[i], g.Keys[i]))
+	nm := len(dims)
+	if len(r.Groups) == 0 {
+		return qr
+	}
+	qr.Rows = make([]ResultRow, len(r.Groups))
+	slab := make([]string, len(r.Groups)*nm)
+	for gi, g := range r.Groups {
+		qr.Rows[gi].Value = g.Value
+		if nm == 0 {
+			continue // grand total: Members stays nil
 		}
-		qr.Rows = append(qr.Rows, row)
+		members := slab[gi*nm : (gi+1)*nm : (gi+1)*nm]
+		for j, i := range dims {
+			members[j] = schema.Dims[i].MemberName(q.Levels[i], g.Keys[i])
+		}
+		qr.Rows[gi].Members = members
 	}
 	return qr
 }
