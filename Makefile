@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench pool-bench idx-bench mut-bench clean
+.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench-pairs bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench pool-bench idx-bench mut-bench clean
 
 # The full gate: compile everything, vet, check formatting, run the
 # suite in shuffled order, race-test the concurrent packages (fast
@@ -45,11 +45,12 @@ race-dag:
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
-# codec and sort order, spill record codec, selection-vector expansion)
-# — regression smoke, not a fuzzing session.
+# codec and sort order, the rollup key remap, spill record codec,
+# selection-vector expansion) — regression smoke, not a fuzzing session.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedKeyRoundTrip -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedSortOrder -fuzztime 5s
+	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzRollupRemap -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSpillRecCodec -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSelVecExpand -fuzztime 5s
 
@@ -71,6 +72,30 @@ bench-record:
 bench-compare:
 	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make bench-compare BASE=a.jsonl NEW=b.jsonl"; exit 2; }
 	bash bench/run.sh -compare $(BASE) $(NEW)
+
+# The pairing protocol of EXPERIMENTS.md in one command: unpack the
+# parent revision into a scratch directory, run every (workload, seed)
+# once on the parent and once on this checkout — the side that goes
+# first alternates from pair to pair — and compare the two record files.
+# About 40 s per pair: 35 minutes for ten seeds. Run nothing else
+# meanwhile. Seeds not used during development: SEED_LIST="11 12 13".
+#   make bench-pairs PARENT=HEAD~1 [SEEDS=10] [PAIRS_DIR=/tmp/mdxopt-bench-pairs]
+PAIRS_DIR ?= /tmp/mdxopt-bench-pairs
+SEEDS ?= 10
+SEED_LIST ?= $(shell seq 1 $(SEEDS))
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [SEEDS=10 | SEED_LIST=\"11 12 13\"] [PAIRS_DIR=dir]"; exit 2; }
+	rm -rf $(PAIRS_DIR)/parent $(PAIRS_DIR)/parent.jsonl $(PAIRS_DIR)/change.jsonl
+	mkdir -p $(PAIRS_DIR)/parent
+	git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent
+	n=0; for s in $(SEED_LIST); do for w in $(BENCH_WORKLOADS); do \
+		n=$$((n+1)); \
+		parent="bash $(PAIRS_DIR)/parent/bench/run.sh --workload $$w --seed $$s --seconds 10 --record $(abspath $(PAIRS_DIR))/parent.jsonl"; \
+		change="bash bench/run.sh --workload $$w --seed $$s --seconds 10 --record $(abspath $(PAIRS_DIR))/change.jsonl"; \
+		if [ $$((n % 2)) -eq 1 ]; then $$parent && $$change; else $$change && $$parent; fi || exit 1; \
+	done; done
+	bash bench/run.sh -compare $(PAIRS_DIR)/parent.jsonl $(PAIRS_DIR)/change.jsonl
 
 # All benchmarks: the Go micro/paper benchmarks plus the scan, serve,
 # mem and cache experiments (all seeded deterministically; they write

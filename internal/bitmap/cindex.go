@@ -287,14 +287,14 @@ func (ix *CIndex) Lookup(value int32) (*Bitset, bool, error) {
 	stream := make([]uint64, ix.counts[pos])
 	perPage := uint64(storage.PageSize / 8)
 	payloadStart := 1 + ix.dirPages
+	var page storage.Page // stack-held pin: one fetch per word must not allocate
 	for i := range stream {
 		word := ix.offsets[pos] + uint64(i)
 		pageNo := payloadStart + uint32(word/perPage)
 		slot := word % perPage
 		// Sequential words share a page; the pool caches it between
 		// fetches, so this loop costs one physical read per page.
-		page, err := ix.pool.Fetch(ix.file, pageNo)
-		if err != nil {
+		if err := ix.pool.FetchInto(ix.file, pageNo, &page); err != nil {
 			return nil, false, err
 		}
 		stream[i] = binary.LittleEndian.Uint64(page.Data()[slot*8:])

@@ -262,9 +262,9 @@ func (ix *Index) Lookup(value int32) (*Bitset, bool, error) {
 	perPage := storage.PageSize / 8
 	start := 1 + uint32(pos)*ix.pagesPer
 	remaining := words
+	var page storage.Page // stack-held pin: no allocation per bitmap page
 	for p := uint32(0); p < ix.pagesPer; p++ {
-		page, err := ix.pool.Fetch(ix.file, start+p)
-		if err != nil {
+		if err := ix.pool.FetchInto(ix.file, start+p, &page); err != nil {
 			return nil, false, err
 		}
 		data := page.Data()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mdxopt/internal/datagen"
@@ -306,5 +308,78 @@ func TestExecuteSeparatelyMatchesOracle(t *testing.T) {
 	}
 	if st.IO.Reads() == 0 {
 		t.Fatal("separate execution reported no I/O after cold resets")
+	}
+}
+
+// latticeMarginals builds the component queries of an unrestricted
+// lattice expression such as the benchmark's TK/TK/-: the cross product
+// of the given A and B levels, every member listed (as the MDX
+// translator emits it), C and D aggregated out.
+func latticeMarginals(t *testing.T, s *star.Schema, aLevels, bLevels []int) []*query.Query {
+	t.Helper()
+	listed := func(dim, level int) query.Predicate {
+		ms := make([]int32, s.Dims[dim].Card(level))
+		for i := range ms {
+			ms[i] = int32(i)
+		}
+		return query.Predicate{Members: ms}
+	}
+	var out []*query.Query
+	for _, a := range aLevels {
+		for _, b := range bLevels {
+			q, err := query.New(fmt.Sprintf("q%d", len(out)+1), s, []int{a, b, 3, 3},
+				[]query.Predicate{listed(0, a), listed(1, b), {}, {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestGreedyPullsMarginalsIntoFinestClass: with derived members priced
+// as rollups, the class-growing algorithms put an expression's coarser
+// marginals into the finest one's class instead of opening further
+// classes on smaller views, the plan says which member derives from
+// which, and the one-class plan still answers like the oracle.
+func TestGreedyPullsMarginalsIntoFinestClass(t *testing.T) {
+	db, _ := testDB(t)
+	env := exec.NewEnv(db)
+	shapes := map[string][]*query.Query{
+		"TK/TK/-": latticeMarginals(t, db.Schema, []int{2, 1}, []int{2, 1}),
+		"KG/KG/-": latticeMarginals(t, db.Schema, []int{1, 0}, []int{1, 0}),
+	}
+	for shape, queries := range shapes {
+		for _, alg := range []Algorithm{ETPLG, GG, GGI, Optimal} {
+			g, err := Optimize(plan.NewEstimator(db), queries, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.Classes) != 1 {
+				t.Fatalf("%s %s: %d classes, want 1:\n%s", shape, alg, len(g.Classes), g.Describe())
+			}
+			if n := strings.Count(g.Describe(), "[rollup]"); n != 3 {
+				t.Fatalf("%s %s: %d members marked as rollups, want 3:\n%s", shape, alg, n, g.Describe())
+			}
+			var st exec.Stats
+			rs, err := Execute(env, g, queries, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DerivedQueries != 3 || st.TuplesAgg >= 2*g.Classes[0].View.Rows() {
+				t.Fatalf("%s %s: %d derived members, %d folds over a %d-row view", shape, alg,
+					st.DerivedQueries, st.TuplesAgg, g.Classes[0].View.Rows())
+			}
+			for i, q := range queries {
+				want, err := exec.Naive(env, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rs[i].Equal(want) {
+					t.Fatalf("%s %s: %s differs from the oracle", shape, alg, q.Name)
+				}
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ func statComponents(s *Stats) []*int64 {
 		&s.IO.Allocs, &s.IO.Evictions, &s.IO.FlushedAll,
 		&s.TuplesScanned, &s.TupleProbes, &s.TuplesAgg, &s.TuplesFetched,
 		&s.HashBuildRows, &s.BitmapWords, &s.BitTests, &s.CacheRows,
-		&s.PackedFolds, &s.PeakMemory, &s.SpillBytes, &s.SpillPartitions,
+		&s.DerivedQueries, &s.DerivedRows, &s.PackedFolds, &s.PeakMemory, &s.SpillBytes, &s.SpillPartitions,
 		(*int64)(&s.Wall),
 	}
 }

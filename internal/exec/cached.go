@@ -9,8 +9,9 @@ import (
 
 // RollupCached answers q from a semantic result-cache entry: every
 // cached row's member codes are rolled up the dimension hierarchies
-// from the entry's levels to the query's, filtered by the query's
-// predicates, and the final values are re-aggregated. No page is read —
+// from the entry's levels to the query's and filtered by the query's
+// predicates — through the remap vectors a classmate rollup uses
+// (rollupLookups) — and the final values are re-aggregated. No page is read —
 // the operator's cost is CPU linear in the entry's rows (counted in
 // Stats.CacheRows) — which is what makes a cache hit worth compiling
 // into the plan.
@@ -62,10 +63,7 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 			tab = newAggTable(env, q.Agg, 4*nd, "rollup:"+q.Name)
 			defer tab.close()
 		}
-		sets := make([][]bool, nd)
-		for d := range sets {
-			sets[d] = q.MemberSet(d)
-		}
+		lks := rollupLookups(q, e.Levels)
 		key := make([]byte, 4*nd)
 		detached := false
 	rows:
@@ -88,11 +86,11 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 			qualifies := true
 			var pk uint64
 			for d := 0; d < nd; d++ {
-				code := q.Schema.Dims[d].RollUp(row.Keys[d], e.Levels[d], q.Levels[d])
-				if sets[d] != nil && !sets[d][code] {
+				if lks[d].pass != nil && !lks[d].pass[row.Keys[d]] {
 					qualifies = false
 					break
 				}
+				code := lks[d].out[row.Keys[d]]
 				if packed {
 					pk |= uint64(uint32(code)) << kp.shifts[d]
 				} else {

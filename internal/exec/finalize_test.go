@@ -207,7 +207,7 @@ func TestFinalizeAllocs(t *testing.T) {
 		p := filledPipeline(t, env, n)
 		defer p.close()
 		allocs := testing.AllocsPerRun(5, func() {
-			r, err := p.result()
+			r, _, err := p.result()
 			if err != nil || len(r.Groups) != n {
 				t.Fatalf("result: %d groups, err %v", len(r.Groups), err)
 			}
@@ -243,7 +243,7 @@ func BenchmarkFinalize(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := p.result()
+					r, _, err := p.result()
 					if err != nil || len(r.Groups) != n {
 						b.Fatalf("result: %d groups, err %v", len(r.Groups), err)
 					}

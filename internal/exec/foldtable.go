@@ -309,13 +309,18 @@ func (t *foldTable) rows() ([]foldRow, error) {
 			return nil, err
 		}
 		t.sp.releaseBufs()
+		// One transient table serves every sub-pass of every partition,
+		// cleared in between; its slab stays charged until the merge ends
+		// (t.close releases it on an error path).
+		mt := &foldTable{agg: t.agg, kp: t.kp, res: t.res, floorBytes: foldInitialSlots * foldSlotBytes}
 		for pi := range t.sp.parts {
 			var err error
-			out, err = t.mergePartition(pi, out)
+			out, err = t.mergePartition(mt, pi, out)
 			if err != nil {
 				return nil, err
 			}
 		}
+		t.res.Shrink(mt.held)
 	}
 	if t.kp.sortSteps != nil {
 		slices.SortFunc(out, func(x, y foldRow) int { return cmp.Compare(x.sortKey, y.sortKey) })
@@ -337,29 +342,34 @@ func (t *foldTable) appendRows(out []foldRow) []foldRow {
 	return out
 }
 
-// groups finalizes the table into sorted result groups. All Keys slices
-// are cut from one slab with their capacity clipped, so appending to one
-// group's keys cannot reach the next group's. avg selects the AVG
-// finalization (sum over count) over the plain value.
+// groups finalizes the table into sorted result groups. avg selects the
+// AVG finalization (sum over count) over the plain value.
 func (t *foldTable) groups(avg bool) ([]Group, error) {
 	rows, err := t.rows()
 	if err != nil {
 		return nil, err
 	}
-	nd := len(t.kp.shifts)
+	return t.kp.groups(rows, avg), nil
+}
+
+// groups decodes merged rows into result groups. All Keys slices are
+// cut from one slab with their capacity clipped, so appending to one
+// group's keys cannot reach the next group's.
+func (kp *keyPacker) groups(rows []foldRow, avg bool) []Group {
+	nd := len(kp.shifts)
 	groups := make([]Group, len(rows))
 	slab := make([]int32, len(rows)*nd)
 	for i := range rows {
 		r := &rows[i]
 		keys := slab[i*nd : (i+1)*nd : (i+1)*nd]
-		t.kp.unpack(r.key, keys)
+		kp.unpack(r.key, keys)
 		groups[i] = Group{Keys: keys, Value: finalValue(avg, r.a, r.b)}
 	}
-	return groups, nil
+	return groups
 }
 
-// mergePartition replays one partition's records into a transient fold
-// table, diverting keys the broker has no room for into an overflow
+// mergePartition replays one partition's records into the transient
+// fold table mt, diverting keys the broker has no room for into an overflow
 // partition consumed by a further sub-pass. The transient table's
 // initial slab is covered by the spill grant's merge floor, so every
 // sub-pass absorbs at least growAt keys without a fresh grant and the
@@ -370,15 +380,11 @@ func (t *foldTable) groups(avg bool) ([]Group, error) {
 // already resident goes to the overflow writer without consulting the
 // broker again, so a key can never surface twice with a split
 // aggregate when a concurrent pipeline releases memory mid-merge.
-func (t *foldTable) mergePartition(pi int, out []foldRow) ([]foldRow, error) {
+func (t *foldTable) mergePartition(mt *foldTable, pi int, out []foldRow) ([]foldRow, error) {
 	pages := t.sp.parts[pi].pages
 	for len(pages) > 0 {
-		mt := &foldTable{
-			agg:        t.agg,
-			kp:         t.kp,
-			res:        t.res,
-			floorBytes: foldInitialSlots * foldSlotBytes,
-		}
+		clear(mt.slots)
+		mt.n = 0
 		var overflow *spillWriter
 		err := t.sp.readPart(pi, pages, func(key []byte, ac accum) error {
 			k := binary.LittleEndian.Uint64(key)
@@ -399,7 +405,6 @@ func (t *foldTable) mergePartition(pi int, out []foldRow) ([]foldRow, error) {
 			return nil, err
 		}
 		out = mt.appendRows(out)
-		t.res.Shrink(mt.held)
 		pages = nil
 		if overflow != nil {
 			var ferr error

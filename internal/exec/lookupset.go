@@ -68,7 +68,7 @@ func (e *Env) BuildLookups(set *LookupSet, builds []LookupBuild, stats *Stats) e
 // (0 when an identical lookup was already present). Lookup memory is
 // required state, so it is an overdraft grant held until Close.
 func (s *LookupSet) build(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (int64, error) {
-	key := lookupKey{dim: dim, viewLevel: viewLevel, sig: dimSignature(q, dim)}
+	key := lookupKey{dim: dim, viewLevel: viewLevel, sig: q.DimSignature(dim)}
 	s.mu.Lock()
 	_, ok := s.entries[key]
 	s.mu.Unlock()

@@ -62,7 +62,7 @@ func newLookupCache(env *Env, stats *Stats) *lookupCache {
 // holds no memory for them and charges no build work; a set miss falls
 // back to the pass-local build below.
 func (c *lookupCache) get(q *query.Query, dim, viewLevel int) (*dimLookup, error) {
-	key := lookupKey{dim: dim, viewLevel: viewLevel, sig: dimSignature(q, dim)}
+	key := lookupKey{dim: dim, viewLevel: viewLevel, sig: q.DimSignature(dim)}
 	if c.env.ShareLookups {
 		if c.env.Lookups != nil {
 			if lk := c.env.Lookups.get(key); lk != nil {
@@ -89,20 +89,6 @@ func (c *lookupCache) memPeak() int64 { return c.res.Peak() }
 
 // close releases the cache's memory reservation. Idempotent.
 func (c *lookupCache) close() { c.res.Release() }
-
-// dimSignature identifies the query side of a lookup: target level and
-// predicate members.
-func dimSignature(q *query.Query, dim int) string {
-	s := fmt.Sprintf("%d:", q.Levels[dim])
-	if q.Preds[dim].IsRestricted() {
-		for _, m := range q.Preds[dim].Members {
-			s += fmt.Sprintf("%d,", m)
-		}
-	} else {
-		s += "*"
-	}
-	return s
-}
 
 // buildLookup scans the stored dimension table to build the join lookup,
 // mirroring the hash-table build phase of the pipelined star join. The
@@ -189,10 +175,14 @@ type queryPipeline struct {
 
 	tab    *aggTable // byte-key fallback table (packer == nil)
 	keyBuf []byte
-	// qctx is the query's per-submission context (Env.QueryCtx); when
-	// it is done the pipeline detaches: the shared pass keeps running
-	// for the other queries while this one stops consuming tuples.
+	// qctx is the query's per-submission context (Env.QueryCtx), whose
+	// error the query's result carries. watch holds the contexts the
+	// pipeline folds for — its own and those of the members derived
+	// from it (forest.pipeline); once all are done the pipeline
+	// detaches: the shared pass keeps running for the other queries
+	// while this one stops consuming tuples. A nil watch never detaches.
 	qctx     context.Context
+	watch    []context.Context
 	detached bool
 	// ioErr latches the first spill I/O failure; checked at scan
 	// checkpoints and at emit, so the pass aborts without a per-tuple
@@ -219,9 +209,6 @@ func newQueryPipeline(env *Env, stats *Stats, cache *lookupCache, q *query.Query
 	} else {
 		p.tab = newAggTable(env, q.Agg, 4*nd, q.Name)
 		p.keyBuf = make([]byte, 4*nd)
-	}
-	if env.QueryCtx != nil {
-		p.qctx = env.QueryCtx(q)
 	}
 	for dim := 0; dim < nd; dim++ {
 		lk, err := cache.get(q, dim, view.Levels[dim])
@@ -262,20 +249,22 @@ func (p *queryPipeline) mergeTab(o *queryPipeline) error {
 	return p.tab.mergeFrom(o.tab)
 }
 
-// detachedNow polls the pipeline's per-query context, latching
-// detachment. Called only at scan checkpoints, not per tuple.
+// detachedNow polls the contexts the pipeline folds for, latching
+// detachment once every one is done. Called only at scan checkpoints,
+// not per tuple.
 func (p *queryPipeline) detachedNow() bool {
-	if p.detached {
-		return true
+	if p.detached || p.watch == nil {
+		return p.detached
 	}
-	if p.qctx != nil {
+	for _, ctx := range p.watch {
 		select {
-		case <-p.qctx.Done():
-			p.detached = true
+		case <-ctx.Done():
 		default:
+			return false
 		}
 	}
-	return p.detached
+	p.detached = true
+	return true
 }
 
 // scanStep pushes one scanned tuple through the pipeline unless it has

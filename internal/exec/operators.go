@@ -54,37 +54,6 @@ func closePipes(pipelines []*queryPipeline) {
 	}
 }
 
-// emit converts pipelines into results (merging any spilled state),
-// attaching each query's own (non-shared) work and, for detached
-// pipelines, the per-query context's error. Each pipeline's memory
-// counters — reservation peak, spill volume, partitions — are folded
-// into both its own stats and the pass stats.
-func emit(stats *Stats, pipelines []*queryPipeline) ([]*Result, error) {
-	out := make([]*Result, len(pipelines))
-	for i, p := range pipelines {
-		if p.ioErr != nil {
-			return nil, p.ioErr
-		}
-		r, err := p.result()
-		if err != nil {
-			return nil, err
-		}
-		peak, spillBytes, spillParts := p.tabMemStats()
-		p.own.PeakMemory += peak
-		p.own.SpillBytes += spillBytes
-		p.own.SpillPartitions += spillParts
-		stats.PeakMemory += p.own.PeakMemory
-		stats.SpillBytes += p.own.SpillBytes
-		stats.SpillPartitions += p.own.SpillPartitions
-		r.Own = p.own
-		if p.qctx != nil {
-			r.Err = p.qctx.Err()
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
 // bitsetBytes is the memory footprint of one result bitmap over rows.
 func bitsetBytes(rows int64) int64 { return (rows + 63) / 64 * 8 }
 
@@ -117,88 +86,11 @@ func HashJoinQuery(env *Env, view *star.View, q *query.Query, stats *Stats) (*Re
 // SharedScanHash evaluates all queries with the shared-scan hash star
 // join operator (§3.1, Fig. 2): one sequential scan of view feeds every
 // query's join + aggregation pipeline, and identical dimension lookup
-// tables are built once when Env.ShareLookups is set.
+// tables are built once when Env.ShareLookups is set. It is SharedMixed
+// without bitmap-filter members.
 func SharedScanHash(env *Env, view *star.View, queries []*query.Query, stats *Stats) ([]*Result, error) {
-	if err := checkAnswerable(env, view, queries); err != nil {
-		return nil, err
-	}
-	var results []*Result
-	err := env.measure(stats, func() error {
-		cache := newLookupCache(env, stats)
-		defer cache.close()
-		pipelines := make([]*queryPipeline, len(queries))
-		defer closePipes(pipelines)
-		for i, q := range queries {
-			p, err := newQueryPipeline(env, stats, cache, q, view)
-			if err != nil {
-				return err
-			}
-			pipelines[i] = p
-		}
-		// scanBatch feeds one decoded page of tuples to a pipeline set,
-		// each pipeline consuming the whole batch through its fold
-		// kernel (vectorized on the packed path).
-		scanBatch := func(set []*queryPipeline, st *Stats, b *table.Batch) {
-			for _, p := range set {
-				p.foldBatch(st, b)
-			}
-		}
-		if env.scanWidth() > 1 {
-			err := parallelScan(env, view, stats,
-				func() (any, error) {
-					set := make([]*queryPipeline, len(queries))
-					for i, q := range queries {
-						p, err := newQueryPipeline(env, stats, cache, q, view)
-						if err != nil {
-							closePipes(set)
-							return nil, err
-						}
-						set[i] = p
-					}
-					return set, nil
-				},
-				func(state any) error {
-					return checkpoint(env, state.([]*queryPipeline))
-				},
-				func(state any, st *Stats, b *table.Batch) {
-					scanBatch(state.([]*queryPipeline), st, b)
-				},
-				func(state any) error {
-					for i, p := range state.([]*queryPipeline) {
-						if err := pipelines[i].merge(p); err != nil {
-							return err
-						}
-					}
-					return nil
-				},
-				func(state any) {
-					closePipes(state.([]*queryPipeline))
-				})
-			if err != nil {
-				return err
-			}
-		} else {
-			err := view.Heap.ScanRangeBatches(0, view.Rows(), func(b *table.Batch) error {
-				if err := checkpoint(env, pipelines); err != nil {
-					return err
-				}
-				stats.TuplesScanned += int64(b.N)
-				scanBatch(pipelines, stats, b)
-				return nil
-			})
-			if err != nil && err != errDetached {
-				return err
-			}
-		}
-		stats.PeakMemory += cache.memPeak()
-		var err error
-		results, err = emit(stats, pipelines)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	results, _, err := SharedMixed(env, view, queries, nil, stats)
+	return results, err
 }
 
 // resultBitmap builds the query's result bitmap over view: for each
@@ -288,12 +180,16 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 		// batch and selection-vector buffers ride the same reservation.
 		bres := env.Mem.Reserve("bitmaps")
 		defer bres.Release()
-		pipelines := make([]*queryPipeline, len(queries))
+		// Only the roots of the derivation forest probe: a derived member
+		// builds no result bitmap and is folded from its parent at emit.
+		f := newForest(env, queries)
+		roots := f.roots(0, len(queries))
+		pipelines := make([]*queryPipeline, len(roots))
 		defer closePipes(pipelines)
-		bitmaps := make([]*bitmap.Bitset, len(queries))
-		residuals := make([][]int, len(queries))
-		for i, q := range queries {
-			p, err := newQueryPipeline(env, stats, cache, q, view)
+		bitmaps := make([]*bitmap.Bitset, len(roots))
+		residuals := make([][]int, len(roots))
+		for i, m := range roots {
+			p, err := f.pipeline(env, stats, cache, view, m)
 			if err != nil {
 				return err
 			}
@@ -341,13 +237,13 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 				return err
 			}
 		default:
-			if err := parallelProbe(env, cache, view, ps, queries, pipelines, stats, bres, width); err != nil {
+			if err := parallelProbe(env, cache, view, ps, f, roots, pipelines, stats, bres, width); err != nil {
 				return err
 			}
 		}
 		stats.PeakMemory += cache.memPeak() + bres.Peak()
 		var err error
-		results, err = emit(stats, pipelines)
+		results, err = f.emit(env, stats, pipelines)
 		return err
 	})
 	if err != nil {
@@ -362,7 +258,7 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 // merged into the primary pipelines in worker-index order — the same
 // shape (and determinism argument) as parallelScan.
 func parallelProbe(env *Env, cache *lookupCache, view *star.View, ps *probeShared,
-	queries []*query.Query, pipelines []*queryPipeline, stats *Stats, bres *mem.Reservation, width int) error {
+	f *forest, roots []int, pipelines []*queryPipeline, stats *Stats, bres *mem.Reservation, width int) error {
 
 	workers := make([]*probeWorker, width)
 	defer func() {
@@ -373,9 +269,9 @@ func parallelProbe(env *Env, cache *lookupCache, view *star.View, ps *probeShare
 		}
 	}()
 	for wi := range workers {
-		set := make([]*queryPipeline, len(queries))
-		for i, q := range queries {
-			p, err := newQueryPipeline(env, stats, cache, q, view)
+		set := make([]*queryPipeline, len(roots))
+		for i, m := range roots {
+			p, err := f.pipeline(env, stats, cache, view, m)
 			if err != nil {
 				closePipes(set)
 				return err
@@ -429,21 +325,27 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 		defer cache.close()
 		bres := env.Mem.Reserve("bitmaps")
 		defer bres.Release()
-		hashPipes := make([]*queryPipeline, len(hashQueries))
+		// Only the roots of the derivation forest ride the scan: a derived
+		// member — hash or bitmap-filter alike — takes no tuples, builds no
+		// result bitmap and is folded from its parent at emit.
+		f := newForest(env, append(append([]*query.Query(nil), hashQueries...), indexQueries...))
+		hashRoots := f.roots(0, len(hashQueries))
+		indexRoots := f.roots(len(hashQueries), len(f.queries))
+		hashPipes := make([]*queryPipeline, len(hashRoots))
 		defer closePipes(hashPipes)
-		for i, q := range hashQueries {
-			p, err := newQueryPipeline(env, stats, cache, q, view)
+		for i, m := range hashRoots {
+			p, err := f.pipeline(env, stats, cache, view, m)
 			if err != nil {
 				return err
 			}
 			hashPipes[i] = p
 		}
-		indexPipes := make([]*queryPipeline, len(indexQueries))
+		indexPipes := make([]*queryPipeline, len(indexRoots))
 		defer closePipes(indexPipes)
-		bitmaps := make([]*bitmap.Bitset, len(indexQueries))
-		residuals := make([][]int, len(indexQueries))
-		for i, q := range indexQueries {
-			p, err := newQueryPipeline(env, stats, cache, q, view)
+		bitmaps := make([]*bitmap.Bitset, len(indexRoots))
+		residuals := make([][]int, len(indexRoots))
+		for i, m := range indexRoots {
+			p, err := f.pipeline(env, stats, cache, view, m)
 			if err != nil {
 				return err
 			}
@@ -465,7 +367,7 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 			sel         []int32
 		}
 		newMixedScratch := func(ms *mixedState) {
-			if len(indexQueries) == 0 || env.NoVectorIndex {
+			if len(indexRoots) == 0 || env.NoVectorIndex {
 				return
 			}
 			tpp := view.Heap.TuplesPerPage()
@@ -543,19 +445,19 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 			err := parallelScan(env, view, stats,
 				func() (any, error) {
 					ms := &mixedState{
-						hash:  make([]*queryPipeline, len(hashQueries)),
-						index: make([]*queryPipeline, len(indexQueries)),
+						hash:  make([]*queryPipeline, len(hashRoots)),
+						index: make([]*queryPipeline, len(indexRoots)),
 					}
-					for i, q := range hashQueries {
-						p, err := newQueryPipeline(env, stats, cache, q, view)
+					for i, m := range hashRoots {
+						p, err := f.pipeline(env, stats, cache, view, m)
 						if err != nil {
 							closePipes(ms.hash)
 							return nil, err
 						}
 						ms.hash[i] = p
 					}
-					for i, q := range indexQueries {
-						p, err := newQueryPipeline(env, stats, cache, q, view)
+					for i, m := range indexRoots {
+						p, err := f.pipeline(env, stats, cache, view, m)
 						if err != nil {
 							closePipes(ms.hash)
 							closePipes(ms.index)
@@ -611,13 +513,12 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 			}
 		}
 		stats.PeakMemory += cache.memPeak() + bres.Peak()
-		var err error
-		hashResults, err = emit(stats, hashPipes)
+		results, err := f.emit(env, stats, append(append([]*queryPipeline(nil), hashPipes...), indexPipes...))
 		if err != nil {
 			return err
 		}
-		indexResults, err = emit(stats, indexPipes)
-		return err
+		hashResults, indexResults = results[:len(hashQueries)], results[len(hashQueries):]
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -39,13 +39,20 @@ type Result struct {
 
 // result converts the pipeline's aggregation table into a sorted Result.
 // Spilled tables are merged partition by partition (spill.go); the
-// groups come out in the same raw-key order either way.
-func (p *queryPipeline) result() (*Result, error) {
-	groups, err := finalizeGroups(p.ftab, p.tab, p.q.Agg == query.Avg)
-	if err != nil {
-		return nil, err
+// groups come out in the same raw-key order either way. A packed table's
+// merged rows are returned too: the members derived from this one fold
+// their tables from them (forest.emit), so the merge runs once.
+func (p *queryPipeline) result() (*Result, []foldRow, error) {
+	avg := p.q.Agg == query.Avg
+	if p.ftab == nil {
+		groups, err := finalizeGroups(nil, p.tab, avg)
+		return &Result{Query: p.q, Groups: groups}, nil, err
 	}
-	return &Result{Query: p.q, Groups: groups}, nil
+	rows, err := p.ftab.rows()
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Query: p.q, Groups: p.packer.groups(rows, avg)}, rows, nil
 }
 
 // finalizeGroups is the one way an aggregation table — the packed

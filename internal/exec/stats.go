@@ -55,6 +55,14 @@ type Stats struct {
 	BitmapWords   int64 // 64-bit words of bitmap AND/OR
 	BitTests      int64 // per-tuple bitmap membership tests
 	CacheRows     int64 // cached result rows re-aggregated by the zero-IO rollup operator
+	// DerivedQueries counts pass members computed from a classmate's
+	// merged groups instead of from tuples (shared aggregation,
+	// derive.go), and DerivedRows the parent rows those rollups read —
+	// their whole input, priced like CacheRows; the rows that pass the
+	// member's predicates are also counted in TuplesAgg. Both are the
+	// member's own work.
+	DerivedQueries int64
+	DerivedRows    int64
 	// PackedFolds counts the subset of TuplesAgg folded through the
 	// packed-key open-addressing kernel (foldtable.go) rather than the
 	// byte-key fallback map. It marks which path did the work and adds
@@ -92,6 +100,8 @@ func (s *Stats) Add(other Stats) {
 	s.BitmapWords += other.BitmapWords
 	s.BitTests += other.BitTests
 	s.CacheRows += other.CacheRows
+	s.DerivedQueries += other.DerivedQueries
+	s.DerivedRows += other.DerivedRows
 	s.PackedFolds += other.PackedFolds
 	s.PeakMemory += other.PeakMemory
 	s.SpillBytes += other.SpillBytes
@@ -110,7 +120,7 @@ func (s Stats) SimulatedMicros(m *cost.Model) float64 {
 		float64(s.HashBuildRows)*m.BuildCPU +
 		float64(s.BitmapWords)*m.BitmapWord +
 		float64(s.BitTests)*m.BitTest +
-		float64(s.CacheRows)*m.TupleCPU
+		float64(s.CacheRows+s.DerivedRows)*m.TupleCPU
 }
 
 // SimulatedSeconds is SimulatedMicros scaled to seconds.
@@ -119,9 +129,9 @@ func (s Stats) SimulatedSeconds(m *cost.Model) float64 {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("io{%s} scan=%d probe=%d agg=%d fetch=%d build=%d bmwords=%d bittest=%d cacherows=%d packed=%d peakmem=%d spill=%d/%dp wall=%s",
+	return fmt.Sprintf("io{%s} scan=%d probe=%d agg=%d fetch=%d build=%d bmwords=%d bittest=%d cacherows=%d derived=%d/%dr packed=%d peakmem=%d spill=%d/%dp wall=%s",
 		s.IO, s.TuplesScanned, s.TupleProbes, s.TuplesAgg, s.TuplesFetched,
-		s.HashBuildRows, s.BitmapWords, s.BitTests, s.CacheRows, s.PackedFolds,
+		s.HashBuildRows, s.BitmapWords, s.BitTests, s.CacheRows, s.DerivedQueries, s.DerivedRows, s.PackedFolds,
 		s.PeakMemory, s.SpillBytes, s.SpillPartitions, s.Wall)
 }
 

@@ -36,7 +36,8 @@
 //
 // Brokers nest: Child creates a broker whose reservations are also
 // charged to the parent, giving per-request caps under one global
-// budget. A Broker with limit 0 tracks usage without enforcing one.
+// budget; its denials and deferrals are counted on the parent too. A
+// Broker with limit 0 tracks usage without enforcing one.
 // All methods are safe for concurrent use, and a nil *Reservation is a
 // valid no-op reservation (used when governance is disabled).
 package mem
@@ -161,6 +162,13 @@ func (b *Broker) grow(n int64, must bool) bool {
 	if !must && b.limit > 0 && b.used+n > b.limit {
 		b.denied++
 		b.mu.Unlock()
+		// The ancestors count the denial too: a spill forced by a
+		// request's own cap is still a spill of the database's.
+		for a := b.parent; a != nil; a = a.parent {
+			a.mu.Lock()
+			a.denied++
+			a.mu.Unlock()
+		}
 		return false
 	}
 	if b.parent != nil && !b.parent.grow(n, must) {
@@ -381,15 +389,11 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 	start := time.Now()
 	select {
 	case <-w.ch:
-		b.mu.Lock()
-		b.deferred++
-		b.deferNS += int64(time.Since(start))
-		b.mu.Unlock()
+		b.noteDeferred(time.Since(start))
 		return &Claim{b: b, remaining: estimate}, nil
 	case <-ctx.Done():
+		b.noteDeferred(time.Since(start))
 		b.mu.Lock()
-		b.deferred++
-		b.deferNS += int64(time.Since(start))
 		if w.granted {
 			// Granted between ctx firing and us taking the lock; the
 			// caller is abandoning the work, so return the claim.
@@ -409,6 +413,18 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 		}
 		b.mu.Unlock()
 		return nil, ctx.Err()
+	}
+}
+
+// noteDeferred counts one admission claim that waited, on b and — like
+// denials — on every ancestor, so the database-wide stats see the
+// deferrals of per-request child brokers.
+func (b *Broker) noteDeferred(waited time.Duration) {
+	for ; b != nil; b = b.parent {
+		b.mu.Lock()
+		b.deferred++
+		b.deferNS += int64(waited)
+		b.mu.Unlock()
 	}
 }
 

@@ -140,6 +140,51 @@ func TestChildDeniedByParent(t *testing.T) {
 	}
 }
 
+// TestChildDenialsAndDeferralsReachParent: what a per-request child
+// broker refuses or defers is counted on the database-wide broker too —
+// once, whichever of the two said no.
+func TestChildDenialsAndDeferralsReachParent(t *testing.T) {
+	parent := New(100)
+	child := parent.Child(40)
+	r := child.Reserve("t")
+	if r.TryGrow(41) {
+		t.Fatal("grant past the child's cap")
+	}
+	if c, p := child.Stats().Denied, parent.Stats().Denied; c != 1 || p != 1 {
+		t.Fatalf("denied by the child's cap: child %d, parent %d; want 1, 1", c, p)
+	}
+	other := parent.Reserve("other")
+	other.MustGrow(90)
+	if r.TryGrow(20) {
+		t.Fatal("grant past the parent's budget")
+	}
+	if c, p := child.Stats().Denied, parent.Stats().Denied; c != 2 || p != 2 {
+		t.Fatalf("denied by the parent's budget: child %d, parent %d; want 2, 2", c, p)
+	}
+	other.Release()
+
+	finish := admitRunning(t, child, 40)
+	admitted := make(chan struct{})
+	go func() {
+		release, err := child.Admit(context.Background(), 30)
+		if err != nil {
+			t.Error(err)
+		}
+		release()
+		close(admitted)
+	}()
+	for child.Stats().Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	finish()
+	<-admitted
+	cs, ps := child.Stats(), parent.Stats()
+	if cs.Deferred != 1 || ps.Deferred != 1 || ps.DeferredFor != cs.DeferredFor || ps.DeferredFor <= 0 {
+		t.Fatalf("deferred: child %d for %v, parent %d for %v; want 1 and 1 for the same wait",
+			cs.Deferred, cs.DeferredFor, ps.Deferred, ps.DeferredFor)
+	}
+}
+
 func TestAdmitFitsImmediately(t *testing.T) {
 	b := New(100)
 	release, err := b.Admit(context.Background(), 80)

@@ -242,8 +242,11 @@ func (e *Estimator) BestLocal(q *query.Query, views []*star.View) (*Local, float
 //	members pay bitmap construction plus per-tuple filter tests, and
 //	their probe I/O is absorbed by the scan (§3.3).
 //
-//	probe regime (SharedIndex): feasible when every member is
-//	index-feasible; the union bitmap is probed once (§3.2).
+//	probe regime (SharedIndex): feasible when every member that takes
+//	tuples is index-feasible; the union bitmap is probed once (§3.2).
+//
+// In both, a member derivable from a classmate is priced as a rollup of
+// that classmate's groups instead (shared aggregation).
 //
 // The returned cost is +Inf when some member cannot run on the class's
 // view at all. Methods on the plans are updated in place.
@@ -261,11 +264,25 @@ func (e *Estimator) ClassCost(c *Class) float64 {
 	}
 	words := float64((v.Rows() + 63) / 64)
 
+	// Shared aggregation: a member derived from a classmate (the forest
+	// the operators build, query.Forest) takes no tuples in either
+	// regime — it costs one rollup-and-fold per group of its parent, no
+	// lookups, no bitmap.
+	parents := query.Forest(c.Queries())
+	derived := func(i int) float64 {
+		return (mod.TupleCPU + mod.AggCPU) * e.groupEstimate(c.Plans[parents[i]].Query, v)
+	}
+
 	// Scan regime: per-plan marginal cost on top of the shared scan.
 	scanShared := mod.ScanIO(v.Pages())
 	scanTotal := scanShared
 	scanMethods := make([]Method, len(c.Plans))
 	for i, p := range c.Plans {
+		if parents[i] >= 0 {
+			scanMethods[i] = HashSJ
+			scanTotal += derived(i)
+			continue
+		}
 		q := p.Query
 		hashCPU := e.buildCost(q) + mod.TupleCPU*float64(v.Rows()) + mod.AggCPU*e.selRows(q, v)
 		indexCPU := math.Inf(1)
@@ -289,10 +306,15 @@ func (e *Estimator) ClassCost(c *Class) float64 {
 		}
 	}
 
-	// Probe regime: all members via the shared index join.
+	// Probe regime: all roots via the shared index join.
 	probeTotal := math.Inf(1)
 	allIndex := true
-	for _, p := range c.Plans {
+	roots := 0
+	for i, p := range c.Plans {
+		if parents[i] >= 0 {
+			continue
+		}
+		roots++
 		if !e.hasUsableIndex(p.Query, v) {
 			allIndex = false
 			break
@@ -302,7 +324,11 @@ func (e *Estimator) ClassCost(c *Class) float64 {
 		// Union selectivity: 1 - prod(1 - sel_i).
 		miss := 1.0
 		probeTotal = 0
-		for _, p := range c.Plans {
+		for i, p := range c.Plans {
+			if parents[i] >= 0 {
+				probeTotal += derived(i)
+				continue
+			}
 			q := p.Query
 			k := e.indexedSelRows(q, v)
 			sel := k / float64(v.Rows())
@@ -311,16 +337,16 @@ func (e *Estimator) ClassCost(c *Class) float64 {
 				mod.FetchCPU*k + mod.AggCPU*e.selRows(q, v)
 		}
 		unionRows := float64(v.Rows()) * (1 - miss)
-		if len(c.Plans) > 1 {
+		if roots > 1 {
 			// OR-ing the per-query bitmaps, then routing each fetched
 			// tuple to its queries: a scalar bitmap test per fetched
 			// tuple per query, or — vectorized — one word AND per union
 			// word per query.
-			probeTotal += mod.BitmapWord * words * float64(len(c.Plans)-1)
+			probeTotal += mod.BitmapWord * words * float64(roots-1)
 			if e.VectorIndex {
-				probeTotal += mod.BitmapWord * words * float64(len(c.Plans))
+				probeTotal += mod.BitmapWord * words * float64(roots)
 			} else {
-				probeTotal += mod.BitTest * unionRows * float64(len(c.Plans))
+				probeTotal += mod.BitTest * unionRows * float64(roots)
 			}
 		}
 		probeTotal += e.probeIO(v, unionRows)

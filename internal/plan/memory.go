@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
 )
@@ -50,18 +48,6 @@ type memLookupKey struct {
 	dim       int
 	viewLevel int
 	sig       string
-}
-
-func memLookupSig(q *query.Query, dim int) string {
-	s := fmt.Sprintf("%d:", q.Levels[dim])
-	if q.Preds[dim].IsRestricted() {
-		for _, m := range q.Preds[dim].Members {
-			s += fmt.Sprintf("%d,", m)
-		}
-	} else {
-		s += "*"
-	}
-	return s
 }
 
 // groupEstimate estimates q's result group count on v: the group-by
@@ -121,18 +107,24 @@ func memProbeBufBytes(v *star.View) int64 {
 // (assuming lookup sharing), one aggregation table per member — per
 // resident copy when the pool fans the scan out (aggTableCopies) — one
 // result bitmap per index member, and the union bitmap in the probe
-// regime. Methods and Regime must already be assigned (ClassCost does
-// this); an unpriced class is estimated as if in the scan regime with
-// its current methods.
+// regime. A member derived from a classmate (query.Forest) holds one
+// table, built at emit, and no lookups or bitmap. Methods and Regime
+// must already be assigned (ClassCost does this); an unpriced class is
+// estimated as if in the scan regime with its current methods.
 func (e *Estimator) ClassMemory(c *Class) int64 {
 	if len(c.Plans) == 0 {
 		return 0
 	}
+	parents := query.Forest(c.Queries())
 	v := c.View
 	copies := e.aggTableCopies(c)
-	total := e.classLookupMemory(c)
+	total := e.classLookupMemory(c, parents)
 	bitmaps := 0
-	for _, p := range c.Plans {
+	for i, p := range c.Plans {
+		if parents[i] >= 0 {
+			total += e.aggMemory(p.Query, v)
+			continue
+		}
 		total += copies * e.aggMemory(p.Query, v)
 		if p.Method == IndexSJ {
 			bitmaps++
@@ -140,7 +132,7 @@ func (e *Estimator) ClassMemory(c *Class) int64 {
 	}
 	total += int64(bitmaps) * bitmapMemory(v)
 	if c.Regime == ProbeRegime {
-		if len(c.Plans) > 1 {
+		if bitmaps > 1 {
 			total += bitmapMemory(v) // the union bitmap
 		}
 		// One fetch batch + routing scratch per probe worker (exec's
@@ -156,15 +148,19 @@ func (e *Estimator) ClassMemory(c *Class) int64 {
 
 // classLookupMemory estimates the class's deduplicated dimension-lookup
 // footprint (assuming lookup sharing), the component the task-graph
-// executor hoists into shared build tasks.
-func (e *Estimator) classLookupMemory(c *Class) int64 {
+// executor hoists into shared build tasks. parents is the class's
+// query.Forest: derived members need no view lookups.
+func (e *Estimator) classLookupMemory(c *Class, parents []int) int64 {
 	v := c.View
 	var total int64
 	lookups := make(map[memLookupKey]struct{})
-	for _, p := range c.Plans {
+	for i, p := range c.Plans {
+		if parents[i] >= 0 {
+			continue
+		}
 		q := p.Query
 		for dim, d := range q.Schema.Dims {
-			key := memLookupKey{dim: dim, viewLevel: v.Levels[dim], sig: memLookupSig(q, dim)}
+			key := memLookupKey{dim: dim, viewLevel: v.Levels[dim], sig: q.DimSignature(dim)}
 			if _, ok := lookups[key]; ok {
 				continue
 			}

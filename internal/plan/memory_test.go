@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"mdxopt/internal/query"
 	"mdxopt/internal/rescache"
+	"mdxopt/internal/star"
 )
 
 // Satellite coverage for ClassCost / CostOfAdd edge cases the memory
@@ -226,5 +228,69 @@ func TestGlobalMemoryCachedPlansShrinkEstimate(t *testing.T) {
 	mixed := e.GlobalMemory(&Global{Classes: []*Class{c}, Cached: []*CachePlan{{Query: q, Entry: ent}}})
 	if mixed != asClass+asCache {
 		t.Fatalf("mixed estimate %d != %d + %d", mixed, asClass, asCache)
+	}
+}
+
+// marginal builds an unrestricted SUM group-by at the given levels.
+func marginal(t *testing.T, db *star.Database, name string, levels ...int) *query.Query {
+	t.Helper()
+	q, err := query.New(name, db.Schema, levels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestClassCostPricesDerivedMemberAsRollup: a member derivable from a
+// classmate costs one rollup-and-fold per group of that classmate — no
+// scan CPU, no lookups — and holds one table copy whatever the worker
+// count; two members neither of which derives the other are priced
+// exactly as two scan members sharing the I/O.
+func TestClassCostPricesDerivedMemberAsRollup(t *testing.T) {
+	db, _ := testDB(t)
+	e := NewEstimator(db)
+	v := db.ViewByLevels([]int{1, 1, 2, 0})
+	class := func(qs ...*query.Query) *Class {
+		c := &Class{View: v}
+		for _, q := range qs {
+			c.Plans = append(c.Plans, &Local{Query: q, View: v})
+		}
+		return c
+	}
+	fine := marginal(t, db, "fine", 1, 1, 3, 3)
+	left := marginal(t, db, "left", 2, 1, 3, 3)
+	right := marginal(t, db, "right", 1, 2, 3, 3)
+	scan := e.Model.ScanIO(v.Pages())
+
+	apart := e.ClassCost(class(left)) + e.ClassCost(class(right)) - scan
+	if got := e.ClassCost(class(left, right)); math.Abs(got-apart) > 1e-6 {
+		t.Fatalf("non-derivable pair costs %v, want the two members on one scan = %v", got, apart)
+	}
+
+	alone := e.ClassCost(class(fine))
+	rollup := (e.Model.TupleCPU + e.Model.AggCPU) * e.groupEstimate(fine, v)
+	pair := class(left, fine)
+	if got := e.ClassCost(pair); math.Abs(got-alone-rollup) > 1e-6 {
+		t.Fatalf("derivable pair costs %v, want %v + a rollup of %v", got, alone, rollup)
+	}
+	if add := e.CostOfAdd(class(fine), left); math.Abs(add-rollup) > 1e-6 {
+		t.Fatalf("CostOfAdd of a derivable member = %v, want %v", add, rollup)
+	}
+	if rollup*100 > alone {
+		t.Fatalf("rollup %v is not small beside the scan member's %v", rollup, alone)
+	}
+
+	e.Workers = 4
+	withChild, parentOnly := e.ClassMemory(pair), e.ClassMemory(class(fine))
+	if got, want := withChild-parentOnly, e.aggMemory(left, v); got != want {
+		t.Fatalf("derived member adds %d bytes at 4 workers, want one table copy = %d", got, want)
+	}
+	tasks := BuildTasks(&Global{Classes: []*Class{pair}})
+	for _, task := range tasks {
+		for _, s := range task.Specs {
+			if s.Query == left {
+				t.Fatalf("lookup of dimension %d hoisted for a derived member", s.Dim)
+			}
+		}
 	}
 }

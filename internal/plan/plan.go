@@ -190,17 +190,30 @@ func (g *Global) PlanFor(q *query.Query) *Local {
 	return nil
 }
 
-// Describe renders the plan in the paper's notation, one class per line.
+// Describe renders the plan in the paper's notation, one class per
+// line: "(q1 => A'B'C'D [hash-based SJ])" for a member that takes the
+// pass's tuples, "(q3 <= q1 [rollup])" for one derived from a classmate.
 func (g *Global) Describe() string {
 	var b strings.Builder
 	for _, c := range g.Classes {
 		fmt.Fprintf(&b, "class %s [%s]:", c.View.Name, c.Regime)
-		// Stable output: queries in (origin, name) order.
-		plans := append([]*Local(nil), c.Plans...)
-		sort.Slice(plans, func(i, j int) bool {
-			return plans[i].Query.QualifiedName() < plans[j].Query.QualifiedName()
+		// Stable output: queries in (origin, name) order. A member the
+		// pass derives from a classmate's groups (query.Forest) names
+		// that classmate instead of the view.
+		parents := query.Forest(c.Queries())
+		order := make([]int, len(c.Plans))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool {
+			return c.Plans[order[i]].Query.QualifiedName() < c.Plans[order[j]].Query.QualifiedName()
 		})
-		for _, p := range plans {
+		for _, i := range order {
+			p := c.Plans[i]
+			if parents[i] >= 0 {
+				fmt.Fprintf(&b, " (%s <= %s [rollup])", p.Query.QualifiedName(), c.Plans[parents[i]].Query.QualifiedName())
+				continue
+			}
 			fmt.Fprintf(&b, " (%s => %s [%s])", p.Query.QualifiedName(), p.View.Name, p.Method)
 		}
 		b.WriteString("\n")

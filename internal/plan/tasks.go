@@ -52,10 +52,14 @@ func BuildTasks(g *Global) []BuildTask {
 	seen := map[memLookupKey]bool{}
 	byDim := make([][]LookupSpec, nd)
 	for _, c := range g.Classes {
-		for _, p := range c.Plans {
+		parents := query.Forest(c.Queries())
+		for i, p := range c.Plans {
+			if parents[i] >= 0 {
+				continue // derived from a classmate: no view lookups
+			}
 			q := p.Query
 			for dim := 0; dim < nd; dim++ {
-				key := memLookupKey{dim: dim, viewLevel: c.View.Levels[dim], sig: memLookupSig(q, dim)}
+				key := memLookupKey{dim: dim, viewLevel: c.View.Levels[dim], sig: q.DimSignature(dim)}
 				if seen[key] {
 					continue
 				}
@@ -96,7 +100,7 @@ func (e *Estimator) BuildMemory(t BuildTask) int64 {
 func (e *Estimator) ClassPassMemory(c *Class, hoistedLookups bool) int64 {
 	total := e.ClassMemory(c)
 	if hoistedLookups {
-		total -= e.classLookupMemory(c)
+		total -= e.classLookupMemory(c, query.Forest(c.Queries()))
 	}
 	return total
 }

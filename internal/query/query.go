@@ -13,6 +13,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mdxopt/internal/star"
@@ -290,6 +291,25 @@ func (q *Query) String() string {
 	}
 	b.WriteString(")")
 	return b.String()
+}
+
+// DimSignature identifies dimension dim's side of the query — target
+// level and predicate members. Two queries with equal signatures on a
+// dimension need the identical dimension lookup against any one view
+// column, so the operators and the memory model key shared lookups by it.
+func (q *Query) DimSignature(dim int) string {
+	p := q.Preds[dim]
+	b := make([]byte, 0, 8+6*len(p.Members))
+	b = strconv.AppendInt(b, int64(q.Levels[dim]), 10)
+	b = append(b, ':')
+	if !p.IsRestricted() {
+		return string(append(b, '*'))
+	}
+	for _, m := range p.Members {
+		b = strconv.AppendInt(b, int64(m), 10)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // Signature returns a canonical string identifying the query's semantics

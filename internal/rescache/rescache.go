@@ -26,7 +26,6 @@
 package rescache
 
 import (
-	"sort"
 	"sync"
 
 	"mdxopt/internal/mem"
@@ -64,53 +63,13 @@ type Entry struct {
 }
 
 // Answers reports whether the entry can compute q at generation gen:
-// same aggregate (never AVG), the entry's group-by derives the query's,
-// and per dimension the entry's predicate subsumes the query's — the
-// entry is unrestricted, or every entry-level code the query selects
-// (its predicate descended from the query's level to the entry's) is in
-// the entry's member set. A query unrestricted on a dimension the entry
-// restricts is not answerable: the entry is missing rows.
+// the generation matches, the aggregate is not AVG (the rows are final
+// values, without the counts a rollup would need) and q is derivable
+// from the entry's group-by, predicates and aggregate
+// (query.DerivableFrom — the rule the shared operators apply between
+// classmates).
 func (e *Entry) Answers(q *query.Query, gen uint64) bool {
-	if e.Gen != gen || e.Agg != q.Agg || q.Agg == query.Avg {
-		return false
-	}
-	if !q.AnswerableFrom(e.Levels) {
-		return false
-	}
-	for i := range q.Preds {
-		ep := e.Preds[i]
-		if !ep.IsRestricted() {
-			continue
-		}
-		if !q.Preds[i].IsRestricted() {
-			return false
-		}
-		if !subsetOf(q.ViewPredicate(i, e.Levels[i]), ep.Members) {
-			return false
-		}
-	}
-	return true
-}
-
-// subsetOf reports whether every code in need is in have. have is
-// sorted (query.New canonicalizes predicates); need's order depends on
-// the hierarchy tables, so it is sorted defensively.
-func subsetOf(need, have []int32) bool {
-	if len(need) > len(have) {
-		return false
-	}
-	ns := append([]int32(nil), need...)
-	sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-	j := 0
-	for _, n := range ns {
-		for j < len(have) && have[j] < n {
-			j++
-		}
-		if j == len(have) || have[j] != n {
-			return false
-		}
-	}
-	return true
+	return e.Gen == gen && q.Agg != query.Avg && q.DerivableFrom(e.Levels, e.Preds, e.Agg)
 }
 
 // Stats is a snapshot of the cache's accounting.

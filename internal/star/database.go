@@ -1,7 +1,6 @@
 package star
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -436,39 +435,27 @@ func (db *Database) materialize(levels []int, multi bool) (*View, error) {
 
 	// Hash aggregation: roll each source tuple up to the target levels.
 	nd := db.Schema.NumDims()
-	agg := make(map[string][4]float64)
-	keyBuf := make([]byte, 4*nd)
+	agg := newGroupAgg(nd, src.Rows())
 	rolled := make([]int32, nd)
 	var y storage.Yielder
 	err = src.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
 		y.Tick()
 		for i := 0; i < nd; i++ {
 			rolled[i] = db.Schema.Dims[i].RollUp(keys[i], src.Levels[i], levels[i])
-			binary.LittleEndian.PutUint32(keyBuf[i*4:], uint32(rolled[i]))
 		}
-		mergeInto(agg, string(keyBuf), TupleAggregates(src, measures))
+		agg.add(rolled, TupleAggregates(src, measures))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	if err := appendGroups(out.Heap, nd, agg, out.MultiAgg(), true); err != nil {
+	if err := appendGroups(out.Heap, agg, out.MultiAgg(), true); err != nil {
 		return nil, err
 	}
 	out.refreshedRows = db.Base().Rows()
 	db.Views = append(db.Views, out)
 	return out, nil
-}
-
-// mergeInto folds vals into the accumulator map entry for key.
-func mergeInto(agg map[string][4]float64, key string, vals [4]float64) {
-	if cur, ok := agg[key]; ok {
-		MergeAggregates(&cur, vals)
-		agg[key] = cur
-	} else {
-		agg[key] = vals
-	}
 }
 
 // cheapestSource returns the smallest existing *fresh* view that can

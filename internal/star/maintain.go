@@ -1,11 +1,12 @@
 package star
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"mdxopt/internal/bitmap"
 	"mdxopt/internal/storage"
@@ -84,7 +85,7 @@ func (db *Database) refreshView(v *View, baseRows int64) error {
 	if err != nil {
 		return err
 	}
-	if err := appendGroups(v.Heap, db.Schema.NumDims(), agg, v.MultiAgg(), false); err != nil {
+	if err := appendGroups(v.Heap, agg, v.MultiAgg(), false); err != nil {
 		return err
 	}
 	v.refreshedRows = baseRows
@@ -94,11 +95,11 @@ func (db *Database) refreshView(v *View, baseRows int64) error {
 // aggregateBase aggregates base rows with row number >= from up to the
 // given level vector, producing full (sum, count, min, max)
 // accumulators.
-func (db *Database) aggregateBase(levels []int, from int64) (map[string][4]float64, error) {
+func (db *Database) aggregateBase(levels []int, from int64) (*groupAgg, error) {
 	nd := db.Schema.NumDims()
-	agg := make(map[string][4]float64)
-	keyBuf := make([]byte, 4*nd)
 	base := db.Base()
+	agg := newGroupAgg(nd, base.Rows()-from)
+	rolled := make([]int32, nd)
 	var y storage.Yielder
 	err := base.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
 		y.Tick()
@@ -106,10 +107,9 @@ func (db *Database) aggregateBase(levels []int, from int64) (map[string][4]float
 			return nil
 		}
 		for i := 0; i < nd; i++ {
-			code := db.Schema.Dims[i].RollUp(keys[i], 0, levels[i])
-			binary.LittleEndian.PutUint32(keyBuf[i*4:], uint32(code))
+			rolled[i] = db.Schema.Dims[i].RollUp(keys[i], 0, levels[i])
 		}
-		mergeInto(agg, string(keyBuf), TupleAggregates(base, measures))
+		agg.add(rolled, TupleAggregates(base, measures))
 		return nil
 	})
 	if err != nil {
@@ -118,37 +118,103 @@ func (db *Database) aggregateBase(levels []int, from int64) (map[string][4]float
 	return agg, nil
 }
 
-// appendGroups appends the aggregate map's groups to heap. Groups are
-// sorted for determinism; when shuffle is set they are then permuted
-// with a seeded shuffle, reproducing the unclustered storage order of a
-// freshly materialized view (see materialize). Sum-only heaps receive
-// the sum component; multi-aggregate heaps receive all four.
-func appendGroups(heap *table.HeapFile, nd int, agg map[string][4]float64, multi, shuffle bool) error {
-	sorted := make([]string, 0, len(agg))
-	for k := range agg {
-		sorted = append(sorted, k)
+// groupAgg is the hash aggregation of the maintenance paths
+// (materialize, Refresh, Compact): one (sum, count, min, max)
+// accumulator per group key. Keys lie back to back in one slab and are
+// found through an open-addressing index, so neither a scanned tuple
+// nor a new group costs an allocation of its own — these paths
+// aggregate whole views while queries run.
+type groupAgg struct {
+	nd    int
+	keys  []int32      // group g's codes are keys[g*nd : (g+1)*nd]
+	vals  [][4]float64 // group g's accumulator
+	slots []int32      // power-of-two table of group number + 1; 0 is empty
+}
+
+// newGroupAgg sizes the table for up to rows input tuples, so that an
+// aggregation that keeps most of them never regrows a slab.
+func newGroupAgg(nd int, rows int64) *groupAgg {
+	slots := 1 << 10
+	for int64(slots)*3 < rows*4 {
+		slots *= 2
 	}
-	sort.Strings(sorted)
+	return &groupAgg{
+		nd:    nd,
+		keys:  make([]int32, 0, rows*int64(nd)),
+		vals:  make([][4]float64, 0, rows),
+		slots: make([]int32, slots),
+	}
+}
+
+// slot returns the index in slots where the group with these codes is,
+// or where it would go.
+func (g *groupAgg) slot(codes []int32) uint32 {
+	h := uint32(2166136261) // FNV-1a over the codes
+	for _, c := range codes {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	mask := uint32(len(g.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		n := int(g.slots[i])
+		if n == 0 || slices.Equal(g.keys[(n-1)*g.nd:n*g.nd], codes) {
+			return i
+		}
+	}
+}
+
+// add folds vals into the group with the given codes.
+func (g *groupAgg) add(codes []int32, vals [4]float64) {
+	i := g.slot(codes)
+	if n := g.slots[i]; n != 0 {
+		MergeAggregates(&g.vals[n-1], vals)
+		return
+	}
+	g.keys = append(g.keys, codes...)
+	g.vals = append(g.vals, vals)
+	g.slots[i] = int32(len(g.vals))
+	if len(g.vals)*4 > len(g.slots)*3 {
+		g.slots = make([]int32, 2*len(g.slots))
+		for n := range g.vals {
+			g.slots[g.slot(g.keys[n*g.nd:(n+1)*g.nd])] = int32(n + 1)
+		}
+	}
+}
+
+// appendGroups appends the aggregated groups to heap. Groups are sorted
+// for determinism — by their codes as little-endian byte strings, the
+// order of the byte keys the operators sort results by — and when
+// shuffle is set then permuted with a seeded shuffle, reproducing the
+// unclustered storage order of a freshly materialized view (see
+// materialize). Sum-only heaps receive the sum component;
+// multi-aggregate heaps receive all four.
+func appendGroups(heap *table.HeapFile, agg *groupAgg, multi, shuffle bool) error {
+	nd := agg.nd
+	sorted := make([]int32, len(agg.vals))
+	for n := range sorted {
+		sorted[n] = int32(n)
+	}
+	slices.SortFunc(sorted, func(a, b int32) int {
+		ka, kb := agg.keys[int(a)*nd:int(a+1)*nd], agg.keys[int(b)*nd:int(b+1)*nd]
+		for i := range ka {
+			if ka[i] != kb[i] {
+				return cmp.Compare(bits.ReverseBytes32(uint32(ka[i])), bits.ReverseBytes32(uint32(kb[i])))
+			}
+		}
+		return 0
+	})
 	if shuffle {
 		rng := rand.New(rand.NewSource(int64(len(sorted))*2654435761 + 1998))
 		rng.Shuffle(len(sorted), func(i, j int) { sorted[i], sorted[j] = sorted[j], sorted[i] })
 	}
 	app := heap.NewAppender()
-	outKeys := make([]int32, nd)
 	var y storage.Yielder
-	for _, k := range sorted {
+	for _, n := range sorted {
 		y.Tick()
-		for i := 0; i < nd; i++ {
-			outKeys[i] = int32(binary.LittleEndian.Uint32([]byte(k)[i*4:]))
-		}
-		vals := agg[k]
-		var measures []float64
+		measures := agg.vals[n][:1]
 		if multi {
-			measures = vals[:]
-		} else {
-			measures = vals[:1]
+			measures = agg.vals[n][:]
 		}
-		if err := app.Append(outKeys, measures); err != nil {
+		if err := app.Append(agg.keys[int(n)*nd:int(n+1)*nd], measures); err != nil {
 			return err
 		}
 	}
@@ -167,16 +233,11 @@ func (db *Database) Compact(v *View) error {
 	if v.IsBase() {
 		return fmt.Errorf("star: cannot compact the base table")
 	}
-	nd := db.Schema.NumDims()
-	agg := make(map[string][4]float64)
-	keyBuf := make([]byte, 4*nd)
+	agg := newGroupAgg(db.Schema.NumDims(), v.Rows())
 	var y storage.Yielder
 	err := v.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
 		y.Tick()
-		for i := 0; i < nd; i++ {
-			binary.LittleEndian.PutUint32(keyBuf[i*4:], uint32(keys[i]))
-		}
-		mergeInto(agg, string(keyBuf), TupleAggregates(v, measures))
+		agg.add(keys, TupleAggregates(v, measures))
 		return nil
 	})
 	if err != nil {
@@ -191,7 +252,7 @@ func (db *Database) Compact(v *View) error {
 	if err != nil {
 		return err
 	}
-	if err := appendGroups(replacement, nd, agg, v.MultiAgg(), true); err != nil {
+	if err := appendGroups(replacement, agg, v.MultiAgg(), true); err != nil {
 		return err
 	}
 	oldPath := v.Heap.Path()
@@ -237,7 +298,7 @@ func (db *Database) rebuildIndexesLocked(v *View) error {
 	for dim := range v.Indexes {
 		dims = append(dims, dim)
 	}
-	sort.Ints(dims)
+	slices.Sort(dims)
 	for _, dim := range dims {
 		_, compressed := v.Indexes[dim].(*bitmap.CIndex)
 		if err := db.dropIndexLocked(v, dim); err != nil {

@@ -1,10 +1,15 @@
 package star
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mdxopt/internal/storage"
+	"mdxopt/internal/table"
 )
 
 // appendFacts adds n more deterministic facts to the base table.
@@ -296,5 +301,79 @@ func TestOpenPreMaintenanceManifestLoadsFresh(t *testing.T) {
 	defer db2.Close()
 	if stale := db2.StaleViews(); len(stale) != 0 {
 		t.Fatalf("pre-maintenance views loaded stale: %v", stale)
+	}
+}
+
+// TestGroupAggMatchesMap holds the maintenance aggregation to a map
+// keyed by the little-endian byte key: the same groups, the same
+// accumulators, appended in that key's sort order (codes above 255,
+// where byte order and numeric order part) — with a handful of
+// allocations for the slabs, not one per tuple or group.
+func TestGroupAggMatchesMap(t *testing.T) {
+	const nd, tuples = 3, 20000
+	rng := rand.New(rand.NewSource(11))
+	codes := make([][]int32, tuples)
+	for i := range codes {
+		codes[i] = []int32{int32(rng.Intn(700)), int32(rng.Intn(3)), int32(rng.Intn(300))}
+	}
+	want := map[string][4]float64{}
+	for i, c := range codes {
+		key := make([]byte, 0, 4*nd)
+		for _, x := range c {
+			key = binary.LittleEndian.AppendUint32(key, uint32(x))
+		}
+		v := float64(i % 13)
+		cur, ok := want[string(key)]
+		if !ok {
+			cur = [4]float64{0, 0, v, v}
+		}
+		MergeAggregates(&cur, [4]float64{v, 1, v, v})
+		want[string(key)] = cur
+	}
+	var agg *groupAgg
+	allocs := testing.AllocsPerRun(3, func() {
+		agg = newGroupAgg(nd, 64) // far too small: the slabs regrow
+		for i, c := range codes {
+			v := float64(i % 13)
+			agg.add(c, [4]float64{v, 1, v, v})
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("%v allocations for %d tuples in %d groups", allocs, tuples, len(agg.vals))
+	}
+	if len(agg.vals) != len(want) {
+		t.Fatalf("%d groups, want %d", len(agg.vals), len(want))
+	}
+
+	pool := storage.NewPool(64)
+	defer pool.CloseFiles()
+	schema := table.NewSchema([]string{"a", "b", "c"}, []string{"s", "n", "lo", "hi"})
+	heap, err := table.Create(pool, filepath.Join(t.TempDir(), "groups.heap"), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendGroups(heap, agg, true, false); err != nil {
+		t.Fatal(err)
+	}
+	var prev string
+	err = heap.Scan(func(row int64, keys []int32, measures []float64) error {
+		key := make([]byte, 0, 4*nd)
+		for _, x := range keys {
+			key = binary.LittleEndian.AppendUint32(key, uint32(x))
+		}
+		if w, ok := want[string(key)]; !ok || w != [4]float64(measures) {
+			t.Fatalf("row %d: group %v = %v, want %v (present %v)", row, keys, measures, w, ok)
+		}
+		if row > 0 && string(key) <= prev {
+			t.Fatalf("row %d: key %x after %x", row, key, prev)
+		}
+		prev = string(key)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heap.Count() != int64(len(want)) {
+		t.Fatalf("%d rows appended, want %d", heap.Count(), len(want))
 	}
 }

@@ -254,3 +254,50 @@ func TestFetchPageErrors(t *testing.T) {
 		t.Fatalf("FetchBatches out-of-range err = %v, want ErrRowOutOfRange", err)
 	}
 }
+
+// TestWarmScanAllocs pins the scan and row-fetch loops to a constant
+// number of allocations however many pages they pin: the batch (or the
+// row buffers) once per call, nothing per page — the pin itself lives
+// on the caller's stack (storage.Pool.FetchInto).
+func TestWarmScanAllocs(t *testing.T) {
+	_, h := newHeap(t, testSchema())
+	const rows = 5000 // a few dozen pages, all resident after the first pass
+	appendN(t, h, rows)
+	pages := float64(h.DataPages())
+	if pages < 10 {
+		t.Fatalf("only %v pages: the bound below would not notice a per-page allocation", pages)
+	}
+	scan := testing.AllocsPerRun(5, func() {
+		n := 0
+		if err := h.ScanRangeBatches(0, rows, func(b *Batch) error { n += b.N; return nil }); err != nil || n != rows {
+			t.Fatalf("scanned %d rows, err %v", n, err)
+		}
+	})
+	if scan > 4 {
+		t.Fatalf("ScanRangeBatches allocates %v objects over %v pages, want at most 4", scan, pages)
+	}
+	fetch := testing.AllocsPerRun(5, func() {
+		next, n := int64(0), 0
+		err := h.FetchRows(func() int64 {
+			if next >= rows {
+				return -1
+			}
+			next += 7
+			return next - 7
+		}, func(int64, []int32, []float64) error { n++; return nil })
+		if err != nil || n == 0 {
+			t.Fatalf("fetched %d rows, err %v", n, err)
+		}
+	})
+	if fetch > 4 {
+		t.Fatalf("FetchRows allocates %v objects over %v pages, want at most 4", fetch, pages)
+	}
+	keys, measures := make([]int32, 4), make([]float64, 1)
+	if row := testing.AllocsPerRun(5, func() {
+		if err := h.FetchRow(rows/2, keys, measures); err != nil {
+			t.Fatal(err)
+		}
+	}); row != 0 {
+		t.Fatalf("FetchRow allocates %v objects, want 0", row)
+	}
+}

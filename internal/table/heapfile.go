@@ -302,10 +302,10 @@ func (h *HeapFile) ScanRangeBatches(from, to int64, fn func(b *Batch) error) err
 		nm:       nm,
 	}
 	row := from
+	var page storage.Page // stack-held pin: the scan loop must not allocate
 	for row < to {
 		pageNo := uint32(row/int64(h.tpp)) + 1
-		page, err := h.pool.Fetch(h.file, pageNo)
-		if err != nil {
+		if err := h.pool.FetchInto(h.file, pageNo, &page); err != nil {
 			return err
 		}
 		slot := int(row % int64(h.tpp))
@@ -421,8 +421,8 @@ func (h *HeapFile) FetchRow(row int64, keys []int32, measures []float64) error {
 	}
 	pageNo := uint32(row/int64(h.tpp)) + 1
 	slot := int(row % int64(h.tpp))
-	page, err := h.pool.Fetch(h.file, pageNo)
-	if err != nil {
+	var page storage.Page
+	if err := h.pool.FetchInto(h.file, pageNo, &page); err != nil {
 		return err
 	}
 	decodeTuple(page.Data()[slot*h.size:], keys, measures)
@@ -436,10 +436,10 @@ func (h *HeapFile) FetchRow(row int64, keys []int32, measures []float64) error {
 func (h *HeapFile) FetchRows(next func() int64, fn func(row int64, keys []int32, measures []float64) error) error {
 	keys := make([]int32, h.schema.NumKeys())
 	measures := make([]float64, h.schema.NumMeasures())
-	var page *storage.Page
-	var pinned uint32
+	var page storage.Page // stack-held pin, valid while pinned != 0
+	var pinned uint32     // data pages are numbered from 1
 	defer func() {
-		if page != nil {
+		if pinned != 0 {
 			page.Unpin()
 		}
 	}()
@@ -452,14 +452,12 @@ func (h *HeapFile) FetchRows(next func() int64, fn func(row int64, keys []int32,
 			return fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, row, h.count)
 		}
 		pageNo := uint32(row/int64(h.tpp)) + 1
-		if page == nil || pageNo != pinned {
-			if page != nil {
+		if pageNo != pinned {
+			if pinned != 0 {
 				page.Unpin()
+				pinned = 0
 			}
-			var err error
-			page, err = h.pool.Fetch(h.file, pageNo)
-			if err != nil {
-				page = nil
+			if err := h.pool.FetchInto(h.file, pageNo, &page); err != nil {
 				return err
 			}
 			pinned = pageNo

@@ -720,6 +720,13 @@ type Stats struct {
 	// disabled).
 	PackedFolds int64
 
+	// DerivedQueries counts this request's component queries that a
+	// shared pass computed from a classmate's finished groups instead
+	// of from tuples (the plan shows them as "q3 <= q1 [rollup]");
+	// DerivedRows is how many parent groups those rollups read.
+	DerivedQueries int64
+	DerivedRows    int64
+
 	// DAGNodes is how many task-graph nodes the plan compiled to (class
 	// passes + cache rollups + shared lookup builds). WorkerPeak is the
 	// unified worker pool's concurrency peak — nodes running plus the
@@ -1056,6 +1063,8 @@ func statsOut(st exec.Stats) Stats {
 		SpillBytes:       st.SpillBytes,
 		SpillPartitions:  st.SpillPartitions,
 		PackedFolds:      st.PackedFolds,
+		DerivedQueries:   st.DerivedQueries,
+		DerivedRows:      st.DerivedRows,
 	}
 }
 
