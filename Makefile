@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench-pairs bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench pool-bench idx-bench mut-bench clean
+.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench-pairs bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench idx-bench mut-bench clean
 
 # The full gate: compile everything, vet, check formatting, run the
 # suite in shuffled order, race-test the concurrent packages (fast
@@ -39,18 +39,23 @@ race:
 # sharded buffer pool, the page-batched fetch / bitmap routing layers
 # under the probe worker pool, the snapshot-isolated catalog (star,
 # epoch reclamation in storage) with the core executor above it, and
-# the facade-level snapshot torture test.
+# the facade-level snapshot torture test. The partition-wise
+# finalization and derivation suites run again at -cpu 1,4, so their
+# pool tasks really run concurrently under the detector.
 race-dag:
 	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
+	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive' ./internal/exec
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
-# codec and sort order, the rollup key remap, spill record codec,
-# selection-vector expansion) — regression smoke, not a fuzzing session.
+# codec and sort order, the rollup key remap, the partitioned worker
+# merge, spill record codec, selection-vector expansion) — regression
+# smoke, not a fuzzing session.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedKeyRoundTrip -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedSortOrder -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzRollupRemap -fuzztime 5s
+	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPartitionMerge -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSpillRecCodec -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSelVecExpand -fuzztime 5s
 
@@ -101,7 +106,7 @@ bench-pairs:
 # mem and cache experiments (all seeded deterministically; they write
 # BENCH_scan.json, BENCH_serve.json, BENCH_mem.json and
 # BENCH_cache.json).
-bench: go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench pool-bench idx-bench mut-bench
+bench: go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench idx-bench mut-bench
 
 # Paper experiment benchmarks (Tests 1-7 etc.).
 go-bench:
@@ -139,11 +144,6 @@ agg-bench:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkSharedScanCPU|BenchmarkAggTable' -benchmem
 	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-aggdb -scale 0.1 -exp agg -json BENCH_agg.json
 
-# Unified worker pool: morsel-driven vs static-partition scan sweep over
-# workers x classes x latency shapes; writes BENCH_pool.json.
-pool-bench:
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-pooldb -scale 0.1 -exp pool -json BENCH_pool.json
-
 # Vectorized shared-index probe: word-at-a-time routing vs the scalar
 # tuple loop (dense multi-query union), plus the workers x budget
 # equivalence sweep; also runs the in-tree routing/fetch micros, then
@@ -161,4 +161,4 @@ mut-bench:
 	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-mutdb -scale 0.1 -exp mut -json BENCH_mut.json
 
 clean:
-	rm -rf /tmp/mdxopt-servedb /tmp/mdxopt-scandb /tmp/mdxopt-memdb /tmp/mdxopt-cachedb /tmp/mdxopt-dagdb /tmp/mdxopt-aggdb /tmp/mdxopt-pooldb /tmp/mdxopt-idxdb /tmp/mdxopt-mutdb
+	rm -rf /tmp/mdxopt-servedb /tmp/mdxopt-scandb /tmp/mdxopt-memdb /tmp/mdxopt-cachedb /tmp/mdxopt-dagdb /tmp/mdxopt-aggdb /tmp/mdxopt-idxdb /tmp/mdxopt-mutdb

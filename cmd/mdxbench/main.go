@@ -30,8 +30,8 @@ func main() {
 	log.SetPrefix("mdxbench: ")
 	dir := flag.String("dir", "mdxbenchdb", "database directory (built if missing)")
 	scale := flag.Float64("scale", 0.1, "scale factor (1.0 = the paper's 2M rows)")
-	exp := flag.String("exp", "all", "experiment: all, table1, test1..test7, study, ablations, serve, scan, mem, cache, dag, agg, pool, idx, mut")
-	jsonOut := flag.String("json", "", "write the serve/scan/mem/cache/dag/agg/pool/idx/mut experiment's report to this JSON file")
+	exp := flag.String("exp", "all", "experiment: all, table1, test1..test7, study, ablations, serve, scan, mem, cache, dag, agg, idx, mut")
+	jsonOut := flag.String("json", "", "write the serve/scan/mem/cache/dag/agg/idx/mut experiment's report to this JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	flag.Parse()
@@ -96,12 +96,6 @@ func main() {
 	}
 	if *exp == "agg" {
 		if err := runAgg(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "pool" {
-		if err := runPool(os.Stdout, *dir, *scale, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -206,28 +206,3 @@ func TestParallelSharedScanMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestScanPartitions(t *testing.T) {
-	for _, c := range []struct {
-		rows int64
-		n    int
-		tpp  int
-	}{{100, 3, 8}, {7, 10, 3}, {0, 2, 5}, {5, 1, 409}, {1000, 4, 13}} {
-		parts := scanPartitions(c.rows, c.n, c.tpp)
-		var covered int64
-		prev := int64(0)
-		for _, p := range parts {
-			if p[0] != prev {
-				t.Fatalf("rows=%d n=%d: gap at %d", c.rows, c.n, p[0])
-			}
-			if p[1] < p[0] {
-				t.Fatalf("rows=%d n=%d: inverted range %v", c.rows, c.n, p)
-			}
-			covered += p[1] - p[0]
-			prev = p[1]
-		}
-		if covered != c.rows || prev != c.rows {
-			t.Fatalf("rows=%d n=%d: covered %d ending at %d", c.rows, c.n, covered, prev)
-		}
-	}
-}

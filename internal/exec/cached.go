@@ -124,15 +124,11 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 			}
 			res = &Result{Query: q, Groups: groups, Cached: true}
 		}
-		var peak, sb, sp int64
 		if packed {
-			peak, sb, sp = ftab.memStats()
+			own.Add(ftab.memStats())
 		} else {
-			peak, sb, sp = tab.memStats()
+			own.Add(tab.memStats())
 		}
-		own.PeakMemory += peak
-		own.SpillBytes += sb
-		own.SpillPartitions += sp
 		return nil
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
@@ -36,7 +37,8 @@ type forest struct {
 	// watch[m], for a root m, holds the contexts of m and of every
 	// member derived from it; nil when one of them has none and so can
 	// never be canceled.
-	watch [][]context.Context
+	watch   [][]context.Context
+	rootIdx []int // the members that take tuples, ascending
 }
 
 func newForest(env *Env, queries []*query.Query) *forest {
@@ -46,9 +48,13 @@ func newForest(env *Env, queries []*query.Query) *forest {
 		qctx:    make([]context.Context, len(queries)),
 		watch:   make([][]context.Context, len(queries)),
 	}
-	if env.NoPackedKeys {
-		for i := range f.parent {
+	f.rootIdx = make([]int, 0, len(queries))
+	for i := range f.parent {
+		if env.NoPackedKeys {
 			f.parent[i] = -1
+		}
+		if f.parent[i] < 0 {
+			f.rootIdx = append(f.rootIdx, i)
 		}
 	}
 	if env.QueryCtx == nil {
@@ -76,13 +82,9 @@ func newForest(env *Env, queries []*query.Query) *forest {
 
 // roots lists the members in [from, to) that take tuples themselves.
 func (f *forest) roots(from, to int) []int {
-	var out []int
-	for i := from; i < to; i++ {
-		if f.parent[i] < 0 {
-			out = append(out, i)
-		}
-	}
-	return out
+	lo, _ := slices.BinarySearch(f.rootIdx, from)
+	hi, _ := slices.BinarySearch(f.rootIdx, to)
+	return f.rootIdx[lo:hi]
 }
 
 // pipeline builds a pipeline for root member m. The pipeline detaches
@@ -98,79 +100,115 @@ func (f *forest) pipeline(env *Env, stats *Stats, cache *lookupCache, view *star
 	return p, nil
 }
 
-// emit converts the pass's pipelines into one result per member, in
-// member order (merging any spilled state). roots holds the pipelines
-// of the root members in member order; every derived member's table is
-// built here from its parent's rows, parents first, and closed before
-// emit returns. Each result carries its member's own (non-shared) work
-// and, for a canceled submission, the per-query context's error; each
-// table's memory counters — reservation peak, spill volume, partitions
-// — are folded into both the member's stats and the pass stats.
-func (f *forest) emit(env *Env, stats *Stats, roots []*queryPipeline) ([]*Result, error) {
-	kids := make([][]int, len(f.queries))
-	for i, p := range f.parent {
-		if p >= 0 {
-			kids[p] = append(kids[p], i)
+// workerSets builds the pipelines of width workers over the roots:
+// worker w's are workerSet(pipes, w), worker 0's being the pass's own.
+// On an error the pipelines built so far are returned for closePipes.
+func (f *forest) workerSets(env *Env, stats *Stats, cache *lookupCache, view *star.View, width int) ([]*queryPipeline, error) {
+	pipes := make([]*queryPipeline, width*len(f.rootIdx))
+	for i := range pipes {
+		p, err := f.pipeline(env, stats, cache, view, f.rootIdx[i%len(f.rootIdx)])
+		if err != nil {
+			return pipes, err
+		}
+		pipes[i] = p
+	}
+	return pipes, nil
+}
+
+// workerSet returns worker w's pipelines, one per root in member order.
+func (f *forest) workerSet(pipes []*queryPipeline, w int) []*queryPipeline {
+	return pipes[w*len(f.rootIdx) : (w+1)*len(f.rootIdx)]
+}
+
+// emit converts the pass's pipelines (workerSets) into one result per
+// member, in member order; worker 0's take in the others' work. The
+// roots' worker tables are finalized key range by key range on the pool
+// (finalizeSets); then the derived members are built forest depth by
+// depth, each one pool task that folds its table from its parent's
+// merged rows and finalizes it inline.
+func (f *forest) emit(env *Env, stats *Stats, pipes []*queryPipeline) ([]*Result, error) {
+	members := make([]*queryPipeline, len(f.queries))
+	level := f.roots(0, len(f.queries))
+	roots, width := f.workerSet(pipes, 0), len(pipes)/len(level)
+	for k, m := range level {
+		p := roots[k]
+		members[m] = p
+		if p.ioErr != nil {
+			return nil, p.ioErr
+		}
+		if p.ftab != nil {
+			p.ftab.fin.init(p.ftab, width)
+		}
+		for w := 1; w < width; w++ {
+			if err := p.addWorker(f.workerSet(pipes, w)[k], w); err != nil {
+				return nil, err
+			}
 		}
 	}
+	if err := finalizeSets(env, roots); err != nil {
+		return nil, err
+	}
 	out := make([]*Result, len(f.queries))
-	var finish func(i int, p *queryPipeline) error
-	finish = func(i int, p *queryPipeline) error {
-		if p.ioErr != nil {
-			return p.ioErr
+	for {
+		var next []int
+		for _, i := range level {
+			var err error
+			if out[i], err = members[i].result(stats); err != nil {
+				return nil, err
+			}
+			for c, pi := range f.parent {
+				if pi == i {
+					next = append(next, c)
+				}
+			}
 		}
-		r, rows, err := p.result()
-		if err != nil {
-			return err
+		if len(next) == 0 {
+			return out, nil
 		}
-		peak, spillBytes, spillParts := p.tabMemStats()
-		p.own.PeakMemory += peak
-		p.own.SpillBytes += spillBytes
-		p.own.SpillPartitions += spillParts
-		stats.PeakMemory += p.own.PeakMemory
-		stats.SpillBytes += p.own.SpillBytes
-		stats.SpillPartitions += p.own.SpillPartitions
-		r.Own = p.own
-		if p.qctx != nil {
-			r.Err = p.qctx.Err()
-		}
-		out[i] = r
-		for _, c := range kids[i] {
+		err := poolTasks(env, len(next), func(j int) error {
 			if err := env.canceled(); err != nil {
 				return err
 			}
-			cp := p.derive(env, stats, f.queries[c], f.qctx[c], rows)
-			err := finish(c, cp)
-			cp.close()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for k, m := range f.roots(0, len(f.queries)) {
-		if err := finish(m, roots[k]); err != nil {
+			c := next[j]
+			members[c] = members[f.parent[c]].derive(env, f.queries[c], f.qctx[c])
+			return members[c].ioErr
+		})
+		if err != nil {
 			return nil, err
 		}
+		for _, c := range next {
+			stats.Add(members[c].own)
+		}
+		level = next
 	}
-	return out, nil
 }
 
-// derive builds the pipeline of member q, derived from p, by folding
-// p's merged rows into a fresh table. A subtree whose root detached
-// from the scan has no live member left (see forest.pipeline) and is
-// not computed.
-func (p *queryPipeline) derive(env *Env, stats *Stats, q *query.Query, qctx context.Context, rows []foldRow) *queryPipeline {
+// derive builds and finalizes the pipeline of member q, derived from p,
+// by folding p's merged rows into a fresh table; the table is released
+// once finalized. A subtree whose root detached from the scan has no
+// live member left (see forest.pipeline) and is not computed. A failure
+// is latched in the pipeline's ioErr.
+func (p *queryPipeline) derive(env *Env, q *query.Query, qctx context.Context) *queryPipeline {
 	kp, _ := newKeyPacker(q.Schema, q.Levels) // no wider than its parent's key
 	c := &queryPipeline{q: q, packer: kp, ftab: newFoldTable(env, q.Agg, kp, q.Name), qctx: qctx, detached: p.detached}
+	defer c.close()
 	work := Stats{DerivedQueries: 1}
 	if !c.detached {
-		work.DerivedRows = int64(len(rows))
-		work.TuplesAgg, c.ioErr = c.ftab.rollupFrom(rows, p.packer, rollupLookups(q, p.q.Levels))
+		lks := rollupLookups(q, p.q.Levels)
+		for r := 0; r < p.ftab.fin.parts && c.ioErr == nil; r++ {
+			rows := p.ftab.fin.rowsOf(r)
+			var folded int64
+			folded, c.ioErr = c.ftab.rollupFrom(rows, p.packer, lks)
+			work.DerivedRows += int64(len(rows))
+			work.TuplesAgg += folded
+		}
 		work.PackedFolds = work.TuplesAgg
 	}
 	c.own.Add(work)
-	stats.Add(work)
+	c.ftab.fin.init(c.ftab, 1)
+	if c.ioErr == nil {
+		c.ioErr = c.ftab.fin.finalize()
+	}
 	return c
 }
 

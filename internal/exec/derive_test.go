@@ -13,8 +13,9 @@ import (
 
 // Shared aggregation equivalence: whatever forest a pass arranges its
 // members into, every member's result must equal the Naive oracle's —
-// values and order — at every worker count, spilled or not, in all
-// three shared operators.
+// values and order — at every worker count and morsel grain, spilled or
+// not, in all three shared operators; the roots' worker tables are
+// finalized key range by key range at every width above one.
 
 // deriveCounters projects a member's own deterministic work: the fields
 // that may not vary with the worker count.
@@ -128,6 +129,11 @@ func randomClass(t *testing.T, rng *rand.Rand, s *star.Schema, minLevels []int, 
 	return out
 }
 
+// widthGrains are the (workers, morsel pages) runs the equivalence
+// suites sweep: every width the finalization's range count depends on,
+// at one-page morsels and the default grain.
+var widthGrains = [][2]int{{1, 16}, {2, 1}, {2, 16}, {3, 1}, {3, 16}, {4, 1}, {4, 16}, {8, 1}, {8, 16}}
+
 func TestDerivationMatchesNaive(t *testing.T) {
 	db, _ := testDB(t)
 	indexed := db.ViewByLevels([]int{1, 1, 1, 0})
@@ -168,10 +174,11 @@ func TestDerivationMatchesNaive(t *testing.T) {
 		}
 		for _, budget := range []int64{0, 4 << 10} {
 			var serialOwn [][8]int64
-			for _, workers := range []int{1, 2, 4} {
+			for _, run := range widthGrains {
+				workers := run[0]
 				env := NewEnv(db)
 				env.Parallelism = workers
-				env.MorselPages = 1
+				env.MorselPages = run[1]
 				if budget > 0 {
 					env.Mem = mem.New(budget)
 					env.SpillDir = t.TempDir()
@@ -190,7 +197,7 @@ func TestDerivationMatchesNaive(t *testing.T) {
 					got = append(append([]*Result(nil), ir...), hr...)
 				}
 				if err != nil {
-					t.Fatalf("trial %d %s budget %d workers %d: %v", trial, op, budget, workers, err)
+					t.Fatalf("trial %d %s budget %d run %v: %v", trial, op, budget, run, err)
 				}
 				spilled += st.SpillBytes
 				own := make([][8]int64, len(got))
@@ -199,8 +206,8 @@ func TestDerivationMatchesNaive(t *testing.T) {
 						t.Fatalf("trial %d %s: result %d is for %s, want %s", trial, op, i, r.Query.Name, class[i].Name)
 					}
 					if !r.Equal(want[i]) {
-						t.Fatalf("trial %d %s budget %d workers %d: %s differs from Naive: %d groups total %v, want %d groups total %v",
-							trial, op, budget, workers, r.Query, len(r.Groups), r.Total(), len(want[i].Groups), want[i].Total())
+						t.Fatalf("trial %d %s budget %d run %v: %s differs from Naive: %d groups total %v, want %d groups total %v",
+							trial, op, budget, run, r.Query, len(r.Groups), r.Total(), len(want[i].Groups), want[i].Total())
 					}
 					own[i] = deriveCounters(r.Own)
 					if workers == 1 && budget == 0 {
@@ -213,12 +220,12 @@ func TestDerivationMatchesNaive(t *testing.T) {
 				}
 				for i := range own {
 					if own[i] != serialOwn[i] {
-						t.Fatalf("trial %d %s budget %d workers %d: %s own counters %v, serial %v",
-							trial, op, budget, workers, class[i].Name, own[i], serialOwn[i])
+						t.Fatalf("trial %d %s budget %d run %v: %s own counters %v, serial %v",
+							trial, op, budget, run, class[i].Name, own[i], serialOwn[i])
 					}
 				}
 				if budget > 0 && env.Mem.Used() != 0 {
-					t.Fatalf("trial %d %s workers %d: broker holds %d bytes after the pass", trial, op, workers, env.Mem.Used())
+					t.Fatalf("trial %d %s run %v: broker holds %d bytes after the pass", trial, op, run, env.Mem.Used())
 				}
 			}
 		}
@@ -366,10 +373,12 @@ func FuzzRollupRemap(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		rows, err := source.rows()
-		if err != nil {
+		var srs runSet
+		srs.init(source, 1)
+		if err := srs.finalize(); err != nil {
 			t.Fatal(err)
 		}
+		rows := srs.rowsOf(0)
 		want := map[uint64][2]float64{}
 		var wantFolded int64
 	next:
@@ -391,10 +400,12 @@ func FuzzRollupRemap(f *testing.F) {
 		if err != nil || folded != wantFolded {
 			t.Fatalf("rollupFrom folded %d rows, err %v; want %d", folded, err, wantFolded)
 		}
-		got, err := target.rows()
-		if err != nil {
+		var drs runSet
+		drs.init(target, 1)
+		if err := drs.finalize(); err != nil {
 			t.Fatal(err)
 		}
+		got := drs.rowsOf(0)
 		if len(got) != len(want) {
 			t.Fatalf("%d groups, want %d", len(got), len(want))
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mdxopt/internal/datagen"
@@ -38,9 +39,10 @@ func straddleSpec() datagen.Spec {
 
 // TestFinalizeOrderMatchesOracle runs every aggregate of group-bys over
 // the straddling schema — level vectors whose sort key fits a word, ones
-// that need the fallback comparator, one too wide to pack at all —
-// through the shared scan at 1, 2 and 4 workers, unspilled and under a
-// 4 KiB budget, and requires groups, order and values equal to Naive's.
+// that need the fallback comparator (one key range at any width), one
+// too wide to pack at all — through the shared scan at every width and
+// grain of widthGrains, unspilled and under a 4 KiB budget, and requires
+// groups, order and values equal to Naive's.
 func TestFinalizeOrderMatchesOracle(t *testing.T) {
 	db, err := datagen.Build(filepath.Join(t.TempDir(), "db"), straddleSpec())
 	if err != nil {
@@ -112,22 +114,21 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 			budgets = budgets[:1]
 		}
 		for _, budget := range budgets {
-			for _, workers := range []int{1, 2, 4} {
+			for _, run := range widthGrains {
 				env := NewEnv(db)
-				env.Parallelism = workers
-				env.MorselPages = 2
+				env.Parallelism, env.MorselPages = run[0], run[1]
 				env.SpillDir = t.TempDir()
 				env.Mem = mem.New(budget)
 				env.Lookups = lookups
 				var st Stats
 				got, err := SharedScanHash(env, db.Base(), group, &st)
 				if err != nil {
-					t.Fatalf("levels %v budget %d workers %d: %v", levels, budget, workers, err)
+					t.Fatalf("levels %v budget %d run %v: %v", levels, budget, run, err)
 				}
 				for i := range got {
 					if !got[i].Equal(want[i]) {
-						t.Fatalf("levels %v budget %d workers %d: %s differs from the oracle (%d groups, want %d)",
-							levels, budget, workers, got[i].Query.Name, len(got[i].Groups), len(want[i].Groups))
+						t.Fatalf("levels %v budget %d run %v: %s differs from the oracle (%d groups, want %d)",
+							levels, budget, run, got[i].Query.Name, len(got[i].Groups), len(want[i].Groups))
 					}
 				}
 				if budget > 0 && len(want[0].Groups) > 1000 && st.SpillBytes == 0 {
@@ -197,58 +198,109 @@ func filledPipeline(tb testing.TB, env *Env, n int) *queryPipeline {
 	return p
 }
 
-// TestFinalizeAllocs pins result() to a constant number of allocations
-// whatever the group count: the row buffer, the groups, the key slab
-// and the Result — no per-group key, string or slice.
+// filledRoot returns a root pipeline ready for finalizeSets: width
+// worker tables (filledPipeline's), each holding the same n groups, so
+// every group has a duplicate in every other worker.
+func filledRoot(tb testing.TB, env *Env, width, n int) *queryPipeline {
+	tb.Helper()
+	p := filledPipeline(tb, env, n)
+	p.ftab.fin.init(p.ftab, width)
+	for w := 1; w < width; w++ {
+		p.ftab.fin.src[w].t = filledPipeline(tb, env, n).ftab
+	}
+	return p
+}
+
+// finalizeAllocs is testing.AllocsPerRun for finalization, which
+// consumes its tables: each run finalizes a fresh filledRoot, built
+// outside the measured span — and its garbage collected there, so no GC
+// cycle lands in the span — and builds its Result.
+func finalizeAllocs(t *testing.T, env *Env, width, n int) float64 {
+	t.Helper()
+	const runs = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var total uint64
+	for i := 0; i <= runs; i++ { // the first run warms up
+		p := filledRoot(t, env, width, n)
+		roots := []*queryPipeline{p}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := finalizeSets(env, roots)
+		r, _ := p.result(new(Stats))
+		runtime.ReadMemStats(&after)
+		if err != nil || len(r.Groups) != n {
+			t.Fatalf("width %d: %d groups, err %v; want %d", width, len(r.Groups), err, n)
+		}
+		if i > 0 {
+			total += after.Mallocs - before.Mallocs
+		}
+	}
+	return float64(total) / runs
+}
+
+// TestFinalizeAllocs pins a width-1 finalization to a constant number
+// of allocations whatever the group count: the slab, the groups, the
+// key slab and the Result — no per-group key, string or slice.
 func TestFinalizeAllocs(t *testing.T) {
 	db, _ := testDB(t)
 	env := NewEnv(db)
 	for _, n := range []int{100, 10000} {
-		p := filledPipeline(t, env, n)
-		defer p.close()
-		allocs := testing.AllocsPerRun(5, func() {
-			r, _, err := p.result()
-			if err != nil || len(r.Groups) != n {
-				t.Fatalf("result: %d groups, err %v", len(r.Groups), err)
-			}
-		})
-		if allocs > 4 {
-			t.Fatalf("result() allocates %v objects for %d groups, want at most 4", allocs, n)
+		if allocs := finalizeAllocs(t, env, 1, n); allocs > 4 {
+			t.Fatalf("finalization allocates %v objects for %d groups, want at most 4", allocs, n)
 		}
 	}
 }
 
-// BenchmarkFinalize measures result() alone — merge, sort, decode — on
-// resident and spilled tables of 1k and 100k groups.
+// TestFinalizeAllocsWidth2 pins the partitioned path: a width-2
+// finalization allocates one run slab and one merged slab per root,
+// plus a constant of pool bookkeeping — the same count at 100 and at
+// 10,000 groups, not O(P × W) slices.
+func TestFinalizeAllocsWidth2(t *testing.T) {
+	db, _ := testDB(t)
+	env := NewEnv(db)
+	env.Parallelism = 2
+	small, large := finalizeAllocs(t, env, 2, 100), finalizeAllocs(t, env, 2, 10000)
+	if small != large {
+		t.Fatalf("width-2 finalization allocates %v objects for 100 groups, %v for 10,000", small, large)
+	}
+	t.Logf("width-2 finalization: %v allocations", small)
+}
+
+// BenchmarkFinalize measures finalization alone — spill merge, copy,
+// sort, merge, decode — of a root of 1k and 100k groups per worker
+// table, resident or spilled, at widths 1 and 2.
 func BenchmarkFinalize(b *testing.B) {
 	db, _ := testDB(b)
-	for _, n := range []int{1000, 100000} {
-		for _, spilled := range []bool{false, true} {
-			name := fmt.Sprintf("groups=%d/unspilled", n)
-			if spilled {
-				name = fmt.Sprintf("groups=%d/spilled", n)
-			}
-			b.Run(name, func(b *testing.B) {
-				env := NewEnv(db)
+	for _, width := range []int{1, 2} {
+		for _, n := range []int{1000, 100000} {
+			for _, spilled := range []bool{false, true} {
+				name := fmt.Sprintf("width=%d/groups=%d/unspilled", width, n)
 				if spilled {
-					// A quarter of what the resident table would hold.
-					env.Mem = mem.New(int64(n) * foldSlotBytes / 4)
-					env.SpillDir = b.TempDir()
+					name = fmt.Sprintf("width=%d/groups=%d/spilled", width, n)
 				}
-				p := filledPipeline(b, env, n)
-				defer p.close()
-				if spilled != (p.ftab.sp != nil) {
-					b.Fatalf("spilled = %v, want %v", p.ftab.sp != nil, spilled)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r, _, err := p.result()
-					if err != nil || len(r.Groups) != n {
-						b.Fatalf("result: %d groups, err %v", len(r.Groups), err)
+				b.Run(name, func(b *testing.B) {
+					env := NewEnv(db)
+					env.Parallelism = width
+					if spilled {
+						// A quarter of what the resident tables would hold.
+						env.Mem = mem.New(int64(width*n) * foldSlotBytes / 4)
+						env.SpillDir = b.TempDir()
 					}
-				}
-			})
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						p := filledRoot(b, env, width, n)
+						if spilled != (p.ftab.sp != nil) {
+							b.Fatalf("spilled = %v, want %v", p.ftab.sp != nil, spilled)
+						}
+						b.StartTimer()
+						if err := finalizeSets(env, []*queryPipeline{p}); err != nil || len(p.ftab.fin.groups) != n {
+							b.Fatalf("finalize: %d groups, err %v", len(p.ftab.fin.groups), err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"cmp"
 	"encoding/binary"
-	"slices"
 
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
@@ -29,11 +27,12 @@ import (
 //     (spillFiles, with 8-byte keys), the probe hash routing each
 //     record to its partition so a key's records stay in one partition
 //     in arrival order;
-//   - finalization (rows, groups) copies the groups into one flat
-//     buffer, orders it by the packer's order-preserving sort key —
-//     the canonical byte-key order without ever building a byte key —
-//     and decodes into slab-backed Groups, so results are
-//     byte-identical to the byte-key path whichever one ran.
+//   - finalization (finalize.go) copies the groups of every worker's
+//     table into one flat slab, orders it by the packer's
+//     order-preserving sort key — the canonical byte-key order without
+//     ever building a byte key — and decodes into slab-backed Groups,
+//     so results are byte-identical to the byte-key path whichever one
+//     ran.
 const (
 	// foldInitialSlots is the initial slot-array capacity. Its slab
 	// (foldInitialSlots*foldSlotBytes) is also the per-entry portion of
@@ -109,6 +108,8 @@ type foldTable struct {
 
 	spillBytes int64
 	spillParts int64
+
+	fin runSet // finalizes the member this is worker 0's table of (finalize.go)
 }
 
 func newFoldTable(env *Env, agg query.Agg, kp *keyPacker, tag string) *foldTable {
@@ -257,36 +258,6 @@ func (t *foldTable) writeRec(key uint64, ac accum) error {
 	return nil
 }
 
-// mergeFrom folds another fold table's state into t (parallel scan
-// workers merging into the main pipeline). Spilled source records are
-// replayed in write order; t itself may spill while absorbing them.
-func (t *foldTable) mergeFrom(o *foldTable) error {
-	if o.sp == nil {
-		for i := range o.slots {
-			s := &o.slots[i]
-			if !s.used {
-				continue
-			}
-			if err := t.fold(s.key, accum{a: s.a, b: s.b, set: s.set}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := o.sp.flushBufs(); err != nil {
-		return err
-	}
-	for pi := range o.sp.parts {
-		err := o.sp.readPart(pi, o.sp.parts[pi].pages, func(key []byte, ac accum) error {
-			return t.fold(binary.LittleEndian.Uint64(key), ac)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // foldRow is one finalized group of a packed table: its packed key, the
 // key's sort key (0 when the packer has none) and the accumulator.
 type foldRow struct {
@@ -294,39 +265,30 @@ type foldRow struct {
 	a, b         float64
 }
 
-// rows returns every group fully merged, in canonical order — exactly
-// the order the byte-key path sorts its raw keys into. Spilled
-// partitions are merged one at a time into the same buffer (overflow
-// sub-passes handle partitions that alone exceed the budget). The
-// buffer is result state, not operator state: like the groups decoded
-// from it, it is not charged to the broker.
+// rows returns every group of a spilled table fully merged, in no
+// particular order. Spilled partitions are merged one at a time into the
+// same buffer (overflow sub-passes handle partitions that alone exceed
+// the budget). The buffer is result state, not operator state: like the
+// slab it is finalized into (finalize.go), it is not charged to the
+// broker.
 func (t *foldTable) rows() ([]foldRow, error) {
+	if err := t.sp.flushBufs(); err != nil {
+		return nil, err
+	}
+	t.sp.releaseBufs()
+	// One transient table serves every sub-pass of every partition,
+	// cleared in between; its slab stays charged until the merge ends
+	// (t.close releases it on an error path).
+	mt := &foldTable{agg: t.agg, kp: t.kp, res: t.res, floorBytes: foldInitialSlots * foldSlotBytes}
 	var out []foldRow
-	if t.sp == nil {
-		out = t.appendRows(make([]foldRow, 0, t.n))
-	} else {
-		if err := t.sp.flushBufs(); err != nil {
+	for pi := range t.sp.parts {
+		var err error
+		out, err = t.mergePartition(mt, pi, out)
+		if err != nil {
 			return nil, err
 		}
-		t.sp.releaseBufs()
-		// One transient table serves every sub-pass of every partition,
-		// cleared in between; its slab stays charged until the merge ends
-		// (t.close releases it on an error path).
-		mt := &foldTable{agg: t.agg, kp: t.kp, res: t.res, floorBytes: foldInitialSlots * foldSlotBytes}
-		for pi := range t.sp.parts {
-			var err error
-			out, err = t.mergePartition(mt, pi, out)
-			if err != nil {
-				return nil, err
-			}
-		}
-		t.res.Shrink(mt.held)
 	}
-	if t.kp.sortSteps != nil {
-		slices.SortFunc(out, func(x, y foldRow) int { return cmp.Compare(x.sortKey, y.sortKey) })
-	} else {
-		slices.SortFunc(out, func(x, y foldRow) int { return t.kp.compareKeys(x.key, y.key) })
-	}
+	t.res.Shrink(mt.held)
 	return out, nil
 }
 
@@ -340,32 +302,6 @@ func (t *foldTable) appendRows(out []foldRow) []foldRow {
 		out = append(out, foldRow{sortKey: t.kp.sortKey(s.key), key: s.key, a: s.a, b: s.b})
 	}
 	return out
-}
-
-// groups finalizes the table into sorted result groups. avg selects the
-// AVG finalization (sum over count) over the plain value.
-func (t *foldTable) groups(avg bool) ([]Group, error) {
-	rows, err := t.rows()
-	if err != nil {
-		return nil, err
-	}
-	return t.kp.groups(rows, avg), nil
-}
-
-// groups decodes merged rows into result groups. All Keys slices are
-// cut from one slab with their capacity clipped, so appending to one
-// group's keys cannot reach the next group's.
-func (kp *keyPacker) groups(rows []foldRow, avg bool) []Group {
-	nd := len(kp.shifts)
-	groups := make([]Group, len(rows))
-	slab := make([]int32, len(rows)*nd)
-	for i := range rows {
-		r := &rows[i]
-		keys := slab[i*nd : (i+1)*nd : (i+1)*nd]
-		kp.unpack(r.key, keys)
-		groups[i] = Group{Keys: keys, Value: finalValue(avg, r.a, r.b)}
-	}
-	return groups
 }
 
 // mergePartition replays one partition's records into the transient
@@ -419,8 +355,8 @@ func (t *foldTable) mergePartition(mt *foldTable, pi int, out []foldRow) ([]fold
 
 // memStats reports the table's contribution to the pipeline's memory
 // counters: reservation high-water mark, spill bytes, partitions.
-func (t *foldTable) memStats() (peak, spillBytes, spillParts int64) {
-	return t.res.Peak(), t.spillBytes, t.spillParts
+func (t *foldTable) memStats() Stats {
+	return Stats{PeakMemory: t.res.Peak(), SpillBytes: t.spillBytes, SpillPartitions: t.spillParts}
 }
 
 // close releases the reservation and destroys the temp spill file. It

@@ -231,22 +231,18 @@ func (p *queryPipeline) close() {
 	p.ftab.close()
 }
 
-// tabMemStats reports the aggregation table's memory counters.
-func (p *queryPipeline) tabMemStats() (peak, spillBytes, spillParts int64) {
-	if p.ftab != nil {
-		return p.ftab.memStats()
+// tabMemStats reports the memory counters of the member's aggregation
+// tables: every worker table its finalization read on the packed path,
+// the byte-key table the workers' were merged into otherwise.
+func (p *queryPipeline) tabMemStats() Stats {
+	if p.ftab == nil {
+		return p.tab.memStats()
 	}
-	return p.tab.memStats()
-}
-
-// mergeTab folds another pipeline's aggregation table into p's; both
-// pipelines run the same representation (they were built from the same
-// query and Env).
-func (p *queryPipeline) mergeTab(o *queryPipeline) error {
-	if p.ftab != nil {
-		return p.ftab.mergeFrom(o.ftab)
+	var ms Stats
+	for _, s := range p.ftab.fin.src {
+		ms.Add(s.t.memStats())
 	}
-	return p.tab.mergeFrom(o.tab)
+	return ms
 }
 
 // detachedNow polls the contexts the pipeline folds for, latching
@@ -267,29 +263,10 @@ func (p *queryPipeline) detachedNow() bool {
 	return true
 }
 
-// scanStep pushes one scanned tuple through the pipeline unless it has
-// detached, counting the work in both the pass stats and the
-// pipeline's own stats.
-func (p *queryPipeline) scanStep(st *Stats, keys []int32, vals [4]float64) {
-	if p.detached {
-		return
-	}
-	st.TupleProbes++
-	p.own.TupleProbes++
-	if p.probe(keys, vals) {
-		st.TuplesAgg++
-		p.own.TuplesAgg++
-		if p.packer != nil {
-			st.PackedFolds++
-			p.own.PackedFolds++
-		}
-	}
-}
-
 // foldBatch pushes one decoded page of tuples through the pipeline —
 // the scan operators' per-pipeline entry point. On the packed kernel
 // path it runs the vectorized kernel below; on the byte-key fallback
-// it replays the tuples through scanStep-equivalent per-tuple work.
+// it replays the tuples through per-tuple probes.
 //
 // The vectorized kernel processes the batch dimension at a time
 // instead of tuple at a time, hoisting the per-dimension branches
@@ -524,23 +501,11 @@ func (p *queryPipeline) foldSelBytes(st *Stats, b *table.Batch, sel []int32, res
 	}
 }
 
-// probe pushes one base-table tuple through the pipeline: predicate
-// tests, rollup, and aggregation. vals is the tuple's (sum, count, min,
-// max) accumulator (see star.TupleAggregates). Returns whether the
-// tuple qualified.
+// probe pushes one base-table tuple through a byte-key pipeline:
+// predicate tests, rollup, and aggregation. vals is the tuple's (sum,
+// count, min, max) accumulator (see star.TupleAggregates). Returns
+// whether the tuple qualified.
 func (p *queryPipeline) probe(keys []int32, vals [4]float64) bool {
-	if p.packer != nil {
-		var pk uint64
-		for dim, lk := range p.lookups {
-			code := keys[dim]
-			if lk.pass != nil && !lk.pass[code] {
-				return false
-			}
-			pk |= uint64(uint32(lk.out[code])) << p.packer.shifts[dim]
-		}
-		p.absorbPacked(pk, vals)
-		return true
-	}
 	buf := p.keyBuf
 	for dim, lk := range p.lookups {
 		code := keys[dim]

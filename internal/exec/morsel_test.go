@@ -13,9 +13,8 @@ import (
 
 // Morsel-driven scan equivalence: the shared-scan operators must produce
 // byte-identical results and identical deterministic work counters at
-// every worker count, whether workers claim morsels dynamically or run
-// the legacy static pre-split — the merge order (worker index), the
-// canonical result sort, and the exact float64 measure sums make the
+// every worker count and morsel grain — the merge order (worker index),
+// the canonical result sort, and the exact float64 measure sums make the
 // outcome independent of how pages were dealt out.
 
 // scanCounters projects the deterministic counters of a shared pass —
@@ -28,10 +27,21 @@ func scanCounters(s Stats) [8]int64 {
 	}
 }
 
+// checkOwnCounters requires every result's own deterministic work to
+// equal the serial pass's.
+func checkOwnCounters(t *testing.T, got, want []*Result) {
+	t.Helper()
+	for i := range got {
+		if deriveCounters(got[i].Own) != deriveCounters(want[i].Own) {
+			t.Fatalf("%s own counters %v, serial %v", got[i].Query.Name, deriveCounters(got[i].Own), deriveCounters(want[i].Own))
+		}
+	}
+}
+
 // TestMorselEquivalenceRandomized fuzzes SharedScanHash across widths:
-// random query subsets, random morsel grains (down to one page, the
-// maximum-stealing worst case), workers 1/2/4/8 — all must match the
-// serial pass exactly.
+// random query subsets at every width and grain of widthGrains (down to
+// one-page morsels, the maximum-stealing worst case) — all must match
+// the serial pass exactly, per-member own counters included.
 func TestMorselEquivalenceRandomized(t *testing.T) {
 	db, qs := testDB(t)
 	all := []*query.Query{qs["Q1"], qs["Q2"], qs["Q3"], qs["Q4"], qs["Q9"]}
@@ -40,7 +50,6 @@ func TestMorselEquivalenceRandomized(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		group := append([]*query.Query(nil), all[:2+rng.Intn(len(all)-1)]...)
-		grain := 1 + rng.Intn(3)
 
 		env := NewEnv(db)
 		var baseSt Stats
@@ -48,19 +57,19 @@ func TestMorselEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d serial: %v", trial, err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, run := range widthGrains {
 			penv := NewEnv(db)
-			penv.Parallelism = workers
-			penv.MorselPages = grain
+			penv.Parallelism, penv.MorselPages = run[0], run[1]
 			var st Stats
 			results, err := SharedScanHash(penv, db.Base(), group, &st)
 			if err != nil {
-				t.Fatalf("trial %d workers=%d grain=%d: %v", trial, workers, grain, err)
+				t.Fatalf("trial %d run %v: %v", trial, run, err)
 			}
 			checkIdentical(t, results, baseline)
+			checkOwnCounters(t, results, baseline)
 			if scanCounters(st) != scanCounters(baseSt) {
-				t.Fatalf("trial %d workers=%d grain=%d: counters %v, serial %v",
-					trial, workers, grain, scanCounters(st), scanCounters(baseSt))
+				t.Fatalf("trial %d run %v: counters %v, serial %v",
+					trial, run, scanCounters(st), scanCounters(baseSt))
 			}
 		}
 	}
@@ -84,50 +93,21 @@ func TestMorselEquivalenceMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
+	for _, run := range widthGrains {
 		penv := NewEnv(db)
-		penv.Parallelism = workers
-		penv.MorselPages = 1
+		penv.Parallelism, penv.MorselPages = run[0], run[1]
 		var st Stats
 		gotHash, gotIndex, err := SharedMixed(penv, view, hash, index, &st)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %v: %v", run, err)
 		}
 		checkIdentical(t, gotHash, baseHash)
 		checkIdentical(t, gotIndex, baseIndex)
+		checkOwnCounters(t, gotHash, baseHash)
+		checkOwnCounters(t, gotIndex, baseIndex)
 		if scanCounters(st) != scanCounters(baseSt) {
-			t.Fatalf("workers=%d: counters %v, serial %v",
-				workers, scanCounters(st), scanCounters(baseSt))
-		}
-	}
-}
-
-// TestMorselStaticPartitionEquivalence: the StaticPartition ablation
-// path (legacy pre-split, no stealing) must also reproduce the serial
-// results — it shares the merge machinery with the morsel path.
-func TestMorselStaticPartitionEquivalence(t *testing.T) {
-	db, qs := testDB(t)
-	group := []*query.Query{qs["Q1"], qs["Q2"], qs["Q3"], qs["Q4"], qs["Q9"]}
-
-	env := NewEnv(db)
-	var baseSt Stats
-	baseline, err := SharedScanHash(env, db.Base(), group, &baseSt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		penv := NewEnv(db)
-		penv.Parallelism = workers
-		penv.StaticPartition = true
-		var st Stats
-		results, err := SharedScanHash(penv, db.Base(), group, &st)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		checkIdentical(t, results, baseline)
-		if scanCounters(st) != scanCounters(baseSt) {
-			t.Fatalf("workers=%d: counters %v, serial %v",
-				workers, scanCounters(st), scanCounters(baseSt))
+			t.Fatalf("run %v: counters %v, serial %v",
+				run, scanCounters(st), scanCounters(baseSt))
 		}
 	}
 }
@@ -146,19 +126,19 @@ func TestMorselSpillEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4, 8} {
+	for _, run := range widthGrains {
 		penv, broker := budgetedEnv(t, db, 1<<12)
-		penv.Parallelism = workers
-		penv.MorselPages = 1
+		penv.Parallelism, penv.MorselPages = run[0], run[1]
 		var st Stats
 		results, err := SharedScanHash(penv, db.Base(), group, &st)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %v: %v", run, err)
 		}
 		checkIdentical(t, results, baseline)
+		checkOwnCounters(t, results, baseline)
 		checkDrained(t, broker)
 		if st.SpillBytes == 0 {
-			t.Fatalf("workers=%d: 4KiB budget did not spill: %s", workers, st)
+			t.Fatalf("run %v: 4KiB budget did not spill: %s", run, st)
 		}
 	}
 }
@@ -240,6 +220,58 @@ func TestMorselAllDetachedStopsEarly(t *testing.T) {
 	}
 	if st.TuplesScanned >= db.Base().Rows() {
 		t.Fatalf("all pipelines detached but the pass scanned all %d rows", st.TuplesScanned)
+	}
+}
+
+// TestPoolDriveClaimsEveryRangeOnce: whatever the width and grain —
+// zero pages, fewer pages than workers, one worker — the driver's
+// claims are grain-aligned, lie inside [0, n) and cover it exactly once,
+// so no page is scanned twice or skipped; the first real error is
+// returned, errDetached is not.
+func TestPoolDriveClaimsEveryRangeOnce(t *testing.T) {
+	db, _ := testDB(t)
+	env := NewEnv(db)
+	for _, n := range []int64{0, 1, 5, 40, 1001} {
+		for _, width := range []int{1, 2, 3, 8} {
+			for _, grain := range []int64{1, 3, 16} {
+				claims := make([][][2]int64, width)
+				err := poolDrive(env, n, grain, width, func(w int, from, to int64) error {
+					claims[w] = append(claims[w], [2]int64{from, to})
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := make([]int, n)
+				for _, cs := range claims {
+					for _, c := range cs {
+						if c[0]%grain != 0 || c[0] >= c[1] || c[1] > n || c[1]-c[0] > grain {
+							t.Fatalf("n=%d width=%d grain=%d: bad claim %v", n, width, grain, c)
+						}
+						for p := c[0]; p < c[1]; p++ {
+							seen[p]++
+						}
+					}
+				}
+				for p, k := range seen {
+					if k != 1 {
+						t.Fatalf("n=%d width=%d grain=%d: page %d claimed %d times", n, width, grain, p, k)
+					}
+				}
+			}
+		}
+	}
+	boom := errors.New("boom")
+	for _, fail := range []error{boom, errDetached} {
+		err := poolDrive(env, 100, 1, 4, func(w int, from, to int64) error {
+			if from == 10 {
+				return fail
+			}
+			return nil
+		})
+		if want := map[error]error{boom: boom, errDetached: nil}[fail]; err != want {
+			t.Fatalf("run failing with %v: poolDrive returned %v, want %v", fail, err, want)
+		}
 	}
 }
 

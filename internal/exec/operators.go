@@ -182,18 +182,21 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 		defer bres.Release()
 		// Only the roots of the derivation forest probe: a derived member
 		// builds no result bitmap and is folded from its parent at emit.
+		// The scalar ablation probes serially.
 		f := newForest(env, queries)
-		roots := f.roots(0, len(queries))
-		pipelines := make([]*queryPipeline, len(roots))
-		defer closePipes(pipelines)
-		bitmaps := make([]*bitmap.Bitset, len(roots))
-		residuals := make([][]int, len(roots))
-		for i, m := range roots {
-			p, err := f.pipeline(env, stats, cache, view, m)
-			if err != nil {
-				return err
-			}
-			pipelines[i] = p
+		width := env.scanWidth()
+		if env.NoVectorIndex {
+			width = 1
+		}
+		pipes, err := f.workerSets(env, stats, cache, view, width)
+		defer closePipes(pipes)
+		if err != nil {
+			return err
+		}
+		pipelines := f.workerSet(pipes, 0)
+		bitmaps := make([]*bitmap.Bitset, len(pipelines))
+		residuals := make([][]int, len(pipelines))
+		for i, p := range pipelines {
 			bs, residual, err := pipelineBitmap(env, view, p, stats)
 			if err != nil {
 				return err
@@ -223,27 +226,20 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 			tpp:       int64(view.Heap.TuplesPerPage()),
 			rows:      view.Rows(),
 		}
-		width := env.scanWidth()
 		switch {
 		case env.NoVectorIndex:
-			if err := ps.probeScalar(env, pipelines, stats); err != nil && err != errDetached {
-				return err
-			}
-		case width <= 1:
+			err = ps.probeScalar(env, pipelines, stats)
+		case width == 1:
 			bres.MustGrow(probeBufBytes(view))
-			w := newProbeWorker(view, pipelines)
-			pages := (ps.rows + ps.tpp - 1) / ps.tpp
-			if err := ps.probePages(env, w, stats, 0, pages); err != nil && err != errDetached {
-				return err
-			}
+			err = ps.probePages(env, newProbeWorker(view, pipelines), stats, 0, (ps.rows+ps.tpp-1)/ps.tpp)
 		default:
-			if err := parallelProbe(env, cache, view, ps, f, roots, pipelines, stats, bres, width); err != nil {
-				return err
-			}
+			err = parallelProbe(env, ps, f, pipes, width, stats, bres)
+		}
+		if err != nil && err != errDetached {
+			return err
 		}
 		stats.PeakMemory += cache.memPeak() + bres.Peak()
-		var err error
-		results, err = f.emit(env, stats, pipelines)
+		results, err = f.emit(env, stats, pipes)
 		return err
 	})
 	if err != nil {
@@ -253,54 +249,24 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 }
 
 // parallelProbe fans the vectorized union probe out across the worker
-// pool: each worker gets its own pipeline set, fetch batch, and routing
-// scratch, claims page-aligned morsels from the shared cursor, and is
-// merged into the primary pipelines in worker-index order — the same
+// pool: worker w probes for its pipelines of pipes (workerSets; worker
+// 0's are the pass's own) with its own fetch batch and routing scratch,
+// and all claim page-aligned morsels from the shared cursor, the same
 // shape (and determinism argument) as parallelScan.
-func parallelProbe(env *Env, cache *lookupCache, view *star.View, ps *probeShared,
-	f *forest, roots []int, pipelines []*queryPipeline, stats *Stats, bres *mem.Reservation, width int) error {
-
-	workers := make([]*probeWorker, width)
-	defer func() {
-		for _, pw := range workers {
-			if pw != nil {
-				closePipes(pw.pipelines)
-			}
-		}
-	}()
-	for wi := range workers {
-		set := make([]*queryPipeline, len(roots))
-		for i, m := range roots {
-			p, err := f.pipeline(env, stats, cache, view, m)
-			if err != nil {
-				closePipes(set)
-				return err
-			}
-			set[i] = p
-		}
-		bres.MustGrow(probeBufBytes(view))
-		workers[wi] = newProbeWorker(view, set)
+func parallelProbe(env *Env, ps *probeShared, f *forest, pipes []*queryPipeline, width int, stats *Stats, bres *mem.Reservation) error {
+	probers := make([]*probeWorker, width)
+	for w := range probers {
+		bres.MustGrow(probeBufBytes(ps.view))
+		probers[w] = newProbeWorker(ps.view, f.workerSet(pipes, w))
 	}
 	workerStats := make([]Stats, width)
-	errs := make([]error, width)
-	pages := (ps.rows + ps.tpp - 1) / ps.tpp
-	morselDrive(env, pages, width, errs, func(wi int, fromPage, toPage int64) error {
-		return ps.probePages(env, workers[wi], &workerStats[wi], fromPage, toPage)
+	err := poolDrive(env, (ps.rows+ps.tpp-1)/ps.tpp, env.morselPages(), width, func(w int, fromPage, toPage int64) error {
+		return ps.probePages(env, probers[w], &workerStats[w], fromPage, toPage)
 	})
-	for _, e := range errs {
-		if e != nil && e != errDetached {
-			return e
-		}
+	for w := range workerStats {
+		stats.Add(workerStats[w])
 	}
-	for wi := range workers {
-		stats.Add(workerStats[wi])
-		for i, p := range workers[wi].pipelines {
-			if err := pipelines[i].merge(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return err
 }
 
 // SharedMixed evaluates hash-join queries and index-join queries over the
@@ -329,27 +295,18 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 		// member — hash or bitmap-filter alike — takes no tuples, builds no
 		// result bitmap and is folded from its parent at emit.
 		f := newForest(env, append(append([]*query.Query(nil), hashQueries...), indexQueries...))
-		hashRoots := f.roots(0, len(hashQueries))
-		indexRoots := f.roots(len(hashQueries), len(f.queries))
-		hashPipes := make([]*queryPipeline, len(hashRoots))
-		defer closePipes(hashPipes)
-		for i, m := range hashRoots {
-			p, err := f.pipeline(env, stats, cache, view, m)
-			if err != nil {
-				return err
-			}
-			hashPipes[i] = p
+		nh := len(f.roots(0, len(hashQueries)))
+		// Worker 0 folds into the pass's own pipelines; every further
+		// worker into a private set.
+		pipes, err := f.workerSets(env, stats, cache, view, env.scanWidth())
+		defer closePipes(pipes)
+		if err != nil {
+			return err
 		}
-		indexPipes := make([]*queryPipeline, len(indexRoots))
-		defer closePipes(indexPipes)
-		bitmaps := make([]*bitmap.Bitset, len(indexRoots))
-		residuals := make([][]int, len(indexRoots))
-		for i, m := range indexRoots {
-			p, err := f.pipeline(env, stats, cache, view, m)
-			if err != nil {
-				return err
-			}
-			indexPipes[i] = p
+		own := f.workerSet(pipes, 0)
+		bitmaps := make([]*bitmap.Bitset, len(own)-nh)
+		residuals := make([][]int, len(bitmaps))
+		for i, p := range own[nh:] {
 			bs, residual, err := pipelineBitmap(env, view, p, stats)
 			if err != nil {
 				return err
@@ -367,7 +324,7 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 			sel         []int32
 		}
 		newMixedScratch := func(ms *mixedState) {
-			if len(indexRoots) == 0 || env.NoVectorIndex {
+			if len(ms.index) == 0 || env.NoVectorIndex {
 				return
 			}
 			tpp := view.Heap.TuplesPerPage()
@@ -441,79 +398,31 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 				}
 			}
 		}
-		if env.scanWidth() > 1 {
-			err := parallelScan(env, view, stats,
-				func() (any, error) {
-					ms := &mixedState{
-						hash:  make([]*queryPipeline, len(hashRoots)),
-						index: make([]*queryPipeline, len(indexRoots)),
-					}
-					for i, m := range hashRoots {
-						p, err := f.pipeline(env, stats, cache, view, m)
-						if err != nil {
-							closePipes(ms.hash)
-							return nil, err
-						}
-						ms.hash[i] = p
-					}
-					for i, m := range indexRoots {
-						p, err := f.pipeline(env, stats, cache, view, m)
-						if err != nil {
-							closePipes(ms.hash)
-							closePipes(ms.index)
-							return nil, err
-						}
-						ms.index[i] = p
-					}
-					newMixedScratch(ms)
-					return ms, nil
-				},
-				func(state any) error {
-					ms := state.(*mixedState)
-					return checkpoint(env, ms.hash, ms.index)
-				},
-				func(state any, st *Stats, b *table.Batch) {
-					mixedBatch(state.(*mixedState), st, b)
-				},
-				func(state any) error {
-					ms := state.(*mixedState)
-					for i, p := range ms.hash {
-						if err := hashPipes[i].merge(p); err != nil {
-							return err
-						}
-					}
-					for i, p := range ms.index {
-						if err := indexPipes[i].merge(p); err != nil {
-							return err
-						}
-					}
-					return nil
-				},
-				func(state any) {
-					ms := state.(*mixedState)
-					closePipes(ms.hash)
-					closePipes(ms.index)
-				})
-			if err != nil {
-				return err
-			}
+		states := make([]mixedState, len(pipes)/len(own))
+		for w := range states {
+			set := f.workerSet(pipes, w)
+			states[w] = mixedState{hash: set[:nh], index: set[nh:]}
+			newMixedScratch(&states[w])
+		}
+		if len(states) > 1 {
+			err = parallelScan(env, view, stats, len(states),
+				func(w int) error { return checkpoint(env, states[w].hash, states[w].index) },
+				func(w int, st *Stats, b *table.Batch) { mixedBatch(&states[w], st, b) })
 		} else {
-			serial := &mixedState{hash: hashPipes, index: indexPipes}
-			newMixedScratch(serial)
-			err := view.Heap.ScanRangeBatches(0, view.Rows(), func(b *table.Batch) error {
-				if err := checkpoint(env, hashPipes, indexPipes); err != nil {
+			err = view.Heap.ScanRangeBatches(0, view.Rows(), func(b *table.Batch) error {
+				if err := checkpoint(env, own); err != nil {
 					return err
 				}
 				stats.TuplesScanned += int64(b.N)
-				mixedBatch(serial, stats, b)
+				mixedBatch(&states[0], stats, b)
 				return nil
 			})
-			if err != nil && err != errDetached {
-				return err
-			}
+		}
+		if err != nil && err != errDetached {
+			return err
 		}
 		stats.PeakMemory += cache.memPeak() + bres.Peak()
-		results, err := f.emit(env, stats, append(append([]*queryPipeline(nil), hashPipes...), indexPipes...))
+		results, err := f.emit(env, stats, pipes)
 		if err != nil {
 			return err
 		}

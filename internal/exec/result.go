@@ -37,32 +37,42 @@ type Result struct {
 	Cached bool
 }
 
-// result converts the pipeline's aggregation table into a sorted Result.
-// Spilled tables are merged partition by partition (spill.go); the
-// groups come out in the same raw-key order either way. A packed table's
-// merged rows are returned too: the members derived from this one fold
-// their tables from them (forest.emit), so the merge runs once.
-func (p *queryPipeline) result() (*Result, []foldRow, error) {
-	avg := p.q.Agg == query.Avg
-	if p.ftab == nil {
-		groups, err := finalizeGroups(nil, p.tab, avg)
-		return &Result{Query: p.q, Groups: groups}, nil, err
+// result builds the member's Result — from its finalized groups on the
+// packed path (finalize.go), from its byte-key table otherwise — with
+// its own (non-shared) work and, for a canceled submission, the
+// per-query context's error. Its tables' memory counters — reservation
+// peaks, spill volume, partitions — are folded into both the member's
+// stats and the pass stats.
+func (p *queryPipeline) result(stats *Stats) (*Result, error) {
+	r := &Result{Query: p.q}
+	if p.ftab != nil {
+		r.Groups = p.ftab.fin.groups
+	} else {
+		var err error
+		if r.Groups, err = finalizeGroups(nil, p.tab, p.q.Agg == query.Avg); err != nil {
+			return nil, err
+		}
 	}
-	rows, err := p.ftab.rows()
-	if err != nil {
-		return nil, nil, err
+	p.own.Add(p.tabMemStats())
+	stats.Add(Stats{PeakMemory: p.own.PeakMemory, SpillBytes: p.own.SpillBytes, SpillPartitions: p.own.SpillPartitions})
+	r.Own = p.own
+	if p.qctx != nil {
+		r.Err = p.qctx.Err()
 	}
-	return &Result{Query: p.q, Groups: p.packer.groups(rows, avg)}, rows, nil
+	return r, nil
 }
 
-// finalizeGroups is the one way an aggregation table — the packed
-// ftab, or the byte-key tab when ftab is nil — becomes result groups:
-// fully merged, in canonical (raw byte-key) order, every Keys slice cut
-// from one shared slab with its capacity clipped. avg selects the AVG
-// finalization over the plain accumulated value.
+// finalizeGroups is the one way a single aggregation table — the
+// packed ftab, or the byte-key tab when ftab is nil — becomes result
+// groups: fully merged, in canonical (raw byte-key) order, every Keys
+// slice cut from one shared slab with its capacity clipped. A packed
+// table goes through the width-1 finalization, which releases it; avg
+// selects the byte-key table's AVG finalization over the plain value.
 func finalizeGroups(ftab *foldTable, tab *aggTable, avg bool) ([]Group, error) {
 	if ftab != nil {
-		return ftab.groups(avg)
+		ftab.fin.init(ftab, 1)
+		err := ftab.fin.finalize()
+		return ftab.fin.groups, err
 	}
 	pairs, err := tab.pairs()
 	if err != nil {

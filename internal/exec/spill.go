@@ -337,8 +337,8 @@ func (t *aggTable) mergePartition(pi int, out []aggPair) ([]aggPair, error) {
 
 // memStats reports the table's contribution to the pipeline's memory
 // counters: reservation high-water mark, spill bytes, partitions.
-func (t *aggTable) memStats() (peak, spillBytes, spillParts int64) {
-	return t.res.Peak(), t.spillBytes, t.spillParts
+func (t *aggTable) memStats() Stats {
+	return Stats{PeakMemory: t.res.Peak(), SpillBytes: t.spillBytes, SpillPartitions: t.spillParts}
 }
 
 // close releases the reservation and destroys the temp spill file. It

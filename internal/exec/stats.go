@@ -160,11 +160,6 @@ type Env struct {
 	// goroutine run only while they hold a pool slot, so total executor
 	// concurrency never exceeds the pool width.
 	Pool *dag.Pool
-	// StaticPartition reverts shared scans to the legacy static
-	// pre-split (one contiguous page range per worker, scanPartitions)
-	// instead of morsel-driven work stealing. Results are identical;
-	// the switch exists for the pool benchmark's straggler ablation.
-	StaticPartition bool
 	// MorselPages overrides the pages per scan morsel (default
 	// defaultMorselPages). Smaller morsels steal more finely; tests use
 	// tiny morsels to force contention on the shared cursor.

@@ -40,7 +40,7 @@ type Estimator struct {
 	CostEvals int64
 	// Workers is the effective worker-pool width execution will run
 	// under (core.ExecOptions.Workers after clamping). The memory model
-	// multiplies scan-side aggregation-table footprints by the resident
+	// multiplies scan-side aggregation-table footprints by the
 	// per-worker copies (see aggTableCopies), so admission keeps the
 	// broker's peak within budget when shared scans fan out into
 	// morsels. Zero or one prices the serial pass. Cost estimates are

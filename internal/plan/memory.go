@@ -78,18 +78,15 @@ func bitmapMemory(v *star.View) int64 {
 }
 
 // aggTableCopies is how many copies of each member's aggregation table
-// a class pass holds at its peak: one for the serial pass, and under a
-// Workers-wide pool one per worker plus the primary table they merge
-// into (the workers' tables are still resident while the first merges
-// absorb them). Both regimes fan out now — scans and the vectorized
+// a class pass holds at its peak: one per worker of a Workers-wide pool
+// (worker 0's table is the pass's own, and finalization releases each
+// worker table once its groups are copied into the result slab), one
+// for the serial pass. Both regimes fan out — scans and the vectorized
 // union probe claim morsels from the same pool — so both multiply.
 // Lookups and bitmaps are shared read-only across workers and are not
 // multiplied.
 func (e *Estimator) aggTableCopies(c *Class) int64 {
-	if e.Workers <= 1 {
-		return 1
-	}
-	return int64(e.Workers) + 1
+	return int64(max(e.Workers, 1))
 }
 
 // memProbeBufBytes mirrors exec's probeBufBytes: one probe worker's
@@ -104,8 +101,8 @@ func memProbeBufBytes(v *star.View) int64 {
 
 // ClassMemory estimates the operator-state footprint of evaluating
 // class c in one shared pass, in bytes: deduplicated dimension lookups
-// (assuming lookup sharing), one aggregation table per member — per
-// resident copy when the pool fans the scan out (aggTableCopies) — one
+// (assuming lookup sharing), one aggregation table per member — one per
+// worker when the pool fans the scan out (aggTableCopies) — one
 // result bitmap per index member, and the union bitmap in the probe
 // regime. A member derived from a classmate (query.Forest) holds one
 // table, built at emit, and no lookups or bitmap. Methods and Regime
