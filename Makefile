@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench-pairs bench go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench idx-bench mut-bench clean
+.PHONY: check build vet fmt test bench-test race race-dag fuzz-smoke bench-record bench-compare bench-pairs bench go-bench serve-bench clean
 
 # The full gate: compile everything, vet, check formatting, run the
 # suite in shuffled order, race-test the concurrent packages (fast
@@ -39,13 +39,15 @@ race:
 # sharded buffer pool, the page-batched fetch / bitmap routing layers
 # under the probe worker pool, the snapshot-isolated catalog (star,
 # epoch reclamation in storage) with the core executor above it, and
-# the facade-level snapshot torture test. The partition-wise
-# finalization and derivation suites run again at -cpu 1,4, so their
-# pool tasks really run concurrently under the detector.
+# the facade-level snapshot torture test and the facade differential
+# test (random expressions x random configuration against exec.Naive).
+# The partition-wise finalization and derivation suites run again at
+# -cpu 1,4, so their pool tasks really run concurrently under the
+# detector.
 race-dag:
 	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
 	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive' ./internal/exec
-	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation' .
+	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
 # codec and sort order, the rollup key remap, the partitioned worker
@@ -102,63 +104,18 @@ bench-pairs:
 	done; done
 	bash bench/run.sh -compare $(PAIRS_DIR)/parent.jsonl $(PAIRS_DIR)/change.jsonl
 
-# All benchmarks: the Go micro/paper benchmarks plus the scan, serve,
-# mem and cache experiments (all seeded deterministically; they write
-# BENCH_scan.json, BENCH_serve.json, BENCH_mem.json and
-# BENCH_cache.json).
-bench: go-bench scan-bench serve-bench mem-bench cache-bench dag-bench agg-bench idx-bench mut-bench
+# All benchmarks: the Go micro/paper benchmarks plus the serving-layer
+# experiment (seeded deterministically; it writes BENCH_serve.json). The
+# end-to-end benchmark is bench-record / bench-pairs above.
+bench: go-bench serve-bench
 
 # Paper experiment benchmarks (Tests 1-7 etc.).
 go-bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run xxx ./...
 
-# The storage hot-path grid (workers x pool sharding x readahead);
-# writes BENCH_scan.json.
-scan-bench:
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-scandb -scale 0.1 -exp scan -json BENCH_scan.json
-
 # The serving-layer comparison; writes BENCH_serve.json.
 serve-bench:
 	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-servedb -scale 0.1 -exp serve -json BENCH_serve.json
 
-# Memory-governed execution: budget x concurrency sweep showing bounded
-# peak memory with spill-backed degradation; writes BENCH_mem.json.
-mem-bench:
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-memdb -scale 0.1 -exp mem -json BENCH_mem.json
-
-# Semantic result cache: cache budget x working-set sweep showing warm
-# replays served by rollup instead of page I/O; writes BENCH_cache.json.
-cache-bench:
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-cachedb -scale 0.1 -exp cache -json BENCH_cache.json
-
-# Task-graph executor: ExecWorkers x class-count sweep showing
-# inter-class parallel speedup under a memory budget; writes
-# BENCH_dag.json.
-dag-bench:
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-dagdb -scale 0.1 -exp dag -json BENCH_dag.json
-
-# Aggregation fold kernel: packed vs byte-key microbenchmark plus the
-# workers x budget equivalence sweep; also runs the in-tree kernel
-# micros, then writes BENCH_agg.json.
-agg-bench:
-	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkSharedScanCPU|BenchmarkAggTable' -benchmem
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-aggdb -scale 0.1 -exp agg -json BENCH_agg.json
-
-# Vectorized shared-index probe: word-at-a-time routing vs the scalar
-# tuple loop (dense multi-query union), plus the workers x budget
-# equivalence sweep; also runs the in-tree routing/fetch micros, then
-# writes BENCH_idx.json.
-idx-bench:
-	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkBitmapRoute|BenchmarkFetchBatches' -benchmem
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-idxdb -scale 0.1 -exp idx -json BENCH_idx.json
-
-# Maintenance concurrency: snapshot-pinned vs serialized (legacy locked)
-# query latency while Compact+Refresh run in flight; gates a >= 5x p99
-# improvement under continuous maintenance (>= 3x at higher client
-# counts, where single-core scheduler time-sharing floors the tail) and
-# zero leaked files after close; writes BENCH_mut.json.
-mut-bench:
-	$(GO) run ./cmd/mdxbench -dir /tmp/mdxopt-mutdb -scale 0.1 -exp mut -json BENCH_mut.json
-
 clean:
-	rm -rf /tmp/mdxopt-servedb /tmp/mdxopt-scandb /tmp/mdxopt-memdb /tmp/mdxopt-cachedb /tmp/mdxopt-dagdb /tmp/mdxopt-aggdb /tmp/mdxopt-idxdb /tmp/mdxopt-mutdb
+	rm -rf /tmp/mdxopt-servedb

@@ -27,6 +27,7 @@ import (
 	"testing"
 
 	"mdxopt/internal/core"
+	"mdxopt/internal/dag"
 	"mdxopt/internal/exec"
 	"mdxopt/internal/experiments"
 	"mdxopt/internal/mdx"
@@ -255,7 +256,7 @@ func BenchmarkSharedScanHashParallel(b *testing.B) {
 	r := runner(b)
 	group := benchQueries(b, "Q1", "Q2", "Q3", "Q4")
 	env := exec.NewEnv(r.DB)
-	env.Parallelism = 4
+	env.Pool = dag.NewPool(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st exec.Stats

@@ -30,8 +30,8 @@ func main() {
 	log.SetPrefix("mdxbench: ")
 	dir := flag.String("dir", "mdxbenchdb", "database directory (built if missing)")
 	scale := flag.Float64("scale", 0.1, "scale factor (1.0 = the paper's 2M rows)")
-	exp := flag.String("exp", "all", "experiment: all, table1, test1..test7, study, ablations, serve, scan, mem, cache, dag, agg, idx, mut")
-	jsonOut := flag.String("json", "", "write the serve/scan/mem/cache/dag/agg/idx/mut experiment's report to this JSON file")
+	exp := flag.String("exp", "all", "experiment: all, table1, test1..test7, study, ablations, serve")
+	jsonOut := flag.String("json", "", "write the serve experiment's report to this JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	flag.Parse()
@@ -61,53 +61,10 @@ func main() {
 		}()
 	}
 
-	// The serve, scan, mem and cache experiments open the database
-	// themselves (they need deliberately sized buffer pools, memory
-	// budgets and cache budgets).
+	// The serve experiment opens the database itself (it needs a
+	// deliberately small buffer pool).
 	if *exp == "serve" {
 		if err := runServe(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "scan" {
-		if err := runScan(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "mem" {
-		if err := runMem(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "cache" {
-		if err := runCache(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "dag" {
-		if err := runDag(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "agg" {
-		if err := runAgg(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "idx" {
-		if err := runIdx(os.Stdout, *dir, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "mut" {
-		if err := runMut(os.Stdout, *dir, *scale, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -11,11 +11,11 @@ import (
 	"mdxopt/internal/workload"
 )
 
-// TestExecWorkersEquivalence runs the same expressions serially and with
+// TestWorkersEquivalence runs the same expressions serially and with
 // the parallel task-graph executor and requires byte-identical answers:
 // same component queries, groups, orders and values, and the same
 // deterministic work counters.
-func TestExecWorkersEquivalence(t *testing.T) {
+func TestWorkersEquivalence(t *testing.T) {
 	db := sample(t)
 	srcs := []string{
 		// Four component queries at mixed granularities: several classes.
@@ -23,15 +23,15 @@ func TestExecWorkersEquivalence(t *testing.T) {
 		workload.MDX()["Q1"],
 	}
 	for _, src := range srcs {
-		base, err := db.QueryWith(src, Options{ExecWorkers: 1, ColdCache: true})
+		base, err := db.QueryWith(src, Options{Workers: 1, ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base.Stats.DAGNodes == 0 || base.Stats.DAGParallelPeak != 1 {
+		if base.Stats.DAGNodes == 0 || base.Stats.WorkerPeak != 1 {
 			t.Fatalf("serial run reported DAG nodes=%d peak=%d",
-				base.Stats.DAGNodes, base.Stats.DAGParallelPeak)
+				base.Stats.DAGNodes, base.Stats.WorkerPeak)
 		}
-		par, err := db.QueryWith(src, Options{ExecWorkers: 4, ColdCache: true})
+		par, err := db.QueryWith(src, Options{Workers: 4, ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +51,11 @@ func TestExecWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecWorkersUnderMutation races parallel-executor queries against
+// TestWorkersUnderMutation races parallel-executor queries against
 // value-preserving mutations: answers must never change, with the
 // serialization and the task graph's error/cleanup paths exercised
 // together.
-func TestExecWorkersUnderMutation(t *testing.T) {
+func TestWorkersUnderMutation(t *testing.T) {
 	dir, err := os.MkdirTemp("", "mdxopt-dagmut-test")
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestExecWorkersUnderMutation(t *testing.T) {
 
 	pool := workload.MDX()
 	srcs := []string{pool["Q1"], pool["Q3"], pool["Q7"]}
-	opts := Options{ExecWorkers: 4}
+	opts := Options{Workers: 4}
 	want := make([]*Answer, len(srcs))
 	for i, src := range srcs {
 		if want[i], err = db.QueryWith(src, opts); err != nil {

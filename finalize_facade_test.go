@@ -21,7 +21,7 @@ const wideMarginals = `{A''.A1.CHILDREN, A''.A2.CHILDREN, A''.A3.CHILDREN, ` +
 // the way the facade does.
 func naiveAnswer(t *testing.T, db *DB, src string) *Answer {
 	t.Helper()
-	snap, release := db.pin()
+	snap, release := db.db.Pin()
 	defer release()
 	queries, err := mdx.ParseAndTranslate(snap.Schema, src)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestAnswerRowsDoNotAlias(t *testing.T) {
 
 	// MDX always puts a dimension on an axis; the grand total is the
 	// same query with every level raised to ALL.
-	snap, release := db.pin()
+	snap, release := db.db.Pin()
 	defer release()
 	queries, err := mdx.ParseAndTranslate(snap.Schema, `{A''.A1} on COLUMNS CONTEXT ABCD`)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestAnswerRowsDoNotAlias(t *testing.T) {
 // constant number of allocations, whatever the group count.
 func TestFormatResultAllocs(t *testing.T) {
 	db := sample(t)
-	snap, release := db.pin()
+	snap, release := db.db.Pin()
 	defer release()
 	queries, err := mdx.ParseAndTranslate(snap.Schema, wideMarginals)
 	if err != nil {

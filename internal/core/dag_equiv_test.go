@@ -71,8 +71,8 @@ func TestDAGExecutionEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		base, baseTotal := runDAG(t, env, g, queries, 1)
-		if base.DAGParallelPeak > 1 {
-			t.Fatalf("trial %d: serial run peaked at %d nodes", trial, base.DAGParallelPeak)
+		if base.WorkerPeak > 1 {
+			t.Fatalf("trial %d: serial run peaked at %d workers", trial, base.WorkerPeak)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			got, gotTotal := runDAG(t, env, g, queries, workers)

@@ -60,10 +60,8 @@ type Execution struct {
 	DAGNodes int
 	// WorkerPeak is the pool-wide concurrency peak: nodes running plus
 	// the scan-morsel workers they fanned out, never exceeding the
-	// effective width. DAGParallelPeak is its pre-pool alias and always
-	// carries the same value.
-	WorkerPeak      int
-	DAGParallelPeak int
+	// effective width.
+	WorkerPeak int
 	// EffectiveWorkers is the width the run actually used: the requested
 	// Workers clamped to [1, dag.WorkerCap()].
 	EffectiveWorkers int
@@ -189,8 +187,7 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		nodeEnv.Lookups = lookups
 		if parallel {
 			nodeEnv.IOFiles = classFiles(env.DB, c)
-			// The pass's scan morsels draw on the run's pool; its width
-			// supersedes any standalone Env.Parallelism.
+			// The pass's scan morsels draw on the run's pool.
 			nodeEnv.Pool = pool
 		}
 		graph.Add(&dag.Node{
@@ -265,7 +262,6 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 	ex := &Execution{
 		DAGNodes:         dagStats.Nodes,
 		WorkerPeak:       dagStats.WorkerPeak,
-		DAGParallelPeak:  dagStats.WorkerPeak,
 		EffectiveWorkers: pool.Width(),
 	}
 	byQuery := map[*query.Query]*exec.Result{}

@@ -116,7 +116,7 @@ func (g *Graph) Run(ctx context.Context, opts Options) (Stats, error) {
 }
 
 // runSerial executes nodes one at a time in insertion order, which is a
-// topological order by Add's contract. This is the ExecWorkers=1
+// topological order by Add's contract. This is the width-1
 // degradation target: identical work, identical order, no goroutines.
 func (g *Graph) runSerial(ctx context.Context, opts Options, st Stats) (Stats, error) {
 	st.ParallelPeak = 1

@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"mdxopt/internal/dag"
 	"mdxopt/internal/query"
 )
 
@@ -160,7 +161,7 @@ func TestParallelSharedScanMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{2, 3, 7} {
 		env := NewEnv(db)
-		env.Parallelism = workers
+		env.Pool = dag.NewPool(workers)
 		var st Stats
 		got, err := SharedScanHash(env, db.Base(), group, &st)
 		if err != nil {
@@ -189,7 +190,7 @@ func TestParallelSharedScanMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := NewEnv(db)
-	env.Parallelism = 4
+	env.Pool = dag.NewPool(4)
 	var st Stats
 	gh, gi, err := SharedMixed(env, view, hash, index, &st)
 	if err != nil {

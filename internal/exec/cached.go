@@ -53,9 +53,6 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 		var tab *aggTable
 		var ftab *foldTable
 		kp, packed := newKeyPacker(q.Schema, q.Levels)
-		if env.NoPackedKeys {
-			packed = false
-		}
 		if packed {
 			ftab = newFoldTable(env, q.Agg, kp, "rollup:"+q.Name)
 			defer ftab.close()

@@ -25,9 +25,8 @@ import (
 // spills through the broker like any other, and finalizes through the
 // same sort, so results stay byte-identical to Naive, order included.
 //
-// Derivation needs the packed kernel on both sides: Env.NoPackedKeys
-// turns it off along with the kernel, and query.Forest never picks a
-// parent whose key is wider than a word.
+// Derivation needs the packed kernel on both sides: query.Forest never
+// picks a parent whose key is wider than a word.
 
 // forest is one pass's derivation forest over its member queries.
 type forest struct {
@@ -50,9 +49,6 @@ func newForest(env *Env, queries []*query.Query) *forest {
 	}
 	f.rootIdx = make([]int, 0, len(queries))
 	for i := range f.parent {
-		if env.NoPackedKeys {
-			f.parent[i] = -1
-		}
 		if f.parent[i] < 0 {
 			f.rootIdx = append(f.rootIdx, i)
 		}

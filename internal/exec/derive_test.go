@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
@@ -177,7 +178,7 @@ func TestDerivationMatchesNaive(t *testing.T) {
 			for _, run := range widthGrains {
 				workers := run[0]
 				env := NewEnv(db)
-				env.Parallelism = workers
+				env.Pool = dag.NewPool(workers)
 				env.MorselPages = run[1]
 				if budget > 0 {
 					env.Mem = mem.New(budget)
@@ -259,7 +260,7 @@ func TestDetachedParentKeepsFoldingForChild(t *testing.T) {
 	parent, child := derivablePair(t, db.Schema)
 	for _, workers := range []int{1, 4} {
 		env := NewEnv(db)
-		env.Parallelism = workers
+		env.Pool = dag.NewPool(workers)
 		env.QueryCtx = func(q *query.Query) context.Context {
 			if q == parent {
 				return canceledCtx()
@@ -316,7 +317,7 @@ func TestDerivedFamilyAllDetachedAbortsPass(t *testing.T) {
 	parent, child := derivablePair(t, db.Schema)
 	for _, workers := range []int{1, 4} {
 		env := NewEnv(db)
-		env.Parallelism = workers
+		env.Pool = dag.NewPool(workers)
 		env.QueryCtx = func(*query.Query) context.Context { return canceledCtx() }
 		var st Stats
 		rs, err := SharedScanHash(env, db.Base(), []*query.Query{parent, child}, &st)

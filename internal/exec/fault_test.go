@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mdxopt/internal/dag"
 	"mdxopt/internal/query"
 	"mdxopt/internal/storage"
 )
@@ -110,7 +111,7 @@ func TestCancellationAbortsScans(t *testing.T) {
 	}
 
 	// Parallel workers abort too.
-	env.Parallelism = 3
+	env.Pool = dag.NewPool(3)
 	if _, err := SharedScanHash(env, db.Base(), []*query.Query{qs["Q1"], qs["Q2"]}, &st); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want context.Canceled", err)
 	}

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"testing"
 
+	"mdxopt/internal/dag"
 	"mdxopt/internal/datagen"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
+	"mdxopt/internal/star"
 )
 
 // Result finalization: a fold table becomes sorted, slab-backed Groups
@@ -107,16 +109,10 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 		if err := oenv.BuildLookups(lookups, builds, &bst); err != nil {
 			t.Fatal(err)
 		}
-		budgets := []int64{0, 4 << 10}
-		if !packed {
-			// The byte-key merge absorbs one key per overflow sub-pass
-			// at this budget (quadratic); its spill has its own suite.
-			budgets = budgets[:1]
-		}
-		for _, budget := range budgets {
+		for _, budget := range []int64{0, 4 << 10} {
 			for _, run := range widthGrains {
 				env := NewEnv(db)
-				env.Parallelism, env.MorselPages = run[0], run[1]
+				env.Pool, env.MorselPages = dag.NewPool(run[0]), run[1]
 				env.SpillDir = t.TempDir()
 				env.Mem = mem.New(budget)
 				env.Lookups = lookups
@@ -145,29 +141,44 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 
 // TestGroupKeysDoNotAlias: one result's Keys share a slab, so each must
 // be cut with its capacity clipped — an append on one group's keys must
-// reallocate, not overwrite the next group's — on both table kinds.
+// reallocate, not overwrite the next group's — on both table kinds: the
+// paper schema's Q1 folds packed keys, the straddling schema's 77-bit
+// base-level group-by byte keys.
 func TestGroupKeysDoNotAlias(t *testing.T) {
 	db, qs := testDB(t)
-	for _, noPacked := range []bool{false, true} {
-		env := NewEnv(db)
-		env.NoPackedKeys = noPacked
+	wide, err := datagen.Build(filepath.Join(t.TempDir(), "db"), straddleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	base, err := query.New("base", wide.Schema, make([]int, wide.Schema.NumDims()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, packed := newKeyPacker(wide.Schema, base.Levels); packed {
+		t.Fatal("the straddling base-level key packed into a word")
+	}
+	for _, tc := range []struct {
+		db *star.Database
+		q  *query.Query
+	}{{db, qs["Q1"]}, {wide, base}} {
 		var st Stats
-		r, err := HashJoinQuery(env, db.Base(), qs["Q1"], &st)
+		r, err := HashJoinQuery(NewEnv(tc.db), tc.db.Base(), tc.q, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(r.Groups) < 2 {
-			t.Fatalf("%d groups, want several", len(r.Groups))
+			t.Fatalf("%s: %d groups, want several", tc.q.Name, len(r.Groups))
 		}
 		for i := range r.Groups[:len(r.Groups)-1] {
 			g := r.Groups[i]
 			if cap(g.Keys) != len(g.Keys) {
-				t.Fatalf("noPacked=%v group %d: keys len %d cap %d", noPacked, i, len(g.Keys), cap(g.Keys))
+				t.Fatalf("%s group %d: keys len %d cap %d", tc.q.Name, i, len(g.Keys), cap(g.Keys))
 			}
 			next := append([]int32(nil), r.Groups[i+1].Keys...)
 			_ = append(g.Keys, -1)
 			if !equalKeys(r.Groups[i+1].Keys, next) {
-				t.Fatalf("noPacked=%v: append on group %d changed group %d", noPacked, i, i+1)
+				t.Fatalf("%s: append on group %d changed group %d", tc.q.Name, i, i+1)
 			}
 		}
 	}
@@ -259,7 +270,7 @@ func TestFinalizeAllocs(t *testing.T) {
 func TestFinalizeAllocsWidth2(t *testing.T) {
 	db, _ := testDB(t)
 	env := NewEnv(db)
-	env.Parallelism = 2
+	env.Pool = dag.NewPool(2)
 	small, large := finalizeAllocs(t, env, 2, 100), finalizeAllocs(t, env, 2, 10000)
 	if small != large {
 		t.Fatalf("width-2 finalization allocates %v objects for 100 groups, %v for 10,000", small, large)
@@ -281,7 +292,7 @@ func BenchmarkFinalize(b *testing.B) {
 				}
 				b.Run(name, func(b *testing.B) {
 					env := NewEnv(db)
-					env.Parallelism = width
+					env.Pool = dag.NewPool(width)
 					if spilled {
 						// A quarter of what the resident tables would hold.
 						env.Mem = mem.New(int64(width*n) * foldSlotBytes / 4)

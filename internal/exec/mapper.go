@@ -156,16 +156,16 @@ type accum struct {
 // queryPipeline is the per-query tail of a star join: dimension lookups
 // plus an aggregation table that spills under memory pressure.
 //
-// Two aggregation representations exist. When the query's group-by key
-// packs into a uint64 (pack.go) and Env.NoPackedKeys is unset, the
-// pipeline folds through the open-addressing foldTable — the default,
-// allocation-free kernel. Otherwise it falls back to the byte-key
-// aggTable. Exactly one of ftab and tab is non-nil.
+// The key's width selects the aggregation representation. When the
+// query's group-by key packs into a uint64 (pack.go) the pipeline folds
+// through the open-addressing foldTable, the allocation-free kernel;
+// a wider key folds into the byte-key aggTable. Exactly one of ftab and
+// tab is non-nil.
 type queryPipeline struct {
 	q       *query.Query
 	lookups []*dimLookup // one per dimension, indexed by dim position
 
-	packer *keyPacker // non-nil on the packed kernel path
+	packer *keyPacker // non-nil when the key fits a word
 	ftab   *foldTable // packed open-addressing table (packer != nil)
 	// selRows/selKeys are the batch kernel's scratch vectors (one page
 	// of row indices and packed keys), reused batch to batch so the
@@ -173,7 +173,7 @@ type queryPipeline struct {
 	selRows []int32
 	selKeys []uint64
 
-	tab    *aggTable // byte-key fallback table (packer == nil)
+	tab    *aggTable // byte-key table of a wider key (packer == nil)
 	keyBuf []byte
 	// qctx is the query's per-submission context (Env.QueryCtx), whose
 	// error the query's result carries. watch holds the contexts the
@@ -200,7 +200,7 @@ func newQueryPipeline(env *Env, stats *Stats, cache *lookupCache, q *query.Query
 		q:       q,
 		lookups: make([]*dimLookup, nd),
 	}
-	if kp, ok := newKeyPacker(q.Schema, q.Levels); ok && !env.NoPackedKeys {
+	if kp, ok := newKeyPacker(q.Schema, q.Levels); ok {
 		p.packer = kp
 		p.ftab = newFoldTable(env, q.Agg, kp, q.Name)
 		tpp := view.Heap.TuplesPerPage()
@@ -265,8 +265,8 @@ func (p *queryPipeline) detachedNow() bool {
 
 // foldBatch pushes one decoded page of tuples through the pipeline —
 // the scan operators' per-pipeline entry point. On the packed kernel
-// path it runs the vectorized kernel below; on the byte-key fallback
-// it replays the tuples through per-tuple probes.
+// path it runs the vectorized kernel below; a byte-key pipeline probes
+// tuple by tuple.
 //
 // The vectorized kernel processes the batch dimension at a time
 // instead of tuple at a time, hoisting the per-dimension branches
@@ -401,9 +401,8 @@ func (p *queryPipeline) foldSelection(rows []int32, pk []uint64, b *table.Batch)
 	return nil
 }
 
-// foldBatchBytes is foldBatch's byte-key fallback: per-tuple probes
-// into the legacy aggregation map, identical to the pre-kernel scan
-// loop. TupleProbes were already counted by foldBatch.
+// foldBatchBytes is foldBatch's byte-key path: per-tuple probes into
+// the aggregation map. TupleProbes were already counted by foldBatch.
 func (p *queryPipeline) foldBatchBytes(st *Stats, b *table.Batch) {
 	nm := b.NumMeasures()
 	for t := 0; t < b.N; t++ {
@@ -480,9 +479,8 @@ func (p *queryPipeline) foldBatchSel(st *Stats, b *table.Batch, sel []int32, res
 	}
 }
 
-// foldSelBytes is foldBatchSel's byte-key fallback: per-selected-tuple
-// residual filtering and fold through the legacy aggregation map,
-// identical to the scalar bitmap path's foldFiltered loop.
+// foldSelBytes is foldBatchSel's byte-key path: per selected tuple,
+// the residual predicates and a fold into the aggregation map.
 func (p *queryPipeline) foldSelBytes(st *Stats, b *table.Batch, sel []int32, residual []int) {
 	nm := b.NumMeasures()
 	for _, r := range sel {
@@ -501,24 +499,17 @@ func (p *queryPipeline) foldSelBytes(st *Stats, b *table.Batch, sel []int32, res
 	}
 }
 
-// probe pushes one base-table tuple through a byte-key pipeline:
-// predicate tests, rollup, and aggregation. vals is the tuple's (sum,
-// count, min, max) accumulator (see star.TupleAggregates). Returns
-// whether the tuple qualified.
+// probe pushes one tuple through a byte-key pipeline: predicate tests,
+// rollup, and aggregation. vals is the tuple's (sum, count, min, max)
+// accumulator (see star.TupleAggregates). Returns whether the tuple
+// qualified.
 func (p *queryPipeline) probe(keys []int32, vals [4]float64) bool {
-	buf := p.keyBuf
 	for dim, lk := range p.lookups {
-		code := keys[dim]
-		if lk.pass != nil && !lk.pass[code] {
+		if lk.pass != nil && !lk.pass[keys[dim]] {
 			return false
 		}
-		g := lk.out[code]
-		buf[dim*4] = byte(g)
-		buf[dim*4+1] = byte(g >> 8)
-		buf[dim*4+2] = byte(g >> 16)
-		buf[dim*4+3] = byte(g >> 24)
 	}
-	p.absorb(vals)
+	p.fold(keys, vals)
 	return true
 }
 
@@ -536,15 +527,11 @@ func (p *queryPipeline) foldFiltered(keys []int32, vals [4]float64, residual []i
 	return true
 }
 
-// fold aggregates a tuple already known to qualify (used on the bitmap
-// path, where the predicate was applied by the index).
+// fold aggregates a tuple known to qualify under its rolled-up byte key.
+// Spill failures are latched into ioErr rather than returned — the loop
+// stays branch-light and the next checkpoint aborts the pass.
 func (p *queryPipeline) fold(keys []int32, vals [4]float64) {
-	if p.packer != nil {
-		var pk uint64
-		for dim, lk := range p.lookups {
-			pk |= uint64(uint32(lk.out[keys[dim]])) << p.packer.shifts[dim]
-		}
-		p.absorbPacked(pk, vals)
+	if p.ioErr != nil {
 		return
 	}
 	buf := p.keyBuf
@@ -555,29 +542,7 @@ func (p *queryPipeline) fold(keys []int32, vals [4]float64) {
 		buf[dim*4+2] = byte(g >> 16)
 		buf[dim*4+3] = byte(g >> 24)
 	}
-	p.absorb(vals)
-}
-
-// absorb folds vals into the group currently addressed by keyBuf,
-// according to the query's aggregate. Spill failures are latched into
-// ioErr rather than returned — the hot loop stays branch-light and the
-// next checkpoint aborts the pass.
-func (p *queryPipeline) absorb(vals [4]float64) {
-	if p.ioErr != nil {
-		return
-	}
-	if err := p.tab.add(p.keyBuf, deltaOf(p.q.Agg, vals)); err != nil {
-		p.ioErr = err
-	}
-}
-
-// absorbPacked is absorb for the packed kernel: fold vals into the
-// group addressed by the packed key.
-func (p *queryPipeline) absorbPacked(pk uint64, vals [4]float64) {
-	if p.ioErr != nil {
-		return
-	}
-	if err := p.ftab.fold(pk, deltaOf(p.q.Agg, vals)); err != nil {
+	if err := p.tab.add(buf, deltaOf(p.q.Agg, vals)); err != nil {
 		p.ioErr = err
 	}
 }

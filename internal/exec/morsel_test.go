@@ -59,7 +59,7 @@ func TestMorselEquivalenceRandomized(t *testing.T) {
 		}
 		for _, run := range widthGrains {
 			penv := NewEnv(db)
-			penv.Parallelism, penv.MorselPages = run[0], run[1]
+			penv.Pool, penv.MorselPages = dag.NewPool(run[0]), run[1]
 			var st Stats
 			results, err := SharedScanHash(penv, db.Base(), group, &st)
 			if err != nil {
@@ -95,7 +95,7 @@ func TestMorselEquivalenceMixed(t *testing.T) {
 	}
 	for _, run := range widthGrains {
 		penv := NewEnv(db)
-		penv.Parallelism, penv.MorselPages = run[0], run[1]
+		penv.Pool, penv.MorselPages = dag.NewPool(run[0]), run[1]
 		var st Stats
 		gotHash, gotIndex, err := SharedMixed(penv, view, hash, index, &st)
 		if err != nil {
@@ -128,7 +128,7 @@ func TestMorselSpillEquivalence(t *testing.T) {
 	}
 	for _, run := range widthGrains {
 		penv, broker := budgetedEnv(t, db, 1<<12)
-		penv.Parallelism, penv.MorselPages = run[0], run[1]
+		penv.Pool, penv.MorselPages = dag.NewPool(run[0]), run[1]
 		var st Stats
 		results, err := SharedScanHash(penv, db.Base(), group, &st)
 		if err != nil {
@@ -169,7 +169,7 @@ func TestMorselDetachMidScan(t *testing.T) {
 	defer disk.SetFault(nil)
 
 	env := NewEnv(db)
-	env.Parallelism = 4
+	env.Pool = dag.NewPool(4)
 	env.MorselPages = 1
 	env.QueryCtx = func(q *query.Query) context.Context {
 		if q == dead {
@@ -204,7 +204,7 @@ func TestMorselDetachMidScan(t *testing.T) {
 func TestMorselAllDetachedStopsEarly(t *testing.T) {
 	db, qs := testDB(t)
 	env := NewEnv(db)
-	env.Parallelism = 4
+	env.Pool = dag.NewPool(4)
 	env.MorselPages = 1
 	env.QueryCtx = func(*query.Query) context.Context { return canceledCtx() }
 
@@ -233,6 +233,7 @@ func TestPoolDriveClaimsEveryRangeOnce(t *testing.T) {
 	env := NewEnv(db)
 	for _, n := range []int64{0, 1, 5, 40, 1001} {
 		for _, width := range []int{1, 2, 3, 8} {
+			env.Pool = dag.NewPool(width)
 			for _, grain := range []int64{1, 3, 16} {
 				claims := make([][][2]int64, width)
 				err := poolDrive(env, n, grain, width, func(w int, from, to int64) error {
@@ -262,6 +263,7 @@ func TestPoolDriveClaimsEveryRangeOnce(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
+	env.Pool = dag.NewPool(4)
 	for _, fail := range []error{boom, errDetached} {
 		err := poolDrive(env, 100, 1, 4, func(w int, from, to int64) error {
 			if from == 10 {
@@ -275,20 +277,20 @@ func TestPoolDriveClaimsEveryRangeOnce(t *testing.T) {
 	}
 }
 
-// TestScanWidthResolution: Env.Parallelism clamps to the pool cap, and a
-// run-wide pool overrides it entirely.
+// TestScanWidthResolution: a pass's width is its pool's, clamped to the
+// pool cap, and serial without a pool.
 func TestScanWidthResolution(t *testing.T) {
 	db, _ := testDB(t)
 	env := NewEnv(db)
 	if got := env.scanWidth(); got != 1 {
-		t.Fatalf("default scanWidth = %d, want 1", got)
-	}
-	env.Parallelism = 1 << 20
-	if got, cap := env.scanWidth(), dag.WorkerCap(); got != cap {
-		t.Fatalf("scanWidth = %d, want clamp to WorkerCap %d", got, cap)
+		t.Fatalf("scanWidth without a pool = %d, want 1", got)
 	}
 	env.Pool = dag.NewPool(2)
 	if got := env.scanWidth(); got != 2 {
-		t.Fatalf("scanWidth = %d with a width-2 pool, want 2 (pool overrides Parallelism)", got)
+		t.Fatalf("scanWidth = %d with a width-2 pool, want 2", got)
+	}
+	env.Pool = dag.NewPool(1 << 20)
+	if got, cap := env.scanWidth(), dag.WorkerCap(); got != cap {
+		t.Fatalf("scanWidth = %d, want clamp to WorkerCap %d", got, cap)
 	}
 }

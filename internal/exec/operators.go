@@ -164,8 +164,7 @@ func IndexJoinQuery(env *Env, view *star.View, q *query.Query, stats *Stats) (*R
 // fetch, routing is one AND per bitmap word, and with a worker pool the
 // pages are claimed morsel-wise from a shared cursor with per-worker
 // pipelines merged in worker-index order, exactly like the parallel
-// shared scan. Env.NoVectorIndex reverts to the scalar per-tuple loop;
-// results and deterministic counters are identical either way.
+// shared scan.
 func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats) ([]*Result, error) {
 	if err := checkAnswerable(env, view, queries); err != nil {
 		return nil, err
@@ -182,12 +181,8 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 		defer bres.Release()
 		// Only the roots of the derivation forest probe: a derived member
 		// builds no result bitmap and is folded from its parent at emit.
-		// The scalar ablation probes serially.
 		f := newForest(env, queries)
 		width := env.scanWidth()
-		if env.NoVectorIndex {
-			width = 1
-		}
 		pipes, err := f.workerSets(env, stats, cache, view, width)
 		defer closePipes(pipes)
 		if err != nil {
@@ -226,13 +221,10 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 			tpp:       int64(view.Heap.TuplesPerPage()),
 			rows:      view.Rows(),
 		}
-		switch {
-		case env.NoVectorIndex:
-			err = ps.probeScalar(env, pipelines, stats)
-		case width == 1:
+		if width == 1 {
 			bres.MustGrow(probeBufBytes(view))
 			err = ps.probePages(env, newProbeWorker(view, pipelines), stats, 0, (ps.rows+ps.tpp-1)/ps.tpp)
-		default:
+		} else {
 			err = parallelProbe(env, ps, f, pipes, width, stats, bres)
 		}
 		if err != nil && err != errDetached {
@@ -324,7 +316,7 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 			sel         []int32
 		}
 		newMixedScratch := func(ms *mixedState) {
-			if len(ms.index) == 0 || env.NoVectorIndex {
+			if len(ms.index) == 0 {
 				return
 			}
 			tpp := view.Heap.TuplesPerPage()
@@ -338,63 +330,25 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 		// pipeline's bitmap words over the batch's row range are masked
 		// and expanded to a selection vector (one AND-free word walk per
 		// query, the bitmap itself is the hit word), and the survivors
-		// fold through the selection kernel. Env.NoVectorIndex replays
-		// the scalar per-tuple Get loop instead, with the tuple's
-		// aggregate components computed lazily on first consumption.
+		// fold through the selection kernel.
 		mixedBatch := func(ms *mixedState, st *Stats, b *table.Batch) {
 			for _, p := range ms.hash {
 				p.foldBatch(st, b)
 			}
-			if len(ms.index) == 0 {
-				return
-			}
-			if !env.NoVectorIndex {
-				for i, p := range ms.index {
-					if p.detached {
-						continue
-					}
-					st.BitTests += int64(b.N)
-					p.own.BitTests += int64(b.N)
-					var w0 int
-					ms.uwords, w0 = maskedWords(ms.uwords, bitmaps[i].Words(), b.Start, b.Start+int64(b.N))
-					ms.sel = expandWords(ms.sel[:0], ms.uwords, w0, b.Start)
-					hits := int64(len(ms.sel))
-					st.TuplesFetched += hits
-					p.own.TuplesFetched += hits
-					if hits > 0 {
-						p.foldBatchSel(st, b, ms.sel, residuals[i])
-					}
+			for i, p := range ms.index {
+				if p.detached {
+					continue
 				}
-				return
-			}
-			for t := 0; t < b.N; t++ {
-				keys, measures := b.Row(t)
-				row := b.Start + int64(t)
-				valsReady := false
-				var vals [4]float64
-				for i, p := range ms.index {
-					if p.detached {
-						continue
-					}
-					st.BitTests++
-					p.own.BitTests++
-					if !bitmaps[i].Get(row) {
-						continue
-					}
-					if !valsReady {
-						vals = star.TupleAggregates(view, measures)
-						valsReady = true
-					}
-					st.TuplesFetched++
-					p.own.TuplesFetched++
-					if p.foldFiltered(keys, vals, residuals[i]) {
-						st.TuplesAgg++
-						p.own.TuplesAgg++
-						if p.packer != nil {
-							st.PackedFolds++
-							p.own.PackedFolds++
-						}
-					}
+				st.BitTests += int64(b.N)
+				p.own.BitTests += int64(b.N)
+				var w0 int
+				ms.uwords, w0 = maskedWords(ms.uwords, bitmaps[i].Words(), b.Start, b.Start+int64(b.N))
+				ms.sel = expandWords(ms.sel[:0], ms.uwords, w0, b.Start)
+				hits := int64(len(ms.sel))
+				st.TuplesFetched += hits
+				p.own.TuplesFetched += hits
+				if hits > 0 {
+					p.foldBatchSel(st, b, ms.sel, residuals[i])
 				}
 			}
 		}

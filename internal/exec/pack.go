@@ -13,10 +13,10 @@ import (
 // cardinality, so the whole key packs into contiguous bit fields of a
 // single uint64 whenever the widths sum to at most 64 (the paper's
 // 4-dimension schema needs well under 16 bits per dimension). The
-// packed form replaces the 4·nd-byte string key of the legacy
+// packed form replaces the 4·nd-byte string key of the byte-key
 // aggregation map: hashing is one multiply instead of a string hash,
-// and equality is one word compare. Queries whose widths exceed 64
-// bits fall back to the byte-key path (keyPacker construction fails).
+// and equality is one word compare. Only queries whose widths exceed 64
+// bits take the byte-key path (keyPacker construction fails).
 //
 // The byte layout of the byte-key form — little-endian int32 per
 // dimension — remains the canonical result ordering. Finalization never

@@ -23,8 +23,9 @@ import (
 // claims fewer morsels while its siblings absorb the rest — no static
 // pre-split, no straggler. The pass's own goroutine is always worker 0
 // and folds into the pass's own pipelines. Extra workers run only while
-// they hold a slot of the run-wide dag.Pool (Env.Pool), the same pool
-// the task-graph scheduler starts nodes on, so intra-class fan-out and
+// they hold a slot of the dag.Pool (Env.Pool) whose width sets their
+// number, the same pool the task-graph scheduler starts nodes on, so
+// intra-class fan-out and
 // inter-class node concurrency are bounded by one width. After the scan
 // the worker tables are finalized key range by key range on the same
 // pool (finalize.go).
@@ -39,22 +40,9 @@ import (
 // a skewed page-cost tail is spread across all workers.
 const defaultMorselPages = 16
 
-// scanWidth is the effective worker fan-out of one shared pass: the
-// run-wide pool's width when the pass runs under the task-graph
-// executor, Env.Parallelism standalone, clamped to dag.WorkerCap.
-func (e *Env) scanWidth() int {
-	w := e.Parallelism
-	if e.Pool != nil {
-		w = e.Pool.Width()
-	}
-	if w < 1 {
-		w = 1
-	}
-	if c := dag.WorkerCap(); w > c {
-		w = c
-	}
-	return w
-}
+// scanWidth is the worker fan-out of one shared pass: the pool's width
+// (already clamped to dag.WorkerCap), 1 without a pool.
+func (e *Env) scanWidth() int { return e.Pool.Width() }
 
 // morselPages resolves the pages-per-morsel grain.
 func (e *Env) morselPages() int64 {
@@ -135,19 +123,16 @@ type drive struct {
 // claim the next grain-sized range of [0, n) and hand it to run until
 // the cursor is exhausted. Worker 0 is the calling goroutine (it already
 // occupies a pool slot when running as a task-graph node); workers
-// 1..nWorkers-1 participate only once they Join the run-wide pool, so a
+// 1..nWorkers-1 participate only once they Join env.Pool, so a
 // saturated pool degrades the work toward worker 0 alone instead of
-// oversubscribing. The first real error — errDetached stops only the
-// worker that returned it — parks the cursor and is returned.
+// oversubscribing. nWorkers may exceed 1 only with a pool. The first
+// real error — errDetached stops only the worker that returned it —
+// parks the cursor and is returned.
 func poolDrive(env *Env, n, grain int64, nWorkers int, run func(w int, from, to int64) error) error {
 	d := &drive{n: n, grain: grain, run: run, stop: make(chan struct{})}
-	pool := env.Pool
-	if pool == nil {
-		pool = dag.NewPool(nWorkers)
-	}
 	for w := 1; w < nWorkers; w++ {
 		d.wg.Add(1)
-		go d.help(pool, w)
+		go d.help(env.Pool, w)
 	}
 	d.work(0)
 	// stop releases helpers still waiting for a slot once the cursor is

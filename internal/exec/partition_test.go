@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 )
@@ -60,7 +61,7 @@ func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [
 	}
 	slices.SortFunc(keys, kp.compareKeys)
 
-	env.Parallelism = len(runs)
+	env.Pool = dag.NewPool(len(runs))
 	if err := finalizeSets(env, []*queryPipeline{root}); err != nil {
 		t.Fatal(err)
 	}

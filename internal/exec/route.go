@@ -10,11 +10,10 @@ import (
 
 // Vectorized index-probe data path.
 //
-// The shared index star join's inner loop used to walk the union bitmap
-// bit at a time, re-test every query's bitmap with a scalar Get per
-// fetched tuple, and fold one tuple at a time. This file rebuilds that
-// path around 64-bit words and selection vectors, the same
-// block-at-a-time design as the scan-side fold kernel:
+// The shared index star join probes the union bitmap around 64-bit
+// words and selection vectors, the same block-at-a-time design as the
+// scan-side fold kernel, instead of walking the union bit at a time and
+// re-testing every query's bitmap per fetched tuple:
 //
 //   - maskedWords slices the union bitmap's words covering one data
 //     page, masking the page-boundary edge words (pages are not
@@ -29,13 +28,13 @@ import (
 //     union's set bits (a popcount rank) is exactly its slot in the
 //     dense batch.
 //
-// Counter equivalence with the scalar path is by construction: the
-// union's per-page popcount is the page's TuplesFetched, each attached
-// pipeline is charged that same popcount of BitTests (the scalar loop
-// tests every union tuple against every pipeline), and each routed
-// selection's length is the pipeline's own TuplesFetched — so
-// BitTests, TuplesFetched, TuplesAgg and PackedFolds are byte-identical
-// to Env.NoVectorIndex at every worker width.
+// The counters are the logical per-tuple work, not the instructions:
+// the union's per-page popcount is the page's TuplesFetched, each
+// attached pipeline is charged that same popcount of BitTests (when the
+// pass has more than one pipeline — a single one needs no re-test), and
+// each routed selection's length is the pipeline's own TuplesFetched.
+// They are closed-form in the bitmaps and identical at every worker
+// width.
 
 // maskedWords copies the bitset words covering rows [from, to) into
 // dst, masking bits below from in the first word and at/above to in the
@@ -171,8 +170,8 @@ func probeBufBytes(view *star.View) int64 {
 // per page, mask the union words, expand them to a selection vector,
 // fetch the selected rows with one pin, and route the dense batch to
 // each attached pipeline with one AND per word. Pages with no union
-// bits are skipped without touching the pool (or the checkpoint —
-// matching the scalar path, which never polls on an empty union).
+// bits are skipped without touching the pool or the checkpoint, so an
+// empty union never polls.
 func (ps *probeShared) probePages(env *Env, w *probeWorker, st *Stats, fromPage, toPage int64) error {
 	uw := ps.union.Words()
 	for pg := fromPage; pg < toPage; pg++ {
@@ -220,49 +219,4 @@ func (ps *probeShared) probePages(env *Env, w *probeWorker, st *Stats, fromPage,
 		}
 	}
 	return nil
-}
-
-// probeScalar is the tuple-at-a-time ablation (Env.NoVectorIndex): the
-// pre-vectorization probe loop, kept for the equivalence suite and the
-// idx benchmark's baseline. The only change from the original is that
-// the tuple's aggregate components are computed lazily, after the
-// detach and bitmap tests, so a tuple no pipeline consumes costs
-// nothing (the recompute-per-tuple fix rides both paths).
-func (ps *probeShared) probeScalar(env *Env, pipelines []*queryPipeline, stats *Stats) error {
-	return ps.view.Heap.FetchRows(ps.union.Iterator(), func(row int64, keys []int32, measures []float64) error {
-		if stats.TuplesFetched%checkEvery == 0 {
-			if err := checkpoint(env, pipelines); err != nil {
-				return err
-			}
-		}
-		stats.TuplesFetched++
-		valsReady := false
-		var vals [4]float64
-		for i, p := range pipelines {
-			if p.detached {
-				continue
-			}
-			if len(pipelines) > 1 {
-				stats.BitTests++
-				p.own.BitTests++
-				if !ps.bitmaps[i].Get(row) {
-					continue
-				}
-			}
-			if !valsReady {
-				vals = star.TupleAggregates(ps.view, measures)
-				valsReady = true
-			}
-			p.own.TuplesFetched++
-			if p.foldFiltered(keys, vals, ps.residuals[i]) {
-				stats.TuplesAgg++
-				p.own.TuplesAgg++
-				if p.packer != nil {
-					stats.PackedFolds++
-					p.own.PackedFolds++
-				}
-			}
-		}
-		return nil
-	})
 }

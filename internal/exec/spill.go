@@ -56,6 +56,11 @@ const (
 	// spillRecTail is the non-key portion of a spill record: the two
 	// accumulator components and the set flag.
 	spillRecTail = 17
+	// aggFloorEntries is how many keys a merge sub-pass admits without a
+	// grant: a fold table's initial slots up to its growth threshold, so
+	// both table kinds progress by the same floor. Its entries' bytes
+	// are the byte-key spill's merge floor.
+	aggFloorEntries = foldInitialSlots * 3 / 4
 )
 
 // spillSeq disambiguates temp spill files within one process.
@@ -148,13 +153,16 @@ func newAggTable(env *Env, agg query.Agg, keyLen int, tag string) *aggTable {
 		fanout: env.spillFanout(),
 		m:      make(map[string]*accum),
 	}
-	if fl := spillFloorBytes(t.entryBytes()); t.res.TryGrow(fl) {
+	if fl := spillFloorBytes(t.floorBytes()); t.res.TryGrow(fl) {
 		t.floorHeld = fl
 	}
 	return t
 }
 
 func (t *aggTable) entryBytes() int64 { return int64(t.keyLen) + aggEntryOverhead }
+
+// floorBytes is the merge floor's table state: aggFloorEntries entries.
+func (t *aggTable) floorBytes() int64 { return aggFloorEntries * t.entryBytes() }
 
 // add folds one delta for key into the table, spilling when the broker
 // refuses to grow the reservation. The matched-key path is a single
@@ -194,7 +202,7 @@ func (t *aggTable) startSpill() error {
 	// overdrafting past the ceiling the denial just established.
 	t.res.Shrink(t.mapBytes)
 	t.mapBytes = 0
-	sp, err := newSpillFiles(t.dir, t.keyLen, t.fanout, t.entryBytes(), t.res, t.floorHeld)
+	sp, err := newSpillFiles(t.dir, t.keyLen, t.fanout, t.floorBytes(), t.res, t.floorHeld)
 	if err != nil {
 		return err
 	}
@@ -275,8 +283,10 @@ func (t *aggTable) pairs() ([]aggPair, error) {
 
 // mergePartition replays one partition's records into a merge table,
 // diverting keys the broker has no room for into an overflow partition
-// that a further sub-pass consumes. Each sub-pass admits at least one
-// key (a progress-floor overdraft), so the merge always terminates.
+// that a further sub-pass consumes. Each sub-pass admits its first
+// aggFloorEntries keys under the spill grant's merge floor, without a
+// fresh grant, so the merge always terminates, absorbing that many keys
+// per sub-pass at the least rather than one.
 //
 // Diversion is sticky within a sub-pass: after the first denial every
 // key not already resident in the merge table goes to the overflow
@@ -299,10 +309,9 @@ func (t *aggTable) mergePartition(pi int, out []aggPair) ([]aggPair, error) {
 			}
 			eb := t.entryBytes()
 			switch {
-			case len(m) == 0:
-				// Progress floor: the first key of every sub-pass is
-				// covered by the spill grant's merge floor, so the
-				// merge always terminates without a fresh grant.
+			case len(m) < aggFloorEntries:
+				// Progress floor: covered by the spill grant's merge
+				// floor, so the sub-pass needs no fresh grant.
 			case overflow != nil || !t.res.TryGrow(eb):
 				if overflow == nil {
 					overflow = t.sp.newWriter()
@@ -396,9 +405,9 @@ func newSpillFiles(dir string, keyLen, fanout int, floorEntry int64, res *mem.Re
 	}
 	// The grant covers one page buffer per partition plus a merge
 	// floor: the read scratch page, the overflow writer's page, and the
-	// merge table's starting state (floorEntry — one map entry for the
-	// byte-key tables, one initial slot slab for the packed fold
-	// tables). The caller transfers preHeld bytes it already has on res
+	// merge table's starting state (floorEntry — aggFloorEntries map
+	// entries for the byte-key tables, one initial slot slab for the
+	// packed fold tables). The caller transfers preHeld bytes it already has on res
 	// (its pre-reserved spill floor, spillFloorBytes(floorEntry)), so
 	// only the excess is requested here. The fanout adapts to what the
 	// broker will grant — halving until the buffers fit the remaining

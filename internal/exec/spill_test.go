@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 )
@@ -151,7 +152,7 @@ func TestSpillEquivalenceParallelWorkers(t *testing.T) {
 	// Baseline: parallel but ungoverned (parallel merge order already
 	// yields exact sums: whole-dollar measures).
 	env0 := NewEnv(db)
-	env0.Parallelism = 4
+	env0.Pool = dag.NewPool(4)
 	var st0 Stats
 	baseline, err := SharedScanHash(env0, db.Base(), group, &st0)
 	if err != nil {
@@ -159,7 +160,7 @@ func TestSpillEquivalenceParallelWorkers(t *testing.T) {
 	}
 
 	env, broker := budgetedEnv(t, db, 1<<12)
-	env.Parallelism = 4
+	env.Pool = dag.NewPool(4)
 	var st Stats
 	results, err := SharedScanHash(env, db.Base(), group, &st)
 	if err != nil {
@@ -174,8 +175,9 @@ func TestSpillEquivalenceParallelWorkers(t *testing.T) {
 
 // TestAggTableMergeOverflow forces the partition merge itself past the
 // budget: a blocker reservation keeps the broker saturated, so each
-// merge sub-pass admits only its progress-floor key and diverts the
-// rest to an overflow partition. The result must still be exact.
+// merge sub-pass admits only its aggFloorEntries progress-floor keys
+// and diverts the rest to an overflow partition. The result must still
+// be exact.
 func TestAggTableMergeOverflow(t *testing.T) {
 	broker := mem.New(1 << 10)
 	env := &Env{Mem: broker, SpillDir: t.TempDir(), SpillFanout: 2}
@@ -232,7 +234,7 @@ func TestAggTableMergeOverflow(t *testing.T) {
 // the key would then surface twice, with its sum split between the two
 // copies. Stickiness is observable deterministically through the
 // denial counter: each sub-pass consults the broker at most once after
-// its progress-floor key, so a merge of N keys incurs at most N
+// its progress-floor keys, so a merge of N keys incurs at most N
 // denials, while per-record retries incur one denial per diverted
 // record (hundreds per key here).
 func TestAggTableMergeStickyOverflow(t *testing.T) {

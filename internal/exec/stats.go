@@ -65,9 +65,9 @@ type Stats struct {
 	DerivedRows    int64
 	// PackedFolds counts the subset of TuplesAgg folded through the
 	// packed-key open-addressing kernel (foldtable.go) rather than the
-	// byte-key fallback map. It marks which path did the work and adds
-	// no simulated cost of its own — the folds are already priced as
-	// TuplesAgg.
+	// byte-key map of a key wider than 64 bits. It marks which path did
+	// the work and adds no simulated cost of its own — the folds are
+	// already priced as TuplesAgg.
 	PackedFolds int64
 
 	// PeakMemory is the sum of the high-water marks of every memory
@@ -146,19 +146,13 @@ type Env struct {
 	// sharing opportunity). On by default; the ablation benchmark turns
 	// it off.
 	ShareLookups bool
-	// Parallelism fans shared scans out across this many workers with
-	// per-worker aggregation tables merged afterwards (all supported
-	// aggregates are decomposable). Values below 2 run serially. It is
-	// the standalone-Env alias of the unified pool width: when Pool is
-	// set (the task-graph executor runs the pass), the pool's width
-	// governs instead and this field is ignored, so a caller's two knobs
-	// compose into one bound rather than multiplying.
-	Parallelism int
-	// Pool, when non-nil, is the run-wide worker pool the pass's scan
-	// morsels draw slots from — the same pool the task-graph scheduler
-	// starts nodes on. Extra scan workers beyond the pass's own
-	// goroutine run only while they hold a pool slot, so total executor
-	// concurrency never exceeds the pool width.
+	// Pool, when non-nil, is the worker pool a pass fans out on: its
+	// width is the pass's worker count, and its scan and probe morsels
+	// and finalization tasks draw slots from it — the same pool the
+	// task-graph scheduler starts nodes on. Extra workers beyond the
+	// pass's own goroutine run only while they hold a pool slot, so total
+	// executor concurrency never exceeds the pool width. nil runs every
+	// pass serially.
 	Pool *dag.Pool
 	// MorselPages overrides the pages per scan morsel (default
 	// defaultMorselPages). Smaller morsels steal more finely; tests use
@@ -191,20 +185,6 @@ type Env struct {
 	// Merge memory per partition is roughly the final group footprint
 	// divided by the fanout.
 	SpillFanout int
-	// NoVectorIndex reverts the index star-join operators to the scalar
-	// tuple-at-a-time probe loop: per-bit union iteration, per-row
-	// fetch callbacks, and a scalar bitmap Get per tuple per query,
-	// instead of the word-at-a-time routing kernel and page-batched
-	// fetch (route.go). Results and every deterministic counter are
-	// identical either way; the switch exists for the equivalence suite
-	// and the idx benchmark's ablation baseline. The scalar probe always
-	// runs serially.
-	NoVectorIndex bool
-	// NoPackedKeys disables the packed-key open-addressing fold kernel,
-	// forcing every pipeline onto the legacy byte-key aggregation map.
-	// Results are identical either way; the switch exists for ablation
-	// benchmarks and equivalence harnesses.
-	NoPackedKeys bool
 	// Lookups, when non-nil, is a set of prebuilt dimension lookups
 	// shared across passes: the task-graph executor hoists lookup builds
 	// out of the class passes and runs each pass with the finished set.

@@ -22,7 +22,7 @@ const (
 	memLookupBytesPerRow = 5
 	// memAggEntryOverhead mirrors exec's aggEntryOverhead: hash-table
 	// bookkeeping per group on top of the byte key, charged by the
-	// legacy map tables (group-by keys wider than 64 bits).
+	// byte-key map tables (group-by keys wider than 64 bits).
 	memAggEntryOverhead = 96
 	// memFoldEntryBytes is the per-group estimate for the packed-key
 	// open-addressing tables (exec's foldTable): one 32-byte slot,

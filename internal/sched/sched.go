@@ -94,13 +94,11 @@ type Outcome struct {
 	BatchSize int
 	// DAGNodes is how many task-graph nodes the batch's plan compiled
 	// to. WorkerPeak is the unified pool's concurrency peak — nodes plus
-	// scan-morsel workers — and DAGParallelPeak is its pre-pool alias
-	// carrying the same value (1 under the serial executor).
+	// scan-morsel workers (1 under the serial executor).
 	// EffectiveWorkers is the clamped pool width the batch ran at.
 	// Whole-batch properties, repeated per submission.
 	DAGNodes         int
 	WorkerPeak       int
-	DAGParallelPeak  int
 	EffectiveWorkers int
 	// SharedWith counts the other submissions whose queries shared at
 	// least one pass (class) with this one's; 0 means every pass was
@@ -411,7 +409,6 @@ func Exec(env *exec.Env, planFn PlanFunc, admit AdmitFunc, subs []*Submission, o
 			BatchSize:        len(subs),
 			DAGNodes:         ex.DAGNodes,
 			WorkerPeak:       ex.WorkerPeak,
-			DAGParallelPeak:  ex.DAGParallelPeak,
 			EffectiveWorkers: ex.EffectiveWorkers,
 			SnapshotEpoch:    epoch,
 		}

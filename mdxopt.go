@@ -100,17 +100,8 @@ type SchemaSpec struct {
 // loaders (loaded facts become visible to queries atomically at Close),
 // and Options.ColdCache queries must not race mutations (the pool flush
 // they perform is incompatible with concurrent maintenance I/O).
-// OpenOptions.SerializedMutations restores the legacy regime — mutations
-// take an exclusive lock and stall queries — as an A/B baseline.
 type DB struct {
 	db *star.Database
-
-	// serialized restores the legacy locked maintenance regime
-	// (OpenOptions.SerializedMutations): queries take stateMu.RLock for
-	// their whole run and mutations take stateMu.Lock, so maintenance
-	// stalls the serving path. Off by default: the snapshot path above
-	// never blocks queries on mutations.
-	serialized bool
 
 	// mem is the process-wide memory broker governing operator state
 	// (OpenOptions.MemoryBudget). Always non-nil; with no budget it
@@ -119,21 +110,14 @@ type DB struct {
 	// spillDir is where budget-exceeded aggregation state spills
 	// (OpenOptions.SpillDir; empty = the system temp directory).
 	spillDir string
-	// execWorkers is the default unified pool width for plans this
-	// database executes (OpenOptions.Workers, with OpenOptions.ExecWorkers
-	// as its accepted alias; 1 = serial).
-	execWorkers int
+	// workers is the default unified pool width for plans this database
+	// executes (OpenOptions.Workers; 0 and 1 = serial).
+	workers int
 
 	// rescache is the semantic result cache
 	// (OpenOptions.ResultCacheBudget); nil when disabled — every
 	// rescache method is nil-safe.
 	rescache *rescache.Cache
-
-	// stateMu is the legacy reader/writer lock, used only with
-	// SerializedMutations. On the snapshot path neither queries nor
-	// mutations take it: the publish pointer is guarded inside
-	// star.Database's epoch table.
-	stateMu sync.RWMutex
 
 	// Plan cache: optimized global plans keyed by (MDX text, options).
 	// An entry is valid only for the catalog snapshot epoch and
@@ -208,30 +192,6 @@ func (d *DB) invalidate() {
 	d.rescache.Invalidate()
 }
 
-// pin acquires the catalog snapshot one request runs against. On the
-// snapshot path it pins the latest published epoch (release drops the
-// pin, allowing retired-file reclamation); with SerializedMutations it
-// takes the legacy read lock for the request's duration instead and
-// freezes the live state.
-func (d *DB) pin() (*star.Snapshot, func()) {
-	if d.serialized {
-		d.stateMu.RLock()
-		return d.db.Snapshot(), d.stateMu.RUnlock
-	}
-	return d.db.Pin()
-}
-
-// mutLock brackets one mutation: a no-op on the snapshot path (the
-// star layer serializes mutations and publishes atomically), the legacy
-// exclusive lock with SerializedMutations.
-func (d *DB) mutLock() func() {
-	if d.serialized {
-		d.stateMu.Lock()
-		return d.stateMu.Unlock
-	}
-	return func() {}
-}
-
 // PlanCacheHits reports how many requests were answered with a cached
 // plan (the parse/optimize phase skipped) — unbatched plan-cache hits
 // plus batch-composition cache hits.
@@ -265,18 +225,17 @@ type Options struct {
 	// bound on every executor goroutine at once — concurrently running
 	// plan passes (class scans, cache rollups, shared lookup builds) AND
 	// the page-aligned scan morsels a running pass fans out, all drawing
-	// slots from one pool. 0 falls back to the legacy aliases below (or
-	// the database default, OpenOptions.Workers); 1 runs fully serially.
+	// slots from one pool. 0 falls back to the database default
+	// (OpenOptions.Workers); 1 runs fully serially. When parallel, each
+	// pass's start is gated on the memory broker with the optimizer's
+	// footprint estimate — priced per worker, since scan fan-out
+	// multiplies resident aggregation state — so at tight budgets
+	// execution degrades toward serial instead of overcommitting.
 	// Results and deterministic work counters are identical at every
 	// width. Widths beyond the GOMAXPROCS-derived cap are clamped;
-	// Stats.EffectiveWorkers reports the width actually used.
+	// Stats.EffectiveWorkers reports the width actually used. Ignored
+	// with Batching (use BatchConfig.Workers).
 	Workers int
-	// Parallelism is a documented alias from the pre-pool API, when scan
-	// fan-out was a separate knob from plan-node concurrency. When
-	// Workers is 0 the two aliases compose into one width —
-	// max(1,ExecWorkers) × max(1,Parallelism), clamped — instead of
-	// multiplying into unbounded goroutines. Prefer Workers.
-	Parallelism int
 	// Batching routes the query through the admission scheduler: it is
 	// held for a short window, merged with other concurrent submissions
 	// into one cross-request query set, optimized and executed as a
@@ -292,14 +251,6 @@ type Options struct {
 	// per-request cap. Ignored with Batching (batches are governed
 	// collectively by the admission scheduler).
 	MemoryBudget int64
-	// ExecWorkers is the other pre-pool alias (task-graph node
-	// concurrency); see Parallelism for how the aliases compose when
-	// Workers is 0. Each pass's start is gated on the memory broker with
-	// the optimizer's footprint estimate — priced per worker, since scan
-	// fan-out multiplies resident aggregation state — so at tight
-	// budgets execution degrades toward serial instead of
-	// overcommitting. Ignored with Batching (use BatchConfig.Workers).
-	ExecWorkers int
 }
 
 // Create makes a new database directory with the given schema. Facts are
@@ -390,10 +341,6 @@ type OpenOptions struct {
 	// beyond the GOMAXPROCS-derived cap are clamped.
 	Workers int
 
-	// ExecWorkers is the pre-pool alias of Workers, kept accepted; it is
-	// used only when Workers is 0.
-	ExecWorkers int
-
 	// ResultCacheBudget bounds the semantic result cache in bytes:
 	// finished aggregation results are kept and later queries answerable
 	// from a cached result (same or finer group-by, subsuming
@@ -402,14 +349,6 @@ type OpenOptions struct {
 	// entries are evicted by cost-weighted LRU under pressure; any
 	// mutation invalidates all entries. 0 (default) disables the cache.
 	ResultCacheBudget int64
-
-	// SerializedMutations restores the pre-snapshot concurrency regime:
-	// queries hold a read lock for their whole run and mutations hold
-	// the write lock, so maintenance blocks (and is blocked by) every
-	// in-flight query. Kept as an A/B ablation baseline for measuring
-	// what snapshot isolation buys; off (default) pins published
-	// snapshots and never blocks queries on maintenance.
-	SerializedMutations bool
 }
 
 // OpenWith opens an existing database directory with explicit options.
@@ -430,11 +369,7 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = opts.ExecWorkers
-	}
-	d := &DB{db: db, mem: mem.New(opts.MemoryBudget), spillDir: opts.SpillDir, execWorkers: workers, serialized: opts.SerializedMutations}
+	d := &DB{db: db, mem: mem.New(opts.MemoryBudget), spillDir: opts.SpillDir, workers: opts.Workers}
 	if opts.ResultCacheBudget > 0 {
 		d.rescache = rescache.New(opts.ResultCacheBudget, d.mem)
 	}
@@ -511,8 +446,6 @@ func (d *DB) Materialize(levelNames ...string) error {
 	if err != nil {
 		return err
 	}
-	unlock := d.mutLock()
-	defer unlock()
 	if _, err := d.db.Materialize(levels); err != nil {
 		return err
 	}
@@ -528,8 +461,6 @@ func (d *DB) MaterializeMulti(levelNames ...string) error {
 	if err != nil {
 		return err
 	}
-	unlock := d.mutLock()
-	defer unlock()
 	if _, err := d.db.MaterializeMulti(levels); err != nil {
 		return err
 	}
@@ -555,8 +486,6 @@ func (d *DB) buildIndex(dim string, levelNames []string, compressed bool) error 
 	if err != nil {
 		return err
 	}
-	unlock := d.mutLock()
-	defer unlock()
 	v := d.db.ViewByLevels(levels)
 	if v == nil {
 		return fmt.Errorf("mdxopt: group-by %v is not materialized", levelNames)
@@ -587,8 +516,6 @@ func (d *DB) StaleViews() []string {
 // rebuilds affected bitmap join indexes. Refreshed views may hold
 // several rows per group (results stay exact); Compact merges them.
 func (d *DB) Refresh() error {
-	unlock := d.mutLock()
-	defer unlock()
 	err := d.db.Refresh()
 	d.invalidate()
 	return err
@@ -601,8 +528,6 @@ func (d *DB) Compact(levelNames ...string) error {
 	if err != nil {
 		return err
 	}
-	unlock := d.mutLock()
-	defer unlock()
 	v := d.db.ViewByLevels(levels)
 	if v == nil {
 		return fmt.Errorf("mdxopt: group-by %v is not materialized", levelNames)
@@ -659,8 +584,6 @@ func (l *Loader) AddCodes(codes []int32, measure float64) error {
 // and plan choices may change). Snapshots pinned before Close keep
 // seeing the old row count.
 func (l *Loader) Close() error {
-	unlock := l.db.mutLock()
-	defer unlock()
 	err := l.app.Close()
 	l.db.db.Publish()
 	l.db.invalidate()
@@ -715,9 +638,8 @@ type Stats struct {
 
 	// PackedFolds counts the aggregated tuples folded through the
 	// packed-key vectorized kernel (a subset of the tuples aggregated);
-	// 0 means every query in the request fell back to byte-key
-	// aggregation (group-by key wider than 64 bits, or packing
-	// disabled).
+	// 0 means every query in the request took byte-key aggregation
+	// (group-by key wider than 64 bits).
 	PackedFolds int64
 
 	// DerivedQueries counts this request's component queries that a
@@ -730,14 +652,11 @@ type Stats struct {
 	// DAGNodes is how many task-graph nodes the plan compiled to (class
 	// passes + cache rollups + shared lookup builds). WorkerPeak is the
 	// unified worker pool's concurrency peak — nodes running plus the
-	// scan-morsel workers they fanned out (1 under the serial executor);
-	// DAGParallelPeak is its pre-pool alias and always carries the same
-	// value. EffectiveWorkers is the pool width the request actually ran
-	// at: the requested Workers (or composed legacy aliases) clamped to
-	// the GOMAXPROCS-derived cap.
+	// scan-morsel workers they fanned out (1 under the serial executor).
+	// EffectiveWorkers is the pool width the request actually ran at:
+	// the requested Workers clamped to the GOMAXPROCS-derived cap.
 	DAGNodes         int
 	WorkerPeak       int
-	DAGParallelPeak  int
 	EffectiveWorkers int
 
 	// ResultCacheHits counts this request's queries served from the
@@ -814,7 +733,7 @@ func (d *DB) QueryContext(ctx context.Context, src string, opts Options) (*Answe
 	if opts.Batching {
 		return d.queryBatched(ctx, src)
 	}
-	snap, release := d.pin()
+	snap, release := d.db.Pin()
 	defer release()
 	queries, g, err := d.plan(snap, src, opts)
 	if err != nil {
@@ -869,7 +788,7 @@ func (d *DB) plan(snap *star.Snapshot, src string, opts Options) ([]*query.Query
 // Explain parses and optimizes an MDX expression, returning the global
 // plan without executing it.
 func (d *DB) Explain(src string, opts Options) (string, error) {
-	snap, release := d.pin()
+	snap, release := d.db.Pin()
 	defer release()
 	queries, err := mdx.ParseAndTranslate(snap.Schema, src)
 	if err != nil {
@@ -916,7 +835,7 @@ func (d *DB) run(ctx context.Context, snap *star.Snapshot, queries []*query.Quer
 	}
 	env.SpillDir = d.spillDir
 	var st exec.Stats
-	workers := d.effectiveWorkers(opts.Workers, opts.ExecWorkers, opts.Parallelism)
+	workers := d.effectiveWorkers(opts.Workers)
 	ex, err := core.Run(env, g, queries, &st, d.execOptions(snap, workers, env.Mem))
 	if err != nil {
 		return nil, err
@@ -934,7 +853,6 @@ func (d *DB) run(ctx context.Context, snap *star.Snapshot, queries []*query.Quer
 	ans.Stats = statsOut(st)
 	ans.Stats.DAGNodes = ex.DAGNodes
 	ans.Stats.WorkerPeak = ex.WorkerPeak
-	ans.Stats.DAGParallelPeak = ex.DAGParallelPeak
 	ans.Stats.EffectiveWorkers = ex.EffectiveWorkers
 	ans.Stats.SnapshotEpoch = snap.Epoch
 	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
@@ -943,39 +861,16 @@ func (d *DB) run(ctx context.Context, snap *star.Snapshot, queries []*query.Quer
 }
 
 // effectiveWorkers resolves one request's unified pool width: the
-// Workers option when set, otherwise the legacy aliases composed —
-// ExecWorkers (or the database default when that is 0 too) times
-// Parallelism — so the pre-pool knob pair bounds one pool instead of
-// multiplying goroutine layers. The result is clamped to
-// [1, dag.WorkerCap()].
-func (d *DB) effectiveWorkers(workers, execWorkers, parallelism int) int {
-	if workers <= 0 && execWorkers == 0 {
-		execWorkers = d.execWorkers
+// Workers option when set, otherwise the database default, clamped.
+func (d *DB) effectiveWorkers(workers int) int {
+	if workers <= 0 {
+		workers = d.workers
 	}
-	return composeWorkers(workers, execWorkers, parallelism)
+	return clampWorkers(workers)
 }
 
-// composeWorkers folds the unified Workers knob and its two legacy
-// aliases into one clamped pool width (see Options.Workers).
-func composeWorkers(workers, execWorkers, parallelism int) int {
-	w := workers
-	if w <= 0 {
-		if execWorkers < 1 {
-			execWorkers = 1
-		}
-		if parallelism < 1 {
-			parallelism = 1
-		}
-		w = execWorkers * parallelism
-	}
-	if c := dag.WorkerCap(); w > c {
-		w = c
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// clampWorkers clamps a pool width to [1, dag.WorkerCap()].
+func clampWorkers(w int) int { return min(max(w, 1), dag.WorkerCap()) }
 
 // execOptions shapes the task-graph executor's configuration for one
 // request running at the given resolved pool width: when actually
@@ -1149,21 +1044,15 @@ type BatchConfig struct {
 	PaperPlanSpace bool
 	// Workers is the unified worker-pool width each batch executes at:
 	// one bound on concurrently running plan passes plus the scan
-	// morsels they fan out (default 1 = serial; clamped to the
-	// GOMAXPROCS-derived cap). The batch's memory is governed
-	// collectively by the admission claim — sized per worker, since scan
-	// fan-out multiplies resident aggregation state — so passes are not
-	// individually gated.
+	// morsels they fan out (default 1 = serial, whatever
+	// OpenOptions.Workers says; clamped to the GOMAXPROCS-derived cap).
+	// The batch's memory is governed collectively by the admission
+	// claim — sized per worker, since scan fan-out multiplies resident
+	// aggregation state — so passes are not individually gated.
 	Workers int
-	// Parallelism and ExecWorkers are the pre-pool aliases; when Workers
-	// is 0 they compose into one width, max(1,ExecWorkers) ×
-	// max(1,Parallelism), clamped. Prefer Workers.
-	Parallelism int
 	// ColdCache flushes the buffer pool before every batch, as in the
 	// paper's measurements.
 	ColdCache bool
-	// ExecWorkers is a pre-pool alias; see Parallelism.
-	ExecWorkers int
 }
 
 // EnableBatching (re)starts the admission scheduler with the given
@@ -1359,7 +1248,6 @@ func (d *DB) queryBatched(ctx context.Context, src string) (*Answer, error) {
 	ans.Stats = statsOut(st)
 	ans.Stats.DAGNodes = out.DAGNodes
 	ans.Stats.WorkerPeak = out.WorkerPeak
-	ans.Stats.DAGParallelPeak = out.DAGParallelPeak
 	ans.Stats.EffectiveWorkers = out.EffectiveWorkers
 	ans.Stats.SnapshotEpoch = out.SnapshotEpoch
 	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
@@ -1379,7 +1267,7 @@ func (d *DB) runBatchSubs(subs []*sched.Submission) {
 	d.schedMu.Lock()
 	cfg := d.batchCfg
 	d.schedMu.Unlock()
-	snap, release := d.pin()
+	snap, release := d.db.Pin()
 	defer release()
 	if cfg.ColdCache {
 		if err := snap.ColdReset(); err != nil {
@@ -1389,7 +1277,7 @@ func (d *DB) runBatchSubs(subs []*sched.Submission) {
 			return
 		}
 	}
-	workers := composeWorkers(cfg.Workers, cfg.ExecWorkers, cfg.Parallelism)
+	workers := clampWorkers(cfg.Workers)
 	env := exec.NewEnv(snap)
 	env.Mem = d.mem
 	env.SpillDir = d.spillDir

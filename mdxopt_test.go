@@ -362,14 +362,14 @@ func TestAggregateQueriesEndToEnd(t *testing.T) {
 	}
 }
 
-func TestQueryWithParallelism(t *testing.T) {
+func TestQueryWithWorkers(t *testing.T) {
 	db := sample(t)
 	src := `{A''.A1.CHILDREN} on COLUMNS {B''.B2, B''.B3} on ROWS CONTEXT ABCD FILTER (D'.DD1)`
 	serial, err := db.QueryWith(src, Options{Algorithm: GG})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := db.QueryWith(src, Options{Algorithm: GG, Parallelism: 3})
+	parallel, err := db.QueryWith(src, Options{Algorithm: GG, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

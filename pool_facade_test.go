@@ -8,37 +8,40 @@ import (
 	"mdxopt/internal/workload"
 )
 
-// TestComposeWorkers: the canonical Workers knob wins when set; the
-// legacy ExecWorkers × Parallelism product is honored otherwise; both
-// clamp to the pool cap.
-func TestComposeWorkers(t *testing.T) {
+// TestEffectiveWorkers: a request's Workers wins when set, the database
+// default (OpenOptions.Workers) otherwise; a batch runs at its own
+// BatchConfig.Workers, never the database default; every width clamps
+// to [1, the pool cap].
+func TestEffectiveWorkers(t *testing.T) {
 	cap := dag.WorkerCap()
 	cases := []struct {
-		workers, execWorkers, parallelism, want int
+		request, database, want int
 	}{
-		{0, 0, 0, 1},
-		{3, 0, 0, 3},
-		{3, 8, 8, 3},  // Workers overrides the aliases
-		{0, 4, 0, 4},  // old ExecWorkers alone
-		{0, 0, 4, 4},  // old Parallelism alone
-		{0, 2, 3, 6},  // aliases compose multiplicatively
-		{-1, 2, 3, 6}, // non-positive Workers defers to aliases
-		{1 << 20, 0, 0, cap},
-		{0, 1 << 10, 1 << 10, cap},
+		{0, 0, 1},
+		{3, 0, 3},
+		{3, 8, 3}, // the request overrides the database default
+		{0, 4, 4}, // the database default fills an unset request
+		{-1, 2, 2},
+		{0, -1, 1},
+		{1 << 20, 0, cap},
+		{0, 1 << 20, cap},
 	}
 	for _, c := range cases {
-		got := composeWorkers(c.workers, c.execWorkers, c.parallelism)
-		if got != c.want {
-			t.Errorf("composeWorkers(%d, %d, %d) = %d, want %d",
-				c.workers, c.execWorkers, c.parallelism, got, c.want)
+		d := &DB{workers: c.database}
+		if got := d.effectiveWorkers(c.request); got != c.want {
+			t.Errorf("request %d, database %d: width %d, want %d", c.request, c.database, got, c.want)
+		}
+	}
+	for batch, want := range map[int]int{-1: 1, 0: 1, 1: 1, 4: 4, 1 << 20: cap} {
+		if got := clampWorkers(batch); got != want {
+			t.Errorf("batch %d: width %d, want %d", batch, got, want)
 		}
 	}
 }
 
 // TestWorkersKnobEquivalence: the unified Workers option must produce
 // byte-identical answers at every width, report the pool-wide peak in
-// both the new WorkerPeak field and its DAGParallelPeak alias, and
-// surface the post-clamp width in EffectiveWorkers.
+// WorkerPeak, and surface the post-clamp width in EffectiveWorkers.
 func TestWorkersKnobEquivalence(t *testing.T) {
 	db := sample(t)
 	src := workload.MDX()["Q1"]
@@ -62,10 +65,6 @@ func TestWorkersKnobEquivalence(t *testing.T) {
 		if par.Stats.EffectiveWorkers != workers {
 			t.Fatalf("Workers=%d: EffectiveWorkers = %d", workers, par.Stats.EffectiveWorkers)
 		}
-		if par.Stats.WorkerPeak != par.Stats.DAGParallelPeak {
-			t.Fatalf("Workers=%d: WorkerPeak %d != DAGParallelPeak alias %d",
-				workers, par.Stats.WorkerPeak, par.Stats.DAGParallelPeak)
-		}
 		if par.Stats.WorkerPeak < 1 || par.Stats.WorkerPeak > workers {
 			t.Fatalf("Workers=%d: WorkerPeak %d outside [1, %d]",
 				workers, par.Stats.WorkerPeak, workers)
@@ -73,20 +72,6 @@ func TestWorkersKnobEquivalence(t *testing.T) {
 		if used := db.MemoryStats().Used; used != 0 {
 			t.Fatalf("Workers=%d: %d bytes still reserved", workers, used)
 		}
-	}
-
-	// The legacy aliases reach the same pool: ExecWorkers×Parallelism
-	// composes into one width and the answer stays identical.
-	legacy, err := db.QueryWith(src, Options{ExecWorkers: 2, Parallelism: 2, ColdCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Queries, base.Queries) {
-		t.Fatal("legacy alias run differs from serial")
-	}
-	if legacy.Stats.EffectiveWorkers != 4 {
-		t.Fatalf("ExecWorkers=2 Parallelism=2: EffectiveWorkers = %d, want 4",
-			legacy.Stats.EffectiveWorkers)
 	}
 
 	// Absurd widths clamp to the machine cap instead of spawning a
