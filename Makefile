@@ -41,18 +41,18 @@ race:
 # epoch reclamation in storage) with the core executor above it, and
 # the facade-level snapshot torture test and the facade differential
 # test (random expressions x random configuration against exec.Naive).
-# The partition-wise finalization and derivation suites run again at
-# -cpu 1,4, so their pool tasks really run concurrently under the
-# detector.
+# The partition-wise finalization, derivation and fold-table merge
+# suites run again at -cpu 1,4, so their pool tasks really run
+# concurrently under the detector.
 race-dag:
 	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
-	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive' ./internal/exec
+	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestFinalizeOrder|TestFoldTableMerge' ./internal/exec
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
-# codec and sort order, the rollup key remap, the partitioned worker
-# merge, spill record codec, selection-vector expansion) — regression
-# smoke, not a fuzzing session.
+# codec and sort order at one and two words, the rollup key remap, the
+# partitioned worker merge, spill record codec, selection-vector
+# expansion) — regression smoke, not a fuzzing session.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedKeyRoundTrip -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedSortOrder -fuzztime 5s

@@ -20,10 +20,10 @@ import (
 // and it is re-checked here) and the aggregate to be decomposable from
 // final values: SUM and COUNT merge by addition, MIN/MAX by min/max.
 // AVG is excluded by the cache itself. The aggregation state is an
-// ordinary fold table (or byte-key aggTable), so it reserves broker
-// memory and may spill like any other pipeline's, and it is finalized
-// by the same finalizeGroups, keeping cache-served results — order
-// included — byte-identical to uncached execution.
+// ordinary fold table, so it reserves broker memory and may spill like
+// any other pipeline's, and it is finalized by the same width-1
+// finalization as a derived member's, keeping cache-served results —
+// order included — byte-identical to uncached execution.
 //
 // The stats accumulated into stats are entirely the query's own work —
 // there is no shared pass to attribute. Per-query cancellation
@@ -47,21 +47,10 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 	var res *Result
 	var own Stats
 	err := env.measure(&own, func() error {
-		// The rollup folds through the same kernel selection as the
-		// scan pipelines: the packed open-addressing table when the
-		// query's key fits a word, the byte-key map otherwise.
-		var tab *aggTable
-		var ftab *foldTable
-		kp, packed := newKeyPacker(q.Schema, q.Levels)
-		if packed {
-			ftab = newFoldTable(env, q.Agg, kp, "rollup:"+q.Name)
-			defer ftab.close()
-		} else {
-			tab = newAggTable(env, q.Agg, 4*nd, "rollup:"+q.Name)
-			defer tab.close()
-		}
+		kp := newKeyPacker(q.Schema, q.Levels)
+		ftab := newFoldTable(env, q.Agg, kp, "rollup:"+q.Name)
+		defer ftab.close()
 		lks := rollupLookups(q, e.Levels)
-		key := make([]byte, 4*nd)
 		detached := false
 	rows:
 		for ri := range e.Rows {
@@ -81,32 +70,22 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 			row := &e.Rows[ri]
 			own.CacheRows++
 			qualifies := true
-			var pk uint64
+			var lo, hi uint64
 			for d := 0; d < nd; d++ {
 				if lks[d].pass != nil && !lks[d].pass[row.Keys[d]] {
 					qualifies = false
 					break
 				}
-				code := lks[d].out[row.Keys[d]]
-				if packed {
-					pk |= uint64(uint32(code)) << kp.shifts[d]
-				} else {
-					key[d*4] = byte(code)
-					key[d*4+1] = byte(code >> 8)
-					key[d*4+2] = byte(code >> 16)
-					key[d*4+3] = byte(code >> 24)
-				}
+				lo, hi = kp.put(lo, hi, d, uint32(lks[d].out[row.Keys[d]]))
 			}
 			if !qualifies {
 				continue
 			}
 			own.TuplesAgg++
-			if packed {
+			if !kp.twoWords() {
 				own.PackedFolds++
-				if err := ftab.fold(pk, accum{a: row.Value, set: true}); err != nil {
-					return err
-				}
-			} else if err := tab.add(key, accum{a: row.Value, set: true}); err != nil {
+			}
+			if err := ftab.foldKey(lo, hi, accum{a: row.Value, set: true}); err != nil {
 				return err
 			}
 		}
@@ -115,17 +94,13 @@ func RollupCached(env *Env, e *rescache.Entry, q *query.Query, stats *Stats) (*R
 		} else {
 			// Cached values are already final: AVG never reaches the
 			// cache, so the plain value is the aggregate.
-			groups, err := finalizeGroups(ftab, tab, false)
-			if err != nil {
+			ftab.fin.init(ftab, 1)
+			if err := ftab.fin.finalize(); err != nil {
 				return err
 			}
-			res = &Result{Query: q, Groups: groups, Cached: true}
+			res = &Result{Query: q, Groups: ftab.fin.groups, Cached: true}
 		}
-		if packed {
-			own.Add(ftab.memStats())
-		} else {
-			own.Add(tab.memStats())
-		}
+		own.Add(ftab.memStats())
 		return nil
 	})
 	if err != nil {

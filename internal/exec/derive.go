@@ -25,8 +25,9 @@ import (
 // spills through the broker like any other, and finalizes through the
 // same sort, so results stay byte-identical to Naive, order included.
 //
-// Derivation needs the packed kernel on both sides: query.Forest never
-// picks a parent whose key is wider than a word.
+// Parent and child keys may each take one word or two: the rollup
+// reads both words of the parent's rows and folds under the child's
+// key of either width.
 
 // forest is one pass's derivation forest over its member queries.
 type forest struct {
@@ -132,9 +133,7 @@ func (f *forest) emit(env *Env, stats *Stats, pipes []*queryPipeline) ([]*Result
 		if p.ioErr != nil {
 			return nil, p.ioErr
 		}
-		if p.ftab != nil {
-			p.ftab.fin.init(p.ftab, width)
-		}
+		p.ftab.fin.init(p.ftab, width)
 		for w := 1; w < width; w++ {
 			if err := p.addWorker(f.workerSet(pipes, w)[k], w); err != nil {
 				return nil, err
@@ -148,10 +147,7 @@ func (f *forest) emit(env *Env, stats *Stats, pipes []*queryPipeline) ([]*Result
 	for {
 		var next []int
 		for _, i := range level {
-			var err error
-			if out[i], err = members[i].result(stats); err != nil {
-				return nil, err
-			}
+			out[i] = members[i].result(stats)
 			for c, pi := range f.parent {
 				if pi == i {
 					next = append(next, c)
@@ -185,7 +181,7 @@ func (f *forest) emit(env *Env, stats *Stats, pipes []*queryPipeline) ([]*Result
 // live member left (see forest.pipeline) and is not computed. A failure
 // is latched in the pipeline's ioErr.
 func (p *queryPipeline) derive(env *Env, q *query.Query, qctx context.Context) *queryPipeline {
-	kp, _ := newKeyPacker(q.Schema, q.Levels) // no wider than its parent's key
+	kp := newKeyPacker(q.Schema, q.Levels)
 	c := &queryPipeline{q: q, packer: kp, ftab: newFoldTable(env, q.Agg, kp, q.Name), qctx: qctx, detached: p.detached}
 	defer c.close()
 	work := Stats{DerivedQueries: 1}
@@ -198,7 +194,9 @@ func (p *queryPipeline) derive(env *Env, q *query.Query, qctx context.Context) *
 			work.DerivedRows += int64(len(rows))
 			work.TuplesAgg += folded
 		}
-		work.PackedFolds = work.TuplesAgg
+		if !kp.twoWords() {
+			work.PackedFolds = work.TuplesAgg
+		}
 	}
 	c.own.Add(work)
 	c.ftab.fin.init(c.ftab, 1)
@@ -239,8 +237,12 @@ func rollupLookups(q *query.Query, levels []int) []dimLookup {
 // source packer from, mapped through lks (rollupLookups), dropped when
 // a predicate fails and folded under t's own packed key. Rows carry
 // both accumulator components, so AVG rolls up like the rest. It
-// returns the number of rows folded.
+// returns the number of rows folded. When either key takes two words
+// the rows go through rollupWide.
 func (t *foldTable) rollupFrom(rows []foldRow, from *keyPacker, lks []dimLookup) (int64, error) {
+	if from.twoWords() || t.kp.twoWords() {
+		return t.rollupWide(rows, from, lks)
+	}
 	var folded int64
 next:
 	for i := range rows {
@@ -254,6 +256,31 @@ next:
 			k |= uint64(uint32(lks[d].out[code])) << t.kp.shifts[d]
 		}
 		if err := t.fold(k, accum{a: r.a, b: r.b, set: true}); err != nil {
+			return folded, err
+		}
+		folded++
+	}
+	return folded, nil
+}
+
+// rollupWide is rollupFrom when either key takes two words: codes are
+// read from both words of a row and folded under a key of either width.
+// It is a loop of its own because the two-word field access costs the
+// one-word rollup a sixth of its time.
+func (t *foldTable) rollupWide(rows []foldRow, from *keyPacker, lks []dimLookup) (int64, error) {
+	var folded int64
+next:
+	for i := range rows {
+		r := &rows[i]
+		var lo, hi uint64
+		for d := range lks {
+			code := from.code(r.key, r.sortKey, d)
+			if lks[d].pass != nil && !lks[d].pass[code] {
+				continue next
+			}
+			lo, hi = t.kp.put(lo, hi, d, uint32(lks[d].out[code]))
+		}
+		if err := t.foldKey(lo, hi, accum{a: r.a, b: r.b, set: true}); err != nil {
 			return folded, err
 		}
 		folded++

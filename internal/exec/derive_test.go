@@ -135,6 +135,65 @@ func randomClass(t *testing.T, rng *rand.Rand, s *star.Schema, minLevels []int, 
 // at one-page morsels and the default grain.
 var widthGrains = [][2]int{{1, 16}, {2, 1}, {2, 16}, {3, 1}, {3, 16}, {4, 1}, {4, 16}, {8, 1}, {8, 16}}
 
+// sweepWidths runs class through pass at every width and grain of
+// widthGrains, unspilled and under a 4 KiB budget, and requires every
+// result equal to want, each member's own counters equal across runs
+// and the broker drained. lookups, when non-nil, serves the passes'
+// dimension lookups. It returns the members derived and taking tuples
+// in the serial unspilled run, and the bytes spilled over all runs.
+func sweepWidths(t *testing.T, label string, db *star.Database, lookups *LookupSet, class []*query.Query, want []*Result,
+	pass func(env *Env, st *Stats) ([]*Result, error)) (derived, roots, spilled int64) {
+	t.Helper()
+	for _, budget := range []int64{0, 4 << 10} {
+		var serialOwn [][8]int64
+		for _, run := range widthGrains {
+			workers := run[0]
+			env := NewEnv(db)
+			env.Pool = dag.NewPool(workers)
+			env.MorselPages = run[1]
+			env.Lookups = lookups
+			if budget > 0 {
+				env.Mem = mem.New(budget)
+				env.SpillDir = t.TempDir()
+			}
+			var st Stats
+			got, err := pass(env, &st)
+			if err != nil {
+				t.Fatalf("%s budget %d run %v: %v", label, budget, run, err)
+			}
+			spilled += st.SpillBytes
+			own := make([][8]int64, len(got))
+			for i, r := range got {
+				if r.Query != class[i] {
+					t.Fatalf("%s: result %d is for %s, want %s", label, i, r.Query.Name, class[i].Name)
+				}
+				if !r.Equal(want[i]) {
+					t.Fatalf("%s budget %d run %v: %s differs from Naive: %d groups total %v, want %d groups total %v",
+						label, budget, run, r.Query, len(r.Groups), r.Total(), len(want[i].Groups), want[i].Total())
+				}
+				own[i] = deriveCounters(r.Own)
+				if workers == 1 && budget == 0 {
+					derived += r.Own.DerivedQueries
+					roots += 1 - r.Own.DerivedQueries
+				}
+			}
+			if serialOwn == nil {
+				serialOwn = own
+			}
+			for i := range own {
+				if own[i] != serialOwn[i] {
+					t.Fatalf("%s budget %d run %v: %s own counters %v, serial %v",
+						label, budget, run, class[i].Name, own[i], serialOwn[i])
+				}
+			}
+			if budget > 0 && env.Mem.Used() != 0 {
+				t.Fatalf("%s run %v: broker holds %d bytes after the pass", label, run, env.Mem.Used())
+			}
+		}
+	}
+	return derived, roots, spilled
+}
+
 func TestDerivationMatchesNaive(t *testing.T) {
 	db, _ := testDB(t)
 	indexed := db.ViewByLevels([]int{1, 1, 1, 0})
@@ -173,68 +232,63 @@ func TestDerivationMatchesNaive(t *testing.T) {
 			}
 			split = rng.Intn(split + 1)
 		}
-		for _, budget := range []int64{0, 4 << 10} {
-			var serialOwn [][8]int64
-			for _, run := range widthGrains {
-				workers := run[0]
-				env := NewEnv(db)
-				env.Pool = dag.NewPool(workers)
-				env.MorselPages = run[1]
-				if budget > 0 {
-					env.Mem = mem.New(budget)
-					env.SpillDir = t.TempDir()
-				}
-				var st Stats
-				var got []*Result
-				var err error
-				switch op {
-				case "hash":
-					got, err = SharedScanHash(env, view, class, &st)
-				case "probe":
-					got, err = SharedIndex(env, view, class, &st)
-				default:
-					var hr, ir []*Result
-					hr, ir, err = SharedMixed(env, view, class[split:], class[:split], &st)
-					got = append(append([]*Result(nil), ir...), hr...)
-				}
-				if err != nil {
-					t.Fatalf("trial %d %s budget %d run %v: %v", trial, op, budget, run, err)
-				}
-				spilled += st.SpillBytes
-				own := make([][8]int64, len(got))
-				for i, r := range got {
-					if r.Query != class[i] {
-						t.Fatalf("trial %d %s: result %d is for %s, want %s", trial, op, i, r.Query.Name, class[i].Name)
-					}
-					if !r.Equal(want[i]) {
-						t.Fatalf("trial %d %s budget %d run %v: %s differs from Naive: %d groups total %v, want %d groups total %v",
-							trial, op, budget, run, r.Query, len(r.Groups), r.Total(), len(want[i].Groups), want[i].Total())
-					}
-					own[i] = deriveCounters(r.Own)
-					if workers == 1 && budget == 0 {
-						derived += r.Own.DerivedQueries
-						roots += 1 - r.Own.DerivedQueries
-					}
-				}
-				if serialOwn == nil {
-					serialOwn = own
-				}
-				for i := range own {
-					if own[i] != serialOwn[i] {
-						t.Fatalf("trial %d %s budget %d run %v: %s own counters %v, serial %v",
-							trial, op, budget, run, class[i].Name, own[i], serialOwn[i])
-					}
-				}
-				if budget > 0 && env.Mem.Used() != 0 {
-					t.Fatalf("trial %d %s run %v: broker holds %d bytes after the pass", trial, op, run, env.Mem.Used())
-				}
+		d, r, sp := sweepWidths(t, fmt.Sprintf("trial %d %s", trial, op), db, nil, class, want, func(env *Env, st *Stats) ([]*Result, error) {
+			switch op {
+			case "hash":
+				return SharedScanHash(env, view, class, st)
+			case "probe":
+				return SharedIndex(env, view, class, st)
 			}
-		}
+			hr, ir, err := SharedMixed(env, view, class[split:], class[:split], st)
+			return append(append([]*Result(nil), ir...), hr...), err
+		})
+		derived, roots, spilled = derived+d, roots+r, spilled+sp
 	}
 	if derived == 0 || roots == 0 || spilled == 0 {
 		t.Fatalf("%d derived members, %d roots, %d bytes spilled: the classes exercise only one side", derived, roots, spilled)
 	}
 	t.Logf("%d members derived, %d took tuples, %d bytes spilled", derived, roots, spilled)
+
+	// Two-word keys derive too: on the straddling schema a 77-bit root
+	// feeds a 69-bit member and a 43-bit one, under every aggregate.
+	wide := buildDB(t, straddleSpec())
+	for _, agg := range []query.Agg{query.Sum, query.Count, query.Min, query.Max, query.Avg} {
+		var class []*query.Query
+		for _, levels := range [][]int{{0, 0, 0, 0, 0}, {0, 0, 0, 0, 1}, {1, 1, 1, 1, 1}} {
+			q, err := query.New(fmt.Sprintf("l%v_%s", levels, agg), wide.Schema, levels, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Agg = agg
+			class = append(class, q)
+		}
+		if kps := []*keyPacker{newKeyPacker(wide.Schema, class[0].Levels), newKeyPacker(wide.Schema, class[1].Levels),
+			newKeyPacker(wide.Schema, class[2].Levels)}; !kps[0].twoWords() || !kps[1].twoWords() || kps[2].twoWords() {
+			t.Fatal("want two two-word members and a one-word one")
+		}
+		oenv := NewEnv(wide)
+		want := make([]*Result, len(class))
+		for i, q := range class {
+			want[i] = oracle(t, oenv, q)
+		}
+		// One lookup set serves every pass: the wide dimension tables
+		// are scanned once.
+		lookups := NewLookupSet(nil)
+		var builds []LookupBuild
+		for d := range class[0].Levels {
+			builds = append(builds, LookupBuild{Query: class[0], Dim: d, ViewLevel: 0})
+		}
+		var bst Stats
+		if err := oenv.BuildLookups(lookups, builds, &bst); err != nil {
+			t.Fatal(err)
+		}
+		d, r, _ := sweepWidths(t, "straddle "+agg.String(), wide, lookups, class, want, func(env *Env, st *Stats) ([]*Result, error) {
+			return SharedScanHash(env, wide.Base(), class, st)
+		})
+		if d != 2 || r != 1 {
+			t.Fatalf("straddle %s: %d members derived, %d took tuples; want 2 and 1", agg, d, r)
+		}
+	}
 }
 
 // derivablePair returns an unrestricted A'B' query and its A”B” rollup.
@@ -370,7 +424,8 @@ func FuzzRollupRemap(f *testing.F) {
 			for d := range codes {
 				codes[d] = int32(rng.Intn(int(src[d])))
 			}
-			if err := source.fold(from.pack(codes), accum{a: float64(rng.Intn(1000)), b: 1, set: true}); err != nil {
+			lo, hi := from.pack(codes)
+			if err := source.foldKey(lo, hi, accum{a: float64(rng.Intn(1000)), b: 1, set: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,18 +435,18 @@ func FuzzRollupRemap(f *testing.F) {
 			t.Fatal(err)
 		}
 		rows := srs.rowsOf(0)
-		want := map[uint64][2]float64{}
+		want := map[[2]uint64][2]float64{}
 		var wantFolded int64
 	next:
 		for _, r := range rows {
-			from.unpack(r.key, codes)
+			from.unpack(r.key, r.sortKey, codes)
 			for d, c := range codes {
 				if lks[d].pass != nil && !lks[d].pass[c] {
 					continue next
 				}
 				codes[d] = lks[d].out[c]
 			}
-			k := to.pack(codes)
+			k := pk(to, codes...)
 			want[k] = [2]float64{want[k][0] + r.a, want[k][1] + r.b}
 			wantFolded++
 		}
@@ -411,11 +466,11 @@ func FuzzRollupRemap(f *testing.F) {
 			t.Fatalf("%d groups, want %d", len(got), len(want))
 		}
 		for i, r := range got {
-			if w := want[r.key]; w != [2]float64{r.a, r.b} {
-				t.Fatalf("group %#x = (%v, %v), want %v", r.key, r.a, r.b, w)
+			if w := want[rowKey(to, r)]; w != [2]float64{r.a, r.b} {
+				t.Fatalf("group %#x = (%v, %v), want %v", rowKey(to, r), r.a, r.b, w)
 			}
-			if i > 0 && to.compareKeys(got[i-1].key, r.key) >= 0 {
-				t.Fatalf("groups %#x, %#x out of canonical order", got[i-1].key, r.key)
+			if i > 0 && to.compareKeys(got[i-1].key, got[i-1].sortKey, r.key, r.sortKey) >= 0 {
+				t.Fatalf("groups %#x, %#x out of canonical order", rowKey(to, got[i-1]), rowKey(to, r))
 			}
 		}
 	})

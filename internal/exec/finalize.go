@@ -28,9 +28,11 @@ import (
 // are byte-identical to Naive's. Steps 2, 4 and 5 are pool tasks over
 // every root of the pass. At width 1, P = 1, the merge of a single run is
 // the identity and the steps run inline: the serial pass does the same
-// work through the same code. Keys without a sort key use P = 1 and a
-// comparison sort. Slab, merged rows and groups are result state, not
-// charged to the broker.
+// work through the same code. Keys without a sort key — one-word keys
+// of more than eight significant bytes, and every two-word key, whose
+// rows carry the high word where a sort key would be — use P = 1, a
+// comparison sort and a W-way comparator merge. Slab, merged rows and
+// groups are result state, not charged to the broker.
 
 const (
 	// rangesPerWorker sets P = rangesPerWorker × W: a worker done with a
@@ -110,16 +112,13 @@ func (rs *runSet) finish() {
 	}
 }
 
-// finalizeSets finalizes the packed ones of a pass's root pipelines
-// (their worker-0 tables' fin sets readied by init): at width 1 one
-// after the other, inline; wider, step by step, each step one round of
-// pool tasks over every set's tables or key ranges.
+// finalizeSets finalizes a pass's root pipelines (their worker-0
+// tables' fin sets readied by init): at width 1 one after the other,
+// inline; wider, step by step, each step one round of pool tasks over
+// every set's tables or key ranges.
 func finalizeSets(env *Env, roots []*queryPipeline) error {
 	W, P := 1, 0
 	for _, p := range roots {
-		if p.ftab == nil {
-			continue
-		}
 		if err := p.ftab.fin.split(); err != nil {
 			return err
 		}
@@ -131,30 +130,24 @@ func finalizeSets(env *Env, roots []*queryPipeline) error {
 		return nil
 	}
 	poolTasks(env, len(roots)*W, func(i int) error {
-		if t := roots[i/W].ftab; t != nil {
-			t.fin.sort(i % W)
-		}
+		roots[i/W].ftab.fin.sort(i % W)
 		return nil
 	})
 	for _, p := range roots {
-		if p.ftab != nil {
-			p.ftab.fin.bound()
-		}
+		p.ftab.fin.bound()
 	}
 	poolTasks(env, len(roots)*P, func(i int) error {
-		if t := roots[i/P].ftab; t != nil && i%P < t.fin.parts {
-			t.fin.merge(i % P)
+		if rs := &roots[i/P].ftab.fin; i%P < rs.parts {
+			rs.merge(i % P)
 		}
 		return nil
 	})
 	for _, p := range roots {
-		if p.ftab != nil {
-			p.ftab.fin.count()
-		}
+		p.ftab.fin.count()
 	}
 	return poolTasks(env, len(roots)*P, func(i int) error {
-		if t := roots[i/P].ftab; t != nil && i%P < t.fin.parts {
-			t.fin.decode(i % P)
+		if rs := &roots[i/P].ftab.fin; i%P < rs.parts {
+			rs.decode(i % P)
 		}
 		return nil
 	})
@@ -204,7 +197,7 @@ func (rs *runSet) sort(w int) {
 	if rs.kp.sortSteps != nil {
 		radixSort(region, 8*len(rs.kp.sortSteps)-8)
 	} else {
-		slices.SortFunc(region, func(x, y foldRow) int { return rs.kp.compareKeys(x.key, y.key) })
+		slices.SortFunc(region, func(x, y foldRow) int { return rs.kp.compareKeys(x.key, x.sortKey, y.key, y.sortKey) })
 	}
 }
 
@@ -270,9 +263,10 @@ func (rs *runSet) bound() {
 }
 
 // merge merges every worker's run of range p into merged, after the
-// runs of every earlier range, combining equal keys in worker-index
-// order: the first worker holding the smallest key seeds the row, later
-// ones fold into it. One sorted run is its own merge.
+// runs of every earlier range, combining equal keys — both words equal
+// — in worker-index order: the first worker holding the smallest key
+// seeds the row, later ones fold into it. One sorted run is its own
+// merge.
 func (rs *runSet) merge(p int) {
 	P, W := rs.parts, len(rs.src)
 	c := rs.cur[p*W : (p+1)*W]
@@ -299,11 +293,11 @@ func (rs *runSet) merge(p int) {
 		m := &rs.merged[out]
 		*m = rs.slab[c[best]]
 		for w := best; w < W; w++ {
-			if i := c[w]; i < rs.off[w*(P+1)+p+1] && rs.slab[i].key == m.key {
+			if i := c[w]; i < rs.off[w*(P+1)+p+1] && rs.slab[i].key == m.key && rs.slab[i].sortKey == m.sortKey {
 				if w > best {
-					ac := accum{a: m.a, b: m.b, set: true}
-					mergeAccum(rs.agg, &ac, accum{a: rs.slab[i].a, b: rs.slab[i].b, set: true})
-					m.a, m.b = ac.a, ac.b
+					s := foldSlot{a: m.a, b: m.b, set: true}
+					foldSlotMerge(rs.agg, &s, accum{a: rs.slab[i].a, b: rs.slab[i].b, set: true})
+					m.a, m.b = s.a, s.b
 				}
 				c[w]++
 			}
@@ -319,7 +313,7 @@ func (rs *runSet) compare(x, y *foldRow) int {
 	if rs.kp.sortSteps != nil {
 		return cmp.Compare(x.sortKey, y.sortKey)
 	}
-	return rs.kp.compareKeys(x.key, y.key)
+	return rs.kp.compareKeys(x.key, x.sortKey, y.key, y.sortKey)
 }
 
 // count turns the ranges' group counts into offsets and allocates the
@@ -345,7 +339,7 @@ func (rs *runSet) decode(p int) {
 	for i, r := range rs.rowsOf(p) {
 		g := rs.gof[p] + i
 		keys := rs.keys[g*nd : (g+1)*nd : (g+1)*nd]
-		rs.kp.unpack(r.key, keys)
+		rs.kp.unpack(r.key, r.sortKey, keys)
 		rs.groups[g] = Group{Keys: keys, Value: finalValue(avg, r.a, r.b)}
 	}
 }

@@ -39,18 +39,50 @@ func straddleSpec() datagen.Spec {
 	}
 }
 
-// TestFinalizeOrderMatchesOracle runs every aggregate of group-bys over
-// the straddling schema — level vectors whose sort key fits a word, ones
-// that need the fallback comparator (one key range at any width), one
-// too wide to pack at all — through the shared scan at every width and
-// grain of widthGrains, unspilled and under a 4 KiB budget, and requires
-// groups, order and values equal to Naive's.
-func TestFinalizeOrderMatchesOracle(t *testing.T) {
-	db, err := datagen.Build(filepath.Join(t.TempDir(), "db"), straddleSpec())
+// highWordSpec is a nine-dimension schema whose base-level key takes 82
+// bits: six 10-bit fields fill the low word up to bit 60, and the high
+// word holds the upper part of a 9-bit field across bit 64 and two whole
+// fields after it.
+func highWordSpec() datagen.Spec {
+	return datagen.Spec{
+		Rows:       2500,
+		Seed:       13,
+		Cards:      [][]int{{1024}, {1024}, {1024}, {1024}, {1024}, {1024}, {300}, {1000}, {5}},
+		PoolFrames: 256,
+	}
+}
+
+// buildDB builds spec's database in a test temp dir.
+func buildDB(t *testing.T, spec datagen.Spec) *star.Database {
+	t.Helper()
+	db, err := datagen.Build(filepath.Join(t.TempDir(), "db"), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// highWordDims counts the dimensions of kp with bits in the high word.
+func highWordDims(kp *keyPacker) int {
+	n := 0
+	for i, s := range kp.shifts {
+		if int(s)+star.FieldBits(int32(kp.masks[i]+1)) > 64 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFinalizeOrderMatchesOracle runs every aggregate of group-bys over
+// the straddling schema — level vectors whose sort key fits a word, ones
+// that need the fallback comparator (one key range at any width), ones
+// that take two words — and over highWordSpec's base level, whose high
+// word holds three dimensions, through the shared scan at every width
+// and grain of widthGrains, unspilled and under a 4 KiB budget, and
+// requires groups, order and values equal to Naive's.
+func TestFinalizeOrderMatchesOracle(t *testing.T) {
+	db := buildDB(t, straddleSpec())
 	schema := db.Schema
 	all := func(d int) int { return schema.Dims[d].AllLevel() }
 
@@ -60,7 +92,8 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 		{0, 1, 1, 0, 2},                     // 3+1+2+2+1 = 9 sort bytes in 46 bits: comparator
 		{0, 0, 0, all(3), all(4)},           // 8 sort bytes exactly: sort key
 		{0, all(1), 0, 1, 0},                // 3+3+1+3 = 10 sort bytes in 59 bits: comparator
-		{0, 0, 0, 0, 0},                     // 77 bits: byte-key table
+		{0, 0, 0, 0, 0},                     // 77 bits: two words
+		{0, 0, 0, 0, 1},                     // 69 bits: two words, a field across bit 64
 		{all(0), 2, all(2), all(3), all(4)}, // five groups
 	}
 	rng := rand.New(rand.NewSource(20260925))
@@ -71,13 +104,27 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 		}
 		vectors = append(vectors, v)
 	}
+	type vector struct {
+		db     *star.Database
+		levels []int
+	}
+	var cases []vector
+	for _, levels := range vectors {
+		cases = append(cases, vector{db, levels})
+	}
+	hw := buildDB(t, highWordSpec())
+	cases = append(cases, vector{hw, make([]int, hw.Schema.NumDims())})
 
-	var sortKeyed, compared, byteKeyed int
-	for vi, levels := range vectors {
-		kp, packed := newKeyPacker(schema, levels)
+	var sortKeyed, compared, twoWord, highWord int
+	for vi, c := range cases {
+		db, schema, levels := c.db, c.db.Schema, c.levels
+		kp := newKeyPacker(schema, levels)
 		switch {
-		case !packed:
-			byteKeyed++
+		case kp.twoWords():
+			twoWord++
+			if highWordDims(kp) >= 2 {
+				highWord++
+			}
 		case kp.sortSteps == nil:
 			compared++
 		default:
@@ -134,28 +181,25 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	if sortKeyed < 3 || compared < 2 || byteKeyed < 1 {
-		t.Fatalf("coverage: %d sort-keyed, %d comparator, %d byte-key vectors", sortKeyed, compared, byteKeyed)
+	if sortKeyed < 3 || compared < 2 || twoWord < 2 || highWord < 1 {
+		t.Fatalf("coverage: %d sort-keyed, %d comparator, %d two-word vectors, %d with two dimensions in the high word",
+			sortKeyed, compared, twoWord, highWord)
 	}
 }
 
 // TestGroupKeysDoNotAlias: one result's Keys share a slab, so each must
 // be cut with its capacity clipped — an append on one group's keys must
-// reallocate, not overwrite the next group's — on both table kinds: the
-// paper schema's Q1 folds packed keys, the straddling schema's 77-bit
-// base-level group-by byte keys.
+// reallocate, not overwrite the next group's — at both key widths: the
+// paper schema's Q1 folds one-word keys, the straddling schema's 77-bit
+// base-level group-by two-word keys.
 func TestGroupKeysDoNotAlias(t *testing.T) {
 	db, qs := testDB(t)
-	wide, err := datagen.Build(filepath.Join(t.TempDir(), "db"), straddleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wide.Close()
+	wide := buildDB(t, straddleSpec())
 	base, err := query.New("base", wide.Schema, make([]int, wide.Schema.NumDims()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, packed := newKeyPacker(wide.Schema, base.Levels); packed {
+	if !newKeyPacker(wide.Schema, base.Levels).twoWords() {
 		t.Fatal("the straddling base-level key packed into a word")
 	}
 	for _, tc := range []struct {
@@ -238,7 +282,7 @@ func finalizeAllocs(t *testing.T, env *Env, width, n int) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := finalizeSets(env, roots)
-		r, _ := p.result(new(Stats))
+		r := p.result(new(Stats))
 		runtime.ReadMemStats(&after)
 		if err != nil || len(r.Groups) != n {
 			t.Fatalf("width %d: %d groups, err %v; want %d", width, len(r.Groups), err, n)

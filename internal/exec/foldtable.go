@@ -9,43 +9,46 @@ import (
 
 // Open-addressing fold table.
 //
-// foldTable is the packed-key counterpart of aggTable: the aggregation
-// state of one pipeline whose group-by key fits a uint64 (see pack.go).
-// Instead of a Go map keyed by the key's byte string it is a flat
-// power-of-two slot array probed linearly from hash64(key) — one
+// foldTable is the aggregation state of one pipeline: a flat
+// power-of-two slot array probed linearly from the key's hash — one
 // find-or-insert probe per tuple, no per-tuple key encode, no string
 // conversion, and no allocation in the steady state (inserts allocate
 // only at the amortized rehash points, and rehashing stops once the
-// group domain is populated).
+// group domain is populated). A one-word key (pack.go) lives in its
+// slot and hashes with hash64 (find, insert, fold); a two-word table
+// keeps each slot's high word in a side slab, hi, and hashes with
+// hash128 (find2, insert2, fold2). The slot stays 32 bytes either way.
 //
-// The memory and spill disciplines match aggTable exactly:
+// Memory and spilling:
 //
-//   - the slot slab is charged to the pipeline's broker reservation;
-//     a rehash charges the new slab (TryGrow) before releasing the old
-//     one, so the broker's peak covers the transient double residency;
-//   - a denied grant triggers the same grace-hash partitioned spill
-//     (spillFiles, with 8-byte keys), the probe hash routing each
-//     record to its partition so a key's records stay in one partition
-//     in arrival order;
+//   - the slot slab (and hi) is charged to the pipeline's broker
+//     reservation; a rehash charges the new slab (TryGrow) before
+//     releasing the old one, so the broker's peak covers the transient
+//     double residency;
+//   - a denied grant triggers a grace-hash partitioned spill (spill.go):
+//     records of 8 or 16 key bytes, the probe hash routing each to its
+//     partition so a key's records stay in one partition in arrival
+//     order;
 //   - finalization (finalize.go) copies the groups of every worker's
-//     table into one flat slab, orders it by the packer's
-//     order-preserving sort key — the canonical byte-key order without
-//     ever building a byte key — and decodes into slab-backed Groups,
-//     so results are byte-identical to the byte-key path whichever one
-//     ran.
+//     table into one flat slab, orders it canonically — by the packer's
+//     order-preserving sort key where there is one, with compareKeys
+//     otherwise — and decodes into slab-backed Groups, so results are
+//     byte-identical to the oracle's.
 const (
 	// foldInitialSlots is the initial slot-array capacity. Its slab
-	// (foldInitialSlots*foldSlotBytes) is also the per-entry portion of
-	// a packed spill's merge floor: every merge sub-pass gets one
+	// (foldInitialSlots slots, high words included) is also the table
+	// portion of a spill's merge floor: every merge sub-pass gets one
 	// starting slab without a fresh grant, so merges always progress.
 	foldInitialSlots = 64
 	// foldSlotBytes is the charged size of one slot (unsafe.Sizeof is
-	// avoided so the plan estimator can mirror the constant verbatim).
+	// avoided so the plan estimator can mirror the constant verbatim);
+	// a two-word table charges 8 more per slot for its high word.
 	foldSlotBytes = 32
 )
 
-// foldSlot is one group's inline state: the packed key and the
-// accumulator components, flattened to keep the slot at 32 bytes.
+// foldSlot is one group's inline state: the packed key (its low word
+// in a two-word table) and the accumulator components, flattened to
+// keep the slot at 32 bytes.
 type foldSlot struct {
 	key  uint64
 	a, b float64
@@ -53,8 +56,9 @@ type foldSlot struct {
 	used bool
 }
 
-// foldSlotMerge folds delta d into slot s under agg, mirroring
-// mergeAccum on the inline accumulator fields.
+// foldSlotMerge folds delta d into slot s under agg. Folding a delta
+// into an unset slot yields the delta itself, so one code path serves
+// the scan, the spill merge and the worker merge.
 func foldSlotMerge(agg query.Agg, s *foldSlot, d accum) {
 	if !d.set {
 		return
@@ -80,9 +84,9 @@ func foldSlotMerge(agg query.Agg, s *foldSlot, d accum) {
 	}
 }
 
-// foldTable is a pipeline's packed-key aggregation state: an
-// open-addressing table under a broker reservation until the budget
-// runs out, partitioned spill files afterwards.
+// foldTable is a pipeline's aggregation state: an open-addressing
+// table under a broker reservation until the budget runs out,
+// partitioned spill files afterwards.
 type foldTable struct {
 	agg    query.Agg
 	kp     *keyPacker
@@ -91,6 +95,7 @@ type foldTable struct {
 	fanout int
 
 	slots  []foldSlot
+	hi     []uint64 // a two-word table's high words, by slot
 	mask   uint64
 	n      int   // occupied slots
 	growAt int   // rehash threshold (3/4 load)
@@ -100,11 +105,15 @@ type foldTable struct {
 	// tables of merge sub-passes.
 	floorBytes int64
 	// floorHeld is the single-partition spill floor pre-reserved at
-	// construction (0 when the broker denied it); see aggTable.
+	// construction (0 when the broker denied it). Reserving the floor
+	// while the budget still has room means a spill that starts under
+	// saturation spends this instead of overdrafting with MustGrow —
+	// concurrent pipelines racing for a freed slab can no longer push
+	// the broker's peak past the budget.
 	floorHeld int64
 
 	sp *spillFiles // nil until the first denied grant
-	kb [8]byte     // spill record key scratch
+	kb [16]byte    // spill record key scratch
 
 	spillBytes int64
 	spillParts int64
@@ -120,10 +129,18 @@ func newFoldTable(env *Env, agg query.Agg, kp *keyPacker, tag string) *foldTable
 		dir:    env.spillDir(),
 		fanout: env.spillFanout(),
 	}
-	if fl := spillFloorBytes(foldInitialSlots * foldSlotBytes); t.res.TryGrow(fl) {
+	if fl := spillFloorBytes(foldInitialSlots * t.slotBytes()); t.res.TryGrow(fl) {
 		t.floorHeld = fl
 	}
 	return t
+}
+
+// slotBytes is the charged size of one slot, its high word included.
+func (t *foldTable) slotBytes() int64 {
+	if t.kp.twoWords() {
+		return foldSlotBytes + 8
+	}
+	return foldSlotBytes
 }
 
 // find returns the slot holding key, or nil.
@@ -170,15 +187,18 @@ func (t *foldTable) insert(key uint64, d accum) bool {
 // before the old one is released: both are resident during the rehash,
 // and the broker's peak must cover what the process actually holds.
 func (t *foldTable) grow(newCap int) bool {
-	charge := int64(newCap)*foldSlotBytes - t.floorBytes
+	charge := int64(newCap)*t.slotBytes() - t.floorBytes
 	if charge < 0 {
 		charge = 0
 	}
 	if !t.res.TryGrow(charge) {
 		return false
 	}
-	old := t.slots
+	old, oldHi := t.slots, t.hi
 	t.slots = make([]foldSlot, newCap)
+	if t.kp.twoWords() {
+		t.hi = make([]uint64, newCap)
+	}
 	t.mask = uint64(newCap - 1)
 	t.growAt = newCap * 3 / 4
 	for i := range old {
@@ -187,10 +207,16 @@ func (t *foldTable) grow(newCap int) bool {
 			continue
 		}
 		j := hash64(s.key) & t.mask
+		if oldHi != nil {
+			j = hash128(s.key, oldHi[i]) & t.mask
+		}
 		for t.slots[j].used {
 			j = (j + 1) & t.mask
 		}
 		t.slots[j] = *s
+		if oldHi != nil {
+			t.hi[j] = oldHi[i]
+		}
 	}
 	t.res.Shrink(t.held)
 	t.held = charge
@@ -216,14 +242,96 @@ func (t *foldTable) fold(key uint64, d accum) error {
 	return t.writeRec(key, d)
 }
 
+// find2 is find for a two-word table.
+func (t *foldTable) find2(lo, hi uint64) *foldSlot {
+	if t.slots == nil {
+		return nil
+	}
+	i := hash128(lo, hi) & t.mask
+	for {
+		s := &t.slots[i]
+		if !s.used {
+			return nil
+		}
+		if s.key == lo && t.hi[i] == hi {
+			return s
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// insert2 is insert for a two-word table.
+func (t *foldTable) insert2(lo, hi uint64, d accum) bool {
+	if t.slots == nil || t.n == t.growAt {
+		if !t.grow(max(foldInitialSlots, 2*len(t.slots))) {
+			return false
+		}
+	}
+	i := hash128(lo, hi) & t.mask
+	for t.slots[i].used {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i] = foldSlot{key: lo, a: d.a, b: d.b, set: d.set, used: true}
+	t.hi[i] = hi
+	t.n++
+	return true
+}
+
+// fold2 is fold for a two-word table.
+func (t *foldTable) fold2(lo, hi uint64, d accum) error {
+	if t.sp != nil {
+		return t.writeRec2(lo, hi, d)
+	}
+	if s := t.find2(lo, hi); s != nil {
+		foldSlotMerge(t.agg, s, d)
+		return nil
+	}
+	if t.insert2(lo, hi, d) {
+		return nil
+	}
+	if err := t.startSpill(); err != nil {
+		return err
+	}
+	return t.writeRec2(lo, hi, d)
+}
+
+// foldKey, findKey and insertKey take a key of either width: to the
+// two-word entries in a two-word table, to the one-word ones — hi is 0
+// — otherwise.
+func (t *foldTable) foldKey(lo, hi uint64, d accum) error {
+	if t.kp.twoWords() {
+		return t.fold2(lo, hi, d)
+	}
+	return t.fold(lo, d)
+}
+
+func (t *foldTable) findKey(lo, hi uint64) *foldSlot {
+	if t.kp.twoWords() {
+		return t.find2(lo, hi)
+	}
+	return t.find(lo)
+}
+
+func (t *foldTable) insertKey(lo, hi uint64, d accum) bool {
+	if t.kp.twoWords() {
+		return t.insert2(lo, hi, d)
+	}
+	return t.insert(lo, d)
+}
+
 // startSpill switches the table to write-through mode: resident slots
 // are flushed as partial-accumulator records and the slab's memory is
-// returned to the broker (the same trade ordering as aggTable — the
-// slab's bytes vacate the space the spill buffers then draw on).
+// returned to the broker. The slab's bytes are released up front, so
+// the spill buffers' grant draws on the space they vacate instead of
+// overdrafting past the ceiling the denial just established.
 func (t *foldTable) startSpill() error {
 	t.res.Shrink(t.held)
 	t.held = 0
-	sp, err := newSpillFiles(t.dir, 8, t.fanout, foldInitialSlots*foldSlotBytes, t.res, t.floorHeld)
+	keyLen := 8
+	if t.kp.twoWords() {
+		keyLen = 16
+	}
+	sp, err := newSpillFiles(t.dir, keyLen, t.fanout, foldInitialSlots*t.slotBytes(), t.res, t.floorHeld)
 	if err != nil {
 		return err
 	}
@@ -235,11 +343,17 @@ func (t *foldTable) startSpill() error {
 		if !s.used {
 			continue
 		}
-		if err := t.writeRec(s.key, accum{a: s.a, b: s.b, set: s.set}); err != nil {
+		ac := accum{a: s.a, b: s.b, set: s.set}
+		if t.hi != nil {
+			err = t.writeRec2(s.key, t.hi[i], ac)
+		} else {
+			err = t.writeRec(s.key, ac)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	t.slots = nil
+	t.slots, t.hi = nil, nil
 	t.n = 0
 	return nil
 }
@@ -250,16 +364,32 @@ func (t *foldTable) startSpill() error {
 // merged fold identical to the in-memory one.
 func (t *foldTable) writeRec(key uint64, ac accum) error {
 	binary.LittleEndian.PutUint64(t.kb[:], key)
-	pi := int(hash64(key) % uint64(len(t.sp.parts)))
-	if err := t.sp.write(pi, t.kb[:], ac); err != nil {
+	return t.writeKB(hash64(key), ac)
+}
+
+// writeRec2 is writeRec for a two-word key: 16 key bytes, routed by
+// hash128.
+func (t *foldTable) writeRec2(lo, hi uint64, ac accum) error {
+	binary.LittleEndian.PutUint64(t.kb[:], lo)
+	binary.LittleEndian.PutUint64(t.kb[8:], hi)
+	return t.writeKB(hash128(lo, hi), ac)
+}
+
+// writeKB writes the key in kb with delta ac to partition h mod fanout.
+func (t *foldTable) writeKB(h uint64, ac accum) error {
+	if err := t.sp.write(int(h%uint64(len(t.sp.parts))), t.kb[:t.sp.keyLen], ac); err != nil {
 		return err
 	}
 	t.spillBytes += int64(t.sp.recSize)
 	return nil
 }
 
-// foldRow is one finalized group of a packed table: its packed key, the
-// key's sort key (0 when the packer has none) and the accumulator.
+// foldRow is one finalized group: its key and the accumulator. key is
+// the key's low word; sortKey is the key's sort key when the packer has
+// sort steps and its high word otherwise (0 for a one-word key). Either
+// way (key, sortKey) identifies the key, and every function that reads
+// both words of a row reads sortKey as hi: a one-word packer's fields
+// never reach it (keyPacker.code).
 type foldRow struct {
 	sortKey, key uint64
 	a, b         float64
@@ -279,7 +409,7 @@ func (t *foldTable) rows() ([]foldRow, error) {
 	// One transient table serves every sub-pass of every partition,
 	// cleared in between; its slab stays charged until the merge ends
 	// (t.close releases it on an error path).
-	mt := &foldTable{agg: t.agg, kp: t.kp, res: t.res, floorBytes: foldInitialSlots * foldSlotBytes}
+	mt := &foldTable{agg: t.agg, kp: t.kp, res: t.res, floorBytes: foldInitialSlots * t.slotBytes()}
 	var out []foldRow
 	for pi := range t.sp.parts {
 		var err error
@@ -299,7 +429,11 @@ func (t *foldTable) appendRows(out []foldRow) []foldRow {
 		if !s.used {
 			continue
 		}
-		out = append(out, foldRow{sortKey: t.kp.sortKey(s.key), key: s.key, a: s.a, b: s.b})
+		top := t.kp.sortKey(s.key)
+		if t.hi != nil {
+			top = t.hi[i]
+		}
+		out = append(out, foldRow{sortKey: top, key: s.key, a: s.a, b: s.b})
 	}
 	return out
 }
@@ -311,24 +445,30 @@ func (t *foldTable) appendRows(out []foldRow) []foldRow {
 // sub-pass absorbs at least growAt keys without a fresh grant and the
 // merge always terminates.
 //
-// Diversion is sticky within a sub-pass, exactly as in
-// aggTable.mergePartition: after the first denial every key not
-// already resident goes to the overflow writer without consulting the
-// broker again, so a key can never surface twice with a split
-// aggregate when a concurrent pipeline releases memory mid-merge.
+// Diversion is sticky within a sub-pass: after the first denial every
+// key not already resident goes to the overflow writer without
+// consulting the broker again. A per-record grant could succeed when a
+// concurrent pipeline releases memory mid-merge, admitting a later
+// record of an already-diverted key — the key would then surface twice,
+// once from the table and once from the overflow sub-pass, with its
+// aggregate split between the two.
 func (t *foldTable) mergePartition(mt *foldTable, pi int, out []foldRow) ([]foldRow, error) {
 	pages := t.sp.parts[pi].pages
+	wide := t.kp.twoWords()
 	for len(pages) > 0 {
 		clear(mt.slots)
 		mt.n = 0
 		var overflow *spillWriter
 		err := t.sp.readPart(pi, pages, func(key []byte, ac accum) error {
-			k := binary.LittleEndian.Uint64(key)
-			if s := mt.find(k); s != nil {
+			lo, hi := binary.LittleEndian.Uint64(key), uint64(0)
+			if wide {
+				hi = binary.LittleEndian.Uint64(key[8:])
+			}
+			if s := mt.findKey(lo, hi); s != nil {
 				foldSlotMerge(t.agg, s, ac)
 				return nil
 			}
-			if overflow == nil && mt.insert(k, ac) {
+			if overflow == nil && mt.insertKey(lo, hi, ac) {
 				return nil
 			}
 			if overflow == nil {
@@ -370,6 +510,6 @@ func (t *foldTable) close() {
 		t.sp = nil
 	}
 	t.res.Release()
-	t.slots = nil
+	t.slots, t.hi = nil, nil
 	t.held = 0
 }

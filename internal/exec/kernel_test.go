@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"mdxopt/internal/query"
@@ -42,8 +41,8 @@ func TestFoldLoopAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.close()
-		if p.packer == nil {
-			t.Fatalf("%s fell back to byte keys on the paper schema", name)
+		if p.packer.twoWords() {
+			t.Fatalf("%s took two-word keys on the paper schema", name)
 		}
 		pipes = append(pipes, p)
 	}
@@ -92,15 +91,17 @@ func BenchmarkSharedScanCPU(b *testing.B) {
 	}
 }
 
-// BenchmarkAggTable isolates the two table representations on a
+// BenchmarkFoldTable isolates the fold table's two entries on a
 // synthetic key stream: one find-or-insert per operation against a
-// resident working set.
-func BenchmarkAggTable(b *testing.B) {
+// resident working set, under a one-word key and under a two-word key of
+// the same group count.
+func BenchmarkFoldTable(b *testing.B) {
 	db, _ := testDB(b)
 	env := NewEnv(db)
-	kp, ok := newKeyPackerFromCards([]int32{256, 256, 256, 256})
-	if !ok {
-		b.Fatal("4×8-bit key did not pack")
+	one, _ := newKeyPackerFromCards([]int32{256, 256, 256, 256})
+	two, _ := newKeyPackerFromCards([]int32{1 << 30, 1 << 30, 1 << 30, 256})
+	if one.twoWords() || !two.twoWords() {
+		b.Fatal("want a one-word and a two-word packer")
 	}
 	const n = 1 << 16
 	keys := make([]uint64, n)
@@ -109,8 +110,8 @@ func BenchmarkAggTable(b *testing.B) {
 		x = x*6364136223846793005 + 1442695040888963407
 		keys[i] = x >> 40 // 24-bit keys: a few thousand distinct groups
 	}
-	b.Run("packed", func(b *testing.B) {
-		t := newFoldTable(env, query.Sum, kp, "bench")
+	b.Run("one_word", func(b *testing.B) {
+		t := newFoldTable(env, query.Sum, one, "bench")
 		defer t.close()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -119,14 +120,14 @@ func BenchmarkAggTable(b *testing.B) {
 			}
 		}
 	})
-	b.Run("bytes", func(b *testing.B) {
-		t := newAggTable(env, query.Sum, 16, "bench")
+	b.Run("two_word", func(b *testing.B) {
+		t := newFoldTable(env, query.Sum, two, "bench")
 		defer t.close()
-		var buf [16]byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			binary.LittleEndian.PutUint64(buf[:], keys[i%n])
-			if err := t.add(buf[:], accum{a: 1, set: true}); err != nil {
+			// The low word's top bits move into the high word.
+			k := keys[i%n]
+			if err := t.fold2(k&0xfff, k>>12, accum{a: 1, set: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

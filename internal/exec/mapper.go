@@ -154,27 +154,23 @@ type accum struct {
 }
 
 // queryPipeline is the per-query tail of a star join: dimension lookups
-// plus an aggregation table that spills under memory pressure.
-//
-// The key's width selects the aggregation representation. When the
-// query's group-by key packs into a uint64 (pack.go) the pipeline folds
-// through the open-addressing foldTable, the allocation-free kernel;
-// a wider key folds into the byte-key aggTable. Exactly one of ftab and
-// tab is non-nil.
+// plus a fold table (foldtable.go) that spills under memory pressure.
+// A key of one word folds through the vectorized kernel below; a
+// two-word key takes foldWide.
 type queryPipeline struct {
 	q       *query.Query
 	lookups []*dimLookup // one per dimension, indexed by dim position
 
-	packer *keyPacker // non-nil when the key fits a word
-	ftab   *foldTable // packed open-addressing table (packer != nil)
+	packer *keyPacker
+	ftab   *foldTable
 	// selRows/selKeys are the batch kernel's scratch vectors (one page
 	// of row indices and packed keys), reused batch to batch so the
 	// steady-state fold loop performs no allocation.
 	selRows []int32
 	selKeys []uint64
-
-	tab    *aggTable // byte-key table of a wider key (packer == nil)
-	keyBuf []byte
+	// restricted lists the dimensions whose predicates foldBatch tests
+	// on a two-word key; nil for a one-word key.
+	restricted []int
 	// qctx is the query's per-submission context (Env.QueryCtx), whose
 	// error the query's result carries. watch holds the contexts the
 	// pipeline folds for — its own and those of the members derived
@@ -200,15 +196,14 @@ func newQueryPipeline(env *Env, stats *Stats, cache *lookupCache, q *query.Query
 		q:       q,
 		lookups: make([]*dimLookup, nd),
 	}
-	if kp, ok := newKeyPacker(q.Schema, q.Levels); ok {
-		p.packer = kp
-		p.ftab = newFoldTable(env, q.Agg, kp, q.Name)
-		tpp := view.Heap.TuplesPerPage()
-		p.selRows = make([]int32, 0, tpp)
-		p.selKeys = make([]uint64, 0, tpp)
+	p.packer = newKeyPacker(q.Schema, q.Levels)
+	p.ftab = newFoldTable(env, q.Agg, p.packer, q.Name)
+	tpp := view.Heap.TuplesPerPage()
+	p.selRows = make([]int32, 0, tpp)
+	if p.packer.twoWords() {
+		p.restricted = q.RestrictedDims()
 	} else {
-		p.tab = newAggTable(env, q.Agg, 4*nd, q.Name)
-		p.keyBuf = make([]byte, 4*nd)
+		p.selKeys = make([]uint64, 0, tpp)
 	}
 	for dim := 0; dim < nd; dim++ {
 		lk, err := cache.get(q, dim, view.Levels[dim])
@@ -227,22 +222,7 @@ func (p *queryPipeline) close() {
 	if p == nil {
 		return
 	}
-	p.tab.close()
 	p.ftab.close()
-}
-
-// tabMemStats reports the memory counters of the member's aggregation
-// tables: every worker table its finalization read on the packed path,
-// the byte-key table the workers' were merged into otherwise.
-func (p *queryPipeline) tabMemStats() Stats {
-	if p.ftab == nil {
-		return p.tab.memStats()
-	}
-	var ms Stats
-	for _, s := range p.ftab.fin.src {
-		ms.Add(s.t.memStats())
-	}
-	return ms
 }
 
 // detachedNow polls the contexts the pipeline folds for, latching
@@ -264,9 +244,8 @@ func (p *queryPipeline) detachedNow() bool {
 }
 
 // foldBatch pushes one decoded page of tuples through the pipeline —
-// the scan operators' per-pipeline entry point. On the packed kernel
-// path it runs the vectorized kernel below; a byte-key pipeline probes
-// tuple by tuple.
+// the scan operators' per-pipeline entry point. A one-word key runs the
+// vectorized kernel below; a two-word key folds tuple by tuple.
 //
 // The vectorized kernel processes the batch dimension at a time
 // instead of tuple at a time, hoisting the per-dimension branches
@@ -283,8 +262,8 @@ func (p *queryPipeline) foldBatch(st *Stats, b *table.Batch) {
 	n := b.N
 	st.TupleProbes += int64(n)
 	p.own.TupleProbes += int64(n)
-	if p.packer == nil {
-		p.foldBatchBytes(st, b)
+	if p.packer.twoWords() {
+		p.foldWide(st, b, identitySel(p.selRows[:0], n), p.restricted)
 		return
 	}
 	nk := b.NumKeys()
@@ -401,40 +380,20 @@ func (p *queryPipeline) foldSelection(rows []int32, pk []uint64, b *table.Batch)
 	return nil
 }
 
-// foldBatchBytes is foldBatch's byte-key path: per-tuple probes into
-// the aggregation map. TupleProbes were already counted by foldBatch.
-func (p *queryPipeline) foldBatchBytes(st *Stats, b *table.Batch) {
-	nm := b.NumMeasures()
-	for t := 0; t < b.N; t++ {
-		keys, measures := b.Row(t)
-		var vals [4]float64
-		if nm == 4 {
-			vals = [4]float64{measures[0], measures[1], measures[2], measures[3]}
-		} else {
-			m := measures[0]
-			vals = [4]float64{m, 1, m, m}
-		}
-		if p.probe(keys, vals) {
-			st.TuplesAgg++
-			p.own.TuplesAgg++
-		}
-	}
-}
-
 // foldBatchSel is the index path's per-pipeline entry into the fold
 // kernel: sel holds the batch slots of tuples whose position the
 // query's bitmap already covers, so the indexed predicates are proven
 // and only residual (unindexed restricted) dimensions still filter.
 // Every survivor folds with its full packed key. It counts TuplesAgg
-// (and PackedFolds on the packed path) in both st and the pipeline's
+// (and PackedFolds for a one-word key) in both st and the pipeline's
 // own stats; TuplesFetched and BitTests are the caller's to count —
 // they are properties of the routing, not the fold.
 func (p *queryPipeline) foldBatchSel(st *Stats, b *table.Batch, sel []int32, residual []int) {
 	if p.detached || p.ioErr != nil || len(sel) == 0 {
 		return
 	}
-	if p.packer == nil {
-		p.foldSelBytes(st, b, sel, residual)
+	if p.packer.twoWords() {
+		p.foldWide(st, b, sel, residual)
 		return
 	}
 	nk := b.NumKeys()
@@ -479,70 +438,58 @@ func (p *queryPipeline) foldBatchSel(st *Stats, b *table.Batch, sel []int32, res
 	}
 }
 
-// foldSelBytes is foldBatchSel's byte-key path: per selected tuple,
-// the residual predicates and a fold into the aggregation map.
-func (p *queryPipeline) foldSelBytes(st *Stats, b *table.Batch, sel []int32, residual []int) {
-	nm := b.NumMeasures()
+// foldWide is foldBatch's and foldBatchSel's loop for a two-word key,
+// tuple at a time: every batch slot of sel whose codes pass the
+// predicates of dims folds its delta under its key. It counts TuplesAgg
+// but not PackedFolds, which count one-word folds only.
+func (p *queryPipeline) foldWide(st *Stats, b *table.Batch, sel []int32, dims []int) {
+	nk := b.NumKeys()
+	var folded int64
+tuples:
 	for _, r := range sel {
-		keys, measures := b.Row(int(r))
-		var vals [4]float64
-		if nm == 4 {
-			vals = [4]float64{measures[0], measures[1], measures[2], measures[3]}
-		} else {
-			m := measures[0]
-			vals = [4]float64{m, 1, m, m}
+		keys := b.Keys[int(r)*nk : int(r+1)*nk]
+		for _, d := range dims {
+			if pass := p.lookups[d].pass; pass != nil && !pass[keys[d]] {
+				continue tuples
+			}
 		}
-		if p.foldFiltered(keys, vals, residual) {
-			st.TuplesAgg++
-			p.own.TuplesAgg++
+		var lo, hi uint64
+		for d, lk := range p.lookups {
+			lo, hi = p.packer.put(lo, hi, d, uint32(lk.out[keys[d]]))
 		}
+		if err := p.ftab.fold2(lo, hi, p.delta(b, r)); err != nil {
+			p.ioErr = err
+			break
+		}
+		folded++
 	}
+	st.TuplesAgg += folded
+	p.own.TuplesAgg += folded
 }
 
-// probe pushes one tuple through a byte-key pipeline: predicate tests,
-// rollup, and aggregation. vals is the tuple's (sum, count, min, max)
-// accumulator (see star.TupleAggregates). Returns whether the tuple
-// qualified.
-func (p *queryPipeline) probe(keys []int32, vals [4]float64) bool {
-	for dim, lk := range p.lookups {
-		if lk.pass != nil && !lk.pass[keys[dim]] {
-			return false
+// delta is batch slot r's single-tuple accumulator under the query's
+// aggregate: foldSelection's choice of measure components, per tuple.
+func (p *queryPipeline) delta(b *table.Batch, r int32) accum {
+	if b.NumMeasures() == 1 {
+		m := b.Measures[r]
+		switch p.q.Agg {
+		case query.Count:
+			return accum{a: 1, set: true}
+		case query.Avg:
+			return accum{a: m, b: 1, set: true}
 		}
+		return accum{a: m, set: true}
 	}
-	p.fold(keys, vals)
-	return true
-}
-
-// foldFiltered applies the residual predicates (restricted dimensions not
-// covered by the query's result bitmap) and, when they pass, aggregates
-// the tuple. Used on the bitmap path.
-func (p *queryPipeline) foldFiltered(keys []int32, vals [4]float64, residual []int) bool {
-	for _, dim := range residual {
-		lk := p.lookups[dim]
-		if lk.pass != nil && !lk.pass[keys[dim]] {
-			return false
-		}
+	ms := b.Measures[r*4 : r*4+4]
+	switch p.q.Agg {
+	case query.Count:
+		return accum{a: ms[star.AggCount], set: true}
+	case query.Min:
+		return accum{a: ms[star.AggMin], set: true}
+	case query.Max:
+		return accum{a: ms[star.AggMax], set: true}
+	case query.Avg:
+		return accum{a: ms[star.AggSum], b: ms[star.AggCount], set: true}
 	}
-	p.fold(keys, vals)
-	return true
-}
-
-// fold aggregates a tuple known to qualify under its rolled-up byte key.
-// Spill failures are latched into ioErr rather than returned — the loop
-// stays branch-light and the next checkpoint aborts the pass.
-func (p *queryPipeline) fold(keys []int32, vals [4]float64) {
-	if p.ioErr != nil {
-		return
-	}
-	buf := p.keyBuf
-	for dim, lk := range p.lookups {
-		g := lk.out[keys[dim]]
-		buf[dim*4] = byte(g)
-		buf[dim*4+1] = byte(g >> 8)
-		buf[dim*4+2] = byte(g >> 16)
-		buf[dim*4+3] = byte(g >> 24)
-	}
-	if err := p.tab.add(buf, deltaOf(p.q.Agg, vals)); err != nil {
-		p.ioErr = err
-	}
+	return accum{a: ms[star.AggSum], set: true}
 }

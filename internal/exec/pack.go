@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/bits"
 
 	"mdxopt/internal/star"
@@ -11,28 +12,27 @@ import (
 // A query's group-by key is one member code per dimension, each dense
 // in [0, card) at the query's level — the catalog knows every level's
 // cardinality, so the whole key packs into contiguous bit fields of a
-// single uint64 whenever the widths sum to at most 64 (the paper's
-// 4-dimension schema needs well under 16 bits per dimension). The
-// packed form replaces the 4·nd-byte string key of the byte-key
-// aggregation map: hashing is one multiply instead of a string hash,
-// and equality is one word compare. Only queries whose widths exceed 64
-// bits take the byte-key path (keyPacker construction fails).
+// 128-bit integer held in two words, lo and hi (star.NewSchema bounds
+// every group-by to star.MaxKeyBits). A key of at most 64 bits — every
+// key of the paper's 4-dimension schema — has hi = 0 and folds through
+// the one-word kernel: hashing is one multiply and equality one word
+// compare. A wider key folds through the fold table's two-word entries.
 //
-// The byte layout of the byte-key form — little-endian int32 per
-// dimension — remains the canonical result ordering. Finalization never
-// materializes it: sortKey permutes a packed key's bytes into a uint64
-// whose numeric order equals that byte order, so sorted output is
-// byte-identical whichever representation folded the tuples.
+// The canonical result ordering is the key's byte layout as one
+// little-endian int32 per dimension (the oracle sorts exactly those
+// bytes). Finalization never materializes it: sortKey permutes a
+// one-word key's bytes into a uint64 whose numeric order equals that
+// byte order, and compareKeys orders the keys that have no sort key.
 
 // keyPacker packs and unpacks a query's group-by key. Immutable after
 // construction; safe to share across worker pipelines.
 type keyPacker struct {
-	shifts []uint // bit offset of each dimension's field
+	shifts []uint // bit offset of each dimension's field in the 128-bit key
 	masks  []uint64
 	bits   int
 	// sortSteps moves the packed key's significant code bytes into
 	// sort-key position (see sortKey); nil when they exceed 64 bits and
-	// ordering falls back to compareKeys.
+	// ordering falls back to compareKeys. A two-word key never has one.
 	sortSteps []sortStep
 }
 
@@ -43,14 +43,20 @@ type sortStep struct {
 	mask     uint64
 }
 
-// newKeyPacker builds a packer for a group-by at the given levels, or
-// reports false when the key does not fit in 64 bits.
-func newKeyPacker(s *star.Schema, levels []int) (*keyPacker, bool) {
-	return newKeyPackerFromCards(s.LevelCards(levels))
+// newKeyPacker builds the packer of a group-by at the given levels.
+// Every group-by of a schema packs: star.NewSchema rejects a schema
+// whose widest key exceeds star.MaxKeyBits.
+func newKeyPacker(s *star.Schema, levels []int) *keyPacker {
+	kp, ok := newKeyPackerFromCards(s.LevelCards(levels))
+	if !ok {
+		panic(fmt.Sprintf("exec: group-by %v needs more than %d bits", levels, star.MaxKeyBits))
+	}
+	return kp
 }
 
 // newKeyPackerFromCards builds a packer from per-dimension code
-// cardinalities (field width = bits to hold card-1).
+// cardinalities (field width star.FieldBits), or reports false when
+// the key does not fit in two words.
 func newKeyPackerFromCards(cards []int32) (*keyPacker, bool) {
 	kp := &keyPacker{
 		shifts: make([]uint, len(cards)),
@@ -61,12 +67,12 @@ func newKeyPackerFromCards(cards []int32) (*keyPacker, bool) {
 		if card < 1 {
 			return nil, false
 		}
-		w := bits.Len32(uint32(card) - 1)
+		w := star.FieldBits(card)
 		kp.shifts[i] = uint(shift)
 		kp.masks[i] = 1<<w - 1
 		shift += w
 	}
-	if shift > 64 {
+	if shift > star.MaxKeyBits {
 		return nil, false
 	}
 	kp.bits = shift
@@ -74,13 +80,16 @@ func newKeyPackerFromCards(cards []int32) (*keyPacker, bool) {
 	return kp, true
 }
 
+// twoWords reports whether the key needs the high word.
+func (kp *keyPacker) twoWords() bool { return kp.bits > 64 }
+
 // buildSortSteps lays out the sort key: dimension by dimension, each
 // code's significant bytes (those a field of its width can set) from
 // least to most significant, concatenated big-endian. That is the
 // canonical byte key with its always-zero bytes dropped, so comparing
 // two sort keys as integers is bytes.Compare on the canonical keys. A
 // field width is rounded up to whole bytes here, so the sort key can
-// need more than the 64 bits the packed key fits in; nil then.
+// need more than the 64 bits a one-word key fits in; nil then.
 func (kp *keyPacker) buildSortSteps() []sortStep {
 	nbytes := 0
 	for _, m := range kp.masks {
@@ -100,8 +109,8 @@ func (kp *keyPacker) buildSortSteps() []sortStep {
 	return steps
 }
 
-// sortKey returns the order-preserving sort key of packed key k; 0 for
-// every key when the packer has no sort steps.
+// sortKey returns the order-preserving sort key of one-word key k; 0
+// for every key when the packer has no sort steps.
 func (kp *keyPacker) sortKey(k uint64) uint64 {
 	var sk uint64
 	for _, st := range kp.sortSteps {
@@ -110,12 +119,12 @@ func (kp *keyPacker) sortKey(k uint64) uint64 {
 	return sk
 }
 
-// compareKeys orders two packed keys canonically without a sort key:
-// the first differing dimension decides, its codes compared as
+// compareKeys orders two keys canonically without a sort key: the
+// first differing dimension decides, its codes compared as
 // little-endian byte strings (byte-reversed integers).
-func (kp *keyPacker) compareKeys(a, b uint64) int {
-	for i, sh := range kp.shifts {
-		ca, cb := uint32(a>>sh&kp.masks[i]), uint32(b>>sh&kp.masks[i])
+func (kp *keyPacker) compareKeys(alo, ahi, blo, bhi uint64) int {
+	for i := range kp.shifts {
+		ca, cb := kp.code(alo, ahi, i), kp.code(blo, bhi, i)
 		if ca != cb {
 			if bits.ReverseBytes32(ca) < bits.ReverseBytes32(cb) {
 				return -1
@@ -126,27 +135,46 @@ func (kp *keyPacker) compareKeys(a, b uint64) int {
 	return 0
 }
 
-// pack encodes one code per dimension into the packed key. Codes must
-// be within the cards the packer was built with.
-func (kp *keyPacker) pack(codes []int32) uint64 {
-	var k uint64
+// code extracts dimension i's code from the key (lo, hi). Go shifts by
+// 64 or more yield zero, so a field below bit 64, above it, or across
+// it takes the same expression; the field of a one-word key never
+// reaches hi, whose terms then vanish or fall outside the mask.
+func (kp *keyPacker) code(lo, hi uint64, i int) uint32 {
+	s := kp.shifts[i]
+	return uint32((lo>>s | hi<<(64-s) | hi>>(s-64)) & kp.masks[i])
+}
+
+// put ORs code c into dimension i's field of the key (lo, hi); the
+// inverse of code.
+func (kp *keyPacker) put(lo, hi uint64, i int, c uint32) (uint64, uint64) {
+	v, s := uint64(c)&kp.masks[i], kp.shifts[i]
+	return lo | v<<s, hi | v<<(s-64) | v>>(64-s)
+}
+
+// pack encodes one code per dimension into the key. Codes must be
+// within the cards the packer was built with.
+func (kp *keyPacker) pack(codes []int32) (lo, hi uint64) {
 	for i, c := range codes {
-		k |= uint64(uint32(c)) & kp.masks[i] << kp.shifts[i]
+		lo, hi = kp.put(lo, hi, i, uint32(c))
 	}
-	return k
+	return lo, hi
 }
 
-// unpack decodes the packed key into out, one code per dimension.
-func (kp *keyPacker) unpack(k uint64, out []int32) {
+// unpack decodes the key into out, one code per dimension.
+func (kp *keyPacker) unpack(lo, hi uint64, out []int32) {
 	for i := range out {
-		out[i] = int32(k >> kp.shifts[i] & kp.masks[i])
+		out[i] = int32(kp.code(lo, hi, i))
 	}
 }
 
-// hash64 is a wyhash-style single multiply-fold of the packed key; it
+// hash64 is a wyhash-style single multiply-fold of a one-word key; it
 // drives both the fold table's probe sequence and, via the same value,
-// the spill partition routing (see writePackedRec).
+// the spill partition routing (see writeRec).
 func hash64(x uint64) uint64 {
 	hi, lo := bits.Mul64(x^0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9)
 	return hi ^ lo
 }
+
+// hash128 is hash64 of a two-word key, the high word's hash folded into
+// the low word; it plays hash64's two roles for a two-word table.
+func hash128(lo, hi uint64) uint64 { return hash64(lo ^ hash64(hi)) }

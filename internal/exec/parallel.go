@@ -53,24 +53,14 @@ func (e *Env) morselPages() int64 {
 }
 
 // addWorker adds pipeline o of worker w, same root member, to p: o's
-// own work and its table — a packed one as finalization source w (the
-// tables are combined key range by key range, finalize.go), a byte-key
-// one merged in and closed, its spill file destroyed once its records
-// are absorbed.
+// own work, and its table as finalization source w (the tables are
+// combined key range by key range, finalize.go).
 func (p *queryPipeline) addWorker(o *queryPipeline, w int) error {
 	if o.ioErr != nil {
 		return o.ioErr
 	}
 	p.own.Add(o.own)
-	if p.ftab != nil {
-		p.ftab.fin.src[w].t = o.ftab
-		return nil
-	}
-	if err := p.tab.mergeFrom(o.tab); err != nil {
-		return err
-	}
-	p.own.Add(o.tab.memStats())
-	o.close()
+	p.ftab.fin.src[w].t = o.ftab
 	return nil
 }
 

@@ -18,8 +18,30 @@ import (
 
 // delta is one fold of a worker table: a packed key and a value.
 type delta struct {
-	key uint64
-	v   float64
+	lo, hi uint64
+	v      float64
+}
+
+// pk packs codes into a two-word key value.
+func pk(kp *keyPacker, codes ...int32) [2]uint64 {
+	lo, hi := kp.pack(codes)
+	return [2]uint64{lo, hi}
+}
+
+// rowKey is row r's key (lo, hi): a one-word row's second word is its
+// sort key, not part of the key.
+func rowKey(kp *keyPacker, r foldRow) [2]uint64 {
+	if kp.twoWords() {
+		return [2]uint64{r.key, r.sortKey}
+	}
+	return [2]uint64{r.key, 0}
+}
+
+// refFold folds ac into cur as the fold table does.
+func refFold(agg query.Agg, cur *accum, ac accum) {
+	s := foldSlot{a: cur.a, b: cur.b, set: cur.set}
+	foldSlotMerge(agg, &s, ac)
+	*cur = accum{a: s.a, b: s.b, set: s.set}
 }
 
 // partitionMerge folds runs[w] into worker w's table, finalizes the
@@ -29,22 +51,23 @@ type delta struct {
 func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [][]delta) *runSet {
 	t.Helper()
 	root := new(queryPipeline)
-	want := map[uint64]accum{}
+	want := map[[2]uint64]accum{}
 	for w, run := range runs {
 		ft := newFoldTable(env, agg, kp, "worker")
-		mine := map[uint64]accum{}
+		mine := map[[2]uint64]accum{}
 		for _, d := range run {
 			ac := accum{a: d.v, b: 1, set: true}
-			if err := ft.fold(d.key, ac); err != nil {
+			if err := ft.foldKey(d.lo, d.hi, ac); err != nil {
 				t.Fatal(err)
 			}
-			cur := mine[d.key]
-			mergeAccum(agg, &cur, ac)
-			mine[d.key] = cur
+			k := [2]uint64{d.lo, d.hi}
+			cur := mine[k]
+			refFold(agg, &cur, ac)
+			mine[k] = cur
 		}
 		for k, ac := range mine {
 			cur := want[k]
-			mergeAccum(agg, &cur, ac)
+			refFold(agg, &cur, ac)
 			want[k] = cur
 		}
 		if w == 0 {
@@ -55,11 +78,11 @@ func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [
 		}
 	}
 	rs := &root.ftab.fin
-	keys := make([]uint64, 0, len(want))
+	keys := make([][2]uint64, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, kp.compareKeys)
+	slices.SortFunc(keys, func(x, y [2]uint64) int { return kp.compareKeys(x[0], x[1], y[0], y[1]) })
 
 	env.Pool = dag.NewPool(len(runs))
 	if err := finalizeSets(env, []*queryPipeline{root}); err != nil {
@@ -75,10 +98,10 @@ func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [
 	codes := make([]int32, len(kp.shifts))
 	for i, k := range keys {
 		r, w := got[i], want[k]
-		if r.key != k || r.a != w.a || r.b != w.b {
-			t.Fatalf("width %d row %d: key %#x (%v, %v), want %#x (%v, %v)", len(runs), i, r.key, r.a, r.b, k, w.a, w.b)
+		if rowKey(kp, r) != k || r.a != w.a || r.b != w.b {
+			t.Fatalf("width %d row %d: key %#x (%v, %v), want %#x (%v, %v)", len(runs), i, rowKey(kp, r), r.a, r.b, k, w.a, w.b)
 		}
-		kp.unpack(k, codes)
+		kp.unpack(k[0], k[1], codes)
 		if g := rs.groups[i]; !slices.Equal(g.Keys, codes) || g.Value != finalValue(agg == query.Avg, w.a, w.b) {
 			t.Fatalf("width %d group %d: %v = %v, want %v = %v", len(runs), i, g.Keys, g.Value, codes, finalValue(agg == query.Avg, w.a, w.b))
 		}
@@ -103,17 +126,18 @@ func rangeSizes(rs *runSet) []int {
 // TestPartitionEdgeCases covers the degenerate layouts: no groups at
 // all, one key held by every worker (every row in one range, the others
 // empty), fewer groups than ranges, every group in one worker, and keys
-// without a sort key (one range at any width).
+// without a sort key, of one word and of two (one range at any width).
 func TestPartitionEdgeCases(t *testing.T) {
 	narrow, _ := newKeyPackerFromCards([]int32{3, 300, 7})
 	wide, _ := newKeyPackerFromCards([]int32{1 << 17, 1 << 17, 1 << 17})
-	if narrow.sortSteps == nil || wide.sortSteps != nil {
-		t.Fatal("want one packer with a sort key and one without")
+	twoWord, _ := newKeyPackerFromCards([]int32{1 << 30, 1 << 30, 1 << 17})
+	if narrow.sortSteps == nil || wide.sortSteps != nil || wide.twoWords() || !twoWord.twoWords() {
+		t.Fatal("want a packer with a sort key, a one-word one without and a two-word one")
 	}
-	same := func(width int, key uint64) [][]delta {
+	same := func(width int, key [2]uint64) [][]delta {
 		runs := make([][]delta, width)
 		for w := range runs {
-			runs[w] = []delta{{key, float64(w) + 0.1}, {key, 1.7}}
+			runs[w] = []delta{{key[0], key[1], float64(w) + 0.1}, {key[0], key[1], 1.7}}
 		}
 		return runs
 	}
@@ -125,7 +149,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 				t.Fatalf("width %d: %d groups from empty tables", width, len(rs.groups))
 			}
 
-			rs = partitionMerge(t, env, agg, narrow, same(width, narrow.pack([]int32{2, 299, 6})))
+			rs = partitionMerge(t, env, agg, narrow, same(width, pk(narrow, 2, 299, 6)))
 			nonEmpty := 0
 			for _, n := range rangeSizes(rs) {
 				if n > 0 {
@@ -138,7 +162,8 @@ func TestPartitionEdgeCases(t *testing.T) {
 
 			few := make([][]delta, width)
 			for i := 0; i < 3; i++ {
-				few[i%width] = append(few[i%width], delta{narrow.pack([]int32{int32(i), int32(7 * i), 1}), 0.3})
+				k := pk(narrow, int32(i), int32(7*i), 1)
+				few[i%width] = append(few[i%width], delta{k[0], k[1], 0.3})
 			}
 			if rs = partitionMerge(t, env, agg, narrow, few); rs.parts <= len(rs.groups) {
 				t.Fatalf("width %d: %d ranges for %d groups, want more ranges than groups", width, rs.parts, len(rs.groups))
@@ -146,12 +171,15 @@ func TestPartitionEdgeCases(t *testing.T) {
 
 			lone := make([][]delta, width)
 			for i := 0; i < 500; i++ {
-				lone[width-1] = append(lone[width-1], delta{narrow.pack([]int32{int32(i % 3), int32(i % 300), int32(i % 7)}), float64(i) / 10})
+				k := pk(narrow, int32(i%3), int32(i%300), int32(i%7))
+				lone[width-1] = append(lone[width-1], delta{k[0], k[1], float64(i) / 10})
 			}
 			partitionMerge(t, env, agg, narrow, lone)
 
-			if rs = partitionMerge(t, env, agg, wide, same(width, wide.pack([]int32{70000, 256, 65536}))); rs.parts != 1 {
-				t.Fatalf("width %d: %d ranges for keys without a sort key, want 1", width, rs.parts)
+			for _, kp := range []*keyPacker{wide, twoWord} {
+				if rs = partitionMerge(t, env, agg, kp, same(width, pk(kp, 70000, 256, 65536))); rs.parts != 1 {
+					t.Fatalf("width %d: %d ranges for keys without a sort key, want 1", width, rs.parts)
+				}
 			}
 		}
 	}
@@ -170,7 +198,7 @@ func TestPartitionBoundsBalanced(t *testing.T) {
 		for w := 0; w < width; w++ {
 			ft := newFoldTable(&Env{}, query.Sum, kp, "worker")
 			for i := 0; i < 20000; i++ {
-				key := kp.pack([]int32{int32(rng.Intn(3)), int32(rng.Intn(4096)), int32(rng.Intn(64))})
+				key, _ := kp.pack([]int32{int32(rng.Intn(3)), int32(rng.Intn(4096)), int32(rng.Intn(64))})
 				if err := ft.fold(key, accum{a: 1, set: true}); err != nil {
 					t.Fatal(err)
 				}
@@ -228,35 +256,45 @@ func TestRadixSortMatchesSort(t *testing.T) {
 // FuzzPartitionMerge finalizes random worker tables — keys drawn from a
 // shared pool, so most have duplicates in other workers, folded several
 // times each with values whose float sums depend on the order — at
-// random widths, with and without a sort key, resident or spilled, and
-// requires exactly a map fold in worker order followed by a sort.
+// random widths, with a sort key, without one, or of two words,
+// resident or spilled, and requires exactly a map fold in worker order
+// followed by a sort. Its spilled mode is the unit test of a spilled
+// worker table combined with its siblings.
 func FuzzPartitionMerge(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint16(300), uint8(3), false, false, uint8(0))
-	f.Add(int64(2), uint8(3), uint16(40), uint8(1), true, false, uint8(4))
-	f.Add(int64(3), uint8(4), uint16(2000), uint8(200), false, true, uint8(2))
-	f.Add(int64(4), uint8(1), uint16(0), uint8(7), false, false, uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, width uint8, pool uint16, card0 uint8, wide, spill bool, agg uint8) {
+	f.Add(int64(1), uint8(2), uint16(300), uint8(3), uint8(0), false, uint8(0))
+	f.Add(int64(2), uint8(3), uint16(40), uint8(1), uint8(1), false, uint8(4))
+	f.Add(int64(3), uint8(4), uint16(2000), uint8(200), uint8(0), true, uint8(2))
+	f.Add(int64(4), uint8(1), uint16(0), uint8(7), uint8(0), false, uint8(1))
+	f.Add(int64(5), uint8(3), uint16(500), uint8(90), uint8(2), false, uint8(4))
+	f.Add(int64(6), uint8(2), uint16(1500), uint8(13), uint8(2), true, uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, pool uint16, card0 uint8, shape uint8, spill bool, agg uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		cards := []int32{int32(card0) + 1, 1000, 50}
-		if wide {
+		var cards []int32
+		switch shape % 3 {
+		case 0: // one word, sort key
+			cards = []int32{int32(card0) + 1, 1000, 50}
+		case 1: // one word, comparator
 			cards = []int32{1 << 17, 1 << 17, int32(card0)<<9 + 1}
+		case 2: // two words
+			cards = []int32{1 << 30, int32(card0)<<20 + 1, 1 << 30, 300}
 		}
 		kp, ok := newKeyPackerFromCards(cards)
 		if !ok {
 			t.Skip("key does not pack")
 		}
-		keys := make([]uint64, int(pool)+1)
+		keys := make([][2]uint64, int(pool)+1)
 		codes := make([]int32, len(cards))
 		for i := range keys {
 			for d := range codes {
 				codes[d] = int32(rng.Intn(int(cards[d])))
 			}
-			keys[i] = kp.pack(codes)
+			keys[i] = pk(kp, codes...)
 		}
 		runs := make([][]delta, 1+int(width)%8)
 		for w := range runs {
 			for i := rng.Intn(3 * len(keys)); i > 0; i-- {
-				runs[w] = append(runs[w], delta{keys[rng.Intn(len(keys))], float64(rng.Intn(1000)) / 10})
+				k := keys[rng.Intn(len(keys))]
+				runs[w] = append(runs[w], delta{k[0], k[1], float64(rng.Intn(1000)) / 10})
 			}
 		}
 		env := &Env{Mem: mem.New(1 << 30)}

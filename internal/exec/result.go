@@ -37,59 +37,23 @@ type Result struct {
 	Cached bool
 }
 
-// result builds the member's Result — from its finalized groups on the
-// packed path (finalize.go), from its byte-key table otherwise — with
-// its own (non-shared) work and, for a canceled submission, the
-// per-query context's error. Its tables' memory counters — reservation
-// peaks, spill volume, partitions — are folded into both the member's
-// stats and the pass stats.
-func (p *queryPipeline) result(stats *Stats) (*Result, error) {
-	r := &Result{Query: p.q}
-	if p.ftab != nil {
-		r.Groups = p.ftab.fin.groups
-	} else {
-		var err error
-		if r.Groups, err = finalizeGroups(nil, p.tab, p.q.Agg == query.Avg); err != nil {
-			return nil, err
-		}
+// result builds the member's Result from its finalized groups
+// (finalize.go), with its own (non-shared) work and, for a canceled
+// submission, the per-query context's error. The memory counters of
+// every worker table its finalization read — reservation peaks, spill
+// volume, partitions — are folded into both the member's stats and the
+// pass stats.
+func (p *queryPipeline) result(stats *Stats) *Result {
+	r := &Result{Query: p.q, Groups: p.ftab.fin.groups}
+	for _, s := range p.ftab.fin.src {
+		p.own.Add(s.t.memStats())
 	}
-	p.own.Add(p.tabMemStats())
 	stats.Add(Stats{PeakMemory: p.own.PeakMemory, SpillBytes: p.own.SpillBytes, SpillPartitions: p.own.SpillPartitions})
 	r.Own = p.own
 	if p.qctx != nil {
 		r.Err = p.qctx.Err()
 	}
-	return r, nil
-}
-
-// finalizeGroups is the one way a single aggregation table — the
-// packed ftab, or the byte-key tab when ftab is nil — becomes result
-// groups: fully merged, in canonical (raw byte-key) order, every Keys
-// slice cut from one shared slab with its capacity clipped. A packed
-// table goes through the width-1 finalization, which releases it; avg
-// selects the byte-key table's AVG finalization over the plain value.
-func finalizeGroups(ftab *foldTable, tab *aggTable, avg bool) ([]Group, error) {
-	if ftab != nil {
-		ftab.fin.init(ftab, 1)
-		err := ftab.fin.finalize()
-		return ftab.fin.groups, err
-	}
-	pairs, err := tab.pairs()
-	if err != nil {
-		return nil, err
-	}
-	nd := tab.keyLen / 4
-	groups := make([]Group, len(pairs))
-	slab := make([]int32, len(pairs)*nd)
-	for i, pr := range pairs {
-		keys := slab[i*nd : (i+1)*nd : (i+1)*nd]
-		k := pr.key
-		for d := range keys {
-			keys[d] = int32(uint32(k[d*4]) | uint32(k[d*4+1])<<8 | uint32(k[d*4+2])<<16 | uint32(k[d*4+3])<<24)
-		}
-		groups[i] = Group{Keys: keys, Value: finalValue(avg, pr.ac.a, pr.ac.b)}
-	}
-	return groups, nil
+	return r
 }
 
 // finalValue converts a group's accumulator components into its result

@@ -173,171 +173,137 @@ func TestSpillEquivalenceParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestAggTableMergeOverflow forces the partition merge itself past the
-// budget: a blocker reservation keeps the broker saturated, so each
-// merge sub-pass admits only its aggFloorEntries progress-floor keys
-// and diverts the rest to an overflow partition. The result must still
-// be exact.
-func TestAggTableMergeOverflow(t *testing.T) {
-	broker := mem.New(1 << 10)
-	env := &Env{Mem: broker, SpillDir: t.TempDir(), SpillFanout: 2}
-
-	blocker := broker.Reserve("blocker")
-	blocker.MustGrow(1 << 10) // saturate: every TryGrow from here on is denied
-
-	tab := newAggTable(env, query.Sum, 4, "t")
-	defer tab.close()
-
-	const keys = 100
-	want := make(map[string]float64)
-	var kb [4]byte
-	for round := 0; round < 3; round++ {
-		for i := 0; i < keys; i++ {
-			kb[0], kb[1], kb[2], kb[3] = byte(i), byte(i>>8), 0, 0
-			d := accum{a: float64(i*round + 1), set: true}
-			if err := tab.add(kb[:], d); err != nil {
-				t.Fatal(err)
-			}
-			want[string(kb[:])] += d.a
-		}
-	}
-	if tab.sp == nil {
-		t.Fatal("saturated broker did not force a spill")
-	}
-
-	pairs, err := tab.pairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != keys {
-		t.Fatalf("got %d groups, want %d", len(pairs), keys)
-	}
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i-1].key >= pairs[i].key {
-			t.Fatal("pairs not sorted by raw key")
-		}
-	}
-	for _, pr := range pairs {
-		if pr.ac.a != want[pr.key] {
-			t.Fatalf("key %x: got %v, want %v", pr.key, pr.ac.a, want[pr.key])
-		}
-	}
-	tab.close()
-	blocker.Release()
-	checkDrained(t, broker)
+// mergeWidths are the key widths the spill-merge tests run at.
+var mergeWidths = []struct {
+	name  string
+	cards []int32
+}{
+	{"one_word", []int32{1 << 16, 4}},
+	{"two_word", []int32{1 << 30, 1 << 30, 1 << 30}},
 }
 
-// TestAggTableMergeStickyOverflow verifies that overflow diversion is
-// sticky within a merge sub-pass. With per-record TryGrow, a key whose
-// first record was diverted could be admitted to the merge table on a
-// later record when a concurrent pipeline releases memory mid-merge —
-// the key would then surface twice, with its sum split between the two
-// copies. Stickiness is observable deterministically through the
-// denial counter: each sub-pass consults the broker at most once after
-// its progress-floor keys, so a merge of N keys incurs at most N
-// denials, while per-record retries incur one denial per diverted
-// record (hundreds per key here).
-func TestAggTableMergeStickyOverflow(t *testing.T) {
-	// The budget comfortably holds the spill's merge floor, so denial
-	// comes from the blocker, not from the floor's own overdraft.
-	const budget = 1 << 16
-	broker := mem.New(budget)
-	env := &Env{Mem: broker, SpillDir: t.TempDir(), SpillFanout: 2}
+// mergeKey is the i-th key of a spill-merge test. The two-word keys
+// share three low words and differ in the high word, so the merge
+// table's equality test must read both.
+func mergeKey(kp *keyPacker, i int) (lo, hi uint64) {
+	if kp.twoWords() {
+		return kp.pack([]int32{int32(i % 3), 0, int32(i) << 4})
+	}
+	return kp.pack([]int32{int32(i), int32(i % 4)})
+}
 
-	blocker := broker.Reserve("blocker")
-	blocker.MustGrow(budget) // saturate through both the adds and the merge
-
-	tab := newAggTable(env, query.Sum, 4, "t")
-	defer tab.close()
-
-	const keys = 200
-	const rounds = 4 // several records per key, spread through each partition
-	want := make(map[string]float64)
-	var kb [4]byte
+// spilledTable folds rounds × keys deltas of value(round, i) into a
+// fresh table on env, which must spill, and returns it with the
+// expected sums.
+func spilledTable(t *testing.T, env *Env, kp *keyPacker, rounds, keys int, value func(round, i int) float64) (*foldTable, map[[2]uint64]float64) {
+	t.Helper()
+	tab := newFoldTable(env, query.Sum, kp, "t")
+	want := make(map[[2]uint64]float64)
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < keys; i++ {
-			kb[0], kb[1] = byte(i), byte(i>>8)
-			d := accum{a: float64(i + round*keys + 1), set: true}
-			if err := tab.add(kb[:], d); err != nil {
+			lo, hi := mergeKey(kp, i)
+			d := accum{a: value(round, i), set: true}
+			if err := tab.foldKey(lo, hi, d); err != nil {
 				t.Fatal(err)
 			}
-			want[string(kb[:])] += d.a
+			want[[2]uint64{lo, hi}] += d.a
 		}
 	}
 	if tab.sp == nil {
 		t.Fatal("saturated broker did not force a spill")
 	}
-
-	deniedBefore := broker.Stats().Denied
-	pairs, err := tab.pairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if denied := broker.Stats().Denied - deniedBefore; denied > keys {
-		t.Fatalf("merge denied %d grants for %d keys: diversion retries the broker per record instead of sticking to overflow", denied, keys)
-	}
-	if len(pairs) != keys {
-		t.Fatalf("got %d groups, want %d (duplicates mean a key was split between merge table and overflow)", len(pairs), keys)
-	}
-	for _, pr := range pairs {
-		if pr.ac.a != want[pr.key] {
-			t.Fatalf("key %x: got %v, want %v", pr.key, pr.ac.a, want[pr.key])
-		}
-	}
-	tab.close()
-	blocker.Release()
-	checkDrained(t, broker)
+	return tab, want
 }
 
-// TestAggTableMergeFromSpilled covers the parallel-merge path where the
-// source worker table has itself spilled.
-func TestAggTableMergeFromSpilled(t *testing.T) {
-	broker := mem.New(1 << 20)
-	env := &Env{Mem: broker, SpillDir: t.TempDir(), SpillFanout: 2}
+// checkMergedRows requires rows to hold every key of want exactly once,
+// with its exact sum.
+func checkMergedRows(t *testing.T, kp *keyPacker, rows []foldRow, want map[[2]uint64]float64) {
+	t.Helper()
+	if len(rows) != len(want) {
+		t.Fatalf("got %d groups, want %d (duplicates mean a key was split between merge table and overflow)", len(rows), len(want))
+	}
+	seen := make(map[[2]uint64]bool, len(rows))
+	for _, r := range rows {
+		k := rowKey(kp, r)
+		if seen[k] {
+			t.Fatalf("key %#x surfaced twice", k)
+		}
+		seen[k] = true
+		if r.a != want[k] {
+			t.Fatalf("key %#x: got %v, want %v", k, r.a, want[k])
+		}
+	}
+}
 
-	src := newAggTable(env, query.Sum, 4, "src")
-	defer src.close()
-	blocker := broker.Reserve("blocker")
-	blocker.MustGrow(1 << 20)
-	var kb [4]byte
-	for i := 0; i < 50; i++ {
-		kb[0] = byte(i)
-		if err := src.add(kb[:], accum{a: float64(i), set: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if src.sp == nil {
-		t.Fatal("source did not spill")
-	}
-	blocker.Release()
+// TestFoldTableMergeOverflow forces the partition merge itself past the
+// budget, at both key widths: a blocker reservation keeps the broker
+// saturated, so each merge sub-pass admits only the keys its
+// progress-floor slab holds and diverts the rest to an overflow
+// partition. The result must still be exact.
+func TestFoldTableMergeOverflow(t *testing.T) {
+	for _, mw := range mergeWidths {
+		t.Run(mw.name, func(t *testing.T) {
+			broker := mem.New(1 << 10)
+			env := &Env{Mem: broker, SpillDir: t.TempDir(), SpillFanout: 2}
+			blocker := broker.Reserve("blocker")
+			blocker.MustGrow(1 << 10) // saturate: every TryGrow from here on is denied
 
-	dst := newAggTable(env, query.Sum, 4, "dst")
-	defer dst.close()
-	for i := 0; i < 50; i++ {
-		kb[0] = byte(i)
-		if err := dst.add(kb[:], accum{a: 100, set: true}); err != nil {
-			t.Fatal(err)
-		}
+			kp, _ := newKeyPackerFromCards(mw.cards)
+			tab, want := spilledTable(t, env, kp, 3, 100, func(round, i int) float64 { return float64(i*round + 1) })
+			defer tab.close()
+			rows, err := tab.rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMergedRows(t, kp, rows, want)
+			tab.close()
+			blocker.Release()
+			checkDrained(t, broker)
+		})
 	}
-	if err := dst.mergeFrom(src); err != nil {
-		t.Fatal(err)
+}
+
+// TestFoldTableMergeStickyOverflow verifies, at both key widths, that
+// overflow diversion is sticky within a merge sub-pass. With a grant
+// retried per record, a key whose first record was diverted could be
+// admitted to the merge table on a later record when a concurrent
+// pipeline releases memory mid-merge — the key would then surface
+// twice, with its sum split between the two copies. Stickiness is
+// observable deterministically through the denial counter: each
+// sub-pass consults the broker at most once after its progress-floor
+// keys, so a merge of N keys incurs at most N denials, while per-record
+// retries incur one denial per diverted record (hundreds per key here).
+func TestFoldTableMergeStickyOverflow(t *testing.T) {
+	for _, mw := range mergeWidths {
+		t.Run(mw.name, func(t *testing.T) {
+			// The budget comfortably holds the spill's merge floor, so
+			// denial comes from the blocker, not from the floor's own
+			// overdraft.
+			const budget = 1 << 16
+			broker := mem.New(budget)
+			env := &Env{Mem: broker, SpillDir: t.TempDir(), SpillFanout: 2}
+			blocker := broker.Reserve("blocker")
+			blocker.MustGrow(budget) // saturate through both the folds and the merge
+
+			const keys = 200
+			kp, _ := newKeyPackerFromCards(mw.cards)
+			// Several records per key, spread through each partition.
+			tab, want := spilledTable(t, env, kp, 4, keys, func(round, i int) float64 { return float64(i + round*keys + 1) })
+			defer tab.close()
+			deniedBefore := broker.Stats().Denied
+			rows, err := tab.rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if denied := broker.Stats().Denied - deniedBefore; denied > keys {
+				t.Fatalf("merge denied %d grants for %d keys: diversion retries the broker per record instead of sticking to overflow", denied, keys)
+			}
+			checkMergedRows(t, kp, rows, want)
+			tab.close()
+			blocker.Release()
+			checkDrained(t, broker)
+		})
 	}
-	src.close()
-	pairs, err := dst.pairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 50 {
-		t.Fatalf("got %d groups, want 50", len(pairs))
-	}
-	for _, pr := range pairs {
-		i := float64(pr.key[0])
-		if pr.ac.a != 100+i {
-			t.Fatalf("key %d: got %v, want %v", pr.key[0], pr.ac.a, 100+i)
-		}
-	}
-	dst.close()
-	checkDrained(t, broker)
 }
 
 // TestConcurrentSpillStress runs several budgeted shared scans at once

@@ -63,11 +63,10 @@ type Stats struct {
 	// member's own work.
 	DerivedQueries int64
 	DerivedRows    int64
-	// PackedFolds counts the subset of TuplesAgg folded through the
-	// packed-key open-addressing kernel (foldtable.go) rather than the
-	// byte-key map of a key wider than 64 bits. It marks which path did
-	// the work and adds no simulated cost of its own — the folds are
-	// already priced as TuplesAgg.
+	// PackedFolds counts the subset of TuplesAgg that are folds of a key
+	// that packs into one word (pack.go), as opposed to a two-word key's.
+	// It marks which path did the work and adds no simulated cost of its
+	// own — the folds are already priced as TuplesAgg.
 	PackedFolds int64
 
 	// PeakMemory is the sum of the high-water marks of every memory

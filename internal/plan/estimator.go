@@ -41,7 +41,7 @@ type Estimator struct {
 	// Workers is the effective worker-pool width execution will run
 	// under (core.ExecOptions.Workers after clamping). The memory model
 	// multiplies scan-side aggregation-table footprints by the
-	// per-worker copies (see aggTableCopies), so admission keeps the
+	// per-worker copies (see foldTableCopies), so admission keeps the
 	// broker's peak within budget when shared scans fan out into
 	// morsels. Zero or one prices the serial pass. Cost estimates are
 	// unaffected — the pool changes wall-clock, not work.

@@ -20,25 +20,23 @@ const (
 	// memLookupBytesPerRow mirrors exec's lookupBytesPerRow: 4 bytes of
 	// rollup target plus 1 byte of predicate pass per view-level code.
 	memLookupBytesPerRow = 5
-	// memAggEntryOverhead mirrors exec's aggEntryOverhead: hash-table
-	// bookkeeping per group on top of the byte key, charged by the
-	// byte-key map tables (group-by keys wider than 64 bits).
-	memAggEntryOverhead = 96
-	// memFoldEntryBytes is the per-group estimate for the packed-key
-	// open-addressing tables (exec's foldTable): one 32-byte slot,
-	// doubled for the ≤3/4 load factor and rehash headroom.
+	// memFoldEntryBytes is the per-group estimate of an aggregation
+	// table (exec's foldTable): one 32-byte slot, doubled for the ≤3/4
+	// load factor and rehash headroom.
 	memFoldEntryBytes = 64
+	// memHighWordBytes is the same estimate for a two-word key's high
+	// word, which the table keeps beside the slot.
+	memHighWordBytes = 16
 )
 
-// aggEntryBytes prices one aggregation group of q: queries whose
-// group-by key packs into a uint64 run on the open-addressing fold
-// kernel; wider keys fall back to the byte-key map. The split mirrors
-// exec's newQueryPipeline exactly.
+// aggEntryBytes prices one aggregation group of q: one fold-table slot,
+// plus the high word when q's key takes two words — exec's foldTable
+// charges exactly that split.
 func aggEntryBytes(q *query.Query) int64 {
 	if q.Schema.PackedGroupBits(q.Levels) <= 64 {
 		return memFoldEntryBytes
 	}
-	return int64(4*len(q.Schema.Dims)) + memAggEntryOverhead
+	return memFoldEntryBytes + memHighWordBytes
 }
 
 // memLookupKey identifies one shareable dimension lookup, mirroring
@@ -77,7 +75,7 @@ func bitmapMemory(v *star.View) int64 {
 	return (v.Rows() + 63) / 64 * 8
 }
 
-// aggTableCopies is how many copies of each member's aggregation table
+// foldTableCopies is how many copies of each member's aggregation table
 // a class pass holds at its peak: one per worker of a Workers-wide pool
 // (worker 0's table is the pass's own, and finalization releases each
 // worker table once its groups are copied into the result slab), one
@@ -85,7 +83,7 @@ func bitmapMemory(v *star.View) int64 {
 // union probe claim morsels from the same pool — so both multiply.
 // Lookups and bitmaps are shared read-only across workers and are not
 // multiplied.
-func (e *Estimator) aggTableCopies(c *Class) int64 {
+func (e *Estimator) foldTableCopies(c *Class) int64 {
 	return int64(max(e.Workers, 1))
 }
 
@@ -102,7 +100,7 @@ func memProbeBufBytes(v *star.View) int64 {
 // ClassMemory estimates the operator-state footprint of evaluating
 // class c in one shared pass, in bytes: deduplicated dimension lookups
 // (assuming lookup sharing), one aggregation table per member — one per
-// worker when the pool fans the scan out (aggTableCopies) — one
+// worker when the pool fans the scan out (foldTableCopies) — one
 // result bitmap per index member, and the union bitmap in the probe
 // regime. A member derived from a classmate (query.Forest) holds one
 // table, built at emit, and no lookups or bitmap. Methods and Regime
@@ -114,7 +112,7 @@ func (e *Estimator) ClassMemory(c *Class) int64 {
 	}
 	parents := query.Forest(c.Queries())
 	v := c.View
-	copies := e.aggTableCopies(c)
+	copies := e.foldTableCopies(c)
 	total := e.classLookupMemory(c, parents)
 	bitmaps := 0
 	for i, p := range c.Plans {

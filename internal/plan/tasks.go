@@ -107,7 +107,8 @@ func (e *Estimator) ClassPassMemory(c *Class, hoistedLookups bool) int64 {
 
 // CacheMemory estimates a cache rollup's footprint: its re-aggregation
 // table, at most one group per cached row, priced per entry the same
-// way as the scan-side tables (packed fold kernel vs byte-key map).
+// way as the scan-side tables (one slot, plus a two-word key's high
+// word).
 func (e *Estimator) CacheMemory(cp *CachePlan) int64 {
 	return int64(len(cp.Entry.Rows)) * aggEntryBytes(cp.Query)
 }

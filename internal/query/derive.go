@@ -77,9 +77,6 @@ func covers(d *star.Dimension, code int32, level, to int, have []int32) bool {
 // same forest. Members derivable from each other (equal semantics)
 // form one node: the first by (Origin, Name) stands for them, the rest
 // are its children, copies by an identity rollup.
-//
-// A parent must aggregate in the packed fold table, whose rows the
-// rollup reads; a query whose key is wider than a word is never one.
 func Forest(qs []*Query) []int {
 	n := len(qs)
 	parent := make([]int, n)
@@ -106,16 +103,13 @@ func Forest(qs []*Query) []int {
 			}
 		}
 	}
-	packed := func(q *Query) bool { return q.Schema.PackedGroupBits(q.Levels) <= 64 }
 	for i := range qs {
 		if rep[i] != i {
-			if packed(qs[rep[i]]) {
-				parent[i] = rep[i]
-			}
+			parent[i] = rep[i]
 			continue
 		}
 		for j, s := range qs {
-			if der[i*n+j] && rep[j] == j && packed(s) && (parent[i] < 0 || smaller(s, qs[parent[i]])) {
+			if der[i*n+j] && rep[j] == j && (parent[i] < 0 || smaller(s, qs[parent[i]])) {
 				parent[i] = j
 			}
 		}

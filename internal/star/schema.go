@@ -31,7 +31,35 @@ func NewSchema(dims []*Dimension, measure string) (*Schema, error) {
 		}
 		seen[d.Name] = true
 	}
-	return &Schema{Dims: dims, Measure: measure}, nil
+	s := &Schema{Dims: dims, Measure: measure}
+	if b := s.widestKeyBits(); b > MaxKeyBits {
+		return nil, fmt.Errorf("star: the widest group-by key needs %d bits, more than the %d a key may have", b, MaxKeyBits)
+	}
+	return s, nil
+}
+
+// MaxKeyBits bounds a packed group-by key: two 64-bit words, the most
+// the execution layer's fold table holds. NewSchema rejects a schema
+// with a wider group-by.
+const MaxKeyBits = 128
+
+// FieldBits is the width of a packed key's field for a level of card
+// members: the bits to hold code card-1 (0 for a single member).
+func FieldBits(card int32) int { return bits.Len32(uint32(card) - 1) }
+
+// widestKeyBits is the packed width of the schema's widest group-by:
+// per dimension its widest level's field — the base level's in any
+// hierarchy whose coarser levels have fewer members.
+func (s *Schema) widestKeyBits() int {
+	total := 0
+	for _, d := range s.Dims {
+		w := 0
+		for l := range d.Levels {
+			w = max(w, FieldBits(d.Card(l)))
+		}
+		total += w
+	}
+	return total
 }
 
 // NumDims returns the number of dimensions.
@@ -91,14 +119,13 @@ func (s *Schema) LevelCards(levels []int) []int32 {
 }
 
 // PackedGroupBits returns the total bits needed to pack a group-by key
-// at the given levels into a single machine word: one bit field per
-// dimension, sized to hold the level's maximum member code (card-1).
-// A dimension with a single member (the ALL level) contributes 0 bits.
-// Keys pack into a uint64 when the result is at most 64.
+// at the given levels: one FieldBits field per dimension. A dimension
+// with a single member (the ALL level) contributes 0 bits. The key
+// takes one word when the result is at most 64, two otherwise.
 func (s *Schema) PackedGroupBits(levels []int) int {
 	total := 0
 	for i, d := range s.Dims {
-		total += bits.Len32(uint32(d.Card(levels[i])) - 1)
+		total += FieldBits(d.Card(levels[i]))
 	}
 	return total
 }

@@ -636,10 +636,10 @@ type Stats struct {
 	// SpillPartitions counts spill partition files written.
 	SpillPartitions int64
 
-	// PackedFolds counts the aggregated tuples folded through the
-	// packed-key vectorized kernel (a subset of the tuples aggregated);
-	// 0 means every query in the request took byte-key aggregation
-	// (group-by key wider than 64 bits).
+	// PackedFolds counts the aggregated tuples that are folds of a key
+	// that packs into one word (a subset of the tuples aggregated); 0
+	// means every query in the request has a two-word group-by key
+	// (wider than 64 bits).
 	PackedFolds int64
 
 	// DerivedQueries counts this request's component queries that a

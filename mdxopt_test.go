@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -268,6 +269,28 @@ func TestCustomSchemaLifecycle(t *testing.T) {
 	}
 	if ans2.Queries[0].Rows[0].Value != 17 {
 		t.Fatalf("fruit total = %v, want 17", ans2.Queries[0].Rows[0].Value)
+	}
+}
+
+// TestCreateRejectsWideSchema: a group-by key packs into at most 128
+// bits, so Create refuses nine dimensions of 32,768 members (135 bits)
+// with the schema's error and leaves no database behind.
+func TestCreateRejectsWideSchema(t *testing.T) {
+	members := make([]string, 1<<15)
+	for i := range members {
+		members[i] = "m" + strconv.Itoa(i)
+	}
+	dims := make([]DimensionSpec, 9)
+	for i := range dims {
+		dims[i] = DimensionSpec{Name: "D" + strconv.Itoa(i), Levels: []LevelSpec{{Name: "L" + strconv.Itoa(i), Members: members}}}
+	}
+	dir := filepath.Join(t.TempDir(), "wide")
+	_, err := Create(dir, SchemaSpec{Measure: "m", Dims: dims})
+	if err == nil || !strings.Contains(err.Error(), "135 bits") {
+		t.Fatalf("Create: err %v, want the schema's 135-bit error", err)
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Fatalf("rejected schema left %s behind (%v)", dir, statErr)
 	}
 }
 
