@@ -37,16 +37,17 @@ race:
 # Focused race gate for the concurrent layers: the worker pool and
 # task-graph executor, the memory broker, the result cache, the
 # sharded buffer pool, the page-batched fetch / bitmap routing layers
-# under the probe worker pool, the snapshot-isolated catalog (star,
+# under the shared page loop's workers, the snapshot-isolated catalog (star,
 # epoch reclamation in storage) with the core executor above it, and
 # the facade-level snapshot torture test and the facade differential
 # test (random expressions x random configuration against exec.Naive).
 # The partition-wise finalization, derivation and fold-table merge
-# suites run again at -cpu 1,4, so their pool tasks really run
-# concurrently under the detector.
+# suites, and the shared page loop's equivalence and regime suites, run
+# again at -cpu 1,4, so their pool tasks really run concurrently under
+# the detector.
 race-dag:
 	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
-	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestFinalizeOrder|TestFoldTableMerge' ./internal/exec
+	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestFinalizeOrder|TestFoldTableMerge|TestSharedIndexVectorScalar|TestSharedMixedVectorScalar|TestSharedPassRegimes' ./internal/exec
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive' .
 
 # Short deterministic runs of the native fuzz targets (packed-key

@@ -90,7 +90,7 @@ func ExampleOpenWith() {
 	}
 
 	db, err := mdxopt.OpenWith(dir+"/db", mdxopt.OpenOptions{
-		MemoryBudget: 32 << 10, // 32 KiB: below this query's working set
+		MemoryBudget: 40 << 10, // 40 KiB: below this query's working set
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -227,7 +228,8 @@ func TestMorselAllDetachedStopsEarly(t *testing.T) {
 // zero pages, fewer pages than workers, one worker — the driver's
 // claims are grain-aligned, lie inside [0, n) and cover it exactly once,
 // so no page is scanned twice or skipped; the first real error is
-// returned, errDetached is not.
+// returned, errDetached is not. At width 1 the claims run inline, in
+// order, without allocating.
 func TestPoolDriveClaimsEveryRangeOnce(t *testing.T) {
 	db, _ := testDB(t)
 	env := NewEnv(db)
@@ -262,17 +264,37 @@ func TestPoolDriveClaimsEveryRangeOnce(t *testing.T) {
 			}
 		}
 	}
+	var next int64
+	inOrder := func(w int, from, to int64) error {
+		if w != 0 || from != next {
+			return fmt.Errorf("worker %d claimed %d, want worker 0 at %d", w, from, next)
+		}
+		next = to
+		return nil
+	}
+	env.Pool = nil
+	if allocs := testing.AllocsPerRun(5, func() {
+		next = 0
+		if err := poolDrive(env, 1001, 16, 1, inOrder); err != nil || next != 1001 {
+			t.Fatalf("width 1: %v, claimed up to %d", err, next)
+		}
+	}); allocs != 0 {
+		t.Fatalf("poolDrive at width 1 allocates %v objects, want 0", allocs)
+	}
+
 	boom := errors.New("boom")
-	env.Pool = dag.NewPool(4)
-	for _, fail := range []error{boom, errDetached} {
-		err := poolDrive(env, 100, 1, 4, func(w int, from, to int64) error {
-			if from == 10 {
-				return fail
+	for _, width := range []int{1, 4} {
+		env.Pool = dag.NewPool(width)
+		for _, fail := range []error{boom, errDetached} {
+			err := poolDrive(env, 100, 1, width, func(w int, from, to int64) error {
+				if from == 10 {
+					return fail
+				}
+				return nil
+			})
+			if want := map[error]error{boom: boom, errDetached: nil}[fail]; err != want {
+				t.Fatalf("width %d, run failing with %v: poolDrive returned %v, want %v", width, fail, err, want)
 			}
-			return nil
-		})
-		if want := map[error]error{boom: boom, errDetached: nil}[fail]; err != want {
-			t.Fatalf("run failing with %v: poolDrive returned %v, want %v", fail, err, want)
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"mdxopt/internal/bitmap"
-	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
-	"mdxopt/internal/table"
 )
 
 // ErrNoIndex is returned when an index star join is requested on a view
@@ -21,26 +19,23 @@ var ErrNoIndex = errors.New("exec: view has no bitmap join index for a restricte
 var errDetached = errors.New("exec: all pipelines detached")
 
 // checkpoint polls global cancellation, spill I/O failures, and
-// per-pipeline detachment for the given pipeline sets. It runs every
-// checkEvery tuples, not per tuple. It returns errDetached when no
+// per-pipeline detachment for one worker's pipeline set. It runs once
+// per pinned page, not per tuple. It returns errDetached when no
 // pipeline is left attached.
-func checkpoint(env *Env, sets ...[]*queryPipeline) error {
+func checkpoint(env *Env, set []*queryPipeline) error {
 	if err := env.canceled(); err != nil {
 		return err
 	}
-	alive, any := false, false
-	for _, set := range sets {
-		for _, p := range set {
-			if p.ioErr != nil {
-				return p.ioErr
-			}
-			any = true
-			if !p.detachedNow() {
-				alive = true
-			}
+	alive := false
+	for _, p := range set {
+		if p.ioErr != nil {
+			return p.ioErr
+		}
+		if !p.detachedNow() {
+			alive = true
 		}
 	}
-	if any && !alive {
+	if len(set) > 0 && !alive {
 		return errDetached
 	}
 	return nil
@@ -158,76 +153,111 @@ func IndexJoinQuery(env *Env, view *star.View, q *query.Query, stats *Stats) (*R
 // SharedIndex evaluates all queries with the shared index star join
 // operator (§3.2, Fig. 4): the per-query result bitmaps are OR-ed, the
 // view is probed once with the union, and each fetched tuple is routed to
-// the queries whose bitmaps cover its position.
-//
-// The probe is vectorized (route.go): the union drives a page-batched
-// fetch, routing is one AND per bitmap word, and with a worker pool the
-// pages are claimed morsel-wise from a shared cursor with per-worker
-// pipelines merged in worker-index order, exactly like the parallel
-// shared scan.
+// the queries whose bitmaps cover its position. It is the probe regime
+// of the shared pass (sharedPass, route.go): the union drives a
+// page-batched fetch and routing is one AND per bitmap word.
 func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats) ([]*Result, error) {
-	if err := checkAnswerable(env, view, queries); err != nil {
+	return sharedPass(env, view, nil, queries, true, stats)
+}
+
+// SharedMixed evaluates hash-join queries and index-join queries over the
+// same view with one shared sequential scan (§3.3): the index queries'
+// result bitmaps become selection filters applied to the scanned stream,
+// saving their base-table probe I/O entirely. hashQueries may be empty,
+// in which case the operator is a shared scan with bitmap filters only —
+// the optimizer chooses this over SharedIndex when the union bitmap is
+// dense enough that random probing would touch most pages anyway. It is
+// the scan regime of the shared pass (sharedPass, route.go).
+func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Query, stats *Stats) (hashResults, indexResults []*Result, err error) {
+	results, err := sharedPass(env, view, hashQueries, indexQueries, false, stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	return results[:len(hashQueries)], results[len(hashQueries):], nil
+}
+
+// sharedPass evaluates hash members and bitmap-filter members over view
+// in one pass of the page loop (route.go), scanning every page or, with
+// probe, fetching only the union of the filter members' result bitmaps.
+// The pages are claimed morsel-wise from a shared cursor by the pass's
+// pool workers (poolDrive), each folding into its own pipeline set;
+// emit combines the worker tables key range by key range (finalize.go).
+// Results come back in member order, hash members first.
+func sharedPass(env *Env, view *star.View, hashQueries, filterQueries []*query.Query, probe bool, stats *Stats) ([]*Result, error) {
+	if len(hashQueries)+len(filterQueries) == 0 {
+		return nil, nil
+	}
+	if err := checkAnswerable(env, view, hashQueries); err != nil {
+		return nil, err
+	}
+	if err := checkAnswerable(env, view, filterQueries); err != nil {
 		return nil, err
 	}
 	var results []*Result
 	err := env.measure(stats, func() error {
 		cache := newLookupCache(env, stats)
 		defer cache.close()
-		// Result bitmaps (and the union) are required state: the probe
+		// Result bitmaps (and the union) are required state: the pass
 		// cannot run without them, so their footprint is an overdraft
-		// grant held for the duration of the pass. The probe workers'
-		// batch and selection-vector buffers ride the same reservation.
+		// grant held for the duration of the pass. The workers' page
+		// buffers ride the same reservation.
 		bres := env.Mem.Reserve("bitmaps")
 		defer bres.Release()
-		// Only the roots of the derivation forest probe: a derived member
-		// builds no result bitmap and is folded from its parent at emit.
-		f := newForest(env, queries)
 		width := env.scanWidth()
+		// Only the roots of the derivation forest take tuples: a derived
+		// member — hash or bitmap-filter alike — builds no result bitmap
+		// and is folded from its parent at emit.
+		f := newForest(env, append(append([]*query.Query(nil), hashQueries...), filterQueries...))
 		pipes, err := f.workerSets(env, stats, cache, view, width)
 		defer closePipes(pipes)
 		if err != nil {
 			return err
 		}
-		pipelines := f.workerSet(pipes, 0)
-		bitmaps := make([]*bitmap.Bitset, len(pipelines))
-		residuals := make([][]int, len(pipelines))
-		for i, p := range pipelines {
+		own := f.workerSet(pipes, 0)
+		s := &pagePass{
+			view: view,
+			nh:   len(f.roots(0, len(hashQueries))),
+			tpp:  int64(view.Heap.TuplesPerPage()),
+			rows: view.Rows(),
+		}
+		s.bitmaps = make([]*bitmap.Bitset, 0, len(own)-s.nh)
+		s.residuals = make([][]int, 0, len(own)-s.nh)
+		for _, p := range own[s.nh:] {
 			bs, residual, err := pipelineBitmap(env, view, p, stats)
 			if err != nil {
 				return err
 			}
-			bres.MustGrow(bitsetBytes(view.Rows()))
-			bitmaps[i] = bs
-			residuals[i] = residual
+			bres.MustGrow(bitsetBytes(s.rows))
+			s.bitmaps = append(s.bitmaps, bs)
+			s.residuals = append(s.residuals, residual)
 		}
-		// A single query probes its own bitmap directly; a real union is
+		// A single root probes its own bitmap directly; a real union is
 		// accumulated into a fresh bitset (no clone of the first operand)
 		// with the n-1 ORs charged as bitmap work, same as the estimator
 		// prices them.
-		union := bitmaps[0]
-		if len(bitmaps) > 1 {
-			union = bitmap.New(view.Rows())
-			bres.MustGrow(bitsetBytes(view.Rows()))
-			union.CopyFrom(bitmaps[0])
-			for _, bs := range bitmaps[1:] {
-				stats.BitmapWords += bs.OrInto(union)
+		if probe {
+			s.union = s.bitmaps[0]
+			if len(s.bitmaps) > 1 {
+				s.union = bitmap.New(s.rows)
+				bres.MustGrow(bitsetBytes(s.rows))
+				s.union.CopyFrom(s.bitmaps[0])
+				for _, bs := range s.bitmaps[1:] {
+					stats.BitmapWords += bs.OrInto(s.union)
+				}
 			}
 		}
-		ps := &probeShared{
-			view:      view,
-			union:     union,
-			bitmaps:   bitmaps,
-			residuals: residuals,
-			tpp:       int64(view.Heap.TuplesPerPage()),
-			rows:      view.Rows(),
+		workers := make([]pageWorker, width)
+		for w := range workers {
+			bres.MustGrow(pageBufBytes(view))
+			workers[w] = newPageWorker(view, f.workerSet(pipes, w))
 		}
-		if width == 1 {
-			bres.MustGrow(probeBufBytes(view))
-			err = ps.probePages(env, newProbeWorker(view, pipelines), stats, 0, (ps.rows+ps.tpp-1)/ps.tpp)
-		} else {
-			err = parallelProbe(env, ps, f, pipes, width, stats, bres)
+		err = poolDrive(env, view.Heap.DataPages(), env.morselPages(), width, func(w int, fromPage, toPage int64) error {
+			return s.pages(env, &workers[w], fromPage, toPage)
+		})
+		for w := range workers {
+			stats.Add(workers[w].st)
 		}
-		if err != nil && err != errDetached {
+		if err != nil {
 			return err
 		}
 		stats.PeakMemory += cache.memPeak() + bres.Peak()
@@ -238,153 +268,4 @@ func SharedIndex(env *Env, view *star.View, queries []*query.Query, stats *Stats
 		return nil, err
 	}
 	return results, nil
-}
-
-// parallelProbe fans the vectorized union probe out across the worker
-// pool: worker w probes for its pipelines of pipes (workerSets; worker
-// 0's are the pass's own) with its own fetch batch and routing scratch,
-// and all claim page-aligned morsels from the shared cursor, the same
-// shape (and determinism argument) as parallelScan.
-func parallelProbe(env *Env, ps *probeShared, f *forest, pipes []*queryPipeline, width int, stats *Stats, bres *mem.Reservation) error {
-	probers := make([]*probeWorker, width)
-	for w := range probers {
-		bres.MustGrow(probeBufBytes(ps.view))
-		probers[w] = newProbeWorker(ps.view, f.workerSet(pipes, w))
-	}
-	workerStats := make([]Stats, width)
-	err := poolDrive(env, (ps.rows+ps.tpp-1)/ps.tpp, env.morselPages(), width, func(w int, fromPage, toPage int64) error {
-		return ps.probePages(env, probers[w], &workerStats[w], fromPage, toPage)
-	})
-	for w := range workerStats {
-		stats.Add(workerStats[w])
-	}
-	return err
-}
-
-// SharedMixed evaluates hash-join queries and index-join queries over the
-// same view with one shared sequential scan (§3.3): the index queries'
-// result bitmaps become selection filters applied to the scanned stream,
-// saving their base-table probe I/O entirely. hashQueries may be empty,
-// in which case the operator is a shared scan with bitmap filters only —
-// the optimizer chooses this over SharedIndex when the union bitmap is
-// dense enough that random probing would touch most pages anyway.
-func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Query, stats *Stats) (hashResults, indexResults []*Result, err error) {
-	if len(hashQueries)+len(indexQueries) == 0 {
-		return nil, nil, nil
-	}
-	if err := checkAnswerable(env, view, hashQueries); err != nil {
-		return nil, nil, err
-	}
-	if err := checkAnswerable(env, view, indexQueries); err != nil {
-		return nil, nil, err
-	}
-	err = env.measure(stats, func() error {
-		cache := newLookupCache(env, stats)
-		defer cache.close()
-		bres := env.Mem.Reserve("bitmaps")
-		defer bres.Release()
-		// Only the roots of the derivation forest ride the scan: a derived
-		// member — hash or bitmap-filter alike — takes no tuples, builds no
-		// result bitmap and is folded from its parent at emit.
-		f := newForest(env, append(append([]*query.Query(nil), hashQueries...), indexQueries...))
-		nh := len(f.roots(0, len(hashQueries)))
-		// Worker 0 folds into the pass's own pipelines; every further
-		// worker into a private set.
-		pipes, err := f.workerSets(env, stats, cache, view, env.scanWidth())
-		defer closePipes(pipes)
-		if err != nil {
-			return err
-		}
-		own := f.workerSet(pipes, 0)
-		bitmaps := make([]*bitmap.Bitset, len(own)-nh)
-		residuals := make([][]int, len(bitmaps))
-		for i, p := range own[nh:] {
-			bs, residual, err := pipelineBitmap(env, view, p, stats)
-			if err != nil {
-				return err
-			}
-			bres.MustGrow(bitsetBytes(view.Rows()))
-			bitmaps[i] = bs
-			residuals[i] = residual
-		}
-		// mixedState is one worker's private state: both pipeline sets
-		// plus the routing scratch the vectorized index filters use
-		// (masked bitmap words and a selection vector, sized to a page).
-		type mixedState struct {
-			hash, index []*queryPipeline
-			uwords      []uint64
-			sel         []int32
-		}
-		newMixedScratch := func(ms *mixedState) {
-			if len(ms.index) == 0 {
-				return
-			}
-			tpp := view.Heap.TuplesPerPage()
-			ms.uwords = make([]uint64, 0, tpp/wordBits+2)
-			ms.sel = make([]int32, 0, tpp)
-			bres.MustGrow(int64(4*tpp) + int64(tpp/wordBits+2)*8)
-		}
-		// mixedBatch feeds one decoded page to both pipeline sets: hash
-		// pipelines consume the batch through the fold kernel; index
-		// pipelines ride the same batch as bitmap filters (§3.3) — each
-		// pipeline's bitmap words over the batch's row range are masked
-		// and expanded to a selection vector (one AND-free word walk per
-		// query, the bitmap itself is the hit word), and the survivors
-		// fold through the selection kernel.
-		mixedBatch := func(ms *mixedState, st *Stats, b *table.Batch) {
-			for _, p := range ms.hash {
-				p.foldBatch(st, b)
-			}
-			for i, p := range ms.index {
-				if p.detached {
-					continue
-				}
-				st.BitTests += int64(b.N)
-				p.own.BitTests += int64(b.N)
-				var w0 int
-				ms.uwords, w0 = maskedWords(ms.uwords, bitmaps[i].Words(), b.Start, b.Start+int64(b.N))
-				ms.sel = expandWords(ms.sel[:0], ms.uwords, w0, b.Start)
-				hits := int64(len(ms.sel))
-				st.TuplesFetched += hits
-				p.own.TuplesFetched += hits
-				if hits > 0 {
-					p.foldBatchSel(st, b, ms.sel, residuals[i])
-				}
-			}
-		}
-		states := make([]mixedState, len(pipes)/len(own))
-		for w := range states {
-			set := f.workerSet(pipes, w)
-			states[w] = mixedState{hash: set[:nh], index: set[nh:]}
-			newMixedScratch(&states[w])
-		}
-		if len(states) > 1 {
-			err = parallelScan(env, view, stats, len(states),
-				func(w int) error { return checkpoint(env, states[w].hash, states[w].index) },
-				func(w int, st *Stats, b *table.Batch) { mixedBatch(&states[w], st, b) })
-		} else {
-			err = view.Heap.ScanRangeBatches(0, view.Rows(), func(b *table.Batch) error {
-				if err := checkpoint(env, own); err != nil {
-					return err
-				}
-				stats.TuplesScanned += int64(b.N)
-				mixedBatch(&states[0], stats, b)
-				return nil
-			})
-		}
-		if err != nil && err != errDetached {
-			return err
-		}
-		stats.PeakMemory += cache.memPeak() + bres.Peak()
-		results, err := f.emit(env, stats, pipes)
-		if err != nil {
-			return err
-		}
-		hashResults, indexResults = results[:len(hashQueries)], results[len(hashQueries):]
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return hashResults, indexResults, nil
 }

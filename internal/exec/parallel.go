@@ -5,30 +5,28 @@ import (
 	"sync/atomic"
 
 	"mdxopt/internal/dag"
-	"mdxopt/internal/star"
-	"mdxopt/internal/table"
 )
 
-// Parallel shared scans.
+// Parallel shared passes.
 //
-// Every aggregate this engine supports is decomposable, so a shared scan
+// Every aggregate this engine supports is decomposable, so a shared pass
 // can be split across independent workers — each with its own
 // aggregation tables but sharing the read-only dimension lookups and
 // filter bitmaps — and the per-worker tables combined afterwards. This
 // parallelizes exactly the per-tuple CPU the paper's Test 1 identifies
 // as the irreducible cost of the shared scan.
 //
-// The split is morsel-driven: workers claim page-aligned morsels from a
-// shared atomic cursor, so a worker that lands on slow pages simply
+// The split is morsel-driven and the same in both regimes of the page
+// loop (route.go): workers claim page-aligned morsels from a shared
+// atomic cursor (poolDrive), so a worker that lands on slow pages simply
 // claims fewer morsels while its siblings absorb the rest — no static
 // pre-split, no straggler. The pass's own goroutine is always worker 0
 // and folds into the pass's own pipelines. Extra workers run only while
 // they hold a slot of the dag.Pool (Env.Pool) whose width sets their
 // number, the same pool the task-graph scheduler starts nodes on, so
-// intra-class fan-out and
-// inter-class node concurrency are bounded by one width. After the scan
-// the worker tables are finalized key range by key range on the same
-// pool (finalize.go).
+// intra-class fan-out and inter-class node concurrency are bounded by
+// one width. After the pass the worker tables are finalized key range
+// by key range on the same pool (finalize.go).
 //
 // Determinism: morsel assignment is racy, but finalization combines
 // worker tables in a fixed order (finalize.go) and the measures sum
@@ -64,39 +62,6 @@ func (p *queryPipeline) addWorker(o *queryPipeline, w int) error {
 	return nil
 }
 
-// parallelScan runs processBatch over the view's rows with width
-// workers, each owning the state its index selects. check runs at the
-// worker's checkpoints, once per page batch (global context plus
-// per-pipeline detachment: a worker whose pipelines have all detached
-// stops early with errDetached, which is not an error); processBatch
-// handles one decoded page. The workers' stats are added to stats.
-// Lookups and bitmaps are built before and shared read-only.
-func parallelScan(env *Env, view *star.View, stats *Stats, width int,
-	check func(w int) error, processBatch func(w int, st *Stats, b *table.Batch)) error {
-
-	workerStats := make([]Stats, width)
-	rows := view.Rows()
-	tpp := int64(view.Heap.TuplesPerPage())
-	if tpp < 1 {
-		tpp = 1
-	}
-	err := poolDrive(env, (rows+tpp-1)/tpp, env.morselPages(), width, func(w int, fromPage, toPage int64) error {
-		st := &workerStats[w]
-		return view.Heap.ScanRangeBatches(fromPage*tpp, min(toPage*tpp, rows), func(b *table.Batch) error {
-			if err := check(w); err != nil {
-				return err
-			}
-			st.TuplesScanned += int64(b.N)
-			processBatch(w, st, b)
-			return nil
-		})
-	})
-	for w := range workerStats {
-		stats.Add(workerStats[w])
-	}
-	return err
-}
-
 // drive is the shared state of one poolDrive.
 type drive struct {
 	n, grain int64
@@ -108,17 +73,29 @@ type drive struct {
 	wg       sync.WaitGroup
 }
 
-// poolDrive is the shared work-claiming driver — page morsels for scans
-// and probes, single tasks for finalization: nWorkers workers atomically
-// claim the next grain-sized range of [0, n) and hand it to run until
-// the cursor is exhausted. Worker 0 is the calling goroutine (it already
-// occupies a pool slot when running as a task-graph node); workers
-// 1..nWorkers-1 participate only once they Join env.Pool, so a
+// poolDrive is the shared work-claiming driver — page morsels for the
+// shared pass, single tasks for finalization: nWorkers workers
+// atomically claim the next grain-sized range of [0, n) and hand it to
+// run until the cursor is exhausted. Worker 0 is the calling goroutine
+// (it already occupies a pool slot when running as a task-graph node);
+// workers 1..nWorkers-1 participate only once they Join env.Pool, so a
 // saturated pool degrades the work toward worker 0 alone instead of
-// oversubscribing. nWorkers may exceed 1 only with a pool. The first
+// oversubscribing. nWorkers may exceed 1 only with a pool; at one
+// worker the ranges run inline, in order, without allocating. The first
 // real error — errDetached stops only the worker that returned it —
 // parks the cursor and is returned.
 func poolDrive(env *Env, n, grain int64, nWorkers int, run func(w int, from, to int64) error) error {
+	if nWorkers <= 1 {
+		for from := int64(0); from < n; from += grain {
+			if err := run(0, from, min(from+grain, n)); err != nil {
+				if err == errDetached {
+					return nil
+				}
+				return err
+			}
+		}
+		return nil
+	}
 	d := &drive{n: n, grain: grain, run: run, stop: make(chan struct{})}
 	for w := 1; w < nWorkers; w++ {
 		d.wg.Add(1)

@@ -8,44 +8,54 @@ import (
 	"mdxopt/internal/table"
 )
 
-// Vectorized index-probe data path.
+// The page loop of the shared operators.
 //
-// The shared index star join probes the union bitmap around 64-bit
-// words and selection vectors, the same block-at-a-time design as the
-// scan-side fold kernel, instead of walking the union bit at a time and
-// re-testing every query's bitmap per fetched tuple:
+// SharedIndex (§3.2) and SharedMixed (§3.3) are one pass over the view's
+// data pages that differ only in which slots of a page it selects:
 //
-//   - maskedWords slices the union bitmap's words covering one data
-//     page, masking the page-boundary edge words (pages are not
-//     word-aligned: tuples-per-page is set by the tuple size).
-//   - expandWords turns those words into a selection vector of
-//     page-relative slot numbers, one trailing-zeros step per set bit,
-//     which drives table.HeapFile.FetchPage — one pin and one dense
-//     decode per page instead of a callback per row.
-//   - routeWords routes the fetched batch to one query: a single AND
-//     of each union word against the query bitmap's word replaces up
-//     to 64 scalar Get calls, and each hit bit's position among the
-//     union's set bits (a popcount rank) is exactly its slot in the
-//     dense batch.
+//   - the scan regime selects every slot of every page, in page order;
+//   - the probe regime selects the union bitmap's set bits, and a page
+//     without any is skipped without a pin or a checkpoint.
 //
-// The counters are the logical per-tuple work, not the instructions:
-// the union's per-page popcount is the page's TuplesFetched, each
-// attached pipeline is charged that same popcount of BitTests (when the
-// pass has more than one pipeline — a single one needs no re-test), and
-// each routed selection's length is the pipeline's own TuplesFetched.
-// They are closed-form in the bitmaps and identical at every worker
-// width.
+// Per page, the loop builds the selection around 64-bit words and a
+// selection vector, pins and decodes the selected slots once
+// (table.HeapFile.FetchPage), and folds the dense batch:
+//
+//   - maskedWords slices the selection's words covering the page,
+//     masking the page-boundary edge words (pages are not word-aligned:
+//     tuples-per-page is set by the tuple size); the scan regime's
+//     words are all ones.
+//   - expandWords turns those words into the selection vector of
+//     page-relative slot numbers, one trailing-zeros step per set bit.
+//   - hash roots fold the whole batch (foldBatch); a filter root routes
+//     it with routeWords — one AND of each selection word against the
+//     root's bitmap word replaces up to 64 scalar Get calls, and each
+//     hit bit's rank among the selection's set bits is exactly its slot
+//     in the dense batch. A root whose bitmap is the selection (a
+//     single-root probe) takes the whole batch.
+//
+// The counters are the logical per-tuple work, not the instructions. A
+// scanned page's rows are TuplesScanned, and each attached filter root
+// is charged that many BitTests and its hits as TuplesFetched, pass and
+// own. A probed page's selection popcount is the pass's TuplesFetched;
+// each attached root that routes is charged that popcount of BitTests
+// and its hits as its own TuplesFetched. They are closed-form in the
+// bitmaps and identical at every worker width.
 
 // maskedWords copies the bitset words covering rows [from, to) into
 // dst, masking bits below from in the first word and at/above to in the
 // last, and returns the filled slice plus the index of its first word
-// in the backing array. from < to required.
+// in the backing array. nil words stand for a bitset of all ones. from
+// < to required.
 func maskedWords(dst []uint64, words []uint64, from, to int64) ([]uint64, int) {
 	w0 := int(from / wordBits)
 	w1 := int((to - 1) / wordBits)
 	dst = dst[:0]
 	for wi := w0; wi <= w1; wi++ {
-		w := words[wi]
+		w := ^uint64(0)
+		if words != nil {
+			w = words[wi]
+		}
 		if wi == w0 {
 			w &= ^uint64(0) << (uint(from) % wordBits)
 		}
@@ -79,12 +89,14 @@ func expandWords(sel []int32, words []uint64, w0 int, rel int64) []int32 {
 	return sel
 }
 
-// routeWords routes one page's dense union batch to a single query:
-// for each union word the query's hit word is one AND, and each hit
-// bit's slot in the batch is its rank among the union word's set bits
-// (bits strictly below it) plus the running popcount of the preceding
-// words. A word the query covers entirely takes the dense fast path —
-// a straight run of slots with no per-bit rank.
+// routeWords routes one page's dense batch, fetched at the selection
+// words uwords, to a single query: for each selection word the query's
+// hit word is one AND, and each hit bit's slot in the batch is its rank
+// among the selection word's set bits (bits strictly below it) plus the
+// running popcount of the preceding words. A word the query covers
+// entirely takes the dense fast path — a straight run of slots with no
+// per-bit rank — and a selection word that is one run of ones needs no
+// popcount per hit.
 func routeWords(sel []int32, uwords []uint64, qwords []uint64, w0 int) []int32 {
 	slotBase := int32(0)
 	for i, uw := range uwords {
@@ -100,19 +112,30 @@ func routeWords(sel []int32, uwords []uint64, qwords []uint64, w0 int) []int32 {
 			slotBase += pop
 			continue
 		}
-		for hw != 0 {
-			t := bits.TrailingZeros64(hw)
-			rank := int32(bits.OnesCount64(uw & (1<<uint(t) - 1)))
-			sel = append(sel, slotBase+rank)
-			hw &= hw - 1
+		if lo := uint(bits.TrailingZeros64(uw)); (uw>>lo)&(uw>>lo+1) == 0 {
+			// One run of ones from bit lo, as a scanned page's words are:
+			// a hit's rank is its offset into the run.
+			base := slotBase - int32(lo)
+			for hw != 0 {
+				sel = append(sel, base+int32(bits.TrailingZeros64(hw)))
+				hw &= hw - 1
+			}
+		} else {
+			for hw != 0 {
+				t := bits.TrailingZeros64(hw)
+				rank := int32(bits.OnesCount64(uw & (1<<uint(t) - 1)))
+				sel = append(sel, slotBase+rank)
+				hw &= hw - 1
+			}
 		}
 		slotBase += pop
 	}
 	return sel
 }
 
-// identitySel appends 0..n-1 to sel: the routing result when a batch
-// has a single consumer (no per-query bitmap re-test).
+// identitySel appends 0..n-1 to sel: the scan regime's selection of a
+// page of n rows, and the routing result of a root whose bitmap is the
+// selection.
 func identitySel(sel []int32, n int) []int32 {
 	for i := 0; i < n; i++ {
 		sel = append(sel, int32(i))
@@ -120,102 +143,105 @@ func identitySel(sel []int32, n int) []int32 {
 	return sel
 }
 
-// probeShared is the read-only state of one shared index probe: built
-// once before the fetch and shared by every worker.
-type probeShared struct {
-	view      *star.View
+// pagePass is the read-only state of one shared pass, built before the
+// page loop and shared by every worker.
+type pagePass struct {
+	view *star.View
+	// union is the probe regime's selection, the OR of bitmaps (or the
+	// single root's bitmap itself); nil selects every slot, the scan
+	// regime.
 	union     *bitmap.Bitset
-	bitmaps   []*bitmap.Bitset
-	residuals [][]int
-	tpp       int64
-	rows      int64
+	bitmaps   []*bitmap.Bitset // each filter root's result bitmap
+	residuals [][]int          // each filter root's unindexed restricted dims
+	nh        int              // hash roots, which lead every worker's set
+	tpp, rows int64
 }
 
-// probeWorker is one worker's private probe state: its pipeline set,
-// the reusable fetch batch, and the routing scratch vectors. All
-// buffers are sized to one page, so the steady-state probe loop
-// performs no allocation.
-type probeWorker struct {
-	pipelines []*queryPipeline
-	batch     *table.Batch
-	uwords    []uint64 // masked union words of the current page
-	sel       []int32  // page-relative union slots (drives FetchPage)
-	hits      []int32  // per-query routed batch slots
+// pageWorker is one worker's private state: its pipeline set (hash
+// roots first, then filter roots), the reusable page batch, one
+// selection vector and the masked-word scratch. All buffers are sized
+// to one page, so the steady-state page loop performs no allocation.
+type pageWorker struct {
+	pipes []*queryPipeline
+	batch *table.Batch
+	// sel holds the page slots that drive FetchPage, then — the fetch
+	// being done with it — each filter root's routed batch slots.
+	sel   []int32
+	words []uint64 // the selection's masked words over the current page
+	st    Stats    // the worker's work, added to the pass's after the loop
 }
 
-// newProbeWorker builds a worker around an existing pipeline set.
-func newProbeWorker(view *star.View, pipelines []*queryPipeline) *probeWorker {
+func newPageWorker(view *star.View, pipes []*queryPipeline) pageWorker {
 	tpp := view.Heap.TuplesPerPage()
-	return &probeWorker{
-		pipelines: pipelines,
-		batch:     view.Heap.MakeBatch(),
-		uwords:    make([]uint64, 0, tpp/wordBits+2),
-		sel:       make([]int32, 0, tpp),
-		hits:      make([]int32, 0, tpp),
+	return pageWorker{
+		pipes: pipes,
+		batch: view.Heap.MakeBatch(),
+		sel:   make([]int32, 0, tpp),
+		words: make([]uint64, 0, tpp/wordBits+2),
 	}
 }
 
-// probeBufBytes is the broker charge for one probeWorker's buffers:
-// the page batch (keys + measures) plus the two selection vectors and
-// the masked-word scratch. The plan.Estimator memory model mirrors
-// this accounting.
-func probeBufBytes(view *star.View) int64 {
+// pageBufBytes is the broker charge for one pageWorker's buffers: the
+// page batch (keys + measures) plus the selection vector and the
+// masked-word scratch. The plan.Estimator memory model mirrors this
+// accounting.
+func pageBufBytes(view *star.View) int64 {
 	tpp := int64(view.Heap.TuplesPerPage())
 	nk := int64(view.Heap.Schema().NumKeys())
 	nm := int64(view.Heap.Schema().NumMeasures())
-	return tpp*(4*nk+8*nm) + 8*tpp + (tpp/wordBits+2)*8
+	return tpp*(4*nk+8*nm) + 4*tpp + (tpp/wordBits+2)*8
 }
 
-// probePages probes the data pages [fromPage, toPage) of the union:
-// per page, mask the union words, expand them to a selection vector,
-// fetch the selected rows with one pin, and route the dense batch to
-// each attached pipeline with one AND per word. Pages with no union
-// bits are skipped without touching the pool or the checkpoint, so an
-// empty union never polls.
-func (ps *probeShared) probePages(env *Env, w *probeWorker, st *Stats, fromPage, toPage int64) error {
-	uw := ps.union.Words()
+// pages runs the page loop over the data pages [fromPage, toPage) for
+// worker w.
+func (s *pagePass) pages(env *Env, w *pageWorker, fromPage, toPage int64) error {
+	st := &w.st
+	var uw []uint64
+	if s.union != nil {
+		uw = s.union.Words()
+	}
+	filters := w.pipes[s.nh:]
 	for pg := fromPage; pg < toPage; pg++ {
-		from := pg * ps.tpp
-		to := from + ps.tpp
-		if to > ps.rows {
-			to = ps.rows
-		}
-		if from >= to {
-			break
-		}
+		from := pg * s.tpp
+		to := min(from+s.tpp, s.rows)
 		var w0 int
-		w.uwords, w0 = maskedWords(w.uwords, uw, from, to)
-		w.sel = expandWords(w.sel[:0], w.uwords, w0, from)
-		if len(w.sel) == 0 {
+		w.words, w0 = maskedWords(w.words, uw, from, to)
+		if s.union == nil {
+			w.sel = identitySel(w.sel[:0], int(to-from))
+		} else if w.sel = expandWords(w.sel[:0], w.words, w0, from); len(w.sel) == 0 {
 			continue
 		}
-		if err := checkpoint(env, w.pipelines); err != nil {
+		if err := checkpoint(env, w.pipes); err != nil {
 			return err
 		}
-		if err := ps.view.Heap.FetchPage(w.batch, pg, w.sel); err != nil {
+		if err := s.view.Heap.FetchPage(w.batch, pg, w.sel); err != nil {
 			return err
 		}
 		n := int64(len(w.sel))
-		st.TuplesFetched += n
-		if len(w.pipelines) == 1 {
-			p := w.pipelines[0]
-			if !p.detached {
-				p.own.TuplesFetched += n
-				p.foldBatchSel(st, w.batch, identitySel(w.hits[:0], int(n)), ps.residuals[0])
-			}
-			continue
+		if s.union == nil {
+			st.TuplesScanned += n
+		} else {
+			st.TuplesFetched += n
 		}
-		for i, p := range w.pipelines {
+		for _, p := range w.pipes[:s.nh] {
+			p.foldBatch(st, w.batch)
+		}
+		for i, p := range filters {
 			if p.detached {
 				continue
 			}
-			st.BitTests += n
-			p.own.BitTests += n
-			w.hits = routeWords(w.hits[:0], w.uwords, ps.bitmaps[i].Words(), w0)
-			p.own.TuplesFetched += int64(len(w.hits))
-			if len(w.hits) > 0 {
-				p.foldBatchSel(st, w.batch, w.hits, ps.residuals[i])
+			if s.bitmaps[i] == s.union { // the whole batch is its hits
+				w.sel = identitySel(w.sel[:0], int(n))
+			} else {
+				st.BitTests += n
+				p.own.BitTests += n
+				w.sel = routeWords(w.sel[:0], w.words, s.bitmaps[i].Words(), w0)
+				if s.union == nil {
+					st.TuplesFetched += int64(len(w.sel))
+				}
 			}
+			p.own.TuplesFetched += int64(len(w.sel))
+			p.foldBatchSel(st, w.batch, w.sel, s.residuals[i])
 		}
 	}
 	return nil

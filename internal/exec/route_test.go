@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -374,40 +376,78 @@ func TestSharedIndexSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedIndexEmptyUnion drives the vectorized probe with an
-// all-zero union: no page may be pinned, no counter may move, and no
+// emptyQuery restricts A to no member at all: its result bitmap is
+// empty.
+func emptyQuery(t *testing.T, db *star.Database) *query.Query {
+	t.Helper()
+	q, err := query.New("EMPTY", db.Schema, []int{1, 1, 1, 1},
+		[]query.Predicate{{Members: []int32{}}, {}, {}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// testPass builds the shared pass of hash and filter members over view
+// with its one worker, outside the operators, so a test can drive the
+// page loop directly: in the probe regime when probe is set, the scan
+// regime otherwise. Every member is a root.
+func testPass(t *testing.T, env *Env, view *star.View, hash, filters []*query.Query, probe bool) (*pagePass, *pageWorker) {
+	t.Helper()
+	var st Stats
+	cache := newLookupCache(env, &st)
+	t.Cleanup(cache.close)
+	s := &pagePass{view: view, nh: len(hash), tpp: int64(view.Heap.TuplesPerPage()), rows: view.Rows()}
+	var pipes []*queryPipeline
+	for i, q := range append(append([]*query.Query(nil), hash...), filters...) {
+		p, err := newQueryPipeline(env, &st, cache, q, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.close)
+		pipes = append(pipes, p)
+		if i < len(hash) {
+			continue
+		}
+		bs, residual, err := pipelineBitmap(env, view, p, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.bitmaps = append(s.bitmaps, bs)
+		s.residuals = append(s.residuals, residual)
+	}
+	if probe {
+		s.union = s.bitmaps[0]
+		if len(s.bitmaps) > 1 {
+			s.union = bitmap.New(s.rows)
+			s.union.CopyFrom(s.bitmaps[0])
+			for _, bs := range s.bitmaps[1:] {
+				bs.OrInto(s.union)
+			}
+		}
+	}
+	w := newPageWorker(view, pipes)
+	return s, &w
+}
+
+// TestSharedIndexEmptyUnion drives the page loop with an all-zero
+// union: no page may be pinned, no counter may move, and no
 // cancellation checkpoint may fire.
 func TestSharedIndexEmptyUnion(t *testing.T) {
-	db, qs := testDB(t)
+	db, _ := testDB(t)
 	view := db.ViewByLevels([]int{1, 1, 1, 0})
 	env := NewEnv(db)
 	env.Ctx = canceledCtx() // would abort at the first checkpoint
 
-	var st Stats
-	cache := newLookupCache(env, &st)
-	defer cache.close()
-	p, err := newQueryPipeline(env, &st, cache, qs["Q5"], view)
-	if err != nil {
-		t.Fatal(err)
+	s, w := testPass(t, env, view, nil, []*query.Query{emptyQuery(t, db)}, true)
+	if s.union.Any() {
+		t.Fatal("empty member's bitmap has bits set")
 	}
-	defer p.close()
-
-	empty := bitmap.New(view.Rows())
-	ps := &probeShared{
-		view:      view,
-		union:     empty,
-		bitmaps:   []*bitmap.Bitset{empty},
-		residuals: [][]int{nil},
-		tpp:       int64(view.Heap.TuplesPerPage()),
-		rows:      view.Rows(),
-	}
-	w := newProbeWorker(view, []*queryPipeline{p})
-	pages := (ps.rows + ps.tpp - 1) / ps.tpp
 	before := db.Pool.Stats()
-	if err := ps.probePages(env, w, &st, 0, pages); err != nil {
+	if err := s.pages(env, w, 0, view.Heap.DataPages()); err != nil {
 		t.Fatalf("empty union probe: %v", err)
 	}
-	if st.TuplesFetched != 0 || st.TuplesAgg != 0 || st.BitTests != 0 {
+	if st := w.st; st.TuplesFetched != 0 || st.TuplesAgg != 0 || st.BitTests != 0 {
 		t.Fatalf("empty union moved counters: fetched=%d agg=%d tests=%d",
 			st.TuplesFetched, st.TuplesAgg, st.BitTests)
 	}
@@ -526,61 +566,39 @@ func TestSharedIndexAllDetachedStopsEarly(t *testing.T) {
 	}
 }
 
-// TestRouteLoopAllocs pins the vectorized probe's steady-state
-// allocation rate at zero, mirroring TestFoldLoopAllocs: once the
-// pipelines are warm and the pool holds the union's pages, re-running
-// the entire probe must not allocate.
+// TestRouteLoopAllocs pins the page loop's steady-state allocation
+// rate at zero in both regimes, mirroring TestFoldLoopAllocs: once the
+// pipelines are warm and the pool holds the view's pages, re-running
+// the entire pass must not allocate.
 func TestRouteLoopAllocs(t *testing.T) {
 	db, qs := testDB(t)
 	view := db.ViewByLevels([]int{1, 1, 1, 0})
 	env := NewEnv(db)
-
-	var st Stats
-	cache := newLookupCache(env, &st)
-	defer cache.close()
-	group := []*query.Query{qs["Q5"], qs["Q6"], qs["Q7"], qs["Q8"]}
-	pipelines := make([]*queryPipeline, len(group))
-	bitmaps := make([]*bitmap.Bitset, len(group))
-	residuals := make([][]int, len(group))
-	for i, q := range group {
-		p, err := newQueryPipeline(env, &st, cache, q, view)
-		if err != nil {
-			t.Fatal(err)
+	probes := []*query.Query{qs["Q5"], qs["Q6"], qs["Q7"], qs["Q8"]}
+	for _, c := range []struct {
+		name          string
+		hash, filters []*query.Query
+		probe         bool
+	}{
+		{"hash and filter scan", []*query.Query{qs["Q3"]}, []*query.Query{qs["Q7"]}, false},
+		{"filter-only scan", nil, []*query.Query{qs["Q7"], qs["Q8"]}, false},
+		{"multi-root probe", nil, probes, true},
+		{"single-root probe", nil, probes[:1], true},
+	} {
+		s, w := testPass(t, env, view, c.hash, c.filters, c.probe)
+		pass := func() {
+			if err := s.pages(env, w, 0, view.Heap.DataPages()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		defer p.close()
-		pipelines[i] = p
-		bs, residual, err := pipelineBitmap(env, view, p, &st)
-		if err != nil {
-			t.Fatal(err)
+		pass() // warm-up: pool pages resident, tables grown, scratch sized
+		if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+			t.Fatalf("%s: steady-state pass allocates %v objects, want 0", c.name, allocs)
 		}
-		bitmaps[i] = bs
-		residuals[i] = residual
-	}
-	union := bitmap.New(view.Rows())
-	union.CopyFrom(bitmaps[0])
-	for _, bs := range bitmaps[1:] {
-		bs.OrInto(union)
-	}
-	ps := &probeShared{
-		view: view, union: union, bitmaps: bitmaps, residuals: residuals,
-		tpp: int64(view.Heap.TuplesPerPage()), rows: view.Rows(),
-	}
-	w := newProbeWorker(view, pipelines)
-	pages := (ps.rows + ps.tpp - 1) / ps.tpp
-
-	probe := func() {
-		var pst Stats
-		if err := ps.probePages(env, w, &pst, 0, pages); err != nil {
-			t.Fatal(err)
-		}
-	}
-	probe() // warm-up: pool pages resident, tables grown, scratch sized
-	if allocs := testing.AllocsPerRun(5, probe); allocs != 0 {
-		t.Fatalf("steady-state probe pass allocates %v objects, want 0", allocs)
-	}
-	for _, p := range pipelines {
-		if p.ioErr != nil {
-			t.Fatal(p.ioErr)
+		for _, p := range w.pipes {
+			if p.ioErr != nil {
+				t.Fatal(p.ioErr)
+			}
 		}
 	}
 }
@@ -634,7 +652,7 @@ func FuzzSelVecExpand(f *testing.F) {
 
 // BenchmarkBitmapRoute isolates the routing kernel: expand one page's
 // union words and route them to 4 query bitmaps, against the scalar
-// per-bit equivalent.
+// per-bit equivalent; and route a whole scan-regime page (full_page).
 func BenchmarkBitmapRoute(b *testing.B) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(7))
@@ -686,6 +704,43 @@ func BenchmarkBitmapRoute(b *testing.B) {
 		}
 		reportRouted(b, routed)
 	})
+	// full_page: one scan-regime page, whose selection words are all
+	// ones, routed to a member by routeWords, against expanding the
+	// member's own masked words directly, at member densities 1/64 to 1.
+	for _, density := range []int{64, 8, 2, 1} {
+		q := bitmap.New(n)
+		for i := int64(0); i < n; i++ {
+			if rng.Intn(density) == 0 {
+				q.Set(i)
+			}
+		}
+		page := func(b *testing.B, route func(from int64) int) {
+			b.ReportAllocs()
+			var routed int64
+			for i := 0; i < b.N; i++ {
+				routed += int64(route(int64(i*pageRows) % (n - pageRows)))
+			}
+			reportRouted(b, routed)
+		}
+		words := make([]uint64, 0, pageRows/64+2)
+		hits := make([]int32, 0, pageRows)
+		b.Run(fmt.Sprintf("full_page/1_%d/routeWords", density), func(b *testing.B) {
+			page(b, func(from int64) int {
+				var w0 int
+				words, w0 = maskedWords(words, nil, from, from+pageRows)
+				hits = routeWords(hits[:0], words, q.Words(), w0)
+				return len(hits)
+			})
+		})
+		b.Run(fmt.Sprintf("full_page/1_%d/expandWords", density), func(b *testing.B) {
+			page(b, func(from int64) int {
+				var w0 int
+				words, w0 = maskedWords(words, q.Words(), from, from+pageRows)
+				hits = expandWords(hits[:0], words, w0, from)
+				return len(hits)
+			})
+		})
+	}
 }
 
 func reportRouted(b *testing.B, routed int64) {
@@ -758,4 +813,160 @@ func BenchmarkFetchBatches(b *testing.B) {
 		}
 		reportRouted(b, fetched)
 	})
+}
+
+// passIO is the heap-file I/O of one shared pass over view from a cold
+// pool: the data pages it read, in read order, and the file's read
+// counters.
+type passIO struct {
+	pages     []int64
+	seq, rand int64
+}
+
+// coldPass runs pass over view from a cold pool and records its
+// heap-file reads.
+func coldPass(t *testing.T, db *star.Database, view *star.View, pass func() error) passIO {
+	t.Helper()
+	if err := db.ColdReset(); err != nil {
+		t.Fatal(err)
+	}
+	file := view.Heap.File()
+	var io passIO
+	var mu sync.Mutex // parallel workers read concurrently
+	file.Disk().SetFault(func(op string, page uint32) error {
+		if op == "read" {
+			mu.Lock()
+			io.pages = append(io.pages, int64(page)-1) // data page pg is file page pg+1
+			mu.Unlock()
+		}
+		return nil
+	})
+	defer file.Disk().SetFault(nil)
+	before := file.IOStats()
+	if err := pass(); err != nil {
+		t.Fatal(err)
+	}
+	d := file.IOStats().Sub(before)
+	io.seq, io.rand = d.SeqReads, d.RandReads
+	return io
+}
+
+// TestSharedPassRegimes pins each regime's heap I/O and work counters
+// in closed form on the A'B'C'D view, from a cold pool. The scan
+// regime (SharedMixed) reads every data page once, in order, as one
+// sequential run, scans every row, and charges each filter root a bit
+// test per row and its bitmap's popcount as fetches. The probe regime
+// (SharedIndex) reads exactly the pages holding union bits, in order,
+// and follows rootFetches. At widths 2 and 4 the page reads and every
+// deterministic counter equal the serial pass's.
+func TestSharedPassRegimes(t *testing.T) {
+	db, qs := testDB(t)
+	view := db.ViewByLevels([]int{1, 1, 1, 0})
+	defer db.ColdReset()
+	rows, pages := view.Rows(), view.Heap.DataPages()
+	tpp := int64(view.Heap.TuplesPerPage())
+	none := emptyQuery(t, db)
+	hash := []*query.Query{qs["Q3"]}
+	filters := []*query.Query{qs["Q7"], qs["Q8"]}
+
+	type run struct {
+		io passIO
+		st Stats
+	}
+	check := func(label string, runs []run, want func(r run) error) {
+		t.Helper()
+		for i, r := range runs {
+			if err := want(r); err != nil {
+				t.Fatalf("%s width %d: %v", label, []int{1, 2, 4}[i], err)
+			}
+			if i > 0 && (len(r.io.pages) != len(runs[0].io.pages) || scanCounters(r.st) != scanCounters(runs[0].st)) {
+				t.Fatalf("%s width %d: %d page reads, counters %v; serial %d, %v", label, []int{1, 2, 4}[i],
+					len(r.io.pages), scanCounters(r.st), len(runs[0].io.pages), scanCounters(runs[0].st))
+			}
+		}
+	}
+	widths := func(pass func(env *Env, st *Stats) error) []run {
+		var runs []run
+		for _, w := range []int{1, 2, 4} {
+			env := NewEnv(db)
+			if w > 1 {
+				env.Pool, env.MorselPages = dag.NewPool(w), 1
+			}
+			var r run
+			r.io = coldPass(t, db, view, func() error { return pass(env, &r.st) })
+			runs = append(runs, r)
+		}
+		return runs
+	}
+
+	for _, c := range []struct {
+		name          string
+		hash, filters []*query.Query
+	}{
+		{"hash only", hash, nil},
+		{"hash and filters", hash, filters},
+		{"filters only", nil, filters},
+		{"empty filter", nil, []*query.Query{none}},
+	} {
+		roots, own, _ := rootFetches(t, view, append(append([]*query.Query(nil), c.hash...), c.filters...), len(c.hash))
+		var fetched int64
+		for _, n := range own {
+			fetched += n
+		}
+		runs := widths(func(env *Env, st *Stats) error {
+			_, _, err := SharedMixed(env, view, c.hash, c.filters, st)
+			return err
+		})
+		check(c.name, runs, func(r run) error {
+			if len(r.io.pages) != int(pages) {
+				return fmt.Errorf("read %d pages, want all %d", len(r.io.pages), pages)
+			}
+			if r.st.TuplesScanned != rows || r.st.BitTests != rows*int64(roots) || r.st.TuplesFetched != fetched {
+				return fmt.Errorf("scanned %d, bit tests %d, fetched %d; want %d, %d, %d",
+					r.st.TuplesScanned, r.st.BitTests, r.st.TuplesFetched, rows, rows*int64(roots), fetched)
+			}
+			return nil
+		})
+		// The serial scan reads in page order, one sequential run.
+		if s := runs[0].io; s.seq != pages || s.rand != 0 {
+			t.Fatalf("%s: %d sequential and %d random reads of %d pages", c.name, s.seq, s.rand, pages)
+		}
+		for i, pg := range runs[0].io.pages {
+			if pg != int64(i) {
+				t.Fatalf("%s: read %d was page %d", c.name, i, pg)
+			}
+		}
+	}
+
+	for _, group := range [][]*query.Query{filters[:1], filters} {
+		roots, _, union := rootFetches(t, view, group, 0)
+		var want []int64
+		for pg := int64(0); pg < pages; pg++ {
+			for r := pg * tpp; r < min((pg+1)*tpp, rows); r++ {
+				if union.Get(r) {
+					want = append(want, pg)
+					break
+				}
+			}
+		}
+		wantTests := int64(0)
+		if roots > 1 {
+			wantTests = union.Count() * int64(roots)
+		}
+		label := fmt.Sprintf("probe %d roots", roots)
+		runs := widths(func(env *Env, st *Stats) error {
+			_, err := SharedIndex(env, view, group, st)
+			return err
+		})
+		check(label, runs, func(r run) error {
+			if r.st.TuplesScanned != 0 || r.st.TuplesFetched != union.Count() || r.st.BitTests != wantTests {
+				return fmt.Errorf("scanned %d, fetched %d, bit tests %d; want 0, %d, %d",
+					r.st.TuplesScanned, r.st.TuplesFetched, r.st.BitTests, union.Count(), wantTests)
+			}
+			return nil
+		})
+		if got := runs[0].io.pages; !slices.Equal(got, want) {
+			t.Fatalf("%s: read pages %v, want the union's pages %v", label, got, want)
+		}
+	}
 }

@@ -79,33 +79,34 @@ func bitmapMemory(v *star.View) int64 {
 // a class pass holds at its peak: one per worker of a Workers-wide pool
 // (worker 0's table is the pass's own, and finalization releases each
 // worker table once its groups are copied into the result slab), one
-// for the serial pass. Both regimes fan out — scans and the vectorized
-// union probe claim morsels from the same pool — so both multiply.
-// Lookups and bitmaps are shared read-only across workers and are not
+// for the serial pass. Both regimes run the same page loop, whose
+// workers claim morsels from the same pool, so both multiply. Lookups
+// and bitmaps are shared read-only across workers and are not
 // multiplied.
 func (e *Estimator) foldTableCopies(c *Class) int64 {
 	return int64(max(e.Workers, 1))
 }
 
-// memProbeBufBytes mirrors exec's probeBufBytes: one probe worker's
-// page batch (4-byte keys + 8-byte measures per tuple) plus its two
-// selection vectors and the masked-word scratch.
-func memProbeBufBytes(v *star.View) int64 {
+// memPageBufBytes mirrors exec's pageBufBytes: one page-loop worker's
+// page batch (4-byte keys + 8-byte measures per tuple) plus its
+// selection vector and the masked-word scratch.
+func memPageBufBytes(v *star.View) int64 {
 	tpp := int64(v.Heap.TuplesPerPage())
 	nk := int64(v.Heap.Schema().NumKeys())
 	nm := int64(v.Heap.Schema().NumMeasures())
-	return tpp*(4*nk+8*nm) + 8*tpp + (tpp/64+2)*8
+	return tpp*(4*nk+8*nm) + 4*tpp + (tpp/64+2)*8
 }
 
 // ClassMemory estimates the operator-state footprint of evaluating
 // class c in one shared pass, in bytes: deduplicated dimension lookups
 // (assuming lookup sharing), one aggregation table per member — one per
-// worker when the pool fans the scan out (foldTableCopies) — one
-// result bitmap per index member, and the union bitmap in the probe
-// regime. A member derived from a classmate (query.Forest) holds one
-// table, built at emit, and no lookups or bitmap. Methods and Regime
-// must already be assigned (ClassCost does this); an unpriced class is
-// estimated as if in the scan regime with its current methods.
+// worker when the pool fans the pass out (foldTableCopies) — one result
+// bitmap per index member, the union bitmap in the probe regime, and
+// one page buffer per worker in either regime. A member derived from a
+// classmate (query.Forest) holds one table, built at emit, and no
+// lookups or bitmap. Methods and Regime must already be assigned
+// (ClassCost does this); an unpriced class is estimated as if in the
+// scan regime with its current methods.
 func (e *Estimator) ClassMemory(c *Class) int64 {
 	if len(c.Plans) == 0 {
 		return 0
@@ -126,19 +127,12 @@ func (e *Estimator) ClassMemory(c *Class) int64 {
 		}
 	}
 	total += int64(bitmaps) * bitmapMemory(v)
-	if c.Regime == ProbeRegime {
-		if bitmaps > 1 {
-			total += bitmapMemory(v) // the union bitmap
-		}
-		// One fetch batch + routing scratch per probe worker (exec's
-		// probeWorker buffers, reserved on the bitmaps grant).
-		workers := int64(1)
-		if e.Workers > 1 {
-			workers = int64(e.Workers)
-		}
-		total += workers * memProbeBufBytes(v)
+	if c.Regime == ProbeRegime && bitmaps > 1 {
+		total += bitmapMemory(v) // the union bitmap
 	}
-	return total
+	// One page batch + selection scratch per worker (exec's pageWorker
+	// buffers, reserved on the bitmaps grant).
+	return total + copies*memPageBufBytes(v)
 }
 
 // classLookupMemory estimates the class's deduplicated dimension-lookup

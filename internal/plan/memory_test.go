@@ -286,9 +286,10 @@ func TestClassCostPricesDerivedMemberAsRollup(t *testing.T) {
 	if got, want := withChild-parentOnly, e.aggMemory(left, v); got != want {
 		t.Fatalf("derived member adds %d bytes at 4 workers, want one table copy = %d", got, want)
 	}
-	// A root holds one table per worker, worker 0's being the pass's own.
-	if got, want := parentOnly-serial, 3*e.aggMemory(fine, v); got != want {
-		t.Fatalf("root member adds %d bytes going from 1 to 4 workers, want three more table copies = %d", got, want)
+	// A root holds one table per worker, worker 0's being the pass's own,
+	// and every worker holds one page buffer.
+	if got, want := parentOnly-serial, 3*(e.aggMemory(fine, v)+memPageBufBytes(v)); got != want {
+		t.Fatalf("root member adds %d bytes going from 1 to 4 workers, want three more table copies and page buffers = %d", got, want)
 	}
 	tasks := BuildTasks(&Global{Classes: []*Class{pair}})
 	for _, task := range tasks {
