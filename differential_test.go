@@ -183,7 +183,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 		submitters := [][]string{c.srcs}
 		opts := Options{}
 		if c.batching {
-			db.EnableBatching(BatchConfig{Window: time.Millisecond, Workers: c.workers})
+			db.EnableBatching(BatchConfig{Window: time.Millisecond})
 			rev := make([]string, len(c.srcs))
 			for i, src := range c.srcs {
 				rev[len(rev)-1-i] = src
@@ -225,7 +225,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 			sameAnswer(t, label+": "+a.src, a.ans, want[a.src])
 			spilled += a.ans.Stats.SpillBytes
 		}
-		if c.budget > 0 && !c.batching && spilled == 0 {
+		if c.budget > 0 && spilled == 0 {
 			t.Fatalf("%s: the tight budget never spilled", label)
 		}
 		if ms := db.MemoryStats(); ms.Used != db.ResultCacheStats().Bytes || ms.Waiting != 0 {

@@ -78,28 +78,6 @@ func Execute(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.
 	return ex.Results, nil
 }
 
-// ExecuteDetailed is Execute returning the per-class work breakdown
-// alongside the results.
-func ExecuteDetailed(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stats) ([]*exec.Result, []ClassStat, error) {
-	ex, err := Run(env, g, queries, stats, ExecOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex.Results, ex.Classes, nil
-}
-
-// ExecuteAttributed is ExecuteDetailed additionally splitting each class
-// pass's work across its queries (exec.Attribute). Queries whose
-// per-submission context (Env.QueryCtx) was canceled mid-pass come back
-// with Result.Err set rather than failing the whole batch.
-func ExecuteAttributed(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stats) ([]*exec.Result, []ClassStat, []exec.Stats, error) {
-	ex, err := Run(env, g, queries, stats, ExecOptions{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ex.Results, ex.Classes, ex.PerQuery, nil
-}
-
 // Run compiles a global plan into an operator task graph and executes it
 // on a bounded worker pool (internal/dag):
 //

@@ -18,21 +18,18 @@
 //     it always succeeds but is tracked, and the bytes granted past the
 //     budget are reported as Overdraft so the planner's admission
 //     estimates can be audited.
-//   - Admit is an *admission claim* used by the scheduler before a
-//     batch executes: when the estimated footprint does not fit, the
-//     batch is deferred — blocked, not refused — until running work
-//     releases memory. Deferred claims are granted in strict FIFO
-//     order, so a large claim is never starved by a stream of small
-//     ones: once it is the oldest waiter every newcomer queues behind
-//     it, admitted work drains, and at the latest the idle broker
+//   - Admit is an *admission claim* the task-graph executor takes
+//     before each plan node starts: when the node's estimated footprint
+//     does not fit, the node is deferred — blocked, not refused — until
+//     running work releases memory. Deferred claims are granted in
+//     strict FIFO order, so a large claim is never starved by a stream
+//     of small ones: once it is the oldest waiter every newcomer queues
+//     behind it, admitted work drains, and at the latest the idle broker
 //     grants it. A claim on an idle broker — one with no unreleased
 //     admission claim, whatever bytes standing reservations hold —
-//     always succeeds, even past the limit, so a batch larger than the
-//     whole budget still runs (relying on the operators' spill paths
-//     to stay within it). A
-//     claim decays as the work's real reservations materialize through
-//     the claim's linked broker (see Claim.Broker), charging a running
-//     batch max(estimate, reserved) rather than their sum.
+//     always succeeds, even past the limit, so a node larger than the
+//     whole budget still runs (relying on the operators' spill paths to
+//     stay within it).
 //
 // Brokers nest: Child creates a broker whose reservations are also
 // charged to the parent, giving per-request caps under one global
@@ -53,7 +50,6 @@ import (
 // claims.
 type Broker struct {
 	parent *Broker
-	claim  *Claim // set on a claim-linked broker: grows draw the claim down
 
 	limit int64 // 0 = track only, no enforcement
 
@@ -188,9 +184,6 @@ func (b *Broker) grow(n int64, must bool) bool {
 		b.peak = b.used
 	}
 	b.mu.Unlock()
-	if b.claim != nil {
-		b.claim.consume(n)
-	}
 	return true
 }
 
@@ -351,28 +344,13 @@ func (r *Reservation) Peak() int64 {
 // be released, so admission can only defer work, never wedge it. The
 // returned release function must be called when the work finishes (it
 // is idempotent). Admit returns ctx's error if the context is done
-// first.
+// first. A nil broker admits everything.
 //
 // Claims gate admission only: they are not counted in Used, and the
 // operators' actual reservations enforce the budget during execution.
-// Admit is shorthand for AdmitClaim for callers that only need the
-// release; use AdmitClaim to also decay the claim as the work's real
-// reservations materialize.
 func (b *Broker) Admit(ctx context.Context, estimate int64) (release func(), err error) {
-	c, err := b.AdmitClaim(ctx, estimate)
-	if err != nil {
-		return func() {}, err
-	}
-	return c.Release, nil
-}
-
-// AdmitClaim is Admit returning the claim itself: Release it when the
-// work finishes, and run the work under Broker() so the claim decays as
-// real reservations materialize instead of double-counting against the
-// budget. A nil broker returns a nil claim, whose methods are no-ops.
-func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error) {
 	if b == nil {
-		return nil, nil
+		return func() {}, nil
 	}
 	if estimate < 0 {
 		estimate = 0
@@ -381,7 +359,7 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 	if len(b.waiters) == 0 && b.admitsLocked(estimate) {
 		b.grantLocked(estimate)
 		b.mu.Unlock()
-		return &Claim{b: b, remaining: estimate}, nil
+		return b.releaser(estimate), nil
 	}
 	w := &admitWaiter{estimate: estimate, ch: make(chan struct{})}
 	b.waiters = append(b.waiters, w)
@@ -390,19 +368,14 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 	select {
 	case <-w.ch:
 		b.noteDeferred(time.Since(start))
-		return &Claim{b: b, remaining: estimate}, nil
+		return b.releaser(estimate), nil
 	case <-ctx.Done():
 		b.noteDeferred(time.Since(start))
 		b.mu.Lock()
 		if w.granted {
 			// Granted between ctx firing and us taking the lock; the
 			// caller is abandoning the work, so return the claim.
-			b.claims--
-			b.claimed -= w.estimate
-			if b.claimed < 0 {
-				b.claimed = 0
-			}
-			b.wakeAdmitsLocked()
+			b.returnLocked(estimate)
 		} else {
 			for i, q := range b.waiters {
 				if q == w {
@@ -412,8 +385,32 @@ func (b *Broker) AdmitClaim(ctx context.Context, estimate int64) (*Claim, error)
 			}
 		}
 		b.mu.Unlock()
-		return nil, ctx.Err()
+		return func() {}, ctx.Err()
 	}
+}
+
+// releaser returns the idempotent release function of a granted claim.
+func (b *Broker) releaser(estimate int64) func() {
+	released := false
+	return func() {
+		b.mu.Lock()
+		if !released {
+			released = true
+			b.returnLocked(estimate)
+		}
+		b.mu.Unlock()
+	}
+}
+
+// returnLocked books the release of a granted claim of estimate bytes
+// and wakes the waiters it makes room for. Callers hold b.mu.
+func (b *Broker) returnLocked(estimate int64) {
+	b.claims--
+	b.claimed -= estimate
+	if b.claimed < 0 {
+		b.claimed = 0
+	}
+	b.wakeAdmitsLocked()
 }
 
 // noteDeferred counts one admission claim that waited, on b and — like
@@ -426,68 +423,4 @@ func (b *Broker) noteDeferred(waited time.Duration) {
 		b.deferNS += int64(waited)
 		b.mu.Unlock()
 	}
-}
-
-// Claim is a granted admission claim. Its bytes count against the
-// broker's budget alongside reservations until they are returned —
-// explicitly via Release when the work finishes, or gradually as the
-// work's real reservations materialize through the broker obtained
-// from Broker(). The drawdown charges a running batch
-// max(estimate, reserved) rather than their sum, so concurrent batches
-// are not deferred more aggressively than the budget requires.
-type Claim struct {
-	b         *Broker
-	remaining int64 // claimed bytes not yet drawn down; guarded by b.mu
-	released  bool  // guarded by b.mu
-}
-
-// Broker returns a child broker linked to the claim: every byte
-// reserved through it converts one still-claimed byte into a used byte
-// until the claim is exhausted. The drawdown is one-way — shrinking a
-// reservation does not re-inflate the claim; the freed bytes simply
-// become available to admission.
-func (c *Claim) Broker() *Broker {
-	if c == nil {
-		return nil
-	}
-	ch := c.b.Child(0)
-	ch.claim = c
-	return ch
-}
-
-// consume draws the claim down by up to n materialized bytes.
-func (c *Claim) consume(n int64) {
-	c.b.mu.Lock()
-	if !c.released && c.remaining > 0 {
-		if n > c.remaining {
-			n = c.remaining
-		}
-		c.remaining -= n
-		c.b.claimed -= n
-		if c.b.claimed < 0 {
-			c.b.claimed = 0
-		}
-		c.b.wakeAdmitsLocked()
-	}
-	c.b.mu.Unlock()
-}
-
-// Release returns whatever the claim still holds. It is idempotent and
-// nil-safe.
-func (c *Claim) Release() {
-	if c == nil {
-		return
-	}
-	c.b.mu.Lock()
-	if !c.released {
-		c.released = true
-		c.b.claims--
-		c.b.claimed -= c.remaining
-		if c.b.claimed < 0 {
-			c.b.claimed = 0
-		}
-		c.remaining = 0
-		c.b.wakeAdmitsLocked()
-	}
-	c.b.mu.Unlock()
 }

@@ -225,21 +225,22 @@ func TestAdmitIdleIgnoresStandingReservations(t *testing.T) {
 	standing.MustGrow(30)
 	defer standing.Release()
 
-	first, err := b.AdmitClaim(context.Background(), 150)
+	releaseFirst, err := b.Admit(context.Background(), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := make(chan *Claim, 1)
+	second := make(chan func(), 1)
 	go func() {
-		cl, err := b.AdmitClaim(context.Background(), 150)
+		release, err := b.Admit(context.Background(), 150)
 		if err != nil {
 			t.Error(err)
 		}
-		second <- cl
+		second <- release
 	}()
 	waitFor(t, func() bool { return b.Stats().Waiting == 1 })
-	// A fully drawn-down claim is still unreleased work.
-	r := first.Broker().Reserve("op")
+	// Work that reserved and released its state under the first claim
+	// is still unreleased work until the claim itself is released.
+	r := b.Reserve("op")
 	r.MustGrow(150)
 	r.Release()
 	select {
@@ -247,10 +248,10 @@ func TestAdmitIdleIgnoresStandingReservations(t *testing.T) {
 		t.Fatal("second oversize claim granted while the first was unreleased")
 	case <-time.After(20 * time.Millisecond):
 	}
-	first.Release()
+	releaseFirst()
 	select {
-	case cl := <-second:
-		cl.Release()
+	case release := <-second:
+		release()
 	case <-time.After(2 * time.Second):
 		t.Fatal("oversize claim never granted beside a standing reservation")
 	}
@@ -260,20 +261,14 @@ func TestAdmitIdleIgnoresStandingReservations(t *testing.T) {
 }
 
 // admitRunning models admitted work in flight: a granted claim of n
-// bytes, all of it materialized as a reservation under the claim. The
-// returned function ends the work.
+// bytes. The returned function ends the work.
 func admitRunning(t *testing.T, b *Broker, n int64) (finish func()) {
 	t.Helper()
-	cl, err := b.AdmitClaim(context.Background(), n)
+	release, err := b.Admit(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := cl.Broker().Reserve("running")
-	r.MustGrow(n)
-	return func() {
-		r.Release()
-		cl.Release()
-	}
+	return release
 }
 
 func TestAdmitDefersUntilRelease(t *testing.T) {
@@ -381,77 +376,16 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestClaimDrawdown: reservations made through the claim's linked
-// broker convert claimed bytes into used bytes, so a running batch is
-// charged max(estimate, reserved) — not their sum — and a second batch
-// admits as soon as the combined charge fits.
-func TestClaimDrawdown(t *testing.T) {
-	b := New(100)
-	cl, err := b.AdmitClaim(context.Background(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := cl.Broker().Reserve("op")
-	r.MustGrow(40)
-	st := b.Stats()
-	if st.Used != 40 || st.Claimed != 20 {
-		t.Fatalf("after 40 materialized: %+v, want used=40 claimed=20", st)
-	}
-
-	// 40+20+40 <= 100: admits immediately. Summing claim and usage
-	// (40+60+40 = 140) would have deferred this forever.
-	admitted := make(chan func(), 1)
-	go func() {
-		release, err := b.Admit(context.Background(), 40)
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- release
-	}()
-	var release2 func()
-	select {
-	case release2 = <-admitted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("drawn-down claim still double-counted: second batch deferred")
-	}
-
-	// Growing past the claim's remainder exhausts it; the excess is
-	// plain usage.
-	r.MustGrow(30)
-	st = b.Stats()
-	if st.Used != 70 || st.Claimed != 40 {
-		t.Fatalf("after claim exhausted: %+v, want used=70 claimed=40", st)
-	}
-	// Shrinking does not re-inflate the claim.
-	r.Shrink(50)
-	if st := b.Stats(); st.Used != 20 || st.Claimed != 40 {
-		t.Fatalf("after shrink: %+v, want used=20 claimed=40", st)
-	}
-
-	cl.Release() // fully drawn down: nothing left to return
-	cl.Release() // idempotent
-	release2()
-	r.Release()
-	if st := b.Stats(); st.Used != 0 || st.Claimed != 0 {
-		t.Fatalf("residue: %+v", st)
-	}
-}
-
-// TestNilClaimIsNoop: a nil broker hands out a nil claim whose methods
-// are all safe no-ops.
+// TestNilClaimIsNoop: a nil broker admits every claim, and the claim's
+// release is a safe no-op.
 func TestNilClaimIsNoop(t *testing.T) {
 	var b *Broker
-	cl, err := b.AdmitClaim(context.Background(), 10)
+	release, err := b.Admit(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl != nil {
-		t.Fatal("nil broker should hand out a nil claim")
-	}
-	if cl.Broker() != nil {
-		t.Fatal("nil claim should hand out a nil broker")
-	}
-	cl.Release()
+	release()
+	release()
 }
 
 func TestConcurrentReservations(t *testing.T) {

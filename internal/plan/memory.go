@@ -7,9 +7,9 @@ import (
 
 // Memory model.
 //
-// The scheduler admits a batch only when its estimated operator-state
-// footprint fits the memory broker's budget (internal/mem), so the
-// estimator mirrors the execution layer's accounting: dimension lookup
+// A parallel run admits each task-graph node only when its estimated
+// operator-state footprint fits the memory broker's budget
+// (internal/mem), so the estimator mirrors the execution layer's accounting: dimension lookup
 // tables, result bitmaps, and aggregation hash tables, with the same
 // per-entry constants internal/exec charges its reservations with.
 // Estimates intentionally ignore sharing's timing (everything is priced
@@ -156,27 +156,6 @@ func (e *Estimator) classLookupMemory(c *Class, parents []int) int64 {
 			lookups[key] = struct{}{}
 			total += int64(d.Card(v.Levels[dim])) * memLookupBytesPerRow
 		}
-	}
-	return total
-}
-
-// GlobalMemory estimates the operator-state footprint of a global plan:
-// the sum of its class footprints plus the rollup re-aggregation tables
-// of cache-served queries. Queries the cache serves carry no lookup,
-// bitmap or scan-side aggregation state, so a warm cache directly
-// shrinks the estimate admission charges for a batch. The task-graph
-// executor may run a batch's classes concurrently, so the sum is the
-// right peak bound (each class's state is live at once in the worst
-// case); the sum slightly overstates lookup memory under hoisting —
-// cross-class duplicate lookups are built once — which degrades safely:
-// overestimates defer admission, never break execution.
-func (e *Estimator) GlobalMemory(g *Global) int64 {
-	var total int64
-	for _, c := range g.Classes {
-		total += e.ClassMemory(c)
-	}
-	for _, cp := range g.Cached {
-		total += e.CacheMemory(cp)
 	}
 	return total
 }

@@ -169,21 +169,6 @@ func TestClassMemoryCountsBitmaps(t *testing.T) {
 	}
 }
 
-func TestGlobalMemorySumsClasses(t *testing.T) {
-	db, qs := testDB(t)
-	e := NewEstimator(db)
-	v1 := db.ViewByLevels([]int{1, 1, 2, 0})
-	v2 := db.ViewByLevels([]int{1, 1, 1, 0})
-	c1 := &Class{View: v1, Plans: []*Local{{Query: qs["Q1"], View: v1}}}
-	c2 := &Class{View: v2, Plans: []*Local{{Query: qs["Q6"], View: v2}}}
-	e.ClassCost(c1)
-	e.ClassCost(c2)
-	g := &Global{Classes: []*Class{c1, c2}}
-	if got, want := e.GlobalMemory(g), e.ClassMemory(c1)+e.ClassMemory(c2); got != want {
-		t.Fatalf("GlobalMemory = %d, want %d", got, want)
-	}
-}
-
 func TestGroupEstimateCappedBySelectedRows(t *testing.T) {
 	db, qs := testDB(t)
 	e := NewEstimator(db)
@@ -206,7 +191,7 @@ func TestGlobalMemoryCachedPlansShrinkEstimate(t *testing.T) {
 	q := qs["Q1"]
 	c := &Class{View: v, Plans: []*Local{{Query: q, View: v}}}
 	e.ClassCost(c)
-	asClass := e.GlobalMemory(&Global{Classes: []*Class{c}})
+	asClass := e.ClassMemory(c)
 
 	// The same query served from a small cached entry charges only the
 	// rollup re-aggregation table — strictly less than the class pass
@@ -216,18 +201,12 @@ func TestGlobalMemoryCachedPlansShrinkEstimate(t *testing.T) {
 		Levels: append([]int(nil), q.Levels...),
 		Rows:   make([]rescache.Row, 8),
 	}
-	asCache := e.GlobalMemory(&Global{Cached: []*CachePlan{{Query: q, Entry: ent}}})
+	asCache := e.CacheMemory(&CachePlan{Query: q, Entry: ent})
 	if want := int64(8) * aggEntryBytes(q); asCache != want {
 		t.Fatalf("cached-plan memory = %d, want %d", asCache, want)
 	}
 	if asCache >= asClass {
 		t.Fatalf("cache-served estimate %d not below class estimate %d", asCache, asClass)
-	}
-
-	// Mixed plans sum both parts.
-	mixed := e.GlobalMemory(&Global{Classes: []*Class{c}, Cached: []*CachePlan{{Query: q, Entry: ent}}})
-	if mixed != asClass+asCache {
-		t.Fatalf("mixed estimate %d != %d + %d", mixed, asClass, asCache)
 	}
 }
 

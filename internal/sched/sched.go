@@ -10,17 +10,19 @@
 // demultiplexed back to each waiting caller.
 //
 // The scheduler is engine-agnostic: the embedding facade supplies a
-// Run callback that brackets one batch (locking against mutations,
+// Run callback that brackets one batch (pinning a catalog snapshot,
 // building an exec.Env) and typically calls Exec, which holds the
-// cross-request MQO pipeline — origin assignment, planning via a
-// PlanFunc, execution with per-submission contexts (a canceled caller
+// cross-request MQO pipeline — planning via a PlanFunc, origin
+// assignment, execution with per-request contexts (a canceled caller
 // detaches without aborting the shared pass for the rest), stats
-// attribution, and demultiplexing.
+// attribution, and demultiplexing. Exec serves a lone request too: an
+// unbatched query is a composition of one, planned and run the same way.
 package sched
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,42 +41,37 @@ var ErrQueueFull = errors.New("sched: admission queue full")
 // scheduler was stopped.
 var ErrStopped = errors.New("sched: scheduler stopped")
 
-// PlanFunc optimizes a merged cross-request query set. subQueries holds
-// each submission's queries; keys are the submissions' cache keys (the
-// MDX sources), letting implementations cache plans by batch
-// composition. It returns the per-submission query objects the plan was
-// built over — which may be cached replacements for the submitted ones —
-// and the global plan covering exactly those queries.
-type PlanFunc func(subQueries [][]*query.Query, keys []string) ([][]*query.Query, *plan.Global, error)
-
-// Submission is one caller's request travelling through the scheduler.
-type Submission struct {
-	// Key identifies the request for plan caching (the MDX source).
+// Request is one caller's expression on its way through Exec.
+type Request struct {
+	// Key identifies the expression for plan caching (the MDX source).
 	Key string
-	// Queries are the request's parsed component queries.
+	// Queries are the expression's parsed component queries; nil leaves
+	// parsing Key to the PlanFunc, which need not parse at all when its
+	// plan cache already holds the expression.
 	Queries []*query.Query
-
-	ctx      context.Context
-	res      chan *Outcome
-	finished bool
+	// Ctx is the caller's context; nil means context.Background.
+	Ctx context.Context
 }
 
-// Context returns the caller's context (never nil).
-func (b *Submission) Context() context.Context { return b.ctx }
+// PlanFunc optimizes a composition of requests as one query set. It
+// returns each request's query objects — which may be cached
+// replacements for the submitted ones — and the global plan covering
+// exactly those queries.
+type PlanFunc func(reqs []Request) ([][]*query.Query, *plan.Global, error)
 
-// Finish delivers the submission's outcome; only the first call counts.
-func (b *Submission) Finish(o *Outcome) {
-	if b.finished {
-		return
-	}
-	b.finished = true
-	b.res <- o
+// submission is one caller's request queued at the scheduler.
+type submission struct {
+	Request
+	res chan *Outcome // buffered; receives exactly one outcome
 }
 
-// fail is Finish with just an error.
-func (b *Submission) fail(err error) { b.Finish(&Outcome{Err: err}) }
+// finish delivers the submission's outcome.
+func (s *submission) finish(o *Outcome) { s.res <- o }
 
-// Outcome is what one submission gets back from its batch.
+// fail is finish with just an error.
+func (s *submission) fail(err error) { s.finish(&Outcome{Err: err}) }
+
+// Outcome is what one request gets back from Exec.
 type Outcome struct {
 	// Queries are the query objects the answer is keyed by — the
 	// submitted ones, or cached replacements (see PlanFunc). Results
@@ -84,29 +81,35 @@ type Outcome struct {
 	// PerQuery is each query's attributed work: its non-shared work
 	// exactly plus an equal share of its class's shared work.
 	PerQuery []exec.Stats
-	// Classes are the per-class breakdowns of the passes this
-	// submission participated in (other submissions' queries may appear
-	// in them, origin-qualified).
+	// Stats is the request's work: the whole run's when the request ran
+	// alone, otherwise the sum of its PerQuery.
+	Stats exec.Stats
+	// Classes are the per-class breakdowns of the passes this request
+	// participated in (other requests' queries may appear in them,
+	// origin-qualified).
 	Classes []core.ClassStat
-	// Plan is the whole batch's global plan in the paper's notation.
+	// Cached are the plan's cache rollups that serve this request's
+	// queries.
+	Cached []*plan.CachePlan
+	// Plan is the whole global plan in the paper's notation.
 	Plan string
-	// BatchSize is how many submissions the merged batch held.
+	// BatchSize is how many requests the plan merged.
 	BatchSize int
-	// DAGNodes is how many task-graph nodes the batch's plan compiled
-	// to. WorkerPeak is the unified pool's concurrency peak — nodes plus
+	// DAGNodes is how many task-graph nodes the plan compiled to.
+	// WorkerPeak is the unified pool's concurrency peak — nodes plus
 	// scan-morsel workers (1 under the serial executor).
-	// EffectiveWorkers is the clamped pool width the batch ran at.
-	// Whole-batch properties, repeated per submission.
+	// EffectiveWorkers is the clamped pool width the run used. Whole-run
+	// properties, repeated per request.
 	DAGNodes         int
 	WorkerPeak       int
 	EffectiveWorkers int
-	// SharedWith counts the other submissions whose queries shared at
+	// SharedWith counts the other requests whose queries shared at
 	// least one pass (class) with this one's; 0 means every pass was
 	// private even if the query was batched.
 	SharedWith int
-	// SnapshotEpoch is the catalog snapshot epoch the batch executed
-	// against: every result in the batch reflects exactly that
-	// published catalog state, regardless of mutations in flight.
+	// SnapshotEpoch is the catalog snapshot epoch the run executed
+	// against: every result reflects exactly that published catalog
+	// state, regardless of mutations in flight.
 	SnapshotEpoch uint64
 	// Err, when set, voids the rest of the outcome.
 	Err error
@@ -133,10 +136,10 @@ type Config struct {
 	// MaxQueue bounds the admission queue; Submit fails with
 	// ErrQueueFull beyond it (default 64).
 	MaxQueue int
-	// Run evaluates one admitted batch and must deliver an outcome to
-	// every submission — typically by preparing an execution
-	// environment and calling Exec.
-	Run func(batch []*Submission)
+	// Run evaluates one admitted batch and returns one outcome per
+	// request, in order — typically by preparing an execution
+	// environment and calling Exec. The scheduler delivers them.
+	Run func(batch []Request) []Outcome
 }
 
 func (c *Config) applyDefaults() {
@@ -154,7 +157,7 @@ func (c *Config) applyDefaults() {
 // Scheduler admits concurrent submissions into merged batches.
 type Scheduler struct {
 	cfg      Config
-	queue    chan *Submission
+	queue    chan *submission
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -173,7 +176,7 @@ func New(cfg Config) *Scheduler {
 	cfg.applyDefaults()
 	s := &Scheduler{
 		cfg:   cfg,
-		queue: make(chan *Submission, cfg.MaxQueue),
+		queue: make(chan *submission, cfg.MaxQueue),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -210,7 +213,7 @@ func (s *Scheduler) Submit(ctx context.Context, key string, queries []*query.Que
 		return nil, ErrStopped
 	default:
 	}
-	sub := &Submission{Key: key, Queries: queries, ctx: ctx, res: make(chan *Outcome, 1)}
+	sub := &submission{Request: Request{Key: key, Queries: queries, Ctx: ctx}, res: make(chan *Outcome, 1)}
 	select {
 	case s.queue <- sub:
 		s.submissions.Add(1)
@@ -245,14 +248,14 @@ func (s *Scheduler) loop() {
 			return
 		default:
 		}
-		var first *Submission
+		var first *submission
 		select {
 		case first = <-s.queue:
 		case <-s.stop:
 			s.drain()
 			return
 		}
-		batch := []*Submission{first}
+		batch := []*submission{first}
 		timer := time.NewTimer(s.cfg.Window)
 	collect:
 		for len(batch) < s.cfg.MaxBatch {
@@ -282,14 +285,14 @@ func (s *Scheduler) drain() {
 	}
 }
 
-// runBatch drops submissions that were canceled while queued and hands
-// the rest to the configured Run callback.
-func (s *Scheduler) runBatch(batch []*Submission) {
+// runBatch drops submissions that were canceled while queued, hands the
+// rest to the configured Run callback and delivers its outcomes.
+func (s *Scheduler) runBatch(batch []*submission) {
 	alive := batch[:0]
 	for _, sub := range batch {
 		select {
-		case <-sub.ctx.Done():
-			sub.fail(sub.ctx.Err())
+		case <-sub.Ctx.Done():
+			sub.fail(sub.Ctx.Err())
 		default:
 			alive = append(alive, sub)
 		}
@@ -301,150 +304,145 @@ func (s *Scheduler) runBatch(batch []*Submission) {
 	if len(alive) > 1 {
 		s.coalesced.Add(int64(len(alive)))
 	}
-	s.cfg.Run(alive)
-	for _, sub := range alive {
-		if !sub.finished {
+	reqs := make([]Request, len(alive))
+	for i, sub := range alive {
+		reqs[i] = sub.Request
+	}
+	outs := s.cfg.Run(reqs)
+	for i, sub := range alive {
+		if i < len(outs) {
+			sub.finish(&outs[i])
+		} else {
 			sub.fail(errors.New("sched: batch runner delivered no outcome"))
 		}
 	}
 }
 
-// AdmitFunc gates an optimized batch's execution on resource
-// availability. It is called after planning — when the batch's
-// footprint can be estimated from the global plan — and may block
-// (deferring the batch) until resources free up; ctx bounds the wait.
-// The returned release function is called when the batch finishes. The
-// memory-governed facade implements it with plan.Estimator.GlobalMemory
-// and mem.Broker.Admit: saturation defers batches, it never errors
-// them.
-type AdmitFunc func(ctx context.Context, g *plan.Global) (release func(), err error)
-
-// Exec evaluates one admitted batch on env: it assigns submission
-// origins, plans the merged cross-request query set with planFn, admits
-// the planned batch via admit (nil = always admit), runs the shared
-// passes once with per-submission contexts (a canceled caller detaches
-// without aborting a pass other callers share), attributes stats, and
-// delivers an Outcome to every submission. If planning the merged set
-// fails, each submission is re-planned and run on its own so one
-// infeasible request cannot sink its batch mates. opts configures the
-// task-graph executor (core.Run); the zero value runs serially.
-func Exec(env *exec.Env, planFn PlanFunc, admit AdmitFunc, subs []*Submission, opts core.ExecOptions) {
-	subQ := make([][]*query.Query, len(subs))
-	keys := make([]string, len(subs))
-	for i, sub := range subs {
-		subQ[i] = sub.Queries
-		keys[i] = sub.Key
-	}
-	perSub, g, err := planFn(subQ, keys)
+// Exec evaluates one composition of requests on env and returns one
+// outcome per request, in order. It plans the requests as one query set
+// with planFn and runs the plan once with core.Run under opts (the zero
+// value runs serially). A lone request runs as it would on its own: its
+// context becomes env.Ctx, so canceling it aborts the run, and its
+// queries keep their plain names. Several requests get origins (their
+// queries are named s1.q1, s2.q1, ...) and per-request contexts through
+// env.QueryCtx: a canceled caller detaches without aborting a pass other
+// callers share. Each outcome carries the request's results, attributed
+// stats and the passes it took part in. If planning several requests
+// fails, each is re-planned and run on its own so one infeasible
+// request cannot sink its batch mates.
+func Exec(env *exec.Env, planFn PlanFunc, reqs []Request, opts core.ExecOptions) []Outcome {
+	outs := make([]Outcome, len(reqs))
+	perReq, g, err := planFn(reqs)
 	if err != nil {
-		if len(subs) == 1 {
-			subs[0].fail(err)
-			return
+		if len(reqs) == 1 {
+			outs[0].Err = err
+			return outs
 		}
-		for _, sub := range subs {
-			Exec(env, planFn, admit, []*Submission{sub}, opts)
+		for i := range reqs {
+			outs[i] = Exec(env, planFn, reqs[i:i+1], opts)[0]
 		}
-		return
+		return outs
 	}
 
-	if admit != nil {
-		ctx := env.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		release, err := admit(ctx, g)
-		if err != nil {
-			for _, sub := range subs {
-				sub.fail(err)
+	var queries []*query.Query
+	if len(reqs) == 1 {
+		queries = perReq[0]
+		env.Ctx = reqs[0].Ctx
+	} else {
+		ctxOf := make(map[*query.Query]context.Context)
+		for i, qs := range perReq {
+			for _, q := range qs {
+				q.Origin = i + 1
+				ctxOf[q] = reqs[i].Ctx
+				queries = append(queries, q)
 			}
-			return
 		}
-		defer release()
+		env.QueryCtx = func(q *query.Query) context.Context { return ctxOf[q] }
+		defer func() { env.QueryCtx = nil }()
 	}
-
-	ctxOf := make(map[*query.Query]context.Context)
-	var merged []*query.Query
-	for si, qs := range perSub {
-		for _, q := range qs {
-			q.Origin = si + 1
-			ctxOf[q] = subs[si].ctx
-			merged = append(merged, q)
-		}
-	}
-	env.QueryCtx = func(q *query.Query) context.Context { return ctxOf[q] }
-	defer func() { env.QueryCtx = nil }()
 
 	var pass exec.Stats
-	ex, err := core.Run(env, g, merged, &pass, opts)
+	ex, err := core.Run(env, g, queries, &pass, opts)
 	if err != nil {
-		for _, sub := range subs {
-			sub.fail(err)
+		for i := range outs {
+			outs[i].Err = err
 		}
-		return
+		return outs
 	}
-	results, classStats, perQuery := ex.Results, ex.Classes, ex.PerQuery
 
 	planText := g.Describe()
 	var epoch uint64
 	if env.DB != nil {
 		epoch = env.DB.Epoch
 	}
-	// classStats covers g.Classes followed by one entry per cache-served
+	// ex.Classes covers g.Classes followed by one entry per cache-served
 	// query; origin-index both so cache rollups demultiplex like classes.
-	classOrigins := make([][]int, len(classStats))
-	for ci, c := range g.Classes {
-		classOrigins[ci] = c.Origins()
-	}
-	for i, cp := range g.Cached {
-		classOrigins[len(g.Classes)+i] = []int{cp.Query.Origin}
+	var classOrigins [][]int
+	if len(reqs) > 1 {
+		classOrigins = make([][]int, len(ex.Classes))
+		for ci, c := range g.Classes {
+			classOrigins[ci] = c.Origins()
+		}
+		for i, cp := range g.Cached {
+			classOrigins[len(g.Classes)+i] = []int{cp.Query.Origin}
+		}
 	}
 	offset := 0
-	for si, sub := range subs {
-		qs := perSub[si]
-		o := &Outcome{
+	for i, qs := range perReq {
+		o := &outs[i]
+		*o = Outcome{
 			Queries:          qs,
-			Results:          results[offset : offset+len(qs)],
-			PerQuery:         perQuery[offset : offset+len(qs)],
+			Results:          ex.Results[offset : offset+len(qs)],
+			PerQuery:         ex.PerQuery[offset : offset+len(qs)],
 			Plan:             planText,
-			BatchSize:        len(subs),
+			BatchSize:        len(reqs),
 			DAGNodes:         ex.DAGNodes,
 			WorkerPeak:       ex.WorkerPeak,
 			EffectiveWorkers: ex.EffectiveWorkers,
 			SnapshotEpoch:    epoch,
 		}
 		offset += len(qs)
-		var ferr error
-		for _, r := range o.Results {
-			if r.Err != nil {
-				ferr = r.Err
-				break
-			}
-		}
-		if ferr != nil {
-			sub.fail(ferr)
+		if err := resultErr(o.Results); err != nil {
+			*o = Outcome{Err: err}
 			continue
 		}
-		origin := si + 1
+		if len(reqs) == 1 {
+			o.Stats, o.Classes, o.Cached = pass, ex.Classes, g.Cached
+			continue
+		}
+		for _, s := range o.PerQuery {
+			o.Stats.Add(s)
+		}
+		origin := i + 1
 		others := map[int]bool{}
-		for ci := range classStats {
-			mine := false
-			for _, og := range classOrigins[ci] {
-				if og == origin {
-					mine = true
-					break
-				}
-			}
-			if !mine {
+		for ci, origins := range classOrigins {
+			if !slices.Contains(origins, origin) {
 				continue
 			}
-			o.Classes = append(o.Classes, classStats[ci])
-			for _, og := range classOrigins[ci] {
+			o.Classes = append(o.Classes, ex.Classes[ci])
+			for _, og := range origins {
 				if og != origin {
 					others[og] = true
 				}
 			}
 		}
 		o.SharedWith = len(others)
-		sub.Finish(o)
+		for _, cp := range g.Cached {
+			if cp.Query.Origin == origin {
+				o.Cached = append(o.Cached, cp)
+			}
+		}
 	}
+	return outs
+}
+
+// resultErr returns the first error among a request's results: a
+// detached query's context error.
+func resultErr(rs []*exec.Result) error {
+	for _, r := range rs {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
 }

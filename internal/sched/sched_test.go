@@ -8,18 +8,18 @@ import (
 	"time"
 
 	"mdxopt/internal/core"
-	"mdxopt/internal/exec"
-	"mdxopt/internal/mem"
 	"mdxopt/internal/plan"
 	"mdxopt/internal/query"
 )
 
-// echoRun finishes every submission with a trivial outcome recording
-// the batch size.
-func echoRun(batch []*Submission) {
-	for _, sub := range batch {
-		sub.Finish(&Outcome{BatchSize: len(batch)})
+// echoRun answers every request with a trivial outcome recording the
+// batch size.
+func echoRun(batch []Request) []Outcome {
+	outs := make([]Outcome, len(batch))
+	for i := range outs {
+		outs[i].BatchSize = len(batch)
 	}
+	return outs
 }
 
 func TestWindowCoalescesConcurrentSubmissions(t *testing.T) {
@@ -97,10 +97,10 @@ func TestBackpressure(t *testing.T) {
 		Window:   time.Millisecond,
 		MaxBatch: 1,
 		MaxQueue: 1,
-		Run: func(batch []*Submission) {
+		Run: func(batch []Request) []Outcome {
 			runningOnce.Do(func() { close(running) })
 			<-block
-			echoRun(batch)
+			return echoRun(batch)
 		},
 	})
 	defer s.Stop()
@@ -158,7 +158,7 @@ func TestCanceledWhileQueuedFailsWithContextError(t *testing.T) {
 func TestRunnerMustDeliver(t *testing.T) {
 	// A Run callback that forgets a submission must not strand its
 	// caller: the scheduler backstops with an error.
-	s := New(Config{Window: time.Millisecond, Run: func([]*Submission) {}})
+	s := New(Config{Window: time.Millisecond, Run: func([]Request) []Outcome { return nil }})
 	defer s.Stop()
 	_, err := s.Submit(context.Background(), "k", nil)
 	if err == nil {
@@ -167,109 +167,33 @@ func TestRunnerMustDeliver(t *testing.T) {
 }
 
 func TestExecPlanFailureFallsBackPerSubmission(t *testing.T) {
-	// When planning the merged batch fails, Exec replans each submission
+	// When planning the merged batch fails, Exec replans each request
 	// alone, so one unplannable request cannot sink its batch mates.
-	// With a planFn that always fails, every submission must still get
-	// its own error — delivered from a single-submission retry, which we
+	// With a planFn that always fails, every request must still get its
+	// own error — delivered from a single-request retry, which we
 	// observe via the calls planFn receives.
 	planErr := errors.New("unplannable")
 	var calls [][]string
-	planFn := func(subQ [][]*query.Query, keys []string) ([][]*query.Query, *plan.Global, error) {
-		calls = append(calls, append([]string(nil), keys...))
+	planFn := func(reqs []Request) ([][]*query.Query, *plan.Global, error) {
+		var keys []string
+		for _, r := range reqs {
+			keys = append(keys, r.Key)
+		}
+		calls = append(calls, keys)
 		return nil, nil, planErr
 	}
-	subs := []*Submission{
-		{Key: "a", ctx: context.Background(), res: make(chan *Outcome, 1)},
-		{Key: "b", ctx: context.Background(), res: make(chan *Outcome, 1)},
+	reqs := []Request{{Key: "a"}, {Key: "b"}}
+	outs := Exec(nil, planFn, reqs, core.ExecOptions{})
+	if len(outs) != len(reqs) {
+		t.Fatalf("%d outcomes for %d requests", len(outs), len(reqs))
 	}
-	Exec(nil, planFn, nil, subs, core.ExecOptions{})
-	for _, sub := range subs {
-		select {
-		case out := <-sub.res:
-			if !errors.Is(out.Err, planErr) {
-				t.Fatalf("submission %s got %v, want the plan error", sub.Key, out.Err)
-			}
-		default:
-			t.Fatalf("submission %s got no outcome", sub.Key)
+	for i, out := range outs {
+		if !errors.Is(out.Err, planErr) {
+			t.Fatalf("request %s got %v, want the plan error", reqs[i].Key, out.Err)
 		}
 	}
-	// One merged attempt plus one single-submission retry each.
+	// One merged attempt plus one single-request retry each.
 	if len(calls) != 3 || len(calls[0]) != 2 || len(calls[1]) != 1 || len(calls[2]) != 1 {
 		t.Fatalf("planFn call shapes %v, want [a b], [a], [b]", calls)
-	}
-}
-
-// emptyPlanFn plans every batch as an empty global plan (no classes),
-// so Exec's execution step is a no-op and the tests below can focus on
-// the admission gate without a database.
-func emptyPlanFn(subQ [][]*query.Query, keys []string) ([][]*query.Query, *plan.Global, error) {
-	return subQ, &plan.Global{}, nil
-}
-
-func TestExecAdmissionDefersUntilRelease(t *testing.T) {
-	// A saturated memory broker must defer the batch — not error it —
-	// and let it run once memory is released.
-	// The running work is itself an admitted claim: a broker with no
-	// unreleased claim is idle and admits anything.
-	broker := mem.New(1 << 10)
-	releaseBlocker, err := broker.Admit(context.Background(), 1<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	admit := func(ctx context.Context, g *plan.Global) (func(), error) {
-		return broker.Admit(ctx, 512)
-	}
-	sub := &Submission{Key: "a", ctx: context.Background(), res: make(chan *Outcome, 1)}
-	done := make(chan struct{})
-	go func() {
-		Exec(&exec.Env{}, emptyPlanFn, admit, []*Submission{sub}, core.ExecOptions{})
-		close(done)
-	}()
-
-	select {
-	case <-done:
-		t.Fatal("batch ran while the broker was saturated")
-	case <-time.After(20 * time.Millisecond):
-	}
-	releaseBlocker()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch did not run after memory was released")
-	}
-	out := <-sub.res
-	if out.Err != nil {
-		t.Fatalf("deferred batch errored: %v", out.Err)
-	}
-	s := broker.Stats()
-	if s.Deferred == 0 || s.Admitted == 0 {
-		t.Fatalf("broker did not record the deferral: %v", s)
-	}
-	if s.Claimed != 0 {
-		t.Fatalf("admission claim leaked: %d bytes", s.Claimed)
-	}
-}
-
-func TestExecAdmissionCanceledContextFailsBatch(t *testing.T) {
-	// A canceled context bounds the admission wait: the batch fails with
-	// the context's error instead of waiting forever.
-	broker := mem.New(100)
-	releaseBlocker, err := broker.Admit(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer releaseBlocker()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	admit := func(ctx context.Context, g *plan.Global) (func(), error) {
-		return broker.Admit(ctx, 50)
-	}
-	sub := &Submission{Key: "a", ctx: context.Background(), res: make(chan *Outcome, 1)}
-	Exec(&exec.Env{Ctx: ctx}, emptyPlanFn, admit, []*Submission{sub}, core.ExecOptions{})
-	out := <-sub.res
-	if !errors.Is(out.Err, context.Canceled) {
-		t.Fatalf("canceled admission returned %v, want context.Canceled", out.Err)
 	}
 }

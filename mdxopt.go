@@ -27,7 +27,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -119,65 +120,52 @@ type DB struct {
 	// rescache method is nil-safe.
 	rescache *rescache.Cache
 
-	// Plan cache: optimized global plans keyed by (MDX text, options).
-	// An entry is valid only for the catalog snapshot epoch and
-	// result-cache epoch it was built against — a plan may embed cache
-	// entries and view choices that a mutation or cache insert
-	// invalidates — so hits require both epochs to match the request's.
-	// Guarded by mu. batchCache is the cross-request analogue, keyed by
-	// batch composition.
-	mu         sync.Mutex
-	planCache  map[string]*cachedPlan
-	batchCache map[string]*cachedBatch
-	planHits   int64
-	batchHits  int64
-	cacheTick  uint64
+	// Plan cache: optimized global plans keyed by request composition —
+	// the sorted MDX sources of the requests planned together (one for
+	// an unbatched query) — and planning options. An entry is valid only
+	// for the catalog snapshot epoch and result-cache epoch it was built
+	// against — a plan may embed cache entries and view choices that a
+	// mutation or cache insert invalidates — so hits require both epochs
+	// to match the request's. Guarded by mu.
+	mu        sync.Mutex
+	planCache map[string]*cachedPlan
+	planHits  int64
+	cacheTick uint64
 
 	// Admission scheduler for batched serving (Options.Batching /
 	// EnableBatching). Guarded by schedMu.
-	schedMu  sync.Mutex
-	batcher  *sched.Scheduler
-	batchCfg BatchConfig
+	schedMu sync.Mutex
+	batcher *sched.Scheduler
 }
 
 type cachedPlan struct {
 	epoch   uint64 // catalog snapshot epoch the plan was built against
 	rcEpoch uint64 // result-cache epoch the plan was built against
 	lastUse uint64 // cacheTick of the last hit, for LRU eviction
-	queries []*query.Query
-	global  *plan.Global
-}
-
-type cachedBatch struct {
-	epoch   uint64
-	rcEpoch uint64
-	lastUse uint64
-	// perPos holds the query set of each submission in the key's sorted
-	// order; the global plan references exactly these objects.
+	// perPos holds each request's query set in the key's sorted order;
+	// the global plan references exactly these objects.
 	perPos [][]*query.Query
 	global *plan.Global
 }
 
-func (c *cachedPlan) lastUsed() uint64  { return c.lastUse }
-func (c *cachedBatch) lastUsed() uint64 { return c.lastUse }
-
-// maxCachedPlans bounds the plan and batch caches; at capacity the
+// maxCachedPlans bounds the plan cache; at capacity the
 // least-recently-used entry is evicted to admit the new one, so a hot
 // working set of expressions survives an occasional one-off query.
 const maxCachedPlans = 256
 
-// evictOldest removes the least-recently-used entry of a plan cache.
-func evictOldest[V interface{ lastUsed() uint64 }](m map[string]V) {
+// evictOldest removes the plan cache's least-recently-used entry.
+// Callers hold d.mu.
+func (d *DB) evictOldest() {
 	var victim string
 	var min uint64
 	first := true
-	for k, v := range m {
-		if first || v.lastUsed() < min {
-			victim, min, first = k, v.lastUsed(), false
+	for k, c := range d.planCache {
+		if first || c.lastUse < min {
+			victim, min, first = k, c.lastUse, false
 		}
 	}
 	if !first {
-		delete(m, victim)
+		delete(d.planCache, victim)
 	}
 }
 
@@ -187,27 +175,17 @@ func evictOldest[V interface{ lastUsed() uint64 }](m map[string]V) {
 func (d *DB) invalidate() {
 	d.mu.Lock()
 	d.planCache = nil
-	d.batchCache = nil
 	d.mu.Unlock()
 	d.rescache.Invalidate()
 }
 
-// PlanCacheHits reports how many requests were answered with a cached
-// plan (the parse/optimize phase skipped) — unbatched plan-cache hits
-// plus batch-composition cache hits.
+// PlanCacheHits reports how many times a plan was reused from the plan
+// cache (the parse/optimize phase skipped): by an unbatched query, or by
+// a batch whose exact mix of expressions had been optimized before.
 func (d *DB) PlanCacheHits() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.planHits + d.batchHits
-}
-
-// BatchPlanCacheHits reports the batch-composition cache's share of
-// PlanCacheHits: batches whose exact member mix had been optimized
-// before and reused the stored global plan.
-func (d *DB) BatchPlanCacheHits() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.batchHits
+	return d.planHits
 }
 
 // Options configures query planning and execution.
@@ -234,22 +212,22 @@ type Options struct {
 	// Results and deterministic work counters are identical at every
 	// width. Widths beyond the GOMAXPROCS-derived cap are clamped;
 	// Stats.EffectiveWorkers reports the width actually used. Ignored
-	// with Batching (use BatchConfig.Workers).
+	// with Batching (batches run at OpenOptions.Workers).
 	Workers int
 	// Batching routes the query through the admission scheduler: it is
 	// held for a short window, merged with other concurrent submissions
 	// into one cross-request query set, optimized and executed as a
-	// single global plan, and demultiplexed back. The batched path uses
-	// the scheduler's BatchConfig for algorithm and execution settings
-	// (EnableBatching; defaults apply otherwise), so the other fields of
-	// this struct are ignored when Batching is set.
+	// single global plan, and demultiplexed back. A batch runs the way
+	// an unbatched query with zero Options does — GG over the full plan
+	// space at the database-default width, no cold reset, no
+	// per-request memory cap — so the other fields of this struct are
+	// ignored when Batching is set.
 	Batching bool
 	// MemoryBudget caps this request's operator state below the
 	// database-wide budget (OpenOptions.MemoryBudget): the request runs
 	// under a child of the process broker limited to this many bytes,
 	// spilling aggregation state that exceeds it. 0 imposes no
-	// per-request cap. Ignored with Batching (batches are governed
-	// collectively by the admission scheduler).
+	// per-request cap. Ignored with Batching.
 	MemoryBudget int64
 }
 
@@ -324,9 +302,10 @@ type OpenOptions struct {
 	// lookup tables, result bitmaps, aggregation hash tables — live
 	// across all concurrently executing queries. When a query's
 	// aggregation state would exceed the budget it degrades to a
-	// partitioned disk spill with identical results; the batching
-	// scheduler additionally defers whole batches while the broker is
-	// saturated. 0 (default) tracks usage without enforcing a budget.
+	// partitioned disk spill with identical results; a parallel run
+	// (Workers > 1) additionally defers each plan pass's start while
+	// the broker is saturated. 0 (default) tracks usage without
+	// enforcing a budget.
 	MemoryBudget int64
 
 	// SpillDir is the directory for aggregation spill temp files
@@ -730,45 +709,133 @@ func (d *DB) QueryWith(src string, opts Options) (*Answer, error) {
 // cancellation detaches only this request's pipelines — a shared pass
 // keeps running for the other requests in the batch.
 func (d *DB) QueryContext(ctx context.Context, src string, opts Options) (*Answer, error) {
-	if opts.Batching {
-		return d.queryBatched(ctx, src)
+	if !opts.Batching {
+		out := &d.serve([]sched.Request{{Key: src, Ctx: ctx}}, opts)[0]
+		if out.Err != nil {
+			return nil, out.Err
+		}
+		return d.answer(out, false), nil
 	}
-	snap, release := d.db.Pin()
-	defer release()
-	queries, g, err := d.plan(snap, src, opts)
+	queries, err := parse(d.db.Schema, src)
 	if err != nil {
 		return nil, err
 	}
-	return d.run(ctx, snap, queries, g, opts)
+	out, err := d.ensureBatcher().Submit(ctx, src, queries)
+	if err != nil {
+		return nil, err
+	}
+	return d.answer(out, true), nil
 }
 
-// plan parses and optimizes src against the pinned snapshot, consulting
-// the plan cache. A cached entry is reused only when it was built
-// against the same catalog snapshot epoch and result-cache epoch.
-func (d *DB) plan(snap *star.Snapshot, src string, opts Options) ([]*query.Query, *plan.Global, error) {
-	key := fmt.Sprintf("%s|%s|%t", src, opts.Algorithm, opts.PaperPlanSpace)
+// serve is the one request path. Every request — an unbatched query as
+// a composition of one, or the merged submissions of a scheduler batch
+// — pins the published snapshot (mutations proceed concurrently and the
+// whole composition sees one consistent catalog), is planned through
+// the plan cache, and runs once on sched.Exec. At width > 1 each plan
+// node's start is gated on the memory broker with its estimated
+// footprint.
+func (d *DB) serve(reqs []sched.Request, opts Options) []sched.Outcome {
+	snap, release := d.db.Pin()
+	defer release()
+	env := exec.NewEnv(snap)
+	env.Mem = d.mem
+	if opts.MemoryBudget > 0 {
+		env.Mem = d.mem.Child(opts.MemoryBudget)
+	}
+	env.SpillDir = d.spillDir
+	planFn := func(reqs []sched.Request) ([][]*query.Query, *plan.Global, error) {
+		perReq, g, err := d.plan(snap, reqs, opts)
+		if err == nil && opts.ColdCache {
+			// After planning, so the run itself starts cold.
+			err = snap.ColdReset()
+		}
+		return perReq, g, err
+	}
+	return sched.Exec(env, planFn, reqs, d.execOptions(snap, d.effectiveWorkers(opts.Workers), env.Mem))
+}
+
+// runBatch is the admission scheduler's callback: a batch runs down the
+// one request path with zero Options.
+func (d *DB) runBatch(reqs []sched.Request) []sched.Outcome {
+	return d.serve(reqs, Options{})
+}
+
+// parse parses and translates one MDX expression.
+func parse(schema *star.Schema, src string) ([]*query.Query, error) {
+	queries, err := mdx.ParseAndTranslate(schema, src)
+	if err != nil {
+		return nil, err
+	}
+	if len(queries) == 0 {
+		return nil, errors.New("mdxopt: expression denotes no queries")
+	}
+	return queries, nil
+}
+
+// plan optimizes a composition of requests as one query set against the
+// pinned snapshot and returns each request's query objects with the
+// global plan, consulting the plan cache. The cache key is the
+// composition — the requests' sorted sources — plus the planning
+// options, so a recurring mix of concurrent requests replans nothing,
+// and a lone request's key is its source. A cached entry is reused only
+// when it was built against the same catalog snapshot epoch and
+// result-cache epoch; on a hit the requests' own queries (parsed, or
+// nil to parse on a miss) are replaced by the cached ones the stored
+// plan references.
+func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]*query.Query, *plan.Global, error) {
+	// order[p] is the request at sorted position p; nil for one request.
+	var order []int
+	key := reqs[0].Key
+	if len(reqs) > 1 {
+		order = make([]int, len(reqs))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(reqs[a].Key, reqs[b].Key) })
+		keys := make([]string, len(order))
+		for p, i := range order {
+			keys[p] = reqs[i].Key
+		}
+		key = strings.Join(keys, "\x1f")
+	}
+	key += "|" + string(algorithm(opts)) + "|" + strconv.FormatBool(opts.PaperPlanSpace)
+
 	rcEpoch := d.rescache.Epoch()
 	d.mu.Lock()
 	if c, ok := d.planCache[key]; ok {
-		if c.epoch == snap.Epoch && c.rcEpoch == rcEpoch {
+		if c.epoch == snap.Epoch && c.rcEpoch == rcEpoch && len(c.perPos) == len(reqs) {
 			d.planHits++
 			d.cacheTick++
 			c.lastUse = d.cacheTick
 			d.mu.Unlock()
-			return c.queries, c.global, nil
+			return inRequestOrder(c.perPos, order), c.global, nil
 		}
 		delete(d.planCache, key)
 	}
 	d.mu.Unlock()
 
-	queries, err := mdx.ParseAndTranslate(snap.Schema, src)
-	if err != nil {
-		return nil, nil, err
+	// Optimize the merged set in composition order so equal batches
+	// yield identical plans regardless of arrival order.
+	perPos := make([][]*query.Query, len(reqs))
+	for p := range perPos {
+		r := reqs[p]
+		if order != nil {
+			r = reqs[order[p]]
+		}
+		qs := r.Queries
+		if qs == nil {
+			var err error
+			if qs, err = parse(snap.Schema, r.Key); err != nil {
+				return nil, nil, err
+			}
+		}
+		perPos[p] = qs
 	}
-	if len(queries) == 0 {
-		return nil, nil, errors.New("mdxopt: expression denotes no queries")
+	merged := perPos[0]
+	if len(perPos) > 1 {
+		merged = slices.Concat(perPos...)
 	}
-	g, _, err := d.optimize(snap, queries, opts)
+	g, err := d.optimize(snap, merged, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -777,12 +844,33 @@ func (d *DB) plan(snap *star.Snapshot, src string, opts Options) ([]*query.Query
 		d.planCache = make(map[string]*cachedPlan)
 	}
 	if len(d.planCache) >= maxCachedPlans {
-		evictOldest(d.planCache)
+		d.evictOldest()
 	}
 	d.cacheTick++
-	d.planCache[key] = &cachedPlan{epoch: snap.Epoch, rcEpoch: rcEpoch, lastUse: d.cacheTick, queries: queries, global: g}
+	d.planCache[key] = &cachedPlan{epoch: snap.Epoch, rcEpoch: rcEpoch, lastUse: d.cacheTick, perPos: perPos, global: g}
 	d.mu.Unlock()
-	return queries, g, nil
+	return inRequestOrder(perPos, order), g, nil
+}
+
+// inRequestOrder maps query sets held in sorted composition order back
+// to request order; order nil means one request.
+func inRequestOrder(perPos [][]*query.Query, order []int) [][]*query.Query {
+	if order == nil {
+		return perPos
+	}
+	out := make([][]*query.Query, len(order))
+	for p, i := range order {
+		out[i] = perPos[p]
+	}
+	return out
+}
+
+// algorithm resolves the optimization algorithm opts asks for.
+func algorithm(opts Options) Algorithm {
+	if opts.Algorithm == "" {
+		return GG
+	}
+	return opts.Algorithm
 }
 
 // Explain parses and optimizes an MDX expression, returning the global
@@ -794,14 +882,14 @@ func (d *DB) Explain(src string, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	g, _, err := d.optimize(snap, queries, opts)
+	g, err := d.optimize(snap, queries, opts)
 	if err != nil {
 		return "", err
 	}
 	return g.Describe(), nil
 }
 
-func (d *DB) optimize(snap *star.Snapshot, queries []*query.Query, opts Options) (*plan.Global, *plan.Estimator, error) {
+func (d *DB) optimize(snap *star.Snapshot, queries []*query.Query, opts Options) (*plan.Global, error) {
 	var est *plan.Estimator
 	if opts.PaperPlanSpace {
 		est = plan.NewPaperEstimator(snap)
@@ -810,54 +898,40 @@ func (d *DB) optimize(snap *star.Snapshot, queries []*query.Query, opts Options)
 	}
 	est.Cache = d.rescache
 	est.Gen = snap.Epoch
-	alg := core.Algorithm(opts.Algorithm)
-	if opts.Algorithm == "" {
-		alg = core.GG
-	}
-	g, err := core.Optimize(est, queries, alg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, est, nil
+	return core.Optimize(est, queries, core.Algorithm(algorithm(opts)))
 }
 
-func (d *DB) run(ctx context.Context, snap *star.Snapshot, queries []*query.Query, g *plan.Global, opts Options) (*Answer, error) {
-	if opts.ColdCache {
-		if err := snap.ColdReset(); err != nil {
-			return nil, err
-		}
+// answer assembles one request's Answer from its outcome. The cache
+// rollups that served it refresh their entries' recency before its
+// results are admitted to the result cache, so the admission's
+// evictions spare the entries this request just used.
+func (d *DB) answer(out *sched.Outcome, batched bool) *Answer {
+	d.noteCacheUse(out.Cached, len(out.Queries))
+	// The epoch is the one the run pinned, so cache entries are marked
+	// exactly.
+	evicted := d.putResults(out.Queries, out.Results, out.PerQuery, out.SnapshotEpoch)
+	ans := &Answer{
+		Queries: make([]QueryResult, len(out.Queries)),
+		Plan:    out.Plan,
+		Classes: make([]ClassStats, len(out.Classes)),
+		Stats:   statsOut(out.Stats),
 	}
-	env := exec.NewEnv(snap)
-	env.Ctx = ctx
-	env.Mem = d.mem
-	if opts.MemoryBudget > 0 {
-		env.Mem = d.mem.Child(opts.MemoryBudget)
+	for i, q := range out.Queries {
+		ans.Queries[i] = d.formatResult(q, out.Results[i])
 	}
-	env.SpillDir = d.spillDir
-	var st exec.Stats
-	workers := d.effectiveWorkers(opts.Workers)
-	ex, err := core.Run(env, g, queries, &st, d.execOptions(snap, workers, env.Mem))
-	if err != nil {
-		return nil, err
+	for i, cs := range out.Classes {
+		ans.Classes[i] = classStatsOut(cs)
 	}
-	results := ex.Results
-	d.noteCacheUse(g, len(queries))
-	evicted := d.putResults(queries, results, ex.PerQuery, snap.Epoch)
-	ans := &Answer{Plan: g.Describe()}
-	for _, cs := range ex.Classes {
-		ans.Classes = append(ans.Classes, classStatsOut(cs))
-	}
-	for i, q := range queries {
-		ans.Queries = append(ans.Queries, d.formatResult(q, results[i]))
-	}
-	ans.Stats = statsOut(st)
-	ans.Stats.DAGNodes = ex.DAGNodes
-	ans.Stats.WorkerPeak = ex.WorkerPeak
-	ans.Stats.EffectiveWorkers = ex.EffectiveWorkers
-	ans.Stats.SnapshotEpoch = snap.Epoch
+	ans.Stats.DAGNodes = out.DAGNodes
+	ans.Stats.WorkerPeak = out.WorkerPeak
+	ans.Stats.EffectiveWorkers = out.EffectiveWorkers
+	ans.Stats.SnapshotEpoch = out.SnapshotEpoch
 	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
-	d.cacheCounters(&ans.Stats, results, evicted)
-	return ans, nil
+	d.cacheCounters(&ans.Stats, out.Results, evicted)
+	if batched {
+		ans.Batched, ans.BatchSize, ans.SharedWith = true, out.BatchSize, out.SharedWith
+	}
+	return ans
 }
 
 // effectiveWorkers resolves one request's unified pool width: the
@@ -892,17 +966,18 @@ func (d *DB) execOptions(snap *star.Snapshot, workers int, broker *mem.Broker) c
 	}
 }
 
-// noteCacheUse records one executed plan's cache outcome: each served
-// entry's recency is refreshed and the hit/miss counters advance.
-func (d *DB) noteCacheUse(g *plan.Global, totalQueries int) {
+// noteCacheUse records one request's cache outcome: the recency of each
+// entry a rollup served it from is refreshed and the hit/miss counters
+// advance.
+func (d *DB) noteCacheUse(cached []*plan.CachePlan, totalQueries int) {
 	if d.rescache == nil {
 		return
 	}
-	for _, cp := range g.Cached {
+	for _, cp := range cached {
 		d.rescache.Touch(cp.Entry)
 	}
-	d.rescache.RecordHits(int64(len(g.Cached)))
-	d.rescache.RecordMisses(int64(totalQueries - len(g.Cached)))
+	d.rescache.RecordHits(int64(len(cached)))
+	d.rescache.RecordMisses(int64(totalQueries - len(cached)))
 }
 
 // putResults admits finished results into the result cache (including
@@ -1019,7 +1094,10 @@ func (d *DB) formatResult(q *query.Query, r *exec.Result) QueryResult {
 // MDX expression. Requests whose queries land in the same plan class
 // share a single scan or probe pass; each caller gets its own results,
 // an attributed share of the work, and Answer.SharedWith reporting how
-// many other requests it shared a pass with.
+// many other requests it shared a pass with. A batch takes the same
+// request path as an unbatched query with zero Options — one plan
+// cache, one executor call, one admission gate, one answer assembly;
+// an unbatched query is a batch of one.
 
 // ErrBusy is returned by batched queries when the admission queue is
 // full — backpressure; retry after a pause.
@@ -1037,22 +1115,6 @@ type BatchConfig struct {
 	// MaxQueue bounds the admission queue; submissions beyond it fail
 	// with ErrBusy (default 64).
 	MaxQueue int
-	// Algorithm is the multi-query optimization algorithm for merged
-	// batches (default GG).
-	Algorithm Algorithm
-	// PaperPlanSpace confines batch plans to the paper's plan space.
-	PaperPlanSpace bool
-	// Workers is the unified worker-pool width each batch executes at:
-	// one bound on concurrently running plan passes plus the scan
-	// morsels they fan out (default 1 = serial, whatever
-	// OpenOptions.Workers says; clamped to the GOMAXPROCS-derived cap).
-	// The batch's memory is governed collectively by the admission
-	// claim — sized per worker, since scan fan-out multiplies resident
-	// aggregation state — so passes are not individually gated.
-	Workers int
-	// ColdCache flushes the buffer pool before every batch, as in the
-	// paper's measurements.
-	ColdCache bool
 }
 
 // EnableBatching (re)starts the admission scheduler with the given
@@ -1063,12 +1125,11 @@ func (d *DB) EnableBatching(cfg BatchConfig) {
 	d.DisableBatching()
 	d.schedMu.Lock()
 	defer d.schedMu.Unlock()
-	d.batchCfg = cfg
 	d.batcher = sched.New(sched.Config{
 		Window:   cfg.Window,
 		MaxBatch: cfg.MaxBatch,
 		MaxQueue: cfg.MaxQueue,
-		Run:      d.runBatchSubs,
+		Run:      d.runBatch,
 	})
 }
 
@@ -1111,10 +1172,10 @@ type MemoryStats struct {
 	Peak        int64         // high-water mark of Used since Open
 	Overdraft   int64         // bytes granted past the budget for required state
 	Denied      int64         // refusable grants denied (each triggered a spill)
-	Admitted    int64         // batches admitted by the scheduler's memory gate
-	Deferred    int64         // batches that had to wait for memory
-	DeferredFor time.Duration // total time batches spent waiting for memory
-	Waiting     int           // batches currently queued for admission
+	Admitted    int64         // admission claims granted (one per plan pass started at width > 1)
+	Deferred    int64         // admission claims that had to wait for memory
+	DeferredFor time.Duration // total time admission claims spent waiting for memory
+	Waiting     int           // admission claims currently queued
 }
 
 // MemoryStats reports the memory broker's accounting since Open. Used
@@ -1207,184 +1268,7 @@ func (d *DB) ensureBatcher() *sched.Scheduler {
 	d.schedMu.Lock()
 	defer d.schedMu.Unlock()
 	if d.batcher == nil {
-		d.batcher = sched.New(sched.Config{Run: d.runBatchSubs})
+		d.batcher = sched.New(sched.Config{Run: d.runBatch})
 	}
 	return d.batcher
-}
-
-// queryBatched parses the expression, submits it to the scheduler, and
-// shapes the demultiplexed outcome into an Answer.
-func (d *DB) queryBatched(ctx context.Context, src string) (*Answer, error) {
-	queries, err := mdx.ParseAndTranslate(d.db.Schema, src)
-	if err != nil {
-		return nil, err
-	}
-	if len(queries) == 0 {
-		return nil, errors.New("mdxopt: expression denotes no queries")
-	}
-	out, err := d.ensureBatcher().Submit(ctx, src, queries)
-	if err != nil {
-		return nil, err
-	}
-	// Results were computed against the snapshot the batch pinned; the
-	// outcome carries its epoch so cache entries are marked exactly.
-	evicted := d.putResults(out.Queries, out.Results, out.PerQuery, out.SnapshotEpoch)
-	ans := &Answer{
-		Plan:       out.Plan,
-		Batched:    true,
-		BatchSize:  out.BatchSize,
-		SharedWith: out.SharedWith,
-	}
-	for _, cs := range out.Classes {
-		ans.Classes = append(ans.Classes, classStatsOut(cs))
-	}
-	var st exec.Stats
-	for _, qs := range out.PerQuery {
-		st.Add(qs)
-	}
-	for i, q := range out.Queries {
-		ans.Queries = append(ans.Queries, d.formatResult(q, out.Results[i]))
-	}
-	ans.Stats = statsOut(st)
-	ans.Stats.DAGNodes = out.DAGNodes
-	ans.Stats.WorkerPeak = out.WorkerPeak
-	ans.Stats.EffectiveWorkers = out.EffectiveWorkers
-	ans.Stats.SnapshotEpoch = out.SnapshotEpoch
-	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
-	d.cacheCounters(&ans.Stats, out.Results, evicted)
-	return ans, nil
-}
-
-// runBatchSubs evaluates one admitted batch: it pins the published
-// snapshot (so mutations proceed concurrently and the whole batch sees
-// one consistent catalog), prepares the execution environment, and
-// hands the cross-request pipeline to sched.Exec. Admission is
-// memory-aware: the planned batch's footprint is estimated with the
-// optimizer's memory model and claimed from the broker before
-// execution, deferring the batch (not erroring it) while concurrent
-// work saturates the budget.
-func (d *DB) runBatchSubs(subs []*sched.Submission) {
-	d.schedMu.Lock()
-	cfg := d.batchCfg
-	d.schedMu.Unlock()
-	snap, release := d.db.Pin()
-	defer release()
-	if cfg.ColdCache {
-		if err := snap.ColdReset(); err != nil {
-			for _, sub := range subs {
-				sub.Finish(&sched.Outcome{Err: err})
-			}
-			return
-		}
-	}
-	workers := clampWorkers(cfg.Workers)
-	env := exec.NewEnv(snap)
-	env.Mem = d.mem
-	env.SpillDir = d.spillDir
-	planFn := func(subQ [][]*query.Query, keys []string) ([][]*query.Query, *plan.Global, error) {
-		return d.planBatch(cfg, snap, subQ, keys)
-	}
-	var est *plan.Estimator
-	if cfg.PaperPlanSpace {
-		est = plan.NewPaperEstimator(snap)
-	} else {
-		est = plan.NewEstimator(snap)
-	}
-	est.Workers = workers
-	admit := func(ctx context.Context, g *plan.Global) (func(), error) {
-		cl, err := d.mem.AdmitClaim(ctx, est.GlobalMemory(g))
-		if err != nil {
-			return nil, err
-		}
-		// Execute under the claim-linked broker: the batch's real
-		// reservations draw the admission claim down as they
-		// materialize, so its footprint is charged max(estimate,
-		// reserved) rather than their sum.
-		env.Mem = cl.Broker()
-		return cl.Release, nil
-	}
-	// The whole batch already holds an admission claim sized by
-	// GlobalMemory — the sum over its nodes, priced per worker — so
-	// individual nodes run ungated.
-	sched.Exec(env, planFn, admit, subs, core.ExecOptions{Workers: workers})
-}
-
-// planBatch optimizes a merged cross-request query set, consulting the
-// batch plan cache. The cache is keyed by batch *composition* — the
-// multiset of member MDX sources plus planning options — so a recurring
-// mix of concurrent requests replans nothing, while any new mix
-// optimizes fresh. On a hit the submissions' freshly parsed queries are
-// replaced by the cached ones the stored plan references.
-func (d *DB) planBatch(cfg BatchConfig, snap *star.Snapshot, subQueries [][]*query.Query, keys []string) ([][]*query.Query, *plan.Global, error) {
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	sortedKeys := make([]string, len(order))
-	for p, i := range order {
-		sortedKeys[p] = keys[i]
-	}
-	ckey := fmt.Sprintf("batch|%s|%t|%s", cfg.Algorithm, cfg.PaperPlanSpace, strings.Join(sortedKeys, "\x1f"))
-
-	total := 0
-	for _, qs := range subQueries {
-		total += len(qs)
-	}
-
-	rcEpoch := d.rescache.Epoch()
-	d.mu.Lock()
-	if c, ok := d.batchCache[ckey]; ok {
-		valid := c.epoch == snap.Epoch && c.rcEpoch == rcEpoch && len(c.perPos) == len(order)
-		if valid {
-			for p, i := range order {
-				if len(c.perPos[p]) != len(subQueries[i]) {
-					valid = false
-					break
-				}
-			}
-		}
-		if valid {
-			d.batchHits++
-			d.cacheTick++
-			c.lastUse = d.cacheTick
-			out := make([][]*query.Query, len(subQueries))
-			for p, i := range order {
-				out[i] = c.perPos[p]
-			}
-			g := c.global
-			d.mu.Unlock()
-			d.noteCacheUse(g, total)
-			return out, g, nil
-		}
-		if c.epoch != snap.Epoch || c.rcEpoch != rcEpoch {
-			delete(d.batchCache, ckey)
-		}
-	}
-	d.mu.Unlock()
-
-	// Optimize the merged set in composition order so equal batches
-	// yield identical plans regardless of arrival order.
-	var merged []*query.Query
-	perPos := make([][]*query.Query, len(order))
-	for p, i := range order {
-		perPos[p] = subQueries[i]
-		merged = append(merged, subQueries[i]...)
-	}
-	g, _, err := d.optimize(snap, merged, Options{Algorithm: cfg.Algorithm, PaperPlanSpace: cfg.PaperPlanSpace})
-	if err != nil {
-		return nil, nil, err
-	}
-	d.mu.Lock()
-	if d.batchCache == nil {
-		d.batchCache = make(map[string]*cachedBatch)
-	}
-	if len(d.batchCache) >= maxCachedPlans {
-		evictOldest(d.batchCache)
-	}
-	d.cacheTick++
-	d.batchCache[ckey] = &cachedBatch{epoch: snap.Epoch, rcEpoch: rcEpoch, lastUse: d.cacheTick, perPos: perPos, global: g}
-	d.mu.Unlock()
-	d.noteCacheUse(g, total)
-	return subQueries, g, nil
 }

@@ -435,11 +435,19 @@ func TestPlanCache(t *testing.T) {
 	if second.Plan != first.Plan {
 		t.Fatal("cached plan differs")
 	}
+	// GG is the default algorithm: naming it plans the same and hits
+	// the same entry.
+	if _, err := db.QueryWith(src, Options{Algorithm: GG}); err != nil {
+		t.Fatal(err)
+	}
+	if db.PlanCacheHits() != 2 {
+		t.Fatalf("Options{Algorithm: GG} missed the entry Options{} made: hits = %d, want 2", db.PlanCacheHits())
+	}
 	// Different options miss the cache.
 	if _, err := db.QueryWith(src, Options{Algorithm: TPLO}); err != nil {
 		t.Fatal(err)
 	}
-	if db.PlanCacheHits() != 1 {
+	if db.PlanCacheHits() != 2 {
 		t.Fatalf("different options hit the cache")
 	}
 
@@ -456,7 +464,7 @@ func TestPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.PlanCacheHits() != 1 {
+	if db.PlanCacheHits() != 2 {
 		t.Fatal("stale plan served from cache after a load")
 	}
 	if !strings.Contains(third.Plan, "ABCD") {

@@ -9,9 +9,8 @@ import (
 )
 
 // TestEffectiveWorkers: a request's Workers wins when set, the database
-// default (OpenOptions.Workers) otherwise; a batch runs at its own
-// BatchConfig.Workers, never the database default; every width clamps
-// to [1, the pool cap].
+// default (OpenOptions.Workers) otherwise — a batch runs as a request
+// with Workers unset; every width clamps to [1, the pool cap].
 func TestEffectiveWorkers(t *testing.T) {
 	cap := dag.WorkerCap()
 	cases := []struct {
@@ -32,9 +31,9 @@ func TestEffectiveWorkers(t *testing.T) {
 			t.Errorf("request %d, database %d: width %d, want %d", c.request, c.database, got, c.want)
 		}
 	}
-	for batch, want := range map[int]int{-1: 1, 0: 1, 1: 1, 4: 4, 1 << 20: cap} {
-		if got := clampWorkers(batch); got != want {
-			t.Errorf("batch %d: width %d, want %d", batch, got, want)
+	for w, want := range map[int]int{-1: 1, 0: 1, 1: 1, 4: 4, 1 << 20: cap} {
+		if got := clampWorkers(w); got != want {
+			t.Errorf("clampWorkers(%d) = %d, want %d", w, got, want)
 		}
 	}
 }

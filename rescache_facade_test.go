@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"mdxopt/internal/sched"
 	"mdxopt/internal/workload"
 )
 
@@ -185,7 +186,7 @@ func TestResultCacheCountersAndZeroIO(t *testing.T) {
 // TestResultCacheBatchedPath drives the admission scheduler: the second
 // submission replans (the cache's epoch advanced past the stored batch
 // plan) and is served by rollup; the third reuses the batch plan and
-// counts a batch-cache hit.
+// counts a plan-cache hit.
 func TestResultCacheBatchedPath(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "batchdb")
 	db, err := CreateSample(dir, 0.005)
@@ -220,11 +221,8 @@ func TestResultCacheBatchedPath(t *testing.T) {
 	if _, err := cdb.QueryWith(src, opts); err != nil {
 		t.Fatal(err)
 	}
-	if got := cdb.BatchPlanCacheHits(); got == 0 {
-		t.Fatalf("BatchPlanCacheHits = %d after replaying a batch composition", got)
-	}
-	if cdb.PlanCacheHits() < cdb.BatchPlanCacheHits() {
-		t.Fatal("PlanCacheHits does not include batch-cache hits")
+	if got := cdb.PlanCacheHits(); got == 0 {
+		t.Fatalf("PlanCacheHits = %d after replaying a batch composition", got)
 	}
 }
 
@@ -271,17 +269,17 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// parses and optimizes without executing, which is all the cache
 	// stores.
 	for i := 0; i < maxCachedPlans; i++ {
-		if _, _, err := db.plan(db.db.Snapshot(), srcs[i], Options{}); err != nil {
+		if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[i]}}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Refresh srcs[0]; srcs[1] becomes the LRU entry.
-	if _, _, err := db.plan(db.db.Snapshot(), srcs[0], Options{}); err != nil {
+	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[0]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := db.PlanCacheHits()
 	// Overflow with a fresh expression: exactly one entry is evicted.
-	if _, _, err := db.plan(db.db.Snapshot(), srcs[maxCachedPlans], Options{}); err != nil {
+	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[maxCachedPlans]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
@@ -291,14 +289,14 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 		t.Fatalf("plan cache holds %d entries, want %d", size, maxCachedPlans)
 	}
 	// The refreshed entry survived ...
-	if _, _, err := db.plan(db.db.Snapshot(), srcs[0], Options{}); err != nil {
+	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[0]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PlanCacheHits(); got != hitsBefore+1 {
 		t.Fatalf("refreshed entry was evicted (hits %d -> %d)", hitsBefore, got)
 	}
 	// ... and the least recently used one was the victim.
-	if _, _, err := db.plan(db.db.Snapshot(), srcs[1], Options{}); err != nil {
+	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[1]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PlanCacheHits(); got != hitsBefore+1 {

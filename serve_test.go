@@ -104,7 +104,7 @@ func TestBatchedSharedPassReadsFewerPages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenWith: %v", err)
 	}
-	defer db.Close()
+	defer func() { db.Close() }()
 
 	srcs := []string{
 		`{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD AGGREGATE COUNT FILTER (D'.DD1)`,
@@ -126,8 +126,15 @@ func TestBatchedSharedPassReadsFewerPages(t *testing.T) {
 		separate += a.Stats.PageReads
 	}
 
-	db.EnableBatching(BatchConfig{Window: 200 * time.Millisecond, ColdCache: true})
-	defer db.DisableBatching()
+	// A freshly reopened database starts the batch cold, as each
+	// separate query did.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenWith(dbDir, OpenOptions{PoolFrames: 16}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	db.EnableBatching(BatchConfig{Window: 200 * time.Millisecond})
 	answers := make([]*Answer, len(srcs))
 	errs := make([]error, len(srcs))
 	var wg sync.WaitGroup
@@ -270,5 +277,107 @@ func TestQueryRacesMutationSerialized(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestOneRequestPath: an unbatched query is a batch of one. The same
+// texts run unbatched on one fresh open and batched alone on another
+// return identical queries, plans, classes and stats — everything but
+// wall time and the fields that report batching.
+func TestOneRequestPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	if db, err := CreateSample(dir, 0.002); err != nil {
+		t.Fatalf("CreateSample: %v", err)
+	} else if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool := workload.MDX()
+	srcs := []string{pool["Q1"], pool["Q2"], pool["Q3"], pool["Q4"]}
+	run := func(opts Options) []*Answer {
+		db, err := OpenWith(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		out := make([]*Answer, len(srcs))
+		for i, src := range srcs {
+			if out[i], err = db.QueryWith(src, opts); err != nil {
+				t.Fatalf("%s (batching=%t): %v", src, opts.Batching, err)
+			}
+		}
+		return out
+	}
+	alone, batched := run(Options{}), run(Options{Batching: true})
+	for i, src := range srcs {
+		a, b := alone[i], batched[i]
+		if a.Batched || a.BatchSize != 0 || a.SharedWith != 0 {
+			t.Fatalf("%s: unbatched answer reports batching: %t %d %d", src, a.Batched, a.BatchSize, a.SharedWith)
+		}
+		if !b.Batched || b.BatchSize != 1 || b.SharedWith != 0 {
+			t.Fatalf("%s: batched answer reports %t %d %d, want a batch of one", src, b.Batched, b.BatchSize, b.SharedWith)
+		}
+		if !reflect.DeepEqual(b.Queries, a.Queries) {
+			t.Fatalf("%s: batched results differ from the unbatched run", src)
+		}
+		if b.Plan != a.Plan {
+			t.Fatalf("%s: batched plan\n%s\nunbatched plan\n%s", src, b.Plan, a.Plan)
+		}
+		if !reflect.DeepEqual(b.Classes, a.Classes) {
+			t.Fatalf("%s: batched classes %+v, unbatched %+v", src, b.Classes, a.Classes)
+		}
+		as, bs := a.Stats, b.Stats
+		as.WallNanos, bs.WallNanos = 0, 0
+		if as != bs {
+			t.Fatalf("%s: batched stats %+v, unbatched %+v", src, bs, as)
+		}
+	}
+}
+
+// TestOneRequestPathConcurrent fires unbatched and batched requests for
+// one text at once. Batches hold one request each, so both kinds hit
+// the same plan-cache entry and run its query objects concurrently;
+// under -race this checks that a plan of one is only ever read.
+func TestOneRequestPathConcurrent(t *testing.T) {
+	db, err := CreateSample(filepath.Join(t.TempDir(), "db"), 0.002)
+	if err != nil {
+		t.Fatalf("CreateSample: %v", err)
+	}
+	defer db.Close()
+	src := workload.MDX()["Q3"]
+	ref, err := db.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.EnableBatching(BatchConfig{Window: time.Millisecond, MaxBatch: 1, MaxQueue: 64})
+
+	const callers, rounds = 8, 4
+	hits0 := db.PlanCacheHits()
+	errs := make(chan error, callers*rounds)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				batching := (c+r)%2 == 1
+				ans, err := db.QueryWith(src, Options{Batching: batching})
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("caller %d round %d (batching=%t): %w", c, r, batching, err)
+				case !reflect.DeepEqual(ans.Queries, ref.Queries):
+					errs <- fmt.Errorf("caller %d round %d (batching=%t): results differ", c, r, batching)
+				case ans.Plan != ref.Plan:
+					errs <- fmt.Errorf("caller %d round %d (batching=%t): plan %q, want %q", c, r, batching, ans.Plan, ref.Plan)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if hits := db.PlanCacheHits() - hits0; hits != callers*rounds {
+		t.Fatalf("%d plan-cache hits for %d requests of one cached text", hits, callers*rounds)
 	}
 }

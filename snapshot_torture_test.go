@@ -63,11 +63,16 @@ func TestSnapshotTortureConcurrentMaintenance(t *testing.T) {
 
 func tortureRun(t *testing.T, workers int) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := CreateSample(dir, 0.002)
-	if err != nil {
+	if db, err := CreateSample(dir, 0.002); err != nil {
 		t.Fatalf("CreateSample: %v", err)
+	} else if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	db.EnableBatching(BatchConfig{Window: time.Millisecond, Workers: workers})
+	db, err := OpenWith(dir, OpenOptions{Workers: workers})
+	if err != nil {
+		t.Fatalf("OpenWith: %v", err)
+	}
+	db.EnableBatching(BatchConfig{Window: time.Millisecond})
 
 	// refs maps snapshot epoch -> MDX source -> canonical serial answer.
 	// The mutator records the reference for each epoch right after

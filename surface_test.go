@@ -19,7 +19,7 @@ func TestExportedSurface(t *testing.T) {
 	}{
 		{Options{}, []string{"Algorithm", "PaperPlanSpace", "ColdCache", "Workers", "Batching", "MemoryBudget"}},
 		{OpenOptions{}, []string{"PoolFrames", "PoolShards", "Readahead", "MemoryBudget", "SpillDir", "Workers", "ResultCacheBudget"}},
-		{BatchConfig{}, []string{"Window", "MaxBatch", "MaxQueue", "Algorithm", "PaperPlanSpace", "Workers", "ColdCache"}},
+		{BatchConfig{}, []string{"Window", "MaxBatch", "MaxQueue"}},
 		{exec.Env{}, []string{"DB", "ShareLookups", "Pool", "MorselPages", "Ctx", "QueryCtx", "Mem", "SpillDir", "SpillFanout", "Lookups", "IOFiles"}},
 		{Stats{}, []string{"PageReads", "TuplesScanned", "TuplesFetched", "BitTests", "SimulatedSeconds", "WallNanos",
 			"PeakMemoryBytes", "SpillBytes", "SpillPartitions", "PackedFolds", "DerivedQueries", "DerivedRows",
