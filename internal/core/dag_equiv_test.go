@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"mdxopt/internal/exec"
@@ -213,5 +215,77 @@ func TestDAGErrorReleasesResources(t *testing.T) {
 		if !ex.Results[i].Equal(want) {
 			t.Fatalf("after recovery: wrong result for %s", q.Name)
 		}
+	}
+}
+
+// TestRunIOExcludesForeignFiles runs Q1+Q2 serially from a cold pool,
+// once alone and once while another goroutine's work reads 8 pages of an
+// unrelated file in the same buffer pool (injected through the first
+// QueryCtx call, i.e. mid-pass). The run's page reads must not change:
+// a node measures only the files it owns, at width 1 as at any width.
+func TestRunIOExcludesForeignFiles(t *testing.T) {
+	db, qs := testDB(t)
+	queries := qset(qs, "Q1", "Q2")
+	g, err := Optimize(plan.NewEstimator(db), queries, GG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := db.Pool.OpenFile(filepath.Join(t.TempDir(), "foreign.pages"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const foreignPages = 8
+	for i := 0; i < foreignPages; i++ {
+		pg, err := db.Pool.NewPage(foreign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin()
+	}
+	defer func() {
+		if err := db.Pool.CloseFile(foreign); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	coldReads := func(hook func()) int64 {
+		t.Helper()
+		if err := db.ColdReset(); err != nil {
+			t.Fatal(err)
+		}
+		env := exec.NewEnv(db)
+		if hook != nil {
+			var once sync.Once
+			env.QueryCtx = func(*query.Query) context.Context {
+				once.Do(hook)
+				return nil
+			}
+		}
+		var st exec.Stats
+		if _, err := Run(env, g, queries, &st, ExecOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return st.IO.Reads()
+	}
+	alone := coldReads(nil)
+	before := db.Pool.Stats().Reads()
+	beside := coldReads(func() {
+		for i := uint32(0); i < foreignPages; i++ {
+			pg, err := db.Pool.Fetch(foreign, i)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pg.Unpin()
+		}
+	})
+	if got := foreign.IOStats().Reads(); got != foreignPages {
+		t.Fatalf("hook read %d foreign pages, want %d", got, foreignPages)
+	}
+	if poolReads := db.Pool.Stats().Reads() - before; poolReads != beside+foreignPages {
+		t.Fatalf("pool read %d pages, want the run's %d plus %d foreign", poolReads, beside, foreignPages)
+	}
+	if beside != alone {
+		t.Fatalf("cold Q1+Q2 read %d pages beside foreign reads, %d alone", beside, alone)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"mdxopt/internal/exec"
 	"mdxopt/internal/plan"
 	"mdxopt/internal/query"
-	"mdxopt/internal/star"
 	"mdxopt/internal/storage"
 )
 
@@ -91,9 +90,13 @@ func Execute(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.
 // Every node runs on a private Env clone and accumulates into a private
 // Stats; totals, attribution and the caller's stats are merged on join,
 // after the graph has fully drained, so no Stats.Add ever races
-// (merge-on-join). With Workers > 1 each node additionally restricts its
-// I/O accounting to the files it owns (exec.Env.IOFiles) — concurrent
-// nodes touch disjoint files, so pool-global deltas would double-count.
+// (merge-on-join). At every width each node restricts its I/O accounting
+// to the files it owns (exec.Env.IOFiles): concurrent nodes touch
+// disjoint files, so pool-global deltas would double-count each other's
+// reads, and would also count pages that other goroutines sharing the
+// buffer pool — a maintainer, a concurrent request — read from files the
+// plan never touches. Per-file counters are read-side only, so a node's
+// IO carries no Writes, Allocs or Evictions.
 //
 // The first node error cancels the rest of the graph; in-flight nodes
 // drain — releasing their reservations, pins and spill files through the
@@ -126,6 +129,11 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		defer lookups.Close()
 	}
 
+	dimFiles := make([]*storage.File, len(env.DB.DimTables))
+	for i, t := range env.DB.DimTables {
+		dimFiles[i] = t.File()
+	}
+
 	var graph dag.Graph
 	buildStats := make([]exec.Stats, len(builds))
 	buildNodes := make([]*dag.Node, len(builds))
@@ -133,9 +141,7 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		bi, t := bi, t
 		nodeEnv := *env
 		nodeEnv.Lookups = lookups
-		if parallel {
-			nodeEnv.IOFiles = []*storage.File{env.DB.DimTables[t.Dim].File()}
-		}
+		nodeEnv.IOFiles = dimFiles[t.Dim : t.Dim+1 : t.Dim+1]
 		specs := make([]exec.LookupBuild, len(t.Specs))
 		for i, s := range t.Specs {
 			specs[i] = exec.LookupBuild{Query: s.Query, Dim: s.Dim, ViewLevel: s.ViewLevel}
@@ -163,8 +169,8 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		indexQs := plansQueries(c.IndexPlans())
 		nodeEnv := *env
 		nodeEnv.Lookups = lookups
+		nodeEnv.IOFiles = classFiles(c, dimFiles)
 		if parallel {
-			nodeEnv.IOFiles = classFiles(env.DB, c)
 			// The pass's scan morsels draw on the run's pool.
 			nodeEnv.Pool = pool
 		}
@@ -202,9 +208,7 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 	for i, cp := range g.Cached {
 		i, cp := i, cp
 		nodeEnv := *env
-		if parallel {
-			nodeEnv.IOFiles = []*storage.File{} // the rollup reads no pages
-		}
+		nodeEnv.IOFiles = []*storage.File{} // the rollup reads no pages
 		graph.Add(&dag.Node{
 			Label: "cache rollup for " + cp.Query.QualifiedName(),
 			Cost:  nodeCost(opts.Est, func(e *plan.Estimator) int64 { return e.CacheMemory(cp) }),
@@ -304,17 +308,21 @@ func nodeCost(est *plan.Estimator, f func(*plan.Estimator) int64) int64 {
 // the fallback path when a lookup was not hoisted — with lookup sharing
 // off, concurrent classes re-reading one dimension table may attribute
 // the same read to more than one class; totals remain upper bounds).
-func classFiles(db *star.Snapshot, c *plan.Class) []*storage.File {
-	files := []*storage.File{c.View.Heap.File()}
+func classFiles(c *plan.Class, dimFiles []*storage.File) []*storage.File {
+	n := 1 + len(dimFiles)
+	for _, ix := range c.View.Indexes {
+		if ix != nil {
+			n++
+		}
+	}
+	files := make([]*storage.File, 0, n)
+	files = append(files, c.View.Heap.File())
 	for _, ix := range c.View.Indexes {
 		if ix != nil {
 			files = append(files, ix.File())
 		}
 	}
-	for _, t := range db.DimTables {
-		files = append(files, t.File())
-	}
-	return files
+	return append(files, dimFiles...)
 }
 
 // ExecuteSeparately runs every query standalone with its locally chosen

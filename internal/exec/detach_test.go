@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"testing"
+	"time"
 
 	"mdxopt/internal/query"
 )
@@ -155,5 +157,38 @@ func TestAttributeClampsNegativeResidual(t *testing.T) {
 		if s.TuplesFetched != 8 {
 			t.Fatalf("query %d fetched share %d, want its own 8", i, s.TuplesFetched)
 		}
+	}
+}
+
+// TestStatComponentsCoverEveryField is the compile-coupled check the
+// Stats doc promises: every int64 and time.Duration leaf of Stats,
+// including those of the nested IO counters, is a cell of
+// statComponents, so Attribute never silently drops a counter.
+func TestStatComponentsCoverEveryField(t *testing.T) {
+	var s Stats
+	cells := map[uintptr]bool{}
+	for _, c := range statComponents(&s) {
+		cells[reflect.ValueOf(c).Pointer()] = true
+	}
+	durType := reflect.TypeOf(time.Duration(0))
+	leaves := 0
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch {
+			case f.Kind() == reflect.Struct:
+				walk(f, name+".")
+			case f.Type() == durType || f.Kind() == reflect.Int64:
+				leaves++
+				if !cells[f.Addr().Pointer()] {
+					t.Errorf("Stats.%s is not in statComponents", name)
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(&s).Elem(), "")
+	if n := len(statComponents(&s)); n != leaves {
+		t.Fatalf("statComponents has %d cells, Stats has %d int64/Duration leaves", n, leaves)
 	}
 }

@@ -37,8 +37,8 @@ import (
 // All fields are additive: Add sums them component-wise, and Attribute
 // splits a shared pass's totals across its queries (non-shared work
 // exactly, shared work as an equal split of the residual). Every int64
-// field must also be listed in statComponents (attribution.go), which
-// has a compile-coupled test.
+// field must also be listed in statComponents (attribution.go);
+// TestStatComponentsCoverEveryField checks it by reflection.
 type Stats struct {
 	// IO is the physical page I/O observed at the buffer pool: sequential
 	// and random reads, writes, hits, allocations, evictions, and full
@@ -192,10 +192,10 @@ type Env struct {
 	Lookups *LookupSet
 	// IOFiles, when non-nil, restricts measure's I/O accounting to the
 	// listed files' own counters instead of the pool-global delta. The
-	// task-graph executor sets it per node: concurrent nodes touch
+	// task-graph executor sets it on every node: concurrent nodes touch
 	// disjoint file sets, so pool-global deltas would double-count each
-	// other's reads. A non-nil empty slice measures no I/O at all (cache
-	// rollup nodes).
+	// other's reads and count other goroutines' reads of unrelated files.
+	// A non-nil empty slice measures no I/O at all (cache rollup nodes).
 	IOFiles []*storage.File
 }
 

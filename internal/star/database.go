@@ -602,14 +602,13 @@ func (db *Database) Save() error {
 }
 
 // Open loads a database saved by Save, with a single-shard buffer pool
-// of poolFrames frames (no readahead).
+// of poolFrames frames.
 func Open(dir string, poolFrames int) (*Database, error) {
 	return OpenWith(dir, storage.PoolOpts{Frames: poolFrames})
 }
 
 // OpenWith loads a database saved by Save with explicit buffer-pool
-// options (lock shard count and sequential readahead in addition to
-// capacity).
+// options (lock shard count in addition to capacity).
 func OpenWith(dir string, pool storage.PoolOpts) (*Database, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {

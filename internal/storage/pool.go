@@ -11,35 +11,20 @@ import (
 type File struct {
 	id   FileID
 	disk *DiskManager
-	pool *Pool
 
 	// lastRead is the last physically read page (-1 = none) and drives
 	// the seed accounting contract: a read is sequential iff it follows
-	// the file's previous physical read. Readahead reads advance it
-	// monotonically (CAS-max) so a prefetched run stays sequential.
+	// the file's previous physical read.
 	lastRead atomic.Int64
-
-	// Prefetch state; see prefetch.go. streams is a small table of
-	// per-stream cursors so several interleaved scans of one file are
-	// each recognized as sequential runs, which the single lastRead
-	// cursor cannot do.
-	streams      [maxStreams]atomic.Int64
-	streamClock  atomic.Uint32
-	prefetchNext atomic.Int64 // first page past the last scheduled window
-	prefetchBusy atomic.Bool  // one readahead window in flight per file
-	closing      atomic.Bool  // CloseFile in progress: prefetchers stand down
-	prefetchWG   sync.WaitGroup
 
 	// Per-file I/O counters, mirroring the read-side fields of Stats.
 	// Concurrent executor tasks that touch disjoint file sets use these to
 	// attribute I/O without double-counting the way pool-global deltas
 	// would. Write-side counters (Writes/Allocs/Evictions) stay pool-only:
 	// they are frame-lifecycle events, not demand I/O of a file's reader.
-	ioSeqReads     atomic.Int64
-	ioRandReads    atomic.Int64
-	ioHits         atomic.Int64
-	ioPrefetched   atomic.Int64
-	ioPrefetchHits atomic.Int64
+	ioSeqReads  atomic.Int64
+	ioRandReads atomic.Int64
+	ioHits      atomic.Int64
 }
 
 // IOStats returns a snapshot of the read-side I/O counters attributed to
@@ -47,11 +32,9 @@ type File struct {
 // activity by subtracting two snapshots.
 func (f *File) IOStats() Stats {
 	return Stats{
-		SeqReads:     f.ioSeqReads.Load(),
-		RandReads:    f.ioRandReads.Load(),
-		Hits:         f.ioHits.Load(),
-		Prefetched:   f.ioPrefetched.Load(),
-		PrefetchHits: f.ioPrefetchHits.Load(),
+		SeqReads:  f.ioSeqReads.Load(),
+		RandReads: f.ioRandReads.Load(),
+		Hits:      f.ioHits.Load(),
 	}
 }
 
@@ -68,40 +51,12 @@ func (f *File) Path() string { return f.disk.Path() }
 // injection).
 func (f *File) Disk() *DiskManager { return f.disk }
 
-// noteRead updates f's sequential-read state for a demand (non-prefetch)
-// physical read of page. It returns the classification of this read and
-// the length of the sequential run the read extends, per the stream
-// table (0 when readahead is disabled).
-func (f *File) noteRead(page uint32) (seq bool, run int) {
+// noteRead records a physical read of page and reports whether it was
+// sequential: the first read since a reset, or the page right after the
+// file's previous physical read.
+func (f *File) noteRead(page uint32) bool {
 	last := f.lastRead.Swap(int64(page))
-	seq = last < 0 || int64(page) == last+1
-	if f.pool.readahead <= 0 {
-		return seq, 0
-	}
-	return seq, f.noteStream(page)
-}
-
-// advanceLastRead moves the sequential cursor forward to page if it is
-// not already past it. Used by prefetch reads, which complete out of
-// order: the cursor only ever advances, so the consumer's next demand
-// miss after a prefetched run is still classified sequential.
-func (f *File) advanceLastRead(page int64) {
-	for {
-		cur := f.lastRead.Load()
-		if cur >= page || f.lastRead.CompareAndSwap(cur, page) {
-			return
-		}
-	}
-}
-
-// resetReadState forgets sequential-read and prefetch-window history
-// (called on cold-cache flushes).
-func (f *File) resetReadState() {
-	f.lastRead.Store(-1)
-	for i := range f.streams {
-		f.streams[i].Store(0)
-	}
-	f.prefetchNext.Store(0)
+	return last < 0 || int64(page) == last+1
 }
 
 // Page is a pinned page in the buffer pool. Data must not be retained
@@ -140,7 +95,7 @@ func (p *Page) Unpin() {
 }
 
 // frame is one page-sized buffer slot. The hot per-access state (pins,
-// dirty, referenced, prefetched) is atomic so pinned readers never take
+// dirty, referenced) is atomic so pinned readers never take
 // a lock; key/buf/valid/disk are guarded by the owning shard's mutex.
 // pins is only ever incremented while holding that mutex, which is what
 // makes the victim scan's pins==0 check sound.
@@ -151,7 +106,6 @@ type frame struct {
 	pins       atomic.Int32
 	dirty      atomic.Bool
 	referenced atomic.Bool // clock hand second-chance bit
-	prefetched atomic.Bool // loaded by readahead, not yet demanded
 	valid      bool
 }
 
@@ -195,7 +149,6 @@ type Pool struct {
 	shards    []*poolShard
 	shardMask uint32
 	nframes   int
-	readahead int
 
 	fmu    sync.RWMutex
 	files  map[FileID]*File
@@ -213,21 +166,15 @@ type PoolOpts struct {
 	// into. Rounded down to a power of two and clamped to Frames; 0 or 1
 	// means a single global shard (the seed behavior).
 	Shards int
-	// Readahead is the sequential prefetch window in pages. When > 0 and
-	// the pool detects a sequential run on a file, it asynchronously
-	// reads the next Readahead pages so scans overlap I/O with CPU.
-	// 0 disables prefetching.
-	Readahead int
 }
 
-// NewPool creates a single-shard pool (global mutex, no readahead) with
-// the given number of frames. frames must be at least 1.
+// NewPool creates a single-shard pool (global mutex) with the given
+// number of frames. frames must be at least 1.
 func NewPool(frames int) *Pool {
 	return NewPoolWith(PoolOpts{Frames: frames})
 }
 
-// NewPoolWith creates a pool with explicit sharding and readahead
-// options.
+// NewPoolWith creates a pool with explicit sharding options.
 func NewPoolWith(opts PoolOpts) *Pool {
 	if opts.Frames < 1 {
 		panic("storage: pool needs at least one frame")
@@ -242,15 +189,10 @@ func NewPoolWith(opts PoolOpts) *Pool {
 	for shards&(shards-1) != 0 {
 		shards &= shards - 1 // round down to a power of two
 	}
-	readahead := opts.Readahead
-	if readahead < 0 {
-		readahead = 0
-	}
 	p := &Pool{
 		shards:    make([]*poolShard, shards),
 		shardMask: uint32(shards - 1),
 		nframes:   opts.Frames,
-		readahead: readahead,
 		files:     make(map[FileID]*File),
 		byPath:    make(map[string]*File),
 	}
@@ -269,10 +211,6 @@ func (p *Pool) NumFrames() int { return p.nframes }
 
 // NumShards returns the number of lock shards.
 func (p *Pool) NumShards() int { return len(p.shards) }
-
-// Readahead returns the configured sequential prefetch window in pages
-// (0 = disabled).
-func (p *Pool) Readahead() int { return p.readahead }
 
 // shardOf maps a page key to its lock shard.
 func (p *Pool) shardOf(key PageKey) *poolShard {
@@ -324,7 +262,7 @@ func (p *Pool) register(disk *DiskManager) *File {
 	}
 	id := p.nextID
 	p.nextID++
-	f := &File{id: id, disk: disk, pool: p}
+	f := &File{id: id, disk: disk}
 	f.lastRead.Store(-1)
 	p.files[id] = f
 	p.byPath[disk.Path()] = f
@@ -343,9 +281,8 @@ func (p *Pool) Registered(path string) (*File, bool) {
 
 // CloseFile flushes and drops every cached page of f, deregisters it and
 // closes its backing file, so the path can be removed, renamed over, or
-// reopened. Fails if any of f's pages is pinned. In-flight readahead on
-// f is waited out first; the caller must not race CloseFile against its
-// own fetches or appends on the same file.
+// reopened. Fails if any of f's pages is pinned; the caller must not
+// race CloseFile against its own fetches or appends on the same file.
 func (p *Pool) CloseFile(f *File) error {
 	return p.closeFile(f, true)
 }
@@ -366,14 +303,11 @@ func (p *Pool) closeFile(f *File, flush bool) error {
 	if !registered {
 		return fmt.Errorf("storage: file %s is not registered", f.Path())
 	}
-	f.closing.Store(true)
-	f.prefetchWG.Wait()
 	p.lockAll()
 	for _, s := range p.shards {
 		for _, fr := range s.frames {
 			if fr.valid && fr.key.File == f.id && fr.pins.Load() > 0 {
 				p.unlockAll()
-				f.closing.Store(false)
 				return fmt.Errorf("storage: CloseFile with pinned page %s", fr.key)
 			}
 		}
@@ -386,7 +320,6 @@ func (p *Pool) closeFile(f *File, flush bool) error {
 			if flush && fr.dirty.Load() {
 				if err := fr.writeBack(&s.stats); err != nil {
 					p.unlockAll()
-					f.closing.Store(false)
 					return err
 				}
 			}
@@ -394,7 +327,6 @@ func (p *Pool) closeFile(f *File, flush bool) error {
 			delete(s.dir, fr.key)
 			fr.valid = false
 			fr.referenced.Store(false)
-			fr.prefetched.Store(false)
 		}
 	}
 	p.unlockAll()
@@ -468,17 +400,7 @@ func (p *Pool) FetchInto(f *File, page uint32, out *Page) error {
 	s := p.shardOf(key)
 	s.mu.Lock()
 	if fr, ok := s.dir[key]; ok {
-		p.hitLocked(s, fr)
-		wasPrefetched := fr.prefetched.Swap(false)
-		if wasPrefetched {
-			s.stats.PrefetchHits++
-		}
-		s.mu.Unlock()
-		f.ioHits.Add(1)
-		if wasPrefetched {
-			f.ioPrefetchHits.Add(1)
-			f.notePrefetchHit(page)
-		}
+		hitLocked(s, f, fr)
 		*out = Page{key: key, frame: fr, pool: p}
 		return nil
 	}
@@ -492,17 +414,7 @@ func (p *Pool) FetchInto(f *File, page uint32, out *Page) error {
 			// Someone loaded the page while we were stealing a frame
 			// from another shard; keep the spare as shard capacity.
 			fr.pins.Store(0)
-			p.hitLocked(s, exist)
-			wasPrefetched := exist.prefetched.Swap(false)
-			if wasPrefetched {
-				s.stats.PrefetchHits++
-			}
-			s.mu.Unlock()
-			f.ioHits.Add(1)
-			if wasPrefetched {
-				f.ioPrefetchHits.Add(1)
-				f.notePrefetchHit(page)
-			}
+			hitLocked(s, f, exist)
 			*out = Page{key: key, frame: exist, pool: p}
 			return nil
 		}
@@ -513,8 +425,7 @@ func (p *Pool) FetchInto(f *File, page uint32, out *Page) error {
 		s.mu.Unlock()
 		return err
 	}
-	seq, run := f.noteRead(page)
-	if seq {
+	if f.noteRead(page) {
 		s.stats.SeqReads++
 		f.ioSeqReads.Add(1)
 	} else {
@@ -526,21 +437,21 @@ func (p *Pool) FetchInto(f *File, page uint32, out *Page) error {
 	fr.valid = true
 	fr.dirty.Store(false)
 	fr.referenced.Store(true)
-	fr.prefetched.Store(false)
 	s.dir[key] = fr
 	s.mu.Unlock()
-	if run >= prefetchMinRun {
-		p.maybePrefetch(f, int64(page)+1)
-	}
 	*out = Page{key: key, frame: fr, pool: p}
 	return nil
 }
 
-// hitLocked pins fr as a pool hit under the shard lock.
-func (p *Pool) hitLocked(s *poolShard, fr *frame) {
+// hitLocked pins fr as a pool hit of f under the locked shard s, counts
+// the hit on the shard, and releases the shard lock before counting it
+// on the file.
+func hitLocked(s *poolShard, f *File, fr *frame) {
 	fr.pins.Add(1)
 	fr.referenced.Store(true)
 	s.stats.Hits++
+	s.mu.Unlock()
+	f.ioHits.Add(1)
 }
 
 // NewPage allocates a fresh page in f and returns it pinned and dirty.
@@ -564,7 +475,6 @@ func (p *Pool) NewPage(f *File) (*Page, error) {
 	fr.valid = true
 	fr.dirty.Store(true)
 	fr.referenced.Store(true)
-	fr.prefetched.Store(false)
 	s.dir[key] = fr
 	s.mu.Unlock()
 	return &Page{key: key, frame: fr, pool: p}, nil
@@ -582,9 +492,6 @@ func (p *Pool) FlushAll() error {
 		files = append(files, f)
 	}
 	p.fmu.RUnlock()
-	for _, f := range files {
-		f.prefetchWG.Wait()
-	}
 	p.lockAll()
 	defer p.unlockAll()
 	for _, s := range p.shards {
@@ -607,11 +514,10 @@ func (p *Pool) FlushAll() error {
 			delete(s.dir, fr.key)
 			fr.valid = false
 			fr.referenced.Store(false)
-			fr.prefetched.Store(false)
 		}
 	}
 	for _, f := range files {
-		f.resetReadState()
+		f.lastRead.Store(-1)
 	}
 	p.flushedAll.Add(1)
 	return nil
@@ -698,7 +604,6 @@ func (s *poolShard) victimLocked() (*frame, error) {
 		}
 		fr.pins.Store(1)
 		fr.referenced.Store(false)
-		fr.prefetched.Store(false)
 		return fr, nil
 	}
 	return nil, ErrPoolFull

@@ -344,6 +344,10 @@ func TestPoolCloseFile(t *testing.T) {
 	if err := p.CloseFile(f); err == nil {
 		t.Fatal("double CloseFile succeeded")
 	}
+	// Fetch on the closed handle fails.
+	if _, err := p.Fetch(f, 0); err == nil {
+		t.Fatal("Fetch after CloseFile succeeded, want error")
+	}
 	// The path can be reopened and gets fresh identity.
 	f2, err := p.OpenFile(path)
 	if err != nil {

@@ -133,7 +133,7 @@ func TestShardedPoolStealsFrames(t *testing.T) {
 // concurrent Fetch/Unpin/MarkDirty/NewPage plus CloseFile of a private
 // file — and is meant to run under -race (make check does).
 func TestPoolStressRace(t *testing.T) {
-	p := NewPoolWith(PoolOpts{Frames: 32, Shards: 8, Readahead: 4})
+	p := NewPoolWith(PoolOpts{Frames: 32, Shards: 8})
 	dir := t.TempDir()
 	shared, err := p.OpenFile(filepath.Join(dir, "shared.pages"))
 	if err != nil {
@@ -180,7 +180,8 @@ func TestPoolStressRace(t *testing.T) {
 					}
 				default:
 					// Mostly sequential fetches with occasional jumps,
-					// so the prefetcher kicks in under contention.
+					// so sequential and random reads interleave under
+					// contention.
 					page := uint32((i + g*7) % sharedPages)
 					if rng.Intn(4) == 0 {
 						page = uint32(rng.Intn(sharedPages))
@@ -218,57 +219,10 @@ func TestPoolStressRace(t *testing.T) {
 	}
 }
 
-// TestPrefetchHitAccounting drives a sequential scan with readahead on
-// and checks the accounting contract: every page is physically read
-// exactly once (prefetching must never cause duplicate or dropped
-// reads), all reads classify as sequential, and pages the prefetcher
-// loaded before the consumer arrived are credited as PrefetchHits.
-func TestPrefetchHitAccounting(t *testing.T) {
-	p, f := newShardedPoolFile(t, PoolOpts{Frames: 64, Shards: 4, Readahead: 8})
-	const pages = 32
-	writePages(t, p, f, pages)
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-
-	// A small delay per fetch gives the asynchronous prefetcher room to
-	// run ahead of the consumer, like real per-tuple CPU work would.
-	for i := 0; i < pages; i++ {
-		pg, err := p.Fetch(f, uint32(i))
-		if err != nil {
-			t.Fatalf("Fetch %d: %v", i, err)
-		}
-		checkPageByte(t, pg, i)
-		pg.Unpin()
-		time.Sleep(200 * time.Microsecond)
-	}
-	// Quiesce the last window before reading stats.
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Reads() != pages {
-		t.Fatalf("physical reads = %d, want exactly %d (no duplicate or dropped reads under prefetch): %s",
-			st.Reads(), pages, st)
-	}
-	if st.RandReads != 0 {
-		t.Fatalf("RandReads = %d, want 0 for a pure sequential scan: %s", st.RandReads, st)
-	}
-	if st.Prefetched == 0 {
-		t.Fatalf("Prefetched = 0: the readahead never ran: %s", st)
-	}
-	if st.PrefetchHits == 0 {
-		t.Fatalf("PrefetchHits = 0: the consumer never benefited: %s", st)
-	}
-	if st.PrefetchHits > st.Prefetched {
-		t.Fatalf("PrefetchHits %d > Prefetched %d", st.PrefetchHits, st.Prefetched)
-	}
-}
-
-// TestPrefetchDisabledIsExact re-runs the same scan with Readahead: 0
-// and requires byte-identical seed accounting.
-func TestPrefetchDisabledIsExact(t *testing.T) {
+// TestShardedSequentialReadsExact scans a file from a cold 4-shard
+// pool: the shards must not disturb the seed accounting contract, so
+// every page is read exactly once and every read is sequential.
+func TestShardedSequentialReadsExact(t *testing.T) {
 	p, f := newShardedPoolFile(t, PoolOpts{Frames: 64, Shards: 4})
 	const pages = 32
 	writePages(t, p, f, pages)
@@ -281,21 +235,21 @@ func TestPrefetchDisabledIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Fetch %d: %v", i, err)
 		}
+		checkPageByte(t, pg, i)
 		pg.Unpin()
 	}
 	st := p.Stats()
-	if st.SeqReads != pages || st.RandReads != 0 || st.Prefetched != 0 || st.PrefetchHits != 0 {
-		t.Fatalf("stats with readahead off: %s, want seq=%d rand=0 prefetch=0/0", st, pages)
+	if st.SeqReads != pages || st.RandReads != 0 {
+		t.Fatalf("cold sharded scan: %s, want seq=%d rand=0", st, pages)
 	}
 }
 
-// TestEvictionUnderPrefetch runs readahead against a pool far smaller
-// than the file: prefetched pages are evicted, stolen and reloaded, and
-// none of it may break correctness or pin accounting. The window (16)
-// exceeds the whole pool (8 frames), so the prefetcher must give up
-// gracefully rather than evict the consumer's pages.
-func TestEvictionUnderPrefetch(t *testing.T) {
-	p, f := newShardedPoolFile(t, PoolOpts{Frames: 8, Shards: 2, Readahead: 16})
+// TestShardedPoolThrash scans a file eight times the pool's size twice
+// through a 2-shard pool: pages are evicted, stolen across shards and
+// reloaded, and none of it may break page contents, read accounting or
+// pin accounting.
+func TestShardedPoolThrash(t *testing.T) {
+	p, f := newShardedPoolFile(t, PoolOpts{Frames: 8, Shards: 2})
 	const pages = 64
 	writePages(t, p, f, pages)
 	if err := p.FlushAll(); err != nil {
@@ -315,43 +269,8 @@ func TestEvictionUnderPrefetch(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatalf("FlushAll after eviction churn: %v", err)
 	}
-	st := p.Stats()
-	// Thrash may re-read pages the window evicted, but a prefetch hit
-	// can never exceed what was prefetched, and the pool must still be
-	// fully functional (the fetch loop above verified every byte).
-	if st.PrefetchHits > st.Prefetched {
-		t.Fatalf("PrefetchHits %d > Prefetched %d: %s", st.PrefetchHits, st.Prefetched, st)
-	}
-	if st.Reads() < pages {
+	if st := p.Stats(); st.Reads() < pages {
 		t.Fatalf("Reads = %d, want at least %d: %s", st.Reads(), pages, st)
-	}
-}
-
-// TestCloseFileWaitsForPrefetch closes a file right after triggering a
-// readahead window; CloseFile must wait the window out rather than
-// racing it (reads on a closed file, lost frames).
-func TestCloseFileWaitsForPrefetch(t *testing.T) {
-	p := NewPoolWith(PoolOpts{Frames: 64, Shards: 4, Readahead: 16})
-	f, err := p.OpenFile(filepath.Join(t.TempDir(), "close.pages"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writePages(t, p, f, 64)
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		pg, err := p.Fetch(f, uint32(i))
-		if err != nil {
-			t.Fatalf("Fetch %d: %v", i, err)
-		}
-		pg.Unpin()
-	}
-	if err := p.CloseFile(f); err != nil {
-		t.Fatalf("CloseFile with readahead in flight: %v", err)
-	}
-	if _, err := p.Fetch(f, 0); err == nil {
-		t.Fatal("Fetch after CloseFile succeeded, want error")
 	}
 }
 

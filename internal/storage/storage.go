@@ -44,15 +44,13 @@ func (k PageKey) String() string {
 // read is random. Hits are fetches satisfied by the pool without touching
 // the file.
 type Stats struct {
-	SeqReads     int64 // page reads that continued a sequential pass
-	RandReads    int64 // page reads that required a seek
-	Writes       int64 // page writes
-	Hits         int64 // fetches satisfied from the pool
-	Allocs       int64 // new pages allocated
-	Evictions    int64 // frames recycled to make room
-	FlushedAll   int64 // times the pool was emptied (cold-cache resets)
-	Prefetched   int64 // pages read ahead of demand by the prefetcher
-	PrefetchHits int64 // fetches whose page was already in flight or cached via readahead
+	SeqReads   int64 // page reads that continued a sequential pass
+	RandReads  int64 // page reads that required a seek
+	Writes     int64 // page writes
+	Hits       int64 // fetches satisfied from the pool
+	Allocs     int64 // new pages allocated
+	Evictions  int64 // frames recycled to make room
+	FlushedAll int64 // times the pool was emptied (cold-cache resets)
 }
 
 // Reads returns the total number of physical page reads.
@@ -67,26 +65,22 @@ func (s *Stats) Add(other Stats) {
 	s.Allocs += other.Allocs
 	s.Evictions += other.Evictions
 	s.FlushedAll += other.FlushedAll
-	s.Prefetched += other.Prefetched
-	s.PrefetchHits += other.PrefetchHits
 }
 
 // Sub returns s minus other, useful for measuring a window of activity.
 func (s Stats) Sub(other Stats) Stats {
 	return Stats{
-		SeqReads:     s.SeqReads - other.SeqReads,
-		RandReads:    s.RandReads - other.RandReads,
-		Writes:       s.Writes - other.Writes,
-		Hits:         s.Hits - other.Hits,
-		Allocs:       s.Allocs - other.Allocs,
-		Evictions:    s.Evictions - other.Evictions,
-		FlushedAll:   s.FlushedAll - other.FlushedAll,
-		Prefetched:   s.Prefetched - other.Prefetched,
-		PrefetchHits: s.PrefetchHits - other.PrefetchHits,
+		SeqReads:   s.SeqReads - other.SeqReads,
+		RandReads:  s.RandReads - other.RandReads,
+		Writes:     s.Writes - other.Writes,
+		Hits:       s.Hits - other.Hits,
+		Allocs:     s.Allocs - other.Allocs,
+		Evictions:  s.Evictions - other.Evictions,
+		FlushedAll: s.FlushedAll - other.FlushedAll,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("seq=%d rand=%d writes=%d hits=%d allocs=%d evict=%d prefetch=%d/%d",
-		s.SeqReads, s.RandReads, s.Writes, s.Hits, s.Allocs, s.Evictions, s.PrefetchHits, s.Prefetched)
+	return fmt.Sprintf("seq=%d rand=%d writes=%d hits=%d allocs=%d evict=%d",
+		s.SeqReads, s.RandReads, s.Writes, s.Hits, s.Allocs, s.Evictions)
 }

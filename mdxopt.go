@@ -282,22 +282,6 @@ type OpenOptions struct {
 	// regime where sharing one pass across requests matters most.
 	PoolFrames int
 
-	// PoolShards splits the buffer pool's frame directory into this
-	// many lock shards (rounded down to a power of two) so concurrent
-	// fetches of different pages don't contend on one mutex. Default 8;
-	// set to 1 for a single global-mutex pool. Eviction still behaves
-	// globally: the pool only reports "full" when every frame of every
-	// shard is pinned.
-	PoolShards int
-
-	// Readahead is the sequential prefetch window in pages. When > 0,
-	// a detected sequential scan asynchronously reads the next
-	// Readahead pages so I/O overlaps with per-tuple CPU. Default 0
-	// (off), which keeps page-read accounting exactly deterministic;
-	// prefetched pages are counted in the Prefetched/PrefetchHits
-	// stats when enabled.
-	Readahead int
-
 	// MemoryBudget bounds the bytes of operator state — dimension
 	// lookup tables, result bitmaps, aggregation hash tables — live
 	// across all concurrently executing queries. When a query's
@@ -330,21 +314,19 @@ type OpenOptions struct {
 	ResultCacheBudget int64
 }
 
+// poolShards splits the buffer pool's frame directory into this many
+// lock shards so concurrent fetches of different pages don't contend on
+// one mutex. Eviction still behaves globally: the pool only reports
+// "full" when every frame of every shard is pinned.
+const poolShards = 8
+
 // OpenWith opens an existing database directory with explicit options.
 func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 	frames := opts.PoolFrames
 	if frames <= 0 {
 		frames = 2048
 	}
-	shards := opts.PoolShards
-	if shards <= 0 {
-		shards = 8
-	}
-	db, err := star.OpenWith(dir, storage.PoolOpts{
-		Frames:    frames,
-		Shards:    shards,
-		Readahead: opts.Readahead,
-	})
+	db, err := star.OpenWith(dir, storage.PoolOpts{Frames: frames, Shards: poolShards})
 	if err != nil {
 		return nil, err
 	}

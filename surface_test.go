@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdxopt/internal/exec"
+	"mdxopt/internal/storage"
 )
 
 // TestExportedSurface pins the exported fields of the configuration and
@@ -18,13 +19,15 @@ func TestExportedSurface(t *testing.T) {
 		want []string
 	}{
 		{Options{}, []string{"Algorithm", "PaperPlanSpace", "ColdCache", "Workers", "Batching", "MemoryBudget"}},
-		{OpenOptions{}, []string{"PoolFrames", "PoolShards", "Readahead", "MemoryBudget", "SpillDir", "Workers", "ResultCacheBudget"}},
+		{OpenOptions{}, []string{"PoolFrames", "MemoryBudget", "SpillDir", "Workers", "ResultCacheBudget"}},
 		{BatchConfig{}, []string{"Window", "MaxBatch", "MaxQueue"}},
 		{exec.Env{}, []string{"DB", "ShareLookups", "Pool", "MorselPages", "Ctx", "QueryCtx", "Mem", "SpillDir", "SpillFanout", "Lookups", "IOFiles"}},
 		{Stats{}, []string{"PageReads", "TuplesScanned", "TuplesFetched", "BitTests", "SimulatedSeconds", "WallNanos",
 			"PeakMemoryBytes", "SpillBytes", "SpillPartitions", "PackedFolds", "DerivedQueries", "DerivedRows",
 			"DAGNodes", "WorkerPeak", "EffectiveWorkers", "ResultCacheHits", "ResultCacheMisses", "ResultCacheEvictions",
 			"SnapshotEpoch", "RetiredFiles"}},
+		{storage.PoolOpts{}, []string{"Frames", "Shards"}},
+		{storage.Stats{}, []string{"SeqReads", "RandReads", "Writes", "Hits", "Allocs", "Evictions", "FlushedAll"}},
 	} {
 		typ := reflect.TypeOf(c.v)
 		var got []string
