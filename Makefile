@@ -55,7 +55,8 @@ race-dag:
 # Short deterministic runs of the native fuzz targets (packed-key
 # codec and sort order at one and two words, the rollup key remap, the
 # partitioned worker merge, spill record codec, selection-vector
-# expansion) — regression smoke, not a fuzzing session.
+# expansion, the bitmap index directory page) — regression smoke, not a
+# fuzzing session.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedKeyRoundTrip -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedSortOrder -fuzztime 5s
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPartitionMerge -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSpillRecCodec -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzSelVecExpand -fuzztime 5s
+	$(GO) test ./internal/bitmap -run '^$$' -fuzz FuzzIndexOpen -fuzztime 5s
 
 # End-to-end benchmark, recorded and compared (bench/README.md). Record
 # one file per commit — seeds 1-10 of every workload, a run each — then

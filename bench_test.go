@@ -160,10 +160,6 @@ func BenchmarkAblationGreedyOrder(b *testing.B) {
 	benchAblation(b, runner(b).AblationGreedyOrder)
 }
 
-func BenchmarkAblationCompressedIndexes(b *testing.B) {
-	benchAblation(b, runner(b).AblationCompressedIndexes)
-}
-
 func BenchmarkAblationStatsUnderSkew(b *testing.B) {
 	benchAblation(b, runner(b).AblationStatsUnderSkew)
 }

@@ -49,21 +49,12 @@ func NewFull(n int64) *Bitset {
 // Len returns the bitset's capacity in bits.
 func (b *Bitset) Len() int64 { return b.n }
 
-// WordCount returns the number of 64-bit words backing the bitset. The
-// cost model charges bitmap operations per word.
-func (b *Bitset) WordCount() int64 { return int64(len(b.words)) }
-
 // Words exposes the backing words (for serialization).
 func (b *Bitset) Words() []uint64 { return b.words }
 
 // Set sets bit i.
 func (b *Bitset) Set(i int64) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear clears bit i.
-func (b *Bitset) Clear(i int64) {
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Get reports whether bit i is set.
@@ -106,30 +97,11 @@ func (b *Bitset) OrInto(dst *Bitset) int64 {
 	return int64(len(b.words))
 }
 
-// AndInto sets dst to dst ∩ b and returns the number of words
-// processed — the destination-argument variant of And.
-func (b *Bitset) AndInto(dst *Bitset) int64 {
-	b.check(dst)
-	for i, w := range b.words {
-		dst.words[i] &= w
-	}
-	return int64(len(b.words))
-}
-
 // CopyFrom overwrites b's bits with o's. Unlike Clone it reuses b's
 // backing words; like Clone it is not charged as bitmap work.
 func (b *Bitset) CopyFrom(o *Bitset) {
 	b.check(o)
 	copy(b.words, o.words)
-}
-
-// AndNot sets b to b \ o and returns the number of words processed.
-func (b *Bitset) AndNot(o *Bitset) int64 {
-	b.check(o)
-	for i, w := range o.words {
-		b.words[i] &^= w
-	}
-	return int64(len(b.words))
 }
 
 // Count returns the number of set bits.

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func TestBitsetSetGetClear(t *testing.T) {
+func TestBitsetSetGet(t *testing.T) {
 	b := New(130)
 	for _, i := range []int64{0, 1, 63, 64, 65, 127, 128, 129} {
 		if b.Get(i) {
@@ -19,13 +19,6 @@ func TestBitsetSetGetClear(t *testing.T) {
 	}
 	if b.Count() != 8 {
 		t.Fatalf("Count = %d, want 8", b.Count())
-	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Fatal("bit 64 set after Clear")
-	}
-	if b.Count() != 7 {
-		t.Fatalf("Count = %d, want 7", b.Count())
 	}
 }
 
@@ -116,11 +109,14 @@ func TestBitsetAlgebraLaws(t *testing.T) {
 			t.Fatal("And is not commutative")
 		}
 
-		// a AndNot b == a And (complement restricted): via count identity
-		// |a| = |a∩b| + |a\b|.
-		anb := a.Clone()
-		anb.AndNot(b)
-		if x.Count()+anb.Count() != a.Count() {
+		// Count identity |a| = |a∩b| + |a\b|.
+		var anb int64
+		a.ForEach(func(i int64) {
+			if !b.Get(i) {
+				anb++
+			}
+		})
+		if x.Count()+anb != a.Count() {
 			t.Fatal("count identity |a| = |a∩b| + |a\\b| violated")
 		}
 
@@ -158,8 +154,8 @@ func TestBitsetUnionCountQuick(t *testing.T) {
 }
 
 func TestBitsetIntoVariantsMatchInPlace(t *testing.T) {
-	// OrInto/AndInto/CopyFrom are the destination-argument forms of
-	// Or/And/Clone: same bits, same word counts charged.
+	// OrInto/CopyFrom are the destination-argument forms of Or/Clone:
+	// same bits, same word counts charged.
 	rng := rand.New(rand.NewSource(99))
 	const n = 300
 	for trial := 0; trial < 30; trial++ {
@@ -175,14 +171,6 @@ func TestBitsetIntoVariantsMatchInPlace(t *testing.T) {
 		}
 		if !dst.Equal(or) {
 			t.Fatal("CopyFrom+OrInto differs from Clone+Or")
-		}
-
-		and := a.Clone()
-		and.And(b)
-		dst.CopyFrom(a)
-		b.AndInto(dst)
-		if !dst.Equal(and) {
-			t.Fatal("AndInto differs from And")
 		}
 	}
 }
@@ -241,7 +229,7 @@ func TestBitsetCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestBitsetAnyAndWordCount(t *testing.T) {
+func TestBitsetAnyAndWords(t *testing.T) {
 	b := New(129)
 	if b.Any() {
 		t.Fatal("empty bitset Any = true")
@@ -250,10 +238,10 @@ func TestBitsetAnyAndWordCount(t *testing.T) {
 	if !b.Any() {
 		t.Fatal("Any = false after Set")
 	}
-	if b.WordCount() != 3 {
-		t.Fatalf("WordCount = %d, want 3", b.WordCount())
+	if len(b.Words()) != 3 {
+		t.Fatalf("%d words, want 3", len(b.Words()))
 	}
-	if New(0).WordCount() != 0 {
+	if len(New(0).Words()) != 0 {
 		t.Fatal("zero-length bitset has words")
 	}
 }

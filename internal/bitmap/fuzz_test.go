@@ -2,43 +2,75 @@ package bitmap
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"mdxopt/internal/storage"
 )
 
-// FuzzDecompressWords feeds arbitrary byte strings to the decompressor:
-// it must either reconstruct cleanly or reject with ErrCorruptStream,
-// never panic or overrun.
-func FuzzDecompressWords(f *testing.F) {
-	good := CompressWords([]uint64{0, 5, allOnes, allOnes, 7, 0, 0, 0})
-	seed := make([]byte, len(good)*8)
-	for i, w := range good {
-		binary.LittleEndian.PutUint64(seed[i*8:], w)
+// fuzzIndexFile writes a valid three-value, 100-row index and returns
+// its bytes: a directory page and one page per bitmap.
+func fuzzIndexFile(tb testing.TB) []byte {
+	tb.Helper()
+	bitmaps := map[int32]*Bitset{}
+	for v := int32(0); v < 3; v++ {
+		bs := New(100)
+		for i := int64(v); i < 100; i += 3 {
+			bs.Set(i)
+		}
+		bitmaps[v] = bs
 	}
-	f.Add(seed, 8)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 100)
+	pool := storage.NewPool(8)
+	defer pool.CloseFiles()
+	path := filepath.Join(tb.TempDir(), "k.idx")
+	if err := Create(pool, path, "k", 100, bitmaps); err != nil {
+		tb.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
 
-	f.Fuzz(func(t *testing.T, raw []byte, n int) {
-		if n < 0 || n > 1<<16 {
-			return
+// FuzzIndexOpen feeds arbitrary directory-page bytes after a valid magic
+// to Open: it must either reject the file or return an index whose
+// every listed value looks up cleanly, never panic or overrun.
+func FuzzIndexOpen(f *testing.F) {
+	file := fuzzIndexFile(f)
+	f.Add(file[4:storage.PageSize])
+	longName := append([]byte(nil), file[4:storage.PageSize]...)
+	binary.LittleEndian.PutUint16(longName[20-4:], 60000)
+	f.Add(longName)
+	manyValues := append([]byte(nil), file[4:storage.PageSize]...)
+	binary.LittleEndian.PutUint32(manyValues[16-4:], 5000)
+	f.Add(manyValues)
+
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		raw := append([]byte(nil), file...)
+		clear(raw[4:storage.PageSize])
+		copy(raw[4:storage.PageSize], meta)
+		path := filepath.Join(t.TempDir(), "k.idx")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		stream := make([]uint64, len(raw)/8)
-		for i := range stream {
-			stream[i] = binary.LittleEndian.Uint64(raw[i*8:])
-		}
-		dst := make([]uint64, n)
-		if err := DecompressWords(stream, dst); err != nil {
+		pool := storage.NewPool(8)
+		defer pool.CloseFiles()
+		ix, err := Open(pool, path)
+		if err != nil {
 			return // rejection is fine
 		}
-		// Accepted streams must round-trip through re-compression.
-		again := CompressWords(dst)
-		dst2 := make([]uint64, n)
-		if err := DecompressWords(again, dst2); err != nil {
-			t.Fatalf("re-compressed stream rejected: %v", err)
-		}
-		for i := range dst {
-			if dst[i] != dst2[i] {
-				t.Fatalf("round trip diverged at word %d", i)
+		for _, v := range ix.Values() {
+			bs, ok, err := ix.Lookup(v)
+			if err != nil || !ok {
+				t.Fatalf("Lookup(%d) of a listed value: ok=%v err=%v", v, ok, err)
+			}
+			if bs.Len() != ix.NBits() {
+				t.Fatalf("Lookup(%d) returned %d bits, want %d", v, bs.Len(), ix.NBits())
 			}
 		}
 	})

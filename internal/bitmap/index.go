@@ -163,9 +163,9 @@ func BuildAndCreate(pool *storage.Pool, path string, h *table.HeapFile, col int)
 	return Create(pool, path, h.Schema().KeyNames[col], h.Count(), bitmaps)
 }
 
-// Open opens an existing index file of either format, dispatching on the
-// file's magic number.
-func Open(pool *storage.Pool, path string) (JoinIndex, error) {
+// Open opens an existing index file. The directory page is validated
+// before use, so a corrupt or truncated file is an error, not a panic.
+func Open(pool *storage.Pool, path string) (*Index, error) {
 	file, err := pool.OpenFile(path)
 	if err != nil {
 		return nil, err
@@ -179,31 +179,36 @@ func Open(pool *storage.Pool, path string) (JoinIndex, error) {
 	}
 	defer meta.Unpin()
 	buf := meta.Data()
-	switch string(buf[0:4]) {
-	case idxMagic:
-		return openUncompressed(pool, file, buf, path)
-	case cidxMagic:
-		return openCompressed(pool, file, buf, path)
-	default:
+	if string(buf[0:4]) != idxMagic {
 		return nil, fmt.Errorf("bitmap: %s: bad magic", path)
 	}
-}
-
-// openUncompressed opens a file already identified as an uncompressed
-// index.
-func openUncompressed(pool *storage.Pool, file *storage.File, buf []byte, path string) (*Index, error) {
 	if v := binary.LittleEndian.Uint32(buf[4:]); v != idxVersion {
 		return nil, fmt.Errorf("bitmap: %s: unsupported version %d", path, v)
 	}
 	nbits := int64(binary.LittleEndian.Uint64(buf[8:]))
-	nvals := int(binary.LittleEndian.Uint32(buf[16:]))
+	nvals := int64(binary.LittleEndian.Uint32(buf[16:]))
 	nameLen := int(binary.LittleEndian.Uint16(buf[20:]))
+	pages := int64(file.NumPages())
+	if nbits < 0 || nbits > pages*storage.PageSize*8 {
+		return nil, fmt.Errorf("bitmap: %s: row count %d out of range for a %d-page file", path, nbits, pages)
+	}
+	if 22+int64(nameLen)+4*nvals > storage.PageSize {
+		return nil, fmt.Errorf("bitmap: %s: directory of %d values and a %d-byte name overflows the page",
+			path, nvals, nameLen)
+	}
+	pagesPer := pagesPerBitmap(nbits)
+	if need := 1 + nvals*int64(pagesPer); pages < need {
+		return nil, fmt.Errorf("bitmap: %s: %d pages, directory needs %d", path, pages, need)
+	}
 	colName := string(buf[22 : 22+nameLen])
 	off := 22 + nameLen
 	values := make([]int32, nvals)
 	valuePos := make(map[int32]int, nvals)
-	for i := 0; i < nvals; i++ {
+	for i := range values {
 		values[i] = int32(binary.LittleEndian.Uint32(buf[off:]))
+		if i > 0 && values[i] <= values[i-1] {
+			return nil, fmt.Errorf("bitmap: %s: values not strictly ascending at %d", path, i)
+		}
 		valuePos[values[i]] = i
 		off += 4
 	}
@@ -214,7 +219,7 @@ func openUncompressed(pool *storage.Pool, file *storage.File, buf []byte, path s
 		nbits:    nbits,
 		values:   values,
 		valuePos: valuePos,
-		pagesPer: pagesPerBitmap(nbits),
+		pagesPer: pagesPer,
 		cache:    make(map[int32]*Bitset),
 	}, nil
 }
@@ -240,7 +245,8 @@ func (ix *Index) DropCache() {
 	ix.mu.Unlock()
 }
 
-// File exposes the underlying storage file (for tests).
+// File returns the underlying storage file, the key for per-file I/O
+// accounting.
 func (ix *Index) File() *storage.File { return ix.file }
 
 // Lookup returns the bitmap for value, or (nil, false, nil) when the

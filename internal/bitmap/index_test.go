@@ -1,6 +1,8 @@
 package bitmap
 
 import (
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -235,5 +237,51 @@ func TestIndexMultiPageBitmaps(t *testing.T) {
 		if got := bs.NextSet(0); got != int64(v) {
 			t.Fatalf("value %d first row = %d", v, got)
 		}
+	}
+}
+
+// rawIndexPage returns a directory page with the valid magic and
+// version and the given header fields and values.
+func rawIndexPage(nbits int64, nvals uint32, nameLen uint16, values ...int32) []byte {
+	page := make([]byte, storage.PageSize)
+	copy(page, idxMagic)
+	binary.LittleEndian.PutUint32(page[4:], idxVersion)
+	binary.LittleEndian.PutUint64(page[8:], uint64(nbits))
+	binary.LittleEndian.PutUint32(page[16:], nvals)
+	binary.LittleEndian.PutUint16(page[20:], nameLen)
+	off := 22 + int(nameLen)
+	for _, v := range values {
+		binary.LittleEndian.PutUint32(page[off:], uint32(v))
+		off += 4
+	}
+	return page
+}
+
+func TestIndexRejectsCorruptHeader(t *testing.T) {
+	cases := []struct {
+		name  string
+		page  []byte
+		pages int // file length in pages, directory included
+	}{
+		{"name overflows the page", rawIndexPage(100, 0, 60000), 1},
+		{"values overflow the page", rawIndexPage(100, 5000, 1), 1},
+		{"values not ascending", rawIndexPage(100, 2, 1, 2, 1), 3},
+		{"row count exceeds the file", rawIndexPage(1<<40, 1, 1, 0), 2},
+		{"truncated bitmaps", rawIndexPage(100, 3, 1, 0, 1, 2), 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw := make([]byte, c.pages*storage.PageSize)
+			copy(raw, c.page)
+			path := filepath.Join(t.TempDir(), "k.idx")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pool := storage.NewPool(8)
+			defer pool.CloseFiles()
+			if _, err := Open(pool, path); err == nil {
+				t.Fatal("Open accepted a corrupt directory page")
+			}
+		})
 	}
 }

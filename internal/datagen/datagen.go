@@ -43,8 +43,6 @@ type Spec struct {
 	// dimensions of the view with the given level vector.
 	IndexView []int
 	IndexDims []int
-	// CompressedIndexes stores the bitmap join indexes EWAH-compressed.
-	CompressedIndexes bool
 	// PoolFrames sizes the buffer pool (default 2048 pages = 16 MiB,
 	// matching the paper's configuration).
 	PoolFrames int
@@ -213,7 +211,7 @@ func Build(dir string, spec Spec) (*star.Database, error) {
 			return nil, fmt.Errorf("datagen: index view %v not materialized", spec.IndexView)
 		}
 		for _, dim := range spec.IndexDims {
-			if err := db.BuildIndexFormat(v, dim, spec.CompressedIndexes); err != nil {
+			if err := db.BuildIndex(v, dim); err != nil {
 				return nil, err
 			}
 		}

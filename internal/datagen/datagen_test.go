@@ -186,32 +186,3 @@ func TestBuildErrorPaths(t *testing.T) {
 		t.Fatal("Build overwrote an existing database")
 	}
 }
-
-func TestCompressedIndexSpec(t *testing.T) {
-	spec := PaperSpec(0.002)
-	spec.CompressedIndexes = true
-	db, err := Build(filepath.Join(t.TempDir(), "db"), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := db.ViewByLevels([]int{1, 1, 1, 0})
-	for _, dim := range []int{0, 1, 2} {
-		if !v.HasIndex(dim) {
-			t.Fatalf("missing index on dim %d", dim)
-		}
-	}
-	// Format survives reopen via the self-describing files.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := star.Open(db.Dir, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	v2 := db2.ViewByLevels([]int{1, 1, 1, 0})
-	bs, ok, err := v2.Indexes[0].Lookup(0)
-	if err != nil || !ok || bs.Count() == 0 {
-		t.Fatalf("compressed index lookup after reopen: ok=%v err=%v", ok, err)
-	}
-}

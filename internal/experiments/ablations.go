@@ -179,80 +179,6 @@ func (r *Runner) AblationGreedyOrder() (*AblationResult, error) {
 	return out, nil
 }
 
-// AblationCompressedIndexes compares the uncompressed and the
-// EWAH-compressed bitmap join index formats on the A'B'C'D view: on-disk
-// size, and the cold cost of running Test 2's shared index join with
-// each format.
-func (r *Runner) AblationCompressedIndexes() (*AblationResult, error) {
-	out := &AblationResult{Name: "bitmap join index format (uncompressed vs EWAH)"}
-	view := r.indexedView()
-	group := r.qs("Q5", "Q6", "Q7", "Q8")
-
-	measure := func() (Measurement, error) {
-		if err := r.DB.ColdReset(); err != nil {
-			return Measurement{}, err
-		}
-		var st exec.Stats
-		if _, err := exec.SharedIndex(r.Env, view, group, &st); err != nil {
-			return Measurement{}, err
-		}
-		return r.measurement(st), nil
-	}
-
-	indexPages := func() uint32 {
-		var pages uint32
-		for _, ix := range view.Indexes {
-			pages += ix.File().NumPages()
-		}
-		return pages
-	}
-
-	// Pass 1: the view's current (uncompressed) indexes.
-	m, err := measure()
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, AblationRow{
-		Config:   "uncompressed",
-		Measured: m,
-		Note:     fmt.Sprintf("%d index pages on disk", indexPages()),
-	})
-
-	// Pass 2: rebuild the same indexes EWAH-compressed, measure, then
-	// restore the original format. Each swap publishes new snapshots, so
-	// the runner's open-time Env (whose frozen views still reference the
-	// replaced, since-reclaimed index files) must be re-frozen.
-	swap := func(compressed bool) error {
-		dims := []int{0, 1, 2}
-		for _, dim := range dims {
-			if err := r.DB.DropIndex(view, dim); err != nil {
-				return err
-			}
-			if err := r.DB.BuildIndexFormat(view, dim, compressed); err != nil {
-				return err
-			}
-		}
-		r.Env = exec.NewEnv(r.DB)
-		return nil
-	}
-	if err := swap(true); err != nil {
-		return nil, err
-	}
-	m, err = measure()
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, AblationRow{
-		Config:   "EWAH-compressed",
-		Measured: m,
-		Note:     fmt.Sprintf("%d index pages on disk", indexPages()),
-	})
-	if err := swap(false); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AblationStatsUnderSkew builds a Zipf-skewed copy of the database and
 // compares GG's plans with statistics-based selectivity estimation on
 // and off. Under skew the uniform assumption badly misprices selective
@@ -409,7 +335,6 @@ func (r *Runner) RunAblations(w io.Writer) error {
 		r.AblationFilterConversion,
 		r.AblationRandSeqRatio,
 		r.AblationGreedyOrder,
-		r.AblationCompressedIndexes,
 		r.AblationStatsUnderSkew,
 		r.AblationPoolSize,
 	} {

@@ -248,23 +248,6 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("greedy order rows = %d", len(od.Rows))
 	}
 
-	ci, err := r.AblationCompressedIndexes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ci.Rows) != 2 {
-		t.Fatalf("compressed index rows = %d", len(ci.Rows))
-	}
-	// Both formats answer the queries; the compressed format must not be
-	// dramatically slower and the view must still have its uncompressed
-	// indexes afterwards (the ablation restores them).
-	view := r.indexedView()
-	for _, dim := range []int{0, 1, 2} {
-		if !view.HasIndex(dim) {
-			t.Fatalf("ablation lost the index on dim %d", dim)
-		}
-	}
-
 	sk, err := r.AblationStatsUnderSkew()
 	if err != nil {
 		t.Fatal(err)

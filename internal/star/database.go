@@ -24,7 +24,7 @@ type View struct {
 	Name    string
 	Levels  []int
 	Heap    *table.HeapFile
-	Indexes map[int]bitmap.JoinIndex // dimension position -> bitmap join index
+	Indexes map[int]*bitmap.Index // dimension position -> bitmap join index
 
 	file       string         // heap file name relative to the database dir
 	indexFiles map[int]string // index file names relative to the database dir
@@ -328,7 +328,7 @@ func (db *Database) newView(levels []int, multi bool) (*View, error) {
 		Name:       name,
 		Levels:     lv,
 		Heap:       h,
-		Indexes:    map[int]bitmap.JoinIndex{},
+		Indexes:    map[int]*bitmap.Index{},
 		file:       file,
 		indexFiles: map[int]string{},
 	}, nil
@@ -493,26 +493,19 @@ func Derives(src, dst []int) bool {
 	return true
 }
 
-// BuildIndex builds and persists an uncompressed bitmap join index on
-// dimension dim of view v.
+// BuildIndex builds and persists a bitmap join index on dimension dim
+// of view v.
 func (db *Database) BuildIndex(v *View, dim int) error {
-	return db.BuildIndexFormat(v, dim, false)
-}
-
-// BuildIndexFormat builds and persists a bitmap join index on dimension
-// dim of view v, EWAH-compressed when compressed is set. The format is
-// recorded in the file itself; Open dispatches transparently.
-func (db *Database) BuildIndexFormat(v *View, dim int, compressed bool) error {
 	db.mutMu.Lock()
 	defer db.mutMu.Unlock()
-	if err := db.buildIndexLocked(v, dim, compressed); err != nil {
+	if err := db.buildIndexLocked(v, dim); err != nil {
 		return err
 	}
 	db.publishLocked()
 	return nil
 }
 
-func (db *Database) buildIndexLocked(v *View, dim int, compressed bool) error {
+func (db *Database) buildIndexLocked(v *View, dim int) error {
 	if dim < 0 || dim >= db.Schema.NumDims() {
 		return fmt.Errorf("star: dimension %d out of range", dim)
 	}
@@ -530,11 +523,7 @@ func (db *Database) buildIndexLocked(v *View, dim int, compressed bool) error {
 		file = db.nextFileName(base, ".bmx")
 		path = filepath.Join(db.Dir, file)
 	}
-	build := bitmap.BuildAndCreate
-	if compressed {
-		build = bitmap.BuildAndCreateCompressed
-	}
-	if err := build(db.Pool, path, v.Heap, dim); err != nil {
+	if err := bitmap.BuildAndCreate(db.Pool, path, v.Heap, dim); err != nil {
 		return err
 	}
 	ix, err := bitmap.Open(db.Pool, path)
@@ -651,7 +640,7 @@ func OpenWith(dir string, pool storage.PoolOpts) (*Database, error) {
 			Name:       vj.Name,
 			Levels:     vj.Levels,
 			Heap:       h,
-			Indexes:    map[int]bitmap.JoinIndex{},
+			Indexes:    map[int]*bitmap.Index{},
 			file:       vj.File,
 			indexFiles: map[int]string{},
 		}

@@ -1,6 +1,7 @@
 package star
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -350,5 +351,33 @@ func TestOpenRejectsTruncatedHeap(t *testing.T) {
 	}
 	if _, err := Open(dir, 16); err == nil {
 		t.Fatal("Open accepted a truncated heap file")
+	}
+}
+
+func TestOpenRejectsCorruptIndexHeader(t *testing.T) {
+	db := buildDB(t, 200)
+	dir := db.Dir
+	if err := db.BuildIndex(db.Base(), 0); err != nil {
+		t.Fatal(err)
+	}
+	ixPath := filepath.Join(dir, db.Base().indexFiles[0])
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A value count far beyond what the directory page holds.
+	f, err := os.OpenFile(ixPath, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count [4]byte
+	binary.LittleEndian.PutUint32(count[:], 5000)
+	if _, err := f.WriteAt(count[:], 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 16); err == nil {
+		t.Fatal("Open accepted a database with a corrupt index header")
 	}
 }

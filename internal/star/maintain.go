@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 
-	"mdxopt/internal/bitmap"
 	"mdxopt/internal/storage"
 	"mdxopt/internal/table"
 )
@@ -266,19 +265,9 @@ func (db *Database) Compact(v *View) error {
 	return nil
 }
 
-// DropIndex removes dimension dim's bitmap join index from v. The index
-// file is retired, not deleted: snapshots published before the drop
-// keep probing it until they drain.
-func (db *Database) DropIndex(v *View, dim int) error {
-	db.mutMu.Lock()
-	defer db.mutMu.Unlock()
-	if err := db.dropIndexLocked(v, dim); err != nil {
-		return err
-	}
-	db.publishLocked()
-	return nil
-}
-
+// dropIndexLocked removes dimension dim's bitmap join index from v. The
+// index file is retired, not deleted: snapshots published before the
+// drop keep probing it until they drain.
 func (db *Database) dropIndexLocked(v *View, dim int) error {
 	ix := v.Indexes[dim]
 	if ix == nil {
@@ -290,8 +279,8 @@ func (db *Database) dropIndexLocked(v *View, dim int) error {
 	return nil
 }
 
-// rebuildIndexesLocked drops and rebuilds every bitmap join index of v,
-// preserving each index's storage format. Rebuilt indexes land in fresh
+// rebuildIndexesLocked drops and rebuilds every bitmap join index of v.
+// Rebuilt indexes land in fresh
 // versioned files; the replaced ones are retired.
 func (db *Database) rebuildIndexesLocked(v *View) error {
 	dims := make([]int, 0, len(v.Indexes))
@@ -300,11 +289,10 @@ func (db *Database) rebuildIndexesLocked(v *View) error {
 	}
 	slices.Sort(dims)
 	for _, dim := range dims {
-		_, compressed := v.Indexes[dim].(*bitmap.CIndex)
 		if err := db.dropIndexLocked(v, dim); err != nil {
 			return err
 		}
-		if err := db.buildIndexLocked(v, dim, compressed); err != nil {
+		if err := db.buildIndexLocked(v, dim); err != nil {
 			return err
 		}
 	}

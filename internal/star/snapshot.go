@@ -117,7 +117,7 @@ func (v *View) IsBase() bool {
 // freeze returns an immutable copy of the view for a snapshot: the heap
 // bounded at its current row count, the index and file maps copied.
 func (v *View) freeze() *View {
-	ix := make(map[int]bitmap.JoinIndex, len(v.Indexes))
+	ix := make(map[int]*bitmap.Index, len(v.Indexes))
 	for d, i := range v.Indexes {
 		ix[d] = i
 	}

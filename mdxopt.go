@@ -432,17 +432,6 @@ func (d *DB) MaterializeMulti(levelNames ...string) error {
 // BuildBitmapIndex builds a bitmap join index on the named dimension of
 // the stored group-by identified by level names.
 func (d *DB) BuildBitmapIndex(dim string, levelNames ...string) error {
-	return d.buildIndex(dim, levelNames, false)
-}
-
-// BuildCompressedBitmapIndex is BuildBitmapIndex with EWAH-compressed
-// storage — a fraction of the pages for sparse (high-cardinality)
-// columns, at the price of a decompression pass per cold lookup.
-func (d *DB) BuildCompressedBitmapIndex(dim string, levelNames ...string) error {
-	return d.buildIndex(dim, levelNames, true)
-}
-
-func (d *DB) buildIndex(dim string, levelNames []string, compressed bool) error {
 	levels, err := d.levelVector(levelNames)
 	if err != nil {
 		return err
@@ -455,7 +444,7 @@ func (d *DB) buildIndex(dim string, levelNames []string, compressed bool) error 
 	if di < 0 {
 		return fmt.Errorf("mdxopt: no dimension %q", dim)
 	}
-	if err := d.db.BuildIndexFormat(v, di, compressed); err != nil {
+	if err := d.db.BuildIndex(v, di); err != nil {
 		return err
 	}
 	d.invalidate()

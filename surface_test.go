@@ -5,14 +5,16 @@ import (
 	"slices"
 	"testing"
 
+	"mdxopt/internal/datagen"
 	"mdxopt/internal/exec"
 	"mdxopt/internal/storage"
 )
 
 // TestExportedSurface pins the exported fields of the configuration and
-// stats structs, in declaration order. Every field is an option the
-// tests and the benchmark must cover, so adding one — a new knob, or an
-// alias of an existing one — has to be a deliberate edit here.
+// stats structs, in declaration order, and the facade's method set, in
+// name order. Every field is an option the tests and the benchmark must
+// cover, so adding one — a new knob, an alias of an existing one, a
+// generator flag or a facade method — has to be a deliberate edit here.
 func TestExportedSurface(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -28,6 +30,8 @@ func TestExportedSurface(t *testing.T) {
 			"SnapshotEpoch", "RetiredFiles"}},
 		{storage.PoolOpts{}, []string{"Frames", "Shards"}},
 		{storage.Stats{}, []string{"SeqReads", "RandReads", "Writes", "Hits", "Allocs", "Evictions", "FlushedAll"}},
+		{datagen.Spec{}, []string{"Rows", "Entities", "Seed", "Cards", "DimNames", "Measure", "Views", "IndexView", "IndexDims",
+			"PoolFrames", "Zipf"}},
 	} {
 		typ := reflect.TypeOf(c.v)
 		var got []string
@@ -39,5 +43,18 @@ func TestExportedSurface(t *testing.T) {
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s exports %v, want %v", typ, got, c.want)
 		}
+	}
+
+	typ := reflect.TypeOf((*DB)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	want := []string{"BatchStats", "BuildBitmapIndex", "Close", "Compact", "Dimensions", "DisableBatching",
+		"EnableBatching", "Explain", "Facts", "Load", "MaintenanceStats", "Materialize", "MaterializeMulti",
+		"Measure", "MemoryStats", "PlanCacheHits", "Query", "QueryContext", "QueryWith", "Refresh",
+		"ResultCacheStats", "StaleViews", "Views"}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s exports %d methods %v, want %d %v", typ, len(got), got, len(want), want)
 	}
 }
