@@ -40,9 +40,10 @@ race:
 # under the shared page loop's workers, the snapshot-isolated catalog (star,
 # epoch reclamation in storage) with the core executor above it, and
 # the facade-level snapshot torture test, the facade differential
-# test (random expressions x random configuration against exec.Naive)
-# and the one-request-path tests (unbatched and batched requests
-# sharing one plan-cache entry).
+# test (random expressions x random configuration against exec.Naive),
+# the one-request-path tests (lone and merged requests sharing one
+# plan-cache entry), one cached composition run by two runners at once,
+# and the admission queue's goroutine ownership and option merging.
 # The partition-wise finalization, derivation and fold-table merge
 # suites, and the shared page loop's equivalence and regime suites, run
 # again at -cpu 1,4, so their pool tasks really run concurrently under
@@ -50,7 +51,7 @@ race:
 race-dag:
 	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
 	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestFinalizeOrder|TestFoldTableMerge|TestSharedIndexVectorScalar|TestSharedMixedVectorScalar|TestSharedPassRegimes' ./internal/exec
-	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive|TestOneRequestPath' .
+	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive|TestOneRequestPath|TestSharedCompositionOverlaps|TestAdmissionOwnsNoIdleGoroutine|TestEquivalentOptionsMerge|TestBatched' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
 # codec and sort order at one and two words, the rollup key remap, the

@@ -7,7 +7,7 @@
 //	mdxbench -dir ./benchdb -scale 0.1 -exp all
 //	mdxbench -exp test2            # just Figure 11
 //	mdxbench -exp ablations        # the ablation studies
-//	mdxbench -exp serve -json BENCH_serve.json   # batched vs separate serving
+//	mdxbench -exp serve -json BENCH_serve.json   # grouped vs solo serving
 //
 // The database is built on first use and reused afterwards. scale 1.0 is
 // the paper's 2,000,000-row configuration.

@@ -15,10 +15,13 @@ import (
 )
 
 // The serve experiment measures the serving layer this repository adds
-// on top of the paper: concurrent clients replay a Poisson Q1–Q9
-// workload against a buffer pool far smaller than the data, once
-// through the admission scheduler (cross-request batches sharing
-// passes) and once with every request planned and run on its own.
+// on top of the paper: the same Poisson Q1–Q9 workload against a buffer
+// pool far smaller than the data, sent three ways at each database
+// width — by concurrent clients ("grouped": requests that arrive while
+// the runner slots are busy queue and merge into shared passes), by the
+// same clients with a per-request memory budget ("alone": such requests
+// never merge, so each runs at once on its own, concurrently), and one
+// request at a time by one client ("solo").
 
 // serveConfig parameterizes one serve run.
 type serveConfig struct {
@@ -27,7 +30,7 @@ type serveConfig struct {
 	PerClient  int     `json:"queries_per_client"`
 	RatePerSec float64 `json:"arrival_rate_per_sec"`
 	PoolFrames int     `json:"pool_frames"`
-	WindowMS   float64 `json:"batch_window_ms"`
+	Widths     []int   `json:"widths"`
 	Reps       int     `json:"reps"`
 }
 
@@ -38,20 +41,27 @@ type serveSide struct {
 	PageReads  int64   `json:"page_reads"` // attributed, mean per rep
 }
 
-type serveReport struct {
-	Config    serveConfig `json:"config"`
-	Batched   serveSide   `json:"batched"`
-	Separate  serveSide   `json:"separate"`
-	Speedup   float64     `json:"throughput_speedup"`
-	PageRatio float64     `json:"page_read_ratio"` // separate / batched
-	Coalesced int64       `json:"coalesced_submissions"`
-	Batches   int64       `json:"batches"`
+// serveWidth compares the three sides at one database width. Coalesced
+// and Batches count the grouped side's replays.
+type serveWidth struct {
+	Width     int       `json:"width"`
+	Grouped   serveSide `json:"grouped"`
+	Alone     serveSide `json:"alone"`
+	Solo      serveSide `json:"solo"`
+	Coalesced int64     `json:"coalesced_submissions"`
+	Batches   int64     `json:"batches"`
 }
 
-// serveReplay runs the workload once: one goroutine per client, each
-// pacing its requests by the shared Poisson offsets. It returns the
-// wall time and total attributed page reads.
-func serveReplay(db *mdxopt.DB, perClient [][]workload.Arrival, opts mdxopt.Options) (time.Duration, int64, error) {
+type serveReport struct {
+	Config serveConfig  `json:"config"`
+	Widths []serveWidth `json:"widths"`
+}
+
+// serveReplay runs the workload once with opts: one goroutine per
+// client, each sending its requests in order. pace holds every request
+// back to its Poisson offset; without it a client sends back to back. It
+// returns the wall time and total attributed page reads.
+func serveReplay(db *mdxopt.DB, perClient [][]workload.Arrival, pace bool, opts mdxopt.Options) (time.Duration, int64, error) {
 	start := time.Now()
 	var pages atomic.Int64
 	errs := make(chan error, len(perClient))
@@ -61,7 +71,7 @@ func serveReplay(db *mdxopt.DB, perClient [][]workload.Arrival, opts mdxopt.Opti
 		go func(reqs []workload.Arrival) {
 			defer wg.Done()
 			for _, req := range reqs {
-				if wait := req.At - time.Since(start); wait > 0 {
+				if wait := req.At - time.Since(start); pace && wait > 0 {
 					time.Sleep(wait)
 				}
 				a, err := db.QueryWith(req.Src, opts)
@@ -84,8 +94,8 @@ func serveReplay(db *mdxopt.DB, perClient [][]workload.Arrival, opts mdxopt.Opti
 }
 
 // runServe builds (or reuses) the benchmark database, replays the
-// workload in both modes, prints a summary, and optionally writes the
-// JSON report.
+// workload on every side at every width, prints a summary, and
+// optionally writes the JSON report.
 func runServe(w io.Writer, dir string, scale float64, jsonPath string) error {
 	cfg := serveConfig{
 		Scale:      scale,
@@ -93,7 +103,7 @@ func runServe(w io.Writer, dir string, scale float64, jsonPath string) error {
 		PerClient:  4,
 		RatePerSec: 2000,
 		PoolFrames: 64,
-		WindowMS:   5,
+		Widths:     []int{1, 2},
 		Reps:       5,
 	}
 
@@ -108,26 +118,25 @@ func runServe(w io.Writer, dir string, scale float64, jsonPath string) error {
 		}
 		fmt.Fprintf(w, "built database in %s\n", time.Since(start).Round(time.Millisecond))
 	}
-	db, err := mdxopt.OpenWith(dir, mdxopt.OpenOptions{PoolFrames: cfg.PoolFrames})
-	if err != nil {
-		return err
-	}
-	defer db.Close()
 
 	rng := rand.New(rand.NewSource(7))
 	arrivals := workload.Arrivals(rng, cfg.Clients*cfg.PerClient, cfg.RatePerSec)
-	perClient := workload.PerClient(arrivals, cfg.Clients)
-	queries := float64(cfg.Clients * cfg.PerClient)
+	grouped := workload.PerClient(arrivals, cfg.Clients)
+	solo := [][]workload.Arrival{arrivals}
+	queries := float64(len(arrivals))
 
-	measure := func(opts mdxopt.Options) (serveSide, error) {
-		// One warm-up rep settles the pool and the plan caches.
-		if _, _, err := serveReplay(db, perClient, opts); err != nil {
+	// A budget far above any request's state: it only keeps requests
+	// from merging.
+	alone := mdxopt.Options{MemoryBudget: 1 << 30}
+	measure := func(db *mdxopt.DB, perClient [][]workload.Arrival, pace bool, opts mdxopt.Options) (serveSide, error) {
+		// One warm-up rep settles the pool and the plan cache.
+		if _, _, err := serveReplay(db, perClient, pace, opts); err != nil {
 			return serveSide{}, err
 		}
 		var wall time.Duration
 		var pages int64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			wl, pg, err := serveReplay(db, perClient, opts)
+			wl, pg, err := serveReplay(db, perClient, pace, opts)
 			if err != nil {
 				return serveSide{}, err
 			}
@@ -142,43 +151,40 @@ func runServe(w io.Writer, dir string, scale float64, jsonPath string) error {
 		}, nil
 	}
 
-	db.EnableBatching(mdxopt.BatchConfig{
-		Window:   time.Duration(cfg.WindowMS * float64(time.Millisecond)),
-		MaxBatch: cfg.Clients,
-		MaxQueue: 4 * cfg.Clients,
-	})
-	batched, err := measure(mdxopt.Options{Batching: true})
-	if err != nil {
-		return err
-	}
-	bs := db.BatchStats()
-	db.DisableBatching()
+	rep := serveReport{Config: cfg}
+	fmt.Fprintf(w, "serve: %d requests, %d clients grouped or alone vs 1 solo, scale %g, %d-frame pool\n",
+		len(arrivals), cfg.Clients, cfg.Scale, cfg.PoolFrames)
+	for _, width := range cfg.Widths {
+		db, err := mdxopt.OpenWith(dir, mdxopt.OpenOptions{PoolFrames: cfg.PoolFrames, Workers: width})
+		if err != nil {
+			return err
+		}
+		r := serveWidth{Width: width}
+		before := db.BatchStats()
+		r.Grouped, err = measure(db, grouped, true, mdxopt.Options{})
+		after := db.BatchStats()
+		if err == nil {
+			r.Alone, err = measure(db, grouped, true, alone)
+		}
+		if err == nil {
+			r.Solo, err = measure(db, solo, false, mdxopt.Options{})
+		}
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		r.Coalesced, r.Batches = after.Coalesced-before.Coalesced, after.Batches-before.Batches
+		rep.Widths = append(rep.Widths, r)
 
-	separate, err := measure(mdxopt.Options{})
-	if err != nil {
-		return err
+		fmt.Fprintf(w, "  width %d grouped: %8.2f ms/run  %8.0f queries/s  %6d page reads (%d submissions coalesced, %d batches)\n",
+			width, r.Grouped.WallMS, r.Grouped.QueriesSec, r.Grouped.PageReads, r.Coalesced, r.Batches)
+		fmt.Fprintf(w, "  width %d alone  : %8.2f ms/run  %8.0f queries/s  %6d page reads\n",
+			width, r.Alone.WallMS, r.Alone.QueriesSec, r.Alone.PageReads)
+		fmt.Fprintf(w, "  width %d solo   : %8.2f ms/run  %8.0f queries/s  %6d page reads\n",
+			width, r.Solo.WallMS, r.Solo.QueriesSec, r.Solo.PageReads)
 	}
-
-	rep := serveReport{
-		Config:    cfg,
-		Batched:   batched,
-		Separate:  separate,
-		Speedup:   batched.QueriesSec / separate.QueriesSec,
-		Coalesced: bs.Coalesced,
-		Batches:   bs.Batches,
-	}
-	if batched.PageReads > 0 {
-		rep.PageRatio = float64(separate.PageReads) / float64(batched.PageReads)
-	}
-
-	fmt.Fprintf(w, "serve: %d clients x %d queries, scale %g, %d-frame pool\n",
-		cfg.Clients, cfg.PerClient, cfg.Scale, cfg.PoolFrames)
-	fmt.Fprintf(w, "  batched : %8.2f ms/run  %8.0f queries/s  %6d page reads\n",
-		batched.WallMS, batched.QueriesSec, batched.PageReads)
-	fmt.Fprintf(w, "  separate: %8.2f ms/run  %8.0f queries/s  %6d page reads\n",
-		separate.WallMS, separate.QueriesSec, separate.PageReads)
-	fmt.Fprintf(w, "  speedup %.2fx throughput, %.1fx fewer page reads (%d submissions coalesced into %d batches)\n",
-		rep.Speedup, rep.PageRatio, rep.Coalesced, rep.Batches)
 
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

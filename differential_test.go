@@ -123,10 +123,10 @@ func diffSession(rng *rand.Rand, mid int) (slice, drill string) {
 
 // TestDifferentialAgainstNaive answers random expressions — lattice
 // marginals, restricted slices and their drill-downs — under every
-// combination of Workers {1,2,4,8}, MemoryBudget {0, tight}, Batching
-// {off, on with concurrent submitters} and ResultCacheBudget {0, 1 MiB},
-// and requires every answer to equal exec.Naive's and the broker to
-// drain after each configuration.
+// combination of Workers {1,2,4,8}, MemoryBudget {0, tight}, submitters
+// {one, two concurrent} and ResultCacheBudget {0, 1 MiB}, and requires
+// every answer to equal exec.Naive's and the broker to drain after each
+// configuration.
 func TestDifferentialAgainstNaive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	seed, err := CreateSample(dir, diffScale)
@@ -139,7 +139,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 	type config struct {
 		workers     int
 		budget      int64
-		batching    bool
+		concurrent  bool
 		cacheBudget int64
 		srcs        []string
 	}
@@ -147,10 +147,10 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 	want := map[string]*Answer{}
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, budget := range []int64{0, diffTightBudget} {
-			for _, batching := range []bool{false, true} {
+			for _, concurrent := range []bool{false, true} {
 				for _, cacheBudget := range []int64{0, 1 << 20} {
 					slice, drill := diffSession(rng, mid)
-					c := config{workers, budget, batching, cacheBudget, []string{
+					c := config{workers, budget, concurrent, cacheBudget, []string{
 						diffMarginal(rng, true), diffMarginal(rng, false), slice, drill,
 					}}
 					for _, src := range c.srcs {
@@ -168,7 +168,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 	}
 
 	for _, c := range configs {
-		label := fmt.Sprintf("workers=%d budget=%d batching=%t cache=%d", c.workers, c.budget, c.batching, c.cacheBudget)
+		label := fmt.Sprintf("workers=%d budget=%d concurrent=%t cache=%d", c.workers, c.budget, c.concurrent, c.cacheBudget)
 		db, err := OpenWith(dir, OpenOptions{
 			MemoryBudget:      c.budget,
 			Workers:           c.workers,
@@ -178,18 +178,16 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Batched: two submitters send every expression at once, in
-		// opposite orders, so batches merge different requests.
+		// Concurrent: two submitters each send every expression back to
+		// back, in opposite orders, so requests that queue behind busy
+		// runner slots merge different compositions.
 		submitters := [][]string{c.srcs}
-		opts := Options{}
-		if c.batching {
-			db.EnableBatching(BatchConfig{Window: time.Millisecond})
+		if c.concurrent {
 			rev := make([]string, len(c.srcs))
 			for i, src := range c.srcs {
 				rev[len(rev)-1-i] = src
 			}
 			submitters = append(submitters, rev)
-			opts.Batching = true
 		}
 		type answer struct {
 			src string
@@ -203,7 +201,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 			go func(srcs []string) {
 				defer wg.Done()
 				for _, src := range srcs {
-					ans, err := db.QueryWith(src, opts)
+					ans, err := db.Query(src)
 					answers <- answer{src, ans, err}
 				}
 			}(srcs)

@@ -69,11 +69,10 @@ func Example() {
 	// veg/jp = 7
 }
 
-// ExampleOpenWith shows memory-governed batched serving: the database
-// opens with a memory budget, queries route through the admission
-// scheduler, and aggregation state that exceeds the budget spills to
-// disk — the results are identical to an unbudgeted run, and the
-// broker's accounting returns to zero afterwards.
+// ExampleOpenWith shows memory-governed serving: the database opens
+// with a memory budget, and aggregation state that exceeds the budget
+// spills to disk — the results are identical to an unbudgeted run, and
+// the broker's accounting returns to zero afterwards.
 func ExampleOpenWith() {
 	dir, err := os.MkdirTemp("", "mdxopt-example")
 	if err != nil {
@@ -97,12 +96,9 @@ func ExampleOpenWith() {
 	}
 	defer db.Close()
 
-	db.EnableBatching(mdxopt.BatchConfig{})
-	defer db.DisableBatching()
-
 	// A leaf-level group-by whose hash table outgrows the budget.
 	src := `{A.MEMBERS} on COLUMNS {B.MEMBERS} on ROWS CONTEXT ABCD FILTER (D'.DD1)`
-	ans, err := db.QueryWith(src, mdxopt.Options{Batching: true})
+	ans, err := db.Query(src)
 	if err != nil {
 		log.Fatal(err)
 	}

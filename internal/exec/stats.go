@@ -166,7 +166,7 @@ type Env struct {
 	// continues for the other queries, and only when every pipeline of
 	// the pass has detached does the pass itself stop early. Detached
 	// queries' results carry the context's error and must be discarded.
-	// The admission scheduler uses this so one caller's cancellation
+	// Merged admission batches use this so one caller's cancellation
 	// never aborts a scan other callers are sharing.
 	QueryCtx func(*query.Query) context.Context
 	// Mem, when non-nil, is the memory broker governing operator state:

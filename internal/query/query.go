@@ -90,9 +90,10 @@ type Query struct {
 	Preds  []Predicate // one per dimension, at Levels[i]
 	// Agg is the aggregate applied to the measure (default Sum).
 	Agg Agg
-	// Origin identifies the submission the query arrived with when it is
-	// served through the admission scheduler's cross-request batches;
-	// 0 means the query was not batched. The ID flows through plan
+	// Origin identifies the request the query arrived with when a plan
+	// merges several: the request's 1-based sorted position in the
+	// composition, set once when the composition is planned. 0 means the
+	// query ran alone. The ID flows through plan
 	// classes and the shared operators so per-submission work can be
 	// attributed and per-submission contexts can detach pipelines.
 	Origin int
@@ -139,8 +140,8 @@ func New(name string, schema *star.Schema, levels []int, preds []Predicate) (*Qu
 func (q *Query) GroupByName() string { return q.Schema.GroupByName(q.Levels) }
 
 // QualifiedName is Name prefixed with the submission origin when the
-// query arrived through the admission scheduler ("s2.q1"); un-batched
-// queries (Origin 0) keep their plain name. Plans and class stats use
+// query ran merged with other requests ("s2.q1"); queries that ran
+// alone (Origin 0) keep their plain name. Plans and class stats use
 // it so queries from different submissions stay distinguishable.
 func (q *Query) QualifiedName() string {
 	if q.Origin == 0 {

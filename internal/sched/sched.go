@@ -1,22 +1,24 @@
-// Package sched implements the admission scheduler that generalizes
-// the paper's multi-query optimization across *independent* concurrent
-// requests. The paper optimizes the related queries of one MDX
-// expression as a set; this layer extends the same idea to the serving
-// path: submissions from concurrent callers are collected into a batch
-// (a short batching window, bounded batch size, backpressure when the
-// admission queue is full), the whole cross-request query set is
-// optimized into one global plan, the merged shared passes execute
-// once, and per-submission results, stats and sharing information are
-// demultiplexed back to each waiting caller.
+// Package sched is the admission layer that generalizes the paper's
+// multi-query optimization across *independent* concurrent requests.
+// The paper optimizes the related queries of one MDX expression as a
+// set; this layer extends the same idea to the serving path by group
+// commit. Every request goes through one Queue with a fixed number of
+// runner slots. On an idle engine a request runs at once on its caller's
+// goroutine as a composition of one. Requests that arrive while every
+// slot is busy wait, and the next slot to free takes everything queued
+// with equal options as one batch — no window, no timer. A request that
+// must run alone never waits for a slot: queuing it would merge nothing.
+// A batch's
+// cross-request query set is optimized into one global plan, the merged
+// shared passes execute once, and per-request results, stats and
+// sharing information are demultiplexed back to each waiting caller.
 //
-// The scheduler is engine-agnostic: the embedding facade supplies a
-// Run callback that brackets one batch (pinning a catalog snapshot,
+// The queue is engine-agnostic: the embedding facade supplies a Run
+// callback that brackets one batch (pinning a catalog snapshot,
 // building an exec.Env) and typically calls Exec, which holds the
-// cross-request MQO pipeline — planning via a PlanFunc, origin
-// assignment, execution with per-request contexts (a canceled caller
-// detaches without aborting the shared pass for the rest), stats
-// attribution, and demultiplexing. Exec serves a lone request too: an
-// unbatched query is a composition of one, planned and run the same way.
+// cross-request MQO pipeline — planning via a PlanFunc, execution with
+// per-request contexts (a canceled caller detaches without aborting the
+// shared pass for the rest), stats attribution, and demultiplexing.
 package sched
 
 import (
@@ -25,7 +27,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mdxopt/internal/core"
 	"mdxopt/internal/exec"
@@ -38,38 +39,25 @@ import (
 var ErrQueueFull = errors.New("sched: admission queue full")
 
 // ErrStopped is returned for submissions that could not run because the
-// scheduler was stopped.
-var ErrStopped = errors.New("sched: scheduler stopped")
+// queue was stopped.
+var ErrStopped = errors.New("sched: queue stopped")
 
 // Request is one caller's expression on its way through Exec.
 type Request struct {
-	// Key identifies the expression for plan caching (the MDX source).
+	// Key is the expression's MDX source; the PlanFunc parses it, or
+	// finds its plan cached.
 	Key string
-	// Queries are the expression's parsed component queries; nil leaves
-	// parsing Key to the PlanFunc, which need not parse at all when its
-	// plan cache already holds the expression.
-	Queries []*query.Query
 	// Ctx is the caller's context; nil means context.Background.
 	Ctx context.Context
 }
 
 // PlanFunc optimizes a composition of requests as one query set. It
-// returns each request's query objects — which may be cached
-// replacements for the submitted ones — and the global plan covering
-// exactly those queries.
+// returns each request's query objects — which may be shared with other
+// runs of the same composition through a plan cache — and the global
+// plan covering exactly those queries. For two or more requests, every
+// query of a request carries that request's Origin: distinct, nonzero,
+// and fixed when the composition was planned, so Exec only reads it.
 type PlanFunc func(reqs []Request) ([][]*query.Query, *plan.Global, error)
-
-// submission is one caller's request queued at the scheduler.
-type submission struct {
-	Request
-	res chan *Outcome // buffered; receives exactly one outcome
-}
-
-// finish delivers the submission's outcome.
-func (s *submission) finish(o *Outcome) { s.res <- o }
-
-// fail is finish with just an error.
-func (s *submission) fail(err error) { s.finish(&Outcome{Err: err}) }
 
 // Outcome is what one request gets back from Exec.
 type Outcome struct {
@@ -115,52 +103,46 @@ type Outcome struct {
 	Err error
 }
 
-// Metrics counts scheduler activity since construction.
+// Metrics counts admission activity since construction.
 type Metrics struct {
-	Batches     int64 // batches executed
+	Batches     int64 // batches executed, a lone request counting as one
 	Submissions int64 // submissions admitted
 	Coalesced   int64 // submissions that ran in a batch with company
-	Rejected    int64 // submissions refused for a full queue
+	Rejected    int64 // submissions refused for a full queue (ErrQueueFull)
 }
 
-// Config parameterizes a Scheduler.
-type Config struct {
-	// Window is how long the scheduler keeps collecting submissions
-	// after the first one arrives before running the batch (default
-	// 3ms). Longer windows merge more concurrent work at the price of
-	// added latency for the first arrival.
-	Window time.Duration
-	// MaxBatch caps the submissions merged into one batch; a full batch
-	// runs immediately without waiting out the window (default 16).
-	MaxBatch int
-	// MaxQueue bounds the admission queue; Submit fails with
-	// ErrQueueFull beyond it (default 64).
-	MaxQueue int
-	// Run evaluates one admitted batch and returns one outcome per
-	// request, in order — typically by preparing an execution
-	// environment and calling Exec. The scheduler delivers them.
-	Run func(batch []Request) []Outcome
-}
+const (
+	// maxBatch caps the submissions merged into one batch.
+	maxBatch = 16
+	// maxQueue bounds the submissions waiting for a slot; Submit fails
+	// with ErrQueueFull beyond it.
+	maxQueue = 64
+)
 
-func (c *Config) applyDefaults() {
-	if c.Window <= 0 {
-		c.Window = 3 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 64
-	}
-}
+// errNoOutcome backstops a Run callback that returns fewer outcomes
+// than it was given requests.
+var errNoOutcome = errors.New("sched: batch runner delivered no outcome")
 
-// Scheduler admits concurrent submissions into merged batches.
-type Scheduler struct {
-	cfg      Config
-	queue    chan *submission
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+// Queue admits submissions to a fixed number of runner slots by group
+// commit. A submission that finds a slot free (and so, the queue empty)
+// runs at once on its caller's goroutine as a batch of one. One that
+// finds every slot busy waits in the queue; whenever a slot frees, it
+// takes the oldest waiter together with every later waiter whose
+// options equal its own, up to maxBatch, and runs them as one batch on
+// a goroutine that holds the slot until the queue is empty. No timer is
+// involved: a batch is whatever queued while the slots were busy.
+// Submissions flagged alone never merge, so they take no slot and never
+// queue: each runs at once on its caller's goroutine. O is the embedding
+// engine's per-request options type; Run receives the options of the
+// batch.
+type Queue[O comparable] struct {
+	run func(reqs []Request, opts O) []Outcome
+
+	mu      sync.Mutex
+	free    []*slot      // idle runner slots
+	waiting []*waiter[O] // submissions queued behind busy slots, oldest first
+	stopped bool
+	running sync.WaitGroup // batches running, on a caller or a runner goroutine
 
 	batches     atomic.Int64
 	submissions atomic.Int64
@@ -168,154 +150,225 @@ type Scheduler struct {
 	rejected    atomic.Int64
 }
 
-// New starts a scheduler. cfg.Run is required.
-func New(cfg Config) *Scheduler {
-	if cfg.Run == nil {
-		panic("sched: Config.Run is required")
-	}
-	cfg.applyDefaults()
-	s := &Scheduler{
-		cfg:   cfg,
-		queue: make(chan *submission, cfg.MaxQueue),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go s.loop()
-	return s
+// slot is one runner slot; reqs is its reused batch buffer.
+type slot struct{ reqs []Request }
+
+// waiter is one submission queued behind busy slots.
+type waiter[O comparable] struct {
+	req      Request
+	opts     O
+	out      *Outcome
+	err      error
+	panicked any           // what Run panicked with, re-raised by Submit
+	done     chan struct{} // closed once out, err or panicked is set
 }
 
-// Stop shuts the scheduler down and waits for the admission loop to
-// exit; queued submissions fail with ErrStopped.
-func (s *Scheduler) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
+func (w *waiter[O]) finish(out *Outcome, err error) {
+	w.out, w.err = out, err
+	close(w.done)
 }
 
-// Metrics returns a snapshot of the scheduler's counters.
-func (s *Scheduler) Metrics() Metrics {
+// NewQueue returns a queue with the given number of runner slots (at
+// least one) that evaluates batches with run. run returns one outcome
+// per request, in order — typically by preparing an execution
+// environment and calling Exec; the queue delivers them.
+func NewQueue[O comparable](slots int, run func(reqs []Request, opts O) []Outcome) *Queue[O] {
+	q := &Queue[O]{run: run, free: make([]*slot, max(slots, 1))}
+	for i := range q.free {
+		q.free[i] = &slot{reqs: make([]Request, 0, 1)}
+	}
+	return q
+}
+
+// Stop fails every queued submission with ErrStopped, refuses later
+// ones, and waits for every batch already running — on a runner
+// goroutine or on its caller's — to finish and deliver.
+func (q *Queue[O]) Stop() {
+	q.mu.Lock()
+	q.stopped = true
+	waiting := q.waiting
+	q.waiting = nil
+	q.mu.Unlock()
+	for _, w := range waiting {
+		w.finish(nil, ErrStopped)
+	}
+	q.running.Wait()
+}
+
+// Metrics returns a snapshot of the queue's counters.
+func (q *Queue[O]) Metrics() Metrics {
 	return Metrics{
-		Batches:     s.batches.Load(),
-		Submissions: s.submissions.Load(),
-		Coalesced:   s.coalesced.Load(),
-		Rejected:    s.rejected.Load(),
+		Batches:     q.batches.Load(),
+		Submissions: q.submissions.Load(),
+		Coalesced:   q.coalesced.Load(),
+		Rejected:    q.rejected.Load(),
 	}
 }
 
-// Submit enqueues one request and blocks until its batch delivers an
-// outcome, the caller's context is done, or the scheduler stops. A full
-// admission queue fails fast with ErrQueueFull (backpressure).
-func (s *Scheduler) Submit(ctx context.Context, key string, queries []*query.Query) (*Outcome, error) {
+// Submit admits one request and returns its outcome once its batch has
+// run. A request that finds a slot free runs on the calling goroutine
+// without allocating. A queued request returns ctx's error as soon as
+// ctx is done; if its batch is already running, the batch detaches it
+// (Exec's per-request contexts) without aborting the pass for the
+// others. alone keeps the request out of every merged batch: it runs at
+// once on the calling goroutine, slot or no slot. A full queue fails
+// fast with ErrQueueFull (backpressure). If Run panics, the panic
+// reaches every caller of the batch, and the slot stays usable.
+func (q *Queue[O]) Submit(ctx context.Context, key string, opts O, alone bool) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-s.stop:
-		return nil, ErrStopped
-	default:
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	sub := &submission{Request: Request{Key: key, Queries: queries, Ctx: ctx}, res: make(chan *Outcome, 1)}
-	select {
-	case s.queue <- sub:
-		s.submissions.Add(1)
-	default:
-		s.rejected.Add(1)
+	req := Request{Key: key, Ctx: ctx}
+	q.mu.Lock()
+	switch {
+	case q.stopped:
+		q.mu.Unlock()
+		return nil, ErrStopped
+	case alone:
+		q.running.Add(1)
+		q.submissions.Add(1)
+		q.mu.Unlock()
+		defer q.running.Done()
+		q.batches.Add(1)
+		return outcome(q.run([]Request{req}, opts), 0)
+	case len(q.free) > 0:
+		s := q.free[len(q.free)-1]
+		q.free = q.free[:len(q.free)-1]
+		q.running.Add(1)
+		q.submissions.Add(1)
+		q.mu.Unlock()
+		defer q.running.Done()
+		defer q.release(s)
+		s.reqs = append(s.reqs, req)
+		return outcome(q.runSlot(s, opts), 0)
+	case len(q.waiting) >= maxQueue:
+		q.mu.Unlock()
+		q.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
+	w := &waiter[O]{req: req, opts: opts, done: make(chan struct{})}
+	q.waiting = append(q.waiting, w)
+	q.submissions.Add(1)
+	q.mu.Unlock()
 	select {
-	case out := <-sub.res:
-		if out.Err != nil {
-			return nil, out.Err
+	case <-w.done:
+		if w.panicked != nil {
+			panic(w.panicked)
 		}
-		return out, nil
+		return w.out, w.err
 	case <-ctx.Done():
-		// The batch will notice via the per-query context and detach
-		// this submission's pipelines without aborting the pass for
-		// the other callers.
+		q.mu.Lock()
+		if i := slices.Index(q.waiting, w); i >= 0 {
+			q.waiting = slices.Delete(q.waiting, i, i+1)
+		}
+		q.mu.Unlock()
 		return nil, ctx.Err()
-	case <-s.done:
-		return nil, ErrStopped
 	}
 }
 
-// loop is the admission loop: wait for a first submission, collect
-// company until the window closes or the batch fills, run, repeat.
-func (s *Scheduler) loop() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			s.drain()
-			return
-		default:
-		}
-		var first *submission
-		select {
-		case first = <-s.queue:
-		case <-s.stop:
-			s.drain()
-			return
-		}
-		batch := []*submission{first}
-		timer := time.NewTimer(s.cfg.Window)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case sub := <-s.queue:
-				batch = append(batch, sub)
-			case <-timer.C:
-				break collect
-			case <-s.stop:
-				break collect
-			}
-		}
-		timer.Stop()
-		s.runBatch(batch)
-	}
-}
-
-// drain fails everything still queued after a stop.
-func (s *Scheduler) drain() {
-	for {
-		select {
-		case sub := <-s.queue:
-			sub.fail(ErrStopped)
-		default:
-			return
-		}
-	}
-}
-
-// runBatch drops submissions that were canceled while queued, hands the
-// rest to the configured Run callback and delivers its outcomes.
-func (s *Scheduler) runBatch(batch []*submission) {
-	alive := batch[:0]
-	for _, sub := range batch {
-		select {
-		case <-sub.Ctx.Done():
-			sub.fail(sub.Ctx.Err())
-		default:
-			alive = append(alive, sub)
-		}
-	}
-	if len(alive) == 0 {
+// release hands a freed slot to the next queued batch, on a new
+// goroutine so the caller that freed it returns at once, or marks it
+// idle.
+func (q *Queue[O]) release(s *slot) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if batch := q.next(); batch != nil {
+		q.running.Add(1)
+		go q.drive(s, batch)
 		return
 	}
-	s.batches.Add(1)
-	if len(alive) > 1 {
-		s.coalesced.Add(int64(len(alive)))
+	q.free = append(q.free, s)
+}
+
+// drive runs queued batches on slot s until the queue is empty.
+func (q *Queue[O]) drive(s *slot, batch []*waiter[O]) {
+	defer q.running.Done()
+	for batch != nil {
+		q.runBatch(s, batch)
+		q.mu.Lock()
+		if batch = q.next(); batch == nil {
+			q.free = append(q.free, s)
+		}
+		q.mu.Unlock()
 	}
-	reqs := make([]Request, len(alive))
-	for i, sub := range alive {
-		reqs[i] = sub.Request
+}
+
+// next removes and returns the next batch — the oldest waiter and every
+// later waiter with equal options, up to maxBatch — or nil when nothing
+// waits. Callers hold q.mu.
+func (q *Queue[O]) next() []*waiter[O] {
+	if len(q.waiting) == 0 {
+		return nil
 	}
-	outs := s.cfg.Run(reqs)
-	for i, sub := range alive {
-		if i < len(outs) {
-			sub.finish(&outs[i])
+	first := q.waiting[0]
+	batch := []*waiter[O]{first}
+	rest := q.waiting[:0]
+	for _, w := range q.waiting[1:] {
+		if w.opts == first.opts && len(batch) < maxBatch {
+			batch = append(batch, w)
 		} else {
-			sub.fail(errors.New("sched: batch runner delivered no outcome"))
+			rest = append(rest, w)
 		}
 	}
+	clear(q.waiting[len(rest):])
+	q.waiting = rest
+	return batch
+}
+
+// runBatch drops waiters whose context ended while they queued, runs
+// the rest on slot s and delivers their outcomes — or, if Run panics,
+// the panic, which each caller re-raises on its own goroutine.
+func (q *Queue[O]) runBatch(s *slot, batch []*waiter[O]) {
+	live := batch[:0]
+	for _, w := range batch {
+		if err := w.req.Ctx.Err(); err != nil {
+			w.finish(nil, err)
+			continue
+		}
+		live = append(live, w)
+		s.reqs = append(s.reqs, w.req)
+	}
+	if len(live) == 0 {
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			for _, w := range live {
+				w.panicked = p
+				close(w.done)
+			}
+		}
+	}()
+	outs := q.runSlot(s, live[0].opts)
+	for i, w := range live {
+		w.finish(outcome(outs, i))
+	}
+}
+
+// runSlot runs the requests in slot s's buffer as one batch and empties
+// the buffer, also when Run panics.
+func (q *Queue[O]) runSlot(s *slot, opts O) []Outcome {
+	q.batches.Add(1)
+	if n := len(s.reqs); n > 1 {
+		q.coalesced.Add(int64(n))
+	}
+	defer func() { s.reqs = slices.Delete(s.reqs, 0, len(s.reqs)) }()
+	return q.run(s.reqs, opts)
+}
+
+// outcome picks request i's outcome from a batch's, as Submit returns
+// it.
+func outcome(outs []Outcome, i int) (*Outcome, error) {
+	switch {
+	case i >= len(outs):
+		return nil, errNoOutcome
+	case outs[i].Err != nil:
+		return nil, outs[i].Err
+	}
+	return &outs[i], nil
 }
 
 // Exec evaluates one composition of requests on env and returns one
@@ -323,10 +376,12 @@ func (s *Scheduler) runBatch(batch []*submission) {
 // with planFn and runs the plan once with core.Run under opts (the zero
 // value runs serially). A lone request runs as it would on its own: its
 // context becomes env.Ctx, so canceling it aborts the run, and its
-// queries keep their plain names. Several requests get origins (their
-// queries are named s1.q1, s2.q1, ...) and per-request contexts through
-// env.QueryCtx: a canceled caller detaches without aborting a pass other
-// callers share. Each outcome carries the request's results, attributed
+// queries keep their plain names. Several requests carry the origins
+// planFn gave them (their queries are named s1.q1, s2.q1, ...) and get
+// per-request contexts through env.QueryCtx: a canceled caller detaches
+// without aborting a pass other callers share. Exec never writes to the
+// query objects, so runs of one cached composition may overlap. Each
+// outcome carries the request's results, attributed
 // stats and the passes it took part in. If planning several requests
 // fails, each is re-planned and run on its own so one infeasible
 // request cannot sink its batch mates.
@@ -352,7 +407,6 @@ func Exec(env *exec.Env, planFn PlanFunc, reqs []Request, opts core.ExecOptions)
 		ctxOf := make(map[*query.Query]context.Context)
 		for i, qs := range perReq {
 			for _, q := range qs {
-				q.Origin = i + 1
 				ctxOf[q] = reqs[i].Ctx
 				queries = append(queries, q)
 			}
@@ -413,7 +467,7 @@ func Exec(env *exec.Env, planFn PlanFunc, reqs []Request, opts core.ExecOptions)
 		for _, s := range o.PerQuery {
 			o.Stats.Add(s)
 		}
-		origin := i + 1
+		origin := qs[0].Origin
 		others := map[int]bool{}
 		for ci, origins := range classOrigins {
 			if !slices.Contains(origins, origin) {

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -122,7 +123,7 @@ type DB struct {
 
 	// Plan cache: optimized global plans keyed by request composition —
 	// the sorted MDX sources of the requests planned together (one for
-	// an unbatched query) — and planning options. An entry is valid only
+	// a request that ran alone) — and planning options. An entry is valid only
 	// for the catalog snapshot epoch and result-cache epoch it was built
 	// against — a plan may embed cache entries and view choices that a
 	// mutation or cache insert invalidates — so hits require both epochs
@@ -132,10 +133,9 @@ type DB struct {
 	planHits  int64
 	cacheTick uint64
 
-	// Admission scheduler for batched serving (Options.Batching /
-	// EnableBatching). Guarded by schedMu.
-	schedMu sync.Mutex
-	batcher *sched.Scheduler
+	// queue admits every request by group commit (internal/sched), with
+	// one runner slot per unit of the database width.
+	queue *sched.Queue[Options]
 }
 
 type cachedPlan struct {
@@ -180,8 +180,8 @@ func (d *DB) invalidate() {
 }
 
 // PlanCacheHits reports how many times a plan was reused from the plan
-// cache (the parse/optimize phase skipped): by an unbatched query, or by
-// a batch whose exact mix of expressions had been optimized before.
+// cache (the parse/optimize phase skipped): by a request that ran alone,
+// or by a batch whose exact mix of expressions had been optimized before.
 func (d *DB) PlanCacheHits() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -211,23 +211,18 @@ type Options struct {
 	// execution degrades toward serial instead of overcommitting.
 	// Results and deterministic work counters are identical at every
 	// width. Widths beyond the GOMAXPROCS-derived cap are clamped;
-	// Stats.EffectiveWorkers reports the width actually used. Ignored
-	// with Batching (batches run at OpenOptions.Workers).
+	// Stats.EffectiveWorkers reports the width actually used. A request
+	// merges into a batch only with requests of equivalent Options (0
+	// and the database default are the same width), so a batch runs at
+	// its members' common width.
 	Workers int
-	// Batching routes the query through the admission scheduler: it is
-	// held for a short window, merged with other concurrent submissions
-	// into one cross-request query set, optimized and executed as a
-	// single global plan, and demultiplexed back. A batch runs the way
-	// an unbatched query with zero Options does — GG over the full plan
-	// space at the database-default width, no cold reset, no
-	// per-request memory cap — so the other fields of this struct are
-	// ignored when Batching is set.
-	Batching bool
 	// MemoryBudget caps this request's operator state below the
 	// database-wide budget (OpenOptions.MemoryBudget): the request runs
 	// under a child of the process broker limited to this many bytes,
 	// spilling aggregation state that exceeds it. 0 imposes no
-	// per-request cap. Ignored with Batching.
+	// per-request cap. A request with a cap never merges with
+	// concurrent requests, and so never queues for a runner slot: it
+	// runs at once, alone, as does a ColdCache one.
 	MemoryBudget int64
 }
 
@@ -254,7 +249,7 @@ func Create(dir string, spec SchemaSpec) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{db: db, mem: mem.New(0)}, nil
+	return newDB(db, OpenOptions{}), nil
 }
 
 // CreateSample builds the paper's synthetic test database (4 dimensions
@@ -266,7 +261,7 @@ func CreateSample(dir string, scale float64) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{db: db, mem: mem.New(0)}, nil
+	return newDB(db, OpenOptions{}), nil
 }
 
 // Open opens an existing database directory.
@@ -301,7 +296,10 @@ type OpenOptions struct {
 	// executed plans: one bound covering concurrently running plan
 	// passes and the scan morsels they fan out. Default 1 (serial, the
 	// legacy order); Options.Workers overrides per request. Widths
-	// beyond the GOMAXPROCS-derived cap are clamped.
+	// beyond the GOMAXPROCS-derived cap are clamped. The clamped width
+	// also sets how many requests (or merged batches) run at once —
+	// enough to fill GOMAXPROCS, at least one; more concurrent requests
+	// queue and merge (see QueryContext).
 	Workers int
 
 	// ResultCacheBudget bounds the semantic result cache in bytes:
@@ -330,17 +328,30 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDB(db, opts), nil
+}
+
+// newDB wraps an open star database with the facade's state.
+func newDB(db *star.Database, opts OpenOptions) *DB {
 	d := &DB{db: db, mem: mem.New(opts.MemoryBudget), spillDir: opts.SpillDir, workers: opts.Workers}
 	if opts.ResultCacheBudget > 0 {
 		d.rescache = rescache.New(opts.ResultCacheBudget, d.mem)
 	}
-	return d, nil
+	d.queue = sched.NewQueue(admissionSlots(d.effectiveWorkers(0)), d.serve)
+	return d
 }
 
-// Close stops the admission scheduler (if batching was enabled),
-// persists metadata and closes all files.
+// admissionSlots is how many runner slots the admission queue has at a
+// database width: as many batches as it takes to fill GOMAXPROCS at that
+// width, at least one. More slots would only split the requests that
+// queue behind them into smaller batches sharing fewer passes.
+func admissionSlots(width int) int { return max(1, runtime.GOMAXPROCS(0)/width) }
+
+// Close stops admitting requests — queued ones fail and later ones are
+// refused — waits for every request already running, persists metadata
+// and closes all files.
 func (d *DB) Close() error {
-	d.DisableBatching()
+	d.queue.Stop()
 	return d.db.Close()
 }
 
@@ -648,15 +659,12 @@ type Answer struct {
 	Classes []ClassStats
 	Stats   Stats
 
-	// Batched reports that the query went through the admission
-	// scheduler. Plan then describes the whole merged batch, Classes
-	// holds only the passes this request participated in (batch mates'
-	// queries appear origin-qualified, e.g. "s2.q1"), and Stats is this
-	// request's attributed share of the work: its non-shared operators
-	// exactly, plus an equal split of each shared pass.
-	Batched bool
-	// BatchSize is how many concurrent requests the merged batch held
-	// (1 when the window closed with no company). Zero when not batched.
+	// BatchSize is how many requests the plan merged: 1 when the
+	// request ran alone. Above 1, Plan describes the whole merged batch,
+	// Classes holds only the passes this request participated in (batch
+	// mates' queries appear origin-qualified, e.g. "s2.q1"), and Stats
+	// is this request's attributed share of the work: its non-shared
+	// operators exactly, plus an equal split of each shared pass.
 	BatchSize int
 	// SharedWith counts the *other* requests whose queries shared at
 	// least one pass with this one's; 0 means every pass was private.
@@ -675,31 +683,28 @@ func (d *DB) QueryWith(src string, opts Options) (*Answer, error) {
 }
 
 // QueryContext is QueryWith with cancellation: scans check ctx
-// periodically and abort with its error when it is done. With
-// opts.Batching the request is admitted to the scheduler instead, and
-// cancellation detaches only this request's pipelines — a shared pass
-// keeps running for the other requests in the batch.
+// periodically and abort with its error when it is done. Every request
+// goes through the admission queue: on an idle database it runs at once
+// on the calling goroutine; while every runner slot is busy it waits,
+// and the next free slot runs it merged with everything else queued
+// with equivalent Options (see Answer.BatchSize). A ColdCache request or
+// one with a MemoryBudget never merges, so it never waits either: it
+// runs at once, alone. A canceled request that is still queued returns
+// at once; one already running in a batch detaches only its own
+// pipelines — a shared pass keeps running for the other requests. A
+// full queue fails with ErrBusy.
 func (d *DB) QueryContext(ctx context.Context, src string, opts Options) (*Answer, error) {
-	if !opts.Batching {
-		out := &d.serve([]sched.Request{{Key: src, Ctx: ctx}}, opts)[0]
-		if out.Err != nil {
-			return nil, out.Err
-		}
-		return d.answer(out, false), nil
-	}
-	queries, err := parse(d.db.Schema, src)
+	// Options that plan and run alike merge: spell out the defaults.
+	opts.Algorithm, opts.Workers = algorithm(opts), d.effectiveWorkers(opts.Workers)
+	out, err := d.queue.Submit(ctx, src, opts, opts.ColdCache || opts.MemoryBudget > 0)
 	if err != nil {
 		return nil, err
 	}
-	out, err := d.ensureBatcher().Submit(ctx, src, queries)
-	if err != nil {
-		return nil, err
-	}
-	return d.answer(out, true), nil
+	return d.answer(out), nil
 }
 
-// serve is the one request path. Every request — an unbatched query as
-// a composition of one, or the merged submissions of a scheduler batch
+// serve is the one request path, the admission queue's Run callback.
+// Every composition — a lone request, or a batch merged at a runner slot
 // — pins the published snapshot (mutations proceed concurrently and the
 // whole composition sees one consistent catalog), is planned through
 // the plan cache, and runs once on sched.Exec. At width > 1 each plan
@@ -725,12 +730,6 @@ func (d *DB) serve(reqs []sched.Request, opts Options) []sched.Outcome {
 	return sched.Exec(env, planFn, reqs, d.execOptions(snap, d.effectiveWorkers(opts.Workers), env.Mem))
 }
 
-// runBatch is the admission scheduler's callback: a batch runs down the
-// one request path with zero Options.
-func (d *DB) runBatch(reqs []sched.Request) []sched.Outcome {
-	return d.serve(reqs, Options{})
-}
-
 // parse parses and translates one MDX expression.
 func parse(schema *star.Schema, src string) ([]*query.Query, error) {
 	queries, err := mdx.ParseAndTranslate(schema, src)
@@ -750,9 +749,10 @@ func parse(schema *star.Schema, src string) ([]*query.Query, error) {
 // options, so a recurring mix of concurrent requests replans nothing,
 // and a lone request's key is its source. A cached entry is reused only
 // when it was built against the same catalog snapshot epoch and
-// result-cache epoch; on a hit the requests' own queries (parsed, or
-// nil to parse on a miss) are replaced by the cached ones the stored
-// plan references.
+// result-cache epoch. On a miss the sources are parsed; in a composition
+// of several, each request's queries get its sorted position as their
+// Origin before optimizing. The entry's query objects are read-only from
+// then on, so concurrent runs of one entry may share them.
 func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]*query.Query, *plan.Global, error) {
 	// order[p] is the request at sorted position p; nil for one request.
 	var order []int
@@ -793,11 +793,13 @@ func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]
 		if order != nil {
 			r = reqs[order[p]]
 		}
-		qs := r.Queries
-		if qs == nil {
-			var err error
-			if qs, err = parse(snap.Schema, r.Key); err != nil {
-				return nil, nil, err
+		qs, err := parse(snap.Schema, r.Key)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(reqs) > 1 {
+			for _, q := range qs {
+				q.Origin = p + 1
 			}
 		}
 		perPos[p] = qs
@@ -876,16 +878,18 @@ func (d *DB) optimize(snap *star.Snapshot, queries []*query.Query, opts Options)
 // rollups that served it refresh their entries' recency before its
 // results are admitted to the result cache, so the admission's
 // evictions spare the entries this request just used.
-func (d *DB) answer(out *sched.Outcome, batched bool) *Answer {
+func (d *DB) answer(out *sched.Outcome) *Answer {
 	d.noteCacheUse(out.Cached, len(out.Queries))
 	// The epoch is the one the run pinned, so cache entries are marked
 	// exactly.
 	evicted := d.putResults(out.Queries, out.Results, out.PerQuery, out.SnapshotEpoch)
 	ans := &Answer{
-		Queries: make([]QueryResult, len(out.Queries)),
-		Plan:    out.Plan,
-		Classes: make([]ClassStats, len(out.Classes)),
-		Stats:   statsOut(out.Stats),
+		Queries:    make([]QueryResult, len(out.Queries)),
+		Plan:       out.Plan,
+		Classes:    make([]ClassStats, len(out.Classes)),
+		Stats:      statsOut(out.Stats),
+		BatchSize:  out.BatchSize,
+		SharedWith: out.SharedWith,
 	}
 	for i, q := range out.Queries {
 		ans.Queries[i] = d.formatResult(q, out.Results[i])
@@ -899,9 +903,6 @@ func (d *DB) answer(out *sched.Outcome, batched bool) *Answer {
 	ans.Stats.SnapshotEpoch = out.SnapshotEpoch
 	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
 	d.cacheCounters(&ans.Stats, out.Results, evicted)
-	if batched {
-		ans.Batched, ans.BatchSize, ans.SharedWith = true, out.BatchSize, out.SharedWith
-	}
 	return ans
 }
 
@@ -1058,83 +1059,29 @@ func (d *DB) formatResult(q *query.Query, r *exec.Result) QueryResult {
 
 // Batched serving.
 //
-// With batching enabled, concurrent requests are admitted to a
-// scheduler that collects them for a short window and optimizes the
-// whole cross-request query set as one — the paper's multi-query
-// optimization applied across independent callers instead of within one
-// MDX expression. Requests whose queries land in the same plan class
-// share a single scan or probe pass; each caller gets its own results,
-// an attributed share of the work, and Answer.SharedWith reporting how
-// many other requests it shared a pass with. A batch takes the same
-// request path as an unbatched query with zero Options — one plan
-// cache, one executor call, one admission gate, one answer assembly;
-// an unbatched query is a batch of one.
+// Every request is admitted to a group-commit queue whose runner slots
+// fill GOMAXPROCS at the database width (OpenOptions.Workers). While the
+// slots are busy, concurrent requests queue up, and the next slot to
+// free optimizes everything queued with equivalent Options as one query set —
+// the paper's multi-query optimization applied across independent
+// callers instead of within one MDX expression. Requests whose queries
+// land in the same plan class share a single scan or probe pass; each
+// caller gets its own results, an attributed share of the work, and
+// Answer.SharedWith reporting how many other requests it shared a pass
+// with. On an idle database a request runs at once, alone.
 
-// ErrBusy is returned by batched queries when the admission queue is
-// full — backpressure; retry after a pause.
+// ErrBusy is returned by a request that finds the admission queue full —
+// backpressure; retry after a pause. Only requests that arrive while
+// every runner slot is busy queue, so an idle database never returns it.
 var ErrBusy = sched.ErrQueueFull
 
-// BatchConfig configures the admission scheduler (EnableBatching).
-type BatchConfig struct {
-	// Window is how long the scheduler collects concurrent submissions
-	// after the first arrives (default 3ms; 2–10ms is the useful range —
-	// longer merges more work, shorter bounds added latency).
-	Window time.Duration
-	// MaxBatch caps submissions merged into one batch (default 16); a
-	// full batch runs without waiting out the window.
-	MaxBatch int
-	// MaxQueue bounds the admission queue; submissions beyond it fail
-	// with ErrBusy (default 64).
-	MaxQueue int
-}
+// BatchStats snapshots the admission queue's counters: batches executed
+// (a request run alone counting as one), requests admitted, requests
+// that ran in a batch with company, and requests refused with ErrBusy.
+type BatchStats = sched.Metrics
 
-// EnableBatching (re)starts the admission scheduler with the given
-// configuration. Queries opt in per call with Options.Batching; a query
-// with Batching set before EnableBatching starts a scheduler with
-// default configuration.
-func (d *DB) EnableBatching(cfg BatchConfig) {
-	d.DisableBatching()
-	d.schedMu.Lock()
-	defer d.schedMu.Unlock()
-	d.batcher = sched.New(sched.Config{
-		Window:   cfg.Window,
-		MaxBatch: cfg.MaxBatch,
-		MaxQueue: cfg.MaxQueue,
-		Run:      d.runBatch,
-	})
-}
-
-// DisableBatching stops the admission scheduler; in-flight submissions
-// fail with an error. Queries with Options.Batching lazily restart it.
-func (d *DB) DisableBatching() {
-	d.schedMu.Lock()
-	s := d.batcher
-	d.batcher = nil
-	d.schedMu.Unlock()
-	if s != nil {
-		s.Stop()
-	}
-}
-
-// BatchStats snapshots the admission scheduler's counters.
-type BatchStats struct {
-	Batches     int64 // batches executed
-	Submissions int64 // requests admitted
-	Coalesced   int64 // requests that ran in a batch with company
-	Rejected    int64 // requests refused with ErrBusy
-}
-
-// BatchStats reports scheduler activity since batching was enabled.
-func (d *DB) BatchStats() BatchStats {
-	d.schedMu.Lock()
-	s := d.batcher
-	d.schedMu.Unlock()
-	if s == nil {
-		return BatchStats{}
-	}
-	m := s.Metrics()
-	return BatchStats{Batches: m.Batches, Submissions: m.Submissions, Coalesced: m.Coalesced, Rejected: m.Rejected}
-}
+// BatchStats reports admission activity since Open.
+func (d *DB) BatchStats() BatchStats { return d.queue.Metrics() }
 
 // MemoryStats snapshots the database-wide memory broker.
 type MemoryStats struct {
@@ -1231,15 +1178,4 @@ func (d *DB) ResultCacheStats() ResultCacheStats {
 		Inserts:   s.Inserts,
 		Rejected:  s.Rejected,
 	}
-}
-
-// ensureBatcher returns the scheduler, starting one with default
-// configuration on first use.
-func (d *DB) ensureBatcher() *sched.Scheduler {
-	d.schedMu.Lock()
-	defer d.schedMu.Unlock()
-	if d.batcher == nil {
-		d.batcher = sched.New(sched.Config{Run: d.runBatch})
-	}
-	return d.batcher
 }

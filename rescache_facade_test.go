@@ -183,10 +183,10 @@ func TestResultCacheCountersAndZeroIO(t *testing.T) {
 	}
 }
 
-// TestResultCacheBatchedPath drives the admission scheduler: the second
-// submission replans (the cache's epoch advanced past the stored batch
-// plan) and is served by rollup; the third reuses the batch plan and
-// counts a plan-cache hit.
+// TestResultCacheBatchedPath drives two-request compositions through
+// the plan cache: the second run of a composition replans (the cache's
+// epoch advanced past the stored plan) and is served by rollup; the
+// third reuses the stored plan and counts a plan-cache hit.
 func TestResultCacheBatchedPath(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "batchdb")
 	db, err := CreateSample(dir, 0.005)
@@ -199,30 +199,34 @@ func TestResultCacheBatchedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cdb.Close()
-	cdb.EnableBatching(BatchConfig{})
 
-	src := workload.MDX()["Q3"]
-	opts := Options{Batching: true}
-	first, err := cdb.QueryWith(src, opts)
-	if err != nil {
-		t.Fatal(err)
+	pool := workload.MDX()
+	srcs := []string{pool["Q3"], pool["Q1"]}
+	run := func() []*Answer {
+		t.Helper()
+		reqs := []sched.Request{{Key: srcs[0]}, {Key: srcs[1]}}
+		var out []*Answer
+		for _, o := range cdb.serve(reqs, Options{}) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+			out = append(out, cdb.answer(&o))
+		}
+		return out
 	}
-	if !first.Batched || first.Stats.ResultCacheHits != 0 {
-		t.Fatalf("first batched answer = %+v", first.Stats)
+	first := run()
+	if first[0].BatchSize != 2 || first[0].Stats.ResultCacheHits != 0 {
+		t.Fatalf("first batched answer: batch of %d, %+v", first[0].BatchSize, first[0].Stats)
 	}
-	second, err := cdb.QueryWith(src, opts)
-	if err != nil {
-		t.Fatal(err)
+	second := run()
+	if second[0].Stats.ResultCacheHits == 0 || second[0].Stats.PageReads != 0 {
+		t.Fatalf("second batched answer not cache-served: %+v", second[0].Stats)
 	}
-	if second.Stats.ResultCacheHits == 0 || second.Stats.PageReads != 0 {
-		t.Fatalf("second batched answer not cache-served: %+v", second.Stats)
-	}
-	sameAnswer(t, "batched warm", second, first)
-	if _, err := cdb.QueryWith(src, opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := cdb.PlanCacheHits(); got == 0 {
-		t.Fatalf("PlanCacheHits = %d after replaying a batch composition", got)
+	sameAnswer(t, "batched warm", second[0], first[0])
+	hits := cdb.PlanCacheHits()
+	run()
+	if got := cdb.PlanCacheHits(); got != hits+1 {
+		t.Fatalf("PlanCacheHits went %d -> %d replaying a batch composition", hits, got)
 	}
 }
 

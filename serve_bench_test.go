@@ -1,7 +1,6 @@
 package mdxopt
 
 import (
-	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,11 +12,12 @@ import (
 	"mdxopt/internal/workload"
 )
 
-// Serving benchmarks: a multi-client burst of Q1–Q9 requests against a
-// pool much smaller than the data, served batched (admission scheduler
-// merging concurrent requests into shared passes) versus separate (each
-// request planned and executed on its own). Reported metrics: queries/s
-// and the total attributed physical page reads per iteration.
+// Serving benchmarks: 32 Q1–Q9 requests against a pool much smaller than
+// the data, sent by 8 concurrent Poisson-paced clients (batched: the
+// admission queue merges what arrives while its runner slots are busy
+// into shared passes) versus one at a time by one client (solo: every
+// request runs alone). Reported metrics: queries/s and the total
+// attributed physical page reads per iteration.
 
 const (
 	serveClients          = 8
@@ -62,20 +62,24 @@ func serveFixture(b *testing.B) *DB {
 }
 
 // serveWorkload deals a deterministic Poisson arrival sequence to the
-// clients; the same seed keeps both benchmarks on identical request
-// streams.
-func serveWorkload() [][]workload.Arrival {
+// clients, or all of it to one client when solo; the same seed keeps
+// both benchmarks on identical requests.
+func serveWorkload(solo bool) [][]workload.Arrival {
 	rng := rand.New(rand.NewSource(7))
 	arrivals := workload.Arrivals(rng, serveClients*serveQueriesPerClient, 2000)
+	if solo {
+		return [][]workload.Arrival{arrivals}
+	}
 	return workload.PerClient(arrivals, serveClients)
 }
 
-// serveRun replays the workload with one goroutine per client, pacing
-// each request by its arrival offset, and returns the attributed page
-// reads across all answers.
-func serveRun(b *testing.B, db *DB, opts Options) int64 {
+// serveRun replays the workload with one goroutine per client and
+// returns the attributed page reads across all answers. Concurrent
+// clients pace each request by its arrival offset; a solo client sends
+// back to back.
+func serveRun(b *testing.B, db *DB, solo bool) int64 {
 	b.Helper()
-	perClient := serveWorkload()
+	perClient := serveWorkload(solo)
 	start := time.Now()
 	var pages atomic.Int64
 	var wg sync.WaitGroup
@@ -85,10 +89,10 @@ func serveRun(b *testing.B, db *DB, opts Options) int64 {
 		go func(reqs []workload.Arrival) {
 			defer wg.Done()
 			for _, req := range reqs {
-				if wait := req.At - time.Since(start); wait > 0 {
+				if wait := req.At - time.Since(start); !solo && wait > 0 {
 					time.Sleep(wait)
 				}
-				a, err := db.QueryContext(context.Background(), req.Src, opts)
+				a, err := db.Query(req.Src)
 				if err != nil {
 					errs <- err
 					return
@@ -106,25 +110,18 @@ func serveRun(b *testing.B, db *DB, opts Options) int64 {
 	return pages.Load()
 }
 
-func serveBench(b *testing.B, opts Options) {
+func serveBench(b *testing.B, solo bool) {
 	db := serveFixture(b)
-	if opts.Batching {
-		// MaxBatch equal to the client count keeps the closed loop from
-		// waiting out the window once every client is in flight: a full
-		// batch launches immediately.
-		db.EnableBatching(BatchConfig{Window: 5 * time.Millisecond, MaxBatch: serveClients, MaxQueue: 256})
-		defer db.DisableBatching()
-	}
 	queries := int64(serveClients * serveQueriesPerClient)
 	var pages int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pages += serveRun(b, db, opts)
+		pages += serveRun(b, db, solo)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(pages)/float64(b.N), "pages/run")
 	b.ReportMetric(float64(queries)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-func BenchmarkServeBatched(b *testing.B)  { serveBench(b, Options{Batching: true}) }
-func BenchmarkServeSeparate(b *testing.B) { serveBench(b, Options{}) }
+func BenchmarkServeBatched(b *testing.B) { serveBench(b, false) }
+func BenchmarkServeSolo(b *testing.B)    { serveBench(b, true) }

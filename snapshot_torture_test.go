@@ -44,9 +44,9 @@ func canonAnswer(ans *Answer) string {
 	return b.String()
 }
 
-// TestSnapshotTortureConcurrentMaintenance races query execution (both
-// the direct path and the admission scheduler's batched path) against a
-// mutator cycling loads, refreshes and compactions. Every answer must be
+// TestSnapshotTortureConcurrentMaintenance races query execution
+// (requests run alone and requests merged at the admission queue's
+// runner slots) against a mutator cycling loads, refreshes and compactions. Every answer must be
 // byte-identical to a serial run against the published epoch the request
 // pinned, at every worker width.
 func TestSnapshotTortureConcurrentMaintenance(t *testing.T) {
@@ -72,7 +72,6 @@ func tortureRun(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatalf("OpenWith: %v", err)
 	}
-	db.EnableBatching(BatchConfig{Window: time.Millisecond})
 
 	// refs maps snapshot epoch -> MDX source -> canonical serial answer.
 	// The mutator records the reference for each epoch right after
@@ -175,8 +174,9 @@ func tortureRun(t *testing.T, workers int) {
 		}
 	}()
 
-	// Readers: alternate direct and batched execution, checking each
-	// answer byte-for-byte against the serial reference at its epoch.
+	// Readers: alternate a per-reader width with default options, so
+	// requests that queue merge with some readers and not others; check
+	// each answer byte-for-byte against the serial reference at its epoch.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -190,7 +190,7 @@ func tortureRun(t *testing.T, workers int) {
 				src := tortureSrcs[(w+i)%len(tortureSrcs)]
 				opts := Options{Workers: 1 + w%2}
 				if i%2 == 1 {
-					opts = Options{Batching: true}
+					opts = Options{}
 				}
 				ans, err := db.QueryWith(src, opts)
 				if err != nil {
@@ -342,9 +342,9 @@ func TestSnapshotReclamationPinBlocksUnlink(t *testing.T) {
 	}
 }
 
-// TestSnapshotReclamationAfterCanceledBatch cancels a batched request
+// TestSnapshotReclamationAfterCanceledBatch cancels a request
 // mid-flight and checks its pin still drains, unblocking reclamation of
-// files retired while the batch ran.
+// files retired while it ran.
 func TestSnapshotReclamationAfterCanceledBatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := CreateSample(dir, 0.002)
@@ -352,12 +352,11 @@ func TestSnapshotReclamationAfterCanceledBatch(t *testing.T) {
 		t.Fatalf("CreateSample: %v", err)
 	}
 	defer db.Close()
-	db.EnableBatching(BatchConfig{Window: 50 * time.Millisecond})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := db.QueryContext(ctx, tortureSrcs[0], Options{Batching: true})
+		_, err := db.QueryContext(ctx, tortureSrcs[0], Options{})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)

@@ -20,9 +20,8 @@ func TestExportedSurface(t *testing.T) {
 		v    any
 		want []string
 	}{
-		{Options{}, []string{"Algorithm", "PaperPlanSpace", "ColdCache", "Workers", "Batching", "MemoryBudget"}},
+		{Options{}, []string{"Algorithm", "PaperPlanSpace", "ColdCache", "Workers", "MemoryBudget"}},
 		{OpenOptions{}, []string{"PoolFrames", "MemoryBudget", "SpillDir", "Workers", "ResultCacheBudget"}},
-		{BatchConfig{}, []string{"Window", "MaxBatch", "MaxQueue"}},
 		{exec.Env{}, []string{"DB", "ShareLookups", "Pool", "MorselPages", "Ctx", "QueryCtx", "Mem", "SpillDir", "SpillFanout", "Lookups", "IOFiles"}},
 		{Stats{}, []string{"PageReads", "TuplesScanned", "TuplesFetched", "BitTests", "SimulatedSeconds", "WallNanos",
 			"PeakMemoryBytes", "SpillBytes", "SpillPartitions", "PackedFolds", "DerivedQueries", "DerivedRows",
@@ -50,8 +49,8 @@ func TestExportedSurface(t *testing.T) {
 	for i := 0; i < typ.NumMethod(); i++ {
 		got = append(got, typ.Method(i).Name)
 	}
-	want := []string{"BatchStats", "BuildBitmapIndex", "Close", "Compact", "Dimensions", "DisableBatching",
-		"EnableBatching", "Explain", "Facts", "Load", "MaintenanceStats", "Materialize", "MaterializeMulti",
+	want := []string{"BatchStats", "BuildBitmapIndex", "Close", "Compact", "Dimensions",
+		"Explain", "Facts", "Load", "MaintenanceStats", "Materialize", "MaterializeMulti",
 		"Measure", "MemoryStats", "PlanCacheHits", "Query", "QueryContext", "QueryWith", "Refresh",
 		"ResultCacheStats", "StaleViews", "Views"}
 	if !slices.Equal(got, want) {
