@@ -304,10 +304,11 @@ func nodeCost(est *plan.Estimator, f func(*plan.Estimator) int64) int64 {
 }
 
 // classFiles enumerates the files a class pass may touch: the view's
-// heap, its bitmap join indexes, and the dimension tables (read only by
-// the fallback path when a lookup was not hoisted — with lookup sharing
-// off, concurrent classes re-reading one dimension table may attribute
-// the same read to more than one class; totals remain upper bounds).
+// heap, its bitmap join indexes, and the dimension tables (read only
+// when the pass builds a lookup the hoisted set lacks — with lookup
+// sharing off, every lookup — so concurrent classes re-reading one
+// dimension table may attribute the same read to more than one class;
+// totals remain upper bounds).
 func classFiles(c *plan.Class, dimFiles []*storage.File) []*storage.File {
 	n := 1 + len(dimFiles)
 	for _, ix := range c.View.Indexes {
@@ -323,34 +324,6 @@ func classFiles(c *plan.Class, dimFiles []*storage.File) []*storage.File {
 		}
 	}
 	return append(files, dimFiles...)
-}
-
-// ExecuteSeparately runs every query standalone with its locally chosen
-// plan, cold-resetting the cache between queries — the paper's "queries
-// running separately" baseline.
-func ExecuteSeparately(env *exec.Env, est *plan.Estimator, queries []*query.Query, stats *exec.Stats) ([]*exec.Result, error) {
-	out := make([]*exec.Result, len(queries))
-	for i, q := range queries {
-		if err := env.DB.ColdReset(); err != nil {
-			return nil, err
-		}
-		local, _, err := est.BestLocal(q, est.DB.Views)
-		if err != nil {
-			return nil, err
-		}
-		var r *exec.Result
-		switch local.Method {
-		case plan.HashSJ:
-			r, err = exec.HashJoinQuery(env, local.View, q, stats)
-		case plan.IndexSJ:
-			r, err = exec.IndexJoinQuery(env, local.View, q, stats)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 func plansQueries(plans []*plan.Local) []*query.Query {

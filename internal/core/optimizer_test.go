@@ -287,30 +287,6 @@ func TestGGMergesClassesOnSameBase(t *testing.T) {
 	_ = db
 }
 
-func TestExecuteSeparatelyMatchesOracle(t *testing.T) {
-	db, qs := testDB(t)
-	est := plan.NewEstimator(db)
-	env := exec.NewEnv(db)
-	queries := qset(qs, "Q3", "Q7")
-	var st exec.Stats
-	rs, err := ExecuteSeparately(env, est, queries, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		want, err := exec.Naive(env, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rs[i].Equal(want) {
-			t.Fatalf("separate execution wrong for %s", q.Name)
-		}
-	}
-	if st.IO.Reads() == 0 {
-		t.Fatal("separate execution reported no I/O after cold resets")
-	}
-}
-
 // latticeMarginals builds the component queries of an unrestricted
 // lattice expression such as the benchmark's TK/TK/-: the cross product
 // of the given A and B levels, every member listed (as the MDX

@@ -13,9 +13,10 @@
 // the scheduler starts nodes from. One width therefore bounds every
 // executor goroutine, inter-class and intra-class alike.
 //
-// With width <= 1 the graph runs serially in insertion order, which for
-// the graphs the planner builds (dependencies are always inserted before
-// their dependents) reproduces the pre-DAG sequential executor exactly.
+// Without a pool, or with a width-1 one, the graph runs serially in
+// insertion order, which for the graphs the planner builds (dependencies
+// are always inserted before their dependents) reproduces the pre-DAG
+// sequential executor exactly.
 package dag
 
 import (
@@ -63,14 +64,11 @@ func (g *Graph) Len() int { return len(g.nodes) }
 
 // Options configures one Run.
 type Options struct {
-	// Workers bounds the number of tasks executing at once. Values <= 1
-	// run the graph serially in insertion order. Ignored when Pool is
-	// set.
-	Workers int
-	// Pool, when non-nil, supplies the worker slots instead of a fresh
-	// NewPool(Workers). Callers pass the same pool to the work their
-	// nodes fan out (shared-scan morsels), so node starts and morsel
-	// helpers draw on one width. A pool belongs to a single Run.
+	// Pool supplies the worker slots: its width bounds the tasks
+	// executing at once, and nil or a width-1 pool runs the graph
+	// serially in insertion order. Callers pass the same pool to the
+	// work their nodes fan out (shared-scan morsels), so node starts and
+	// morsel helpers draw on one width. A pool belongs to a single Run.
 	Pool *Pool
 	// Gate, when non-nil, is called with the node's Cost before the node
 	// starts (after a worker slot is acquired, so a blocked admission
@@ -86,12 +84,9 @@ type Options struct {
 type Stats struct {
 	// Nodes is the number of graph nodes that were scheduled.
 	Nodes int
-	// ParallelPeak is the maximum number of nodes observed running
-	// simultaneously (1 for a serial run of a non-empty graph).
-	ParallelPeak int
 	// WorkerPeak is the pool-wide peak: nodes plus the scan-morsel
 	// helpers they fanned out, everything that held a worker slot at
-	// once. Equals ParallelPeak when no node fanned out.
+	// once (1 for a serial run of a non-empty graph).
 	WorkerPeak int
 }
 
@@ -105,21 +100,16 @@ func (g *Graph) Run(ctx context.Context, opts Options) (Stats, error) {
 	if len(g.nodes) == 0 {
 		return st, ctx.Err()
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = NewPool(opts.Workers)
-	}
-	if pool.Width() <= 1 {
+	if opts.Pool.Width() <= 1 {
 		return g.runSerial(ctx, opts, st)
 	}
-	return g.runParallel(ctx, opts, pool, st)
+	return g.runParallel(ctx, opts, opts.Pool, st)
 }
 
 // runSerial executes nodes one at a time in insertion order, which is a
 // topological order by Add's contract. This is the width-1
 // degradation target: identical work, identical order, no goroutines.
 func (g *Graph) runSerial(ctx context.Context, opts Options, st Stats) (Stats, error) {
-	st.ParallelPeak = 1
 	st.WorkerPeak = 1
 	for _, n := range g.nodes {
 		if err := ctx.Err(); err != nil {
@@ -147,9 +137,8 @@ func (g *Graph) runParallel(ctx context.Context, opts Options, pool *Pool, st St
 	defer cancel()
 
 	var (
-		firstErr  atomic.Pointer[error]
-		wg        sync.WaitGroup
-		cur, peak atomic.Int64
+		firstErr atomic.Pointer[error]
+		wg       sync.WaitGroup
 	)
 	fail := func(err error) {
 		e := err
@@ -192,17 +181,9 @@ func (g *Graph) runParallel(ctx context.Context, opts Options, pool *Pool, st St
 				release()
 				return
 			}
-			running := cur.Add(1)
-			for {
-				p := peak.Load()
-				if running <= p || peak.CompareAndSwap(p, running) {
-					break
-				}
-			}
 			pool.enter()
 			err := n.Run(runCtx)
 			pool.exit()
-			cur.Add(-1)
 			release()
 			if err != nil {
 				fail(fmt.Errorf("%s: %w", n.Label, err))
@@ -211,7 +192,6 @@ func (g *Graph) runParallel(ctx context.Context, opts Options, pool *Pool, st St
 	}
 	wg.Wait()
 
-	st.ParallelPeak = int(peak.Load())
 	st.WorkerPeak = pool.Peak()
 	if p := firstErr.Load(); p != nil {
 		return st, *p

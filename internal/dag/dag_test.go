@@ -10,10 +10,11 @@ import (
 	"time"
 )
 
-// TestSerialOrder: with Workers<=1 nodes run in insertion order, one at a
-// time, which is the pre-DAG sequential executor the system degrades to.
+// TestSerialOrder: without a pool or with a width-1 one, nodes run in
+// insertion order, one at a time, which is the pre-DAG sequential
+// executor the system degrades to.
 func TestSerialOrder(t *testing.T) {
-	for _, workers := range []int{0, 1} {
+	for _, pool := range []*Pool{nil, NewPool(1)} {
 		var g Graph
 		var order []string
 		mk := func(label string, deps ...*Node) *Node {
@@ -26,11 +27,12 @@ func TestSerialOrder(t *testing.T) {
 		b := mk("b", a)
 		mk("c")
 		mk("d", b)
-		st, err := g.Run(context.Background(), Options{Workers: workers})
+		workers := pool.Width()
+		st, err := g.Run(context.Background(), Options{Pool: pool})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if st.Nodes != 4 || st.ParallelPeak != 1 {
+		if st.Nodes != 4 || st.WorkerPeak != 1 {
 			t.Fatalf("workers=%d: stats %+v", workers, st)
 		}
 		if got := fmt.Sprint(order); got != "[a b c d]" {
@@ -66,7 +68,7 @@ func TestDependencies(t *testing.T) {
 			},
 		}, deps...)
 	}
-	if _, err := g.Run(context.Background(), Options{Workers: 8}); err != nil {
+	if _, err := g.Run(context.Background(), Options{Pool: NewPool(8)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,12 +97,12 @@ func TestParallelPeak(t *testing.T) {
 			}
 		}})
 	}
-	st, err := g.Run(context.Background(), Options{Workers: want})
+	st, err := g.Run(context.Background(), Options{Pool: NewPool(want)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ParallelPeak != want {
-		t.Fatalf("peak %d, want %d", st.ParallelPeak, want)
+	if st.WorkerPeak != want {
+		t.Fatalf("peak %d, want %d", st.WorkerPeak, want)
 	}
 }
 
@@ -126,7 +128,7 @@ func TestErrorSkipsDependents(t *testing.T) {
 		ranDependent.Store(true)
 		return nil
 	}}, bad)
-	_, err := g.Run(context.Background(), Options{Workers: 3})
+	_, err := g.Run(context.Background(), Options{Pool: NewPool(3)})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -153,7 +155,7 @@ func TestGate(t *testing.T) {
 			admitted.Add(cost)
 			return func() { released.Add(cost) }, nil
 		}
-		if _, err := g.Run(context.Background(), Options{Workers: workers, Gate: gate}); err != nil {
+		if _, err := g.Run(context.Background(), Options{Pool: NewPool(workers), Gate: gate}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if admitted.Load() != 60 || released.Load() != 60 {
@@ -170,7 +172,7 @@ func TestGateError(t *testing.T) {
 		g.Add(&Node{Label: "n", Run: func(context.Context) error { return nil }})
 		refused := errors.New("refused")
 		gate := func(context.Context, int64) (func(), error) { return nil, refused }
-		if _, err := g.Run(context.Background(), Options{Workers: workers, Gate: gate}); !errors.Is(err, refused) {
+		if _, err := g.Run(context.Background(), Options{Pool: NewPool(workers), Gate: gate}); !errors.Is(err, refused) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, refused)
 		}
 	}
@@ -184,7 +186,7 @@ func TestCanceledContext(t *testing.T) {
 		g.Add(&Node{Label: "n", Run: func(context.Context) error { ran.Store(true); return nil }})
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := g.Run(ctx, Options{Workers: workers}); !errors.Is(err, context.Canceled) {
+		if _, err := g.Run(ctx, Options{Pool: NewPool(workers)}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
 		if ran.Load() {
@@ -196,8 +198,8 @@ func TestCanceledContext(t *testing.T) {
 // TestEmptyGraph: running an empty graph is a no-op.
 func TestEmptyGraph(t *testing.T) {
 	var g Graph
-	st, err := g.Run(context.Background(), Options{Workers: 4})
-	if err != nil || st.Nodes != 0 || st.ParallelPeak != 0 {
+	st, err := g.Run(context.Background(), Options{Pool: NewPool(4)})
+	if err != nil || st.Nodes != 0 || st.WorkerPeak != 0 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
 }

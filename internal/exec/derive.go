@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"slices"
 
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
@@ -77,39 +76,51 @@ func newForest(env *Env, queries []*query.Query) *forest {
 	return f
 }
 
-// roots lists the members in [from, to) that take tuples themselves.
-func (f *forest) roots(from, to int) []int {
-	lo, _ := slices.BinarySearch(f.rootIdx, from)
-	hi, _ := slices.BinarySearch(f.rootIdx, to)
-	return f.rootIdx[lo:hi]
-}
-
-// pipeline builds a pipeline for root member m. The pipeline detaches
-// only when the submissions of m and of every member derived from it
-// are all canceled: a root keeps folding for an attached descendant
-// after its own caller is gone (its Result.Err is set regardless).
-func (f *forest) pipeline(env *Env, stats *Stats, cache *lookupCache, view *star.View, m int) (*queryPipeline, error) {
-	p, err := newQueryPipeline(env, stats, cache, f.queries[m], view)
-	if err != nil {
-		return nil, err
+// lookups returns, per root in root order, the root's lookups (one per
+// dimension), having built those it lacks into the set it reads: the
+// plan's hoisted Env.Lookups when it is given, otherwise a set the pass
+// owns — one for the whole pass when Env.ShareLookups is set (§3.1), one
+// per root when it is not. owned lists the sets the caller closes once
+// the pass is done, also on an error.
+func (f *forest) lookups(env *Env, stats *Stats, view *star.View) (lookups [][]*dimLookup, owned []*LookupSet, err error) {
+	shared := env.Lookups
+	if !env.ShareLookups {
+		shared = nil
 	}
-	p.qctx, p.watch = f.qctx[m], f.watch[m]
-	return p, nil
+	lookups = make([][]*dimLookup, len(f.rootIdx))
+	for k, m := range f.rootIdx {
+		set := shared
+		if set == nil {
+			set = NewLookupSet(env.Mem)
+			owned = append(owned, set)
+			if env.ShareLookups {
+				shared = set
+			}
+		}
+		if lookups[k], err = set.lookups(env, stats, f.queries[m], view); err != nil {
+			return nil, owned, err
+		}
+	}
+	return lookups, owned, nil
 }
 
-// workerSets builds the pipelines of width workers over the roots:
-// worker w's are workerSet(pipes, w), worker 0's being the pass's own.
-// On an error the pipelines built so far are returned for closePipes.
-func (f *forest) workerSets(env *Env, stats *Stats, cache *lookupCache, view *star.View, width int) ([]*queryPipeline, error) {
+// workerSets builds the pipelines of width workers over the roots, on
+// each root's lookups (forest.lookups): worker w's are workerSet(pipes,
+// w), worker 0's being the pass's own. Members below nh are hash
+// members; the rest filter by their result bitmaps. A pipeline detaches
+// only when the submissions of its root and of every member derived
+// from it are all canceled: a root keeps folding for an attached
+// descendant after its own caller is gone (its Result.Err is set
+// regardless).
+func (f *forest) workerSets(env *Env, lookups [][]*dimLookup, view *star.View, nh, width int) []*queryPipeline {
 	pipes := make([]*queryPipeline, width*len(f.rootIdx))
 	for i := range pipes {
-		p, err := f.pipeline(env, stats, cache, view, f.rootIdx[i%len(f.rootIdx)])
-		if err != nil {
-			return pipes, err
-		}
-		pipes[i] = p
+		k := i % len(f.rootIdx)
+		m := f.rootIdx[k]
+		pipes[i] = newQueryPipeline(env, lookups[k], f.queries[m], view, m >= nh)
+		pipes[i].qctx, pipes[i].watch = f.qctx[m], f.watch[m]
 	}
-	return pipes, nil
+	return pipes
 }
 
 // workerSet returns worker w's pipelines, one per root in member order.
@@ -125,7 +136,7 @@ func (f *forest) workerSet(pipes []*queryPipeline, w int) []*queryPipeline {
 // merged rows and finalizes it inline.
 func (f *forest) emit(env *Env, stats *Stats, pipes []*queryPipeline) ([]*Result, error) {
 	members := make([]*queryPipeline, len(f.queries))
-	level := f.roots(0, len(f.queries))
+	level := f.rootIdx
 	roots, width := f.workerSet(pipes, 0), len(pipes)/len(level)
 	for k, m := range level {
 		p := roots[k]

@@ -3,17 +3,18 @@ package exec
 import (
 	"testing"
 
+	"mdxopt/internal/bitmap"
 	"mdxopt/internal/query"
+	"mdxopt/internal/star"
 	"mdxopt/internal/table"
 )
 
 // captureBatches decodes the whole view into cloned batches so tests
 // can re-feed the fold kernel without touching the buffer pool.
-func captureBatches(t testing.TB, env *Env) []*table.Batch {
+func captureBatches(t testing.TB, view *star.View) []*table.Batch {
 	t.Helper()
-	heap := env.DB.Base().Heap
 	var batches []*table.Batch
-	if err := heap.ScanRangeBatches(0, heap.Count(), func(b *table.Batch) error {
+	if err := view.Heap.ScanRangeBatches(0, view.Heap.Count(), func(b *table.Batch) error {
 		batches = append(batches, b.Clone())
 		return nil
 	}); err != nil {
@@ -23,35 +24,66 @@ func captureBatches(t testing.TB, env *Env) []*table.Batch {
 }
 
 // TestFoldLoopAllocs pins the packed kernel's steady-state allocation
-// rate at exactly zero: once the groups are resident and the scratch
-// vectors sized, re-feeding the entire base table must not allocate.
+// rate at exactly zero for both kinds of root: once the groups are
+// resident and the scratch vectors sized, re-feeding every page must
+// not allocate. Hash roots fold every slot of the base table; filter
+// roots fold the A'B'C'D view through their routed selections, and
+// Q7's unindexed D predicate is still tested by the kernel.
 func TestFoldLoopAllocs(t *testing.T) {
 	db, qs := testDB(t)
 	env := NewEnv(db)
-	view := db.Base()
-	batches := captureBatches(t, env)
-
-	stats := &Stats{}
-	cache := newLookupCache(env, stats)
-	defer cache.close()
-	var pipes []*queryPipeline
-	for _, name := range []string{"Q1", "Q2", "Q3", "Q9"} {
-		p, err := newQueryPipeline(env, stats, cache, qs[name], view)
+	set := NewLookupSet(nil)
+	type root struct {
+		p       *queryPipeline
+		bm      *bitmap.Bitset // nil for a hash root
+		batches []*table.Batch
+	}
+	var roots []root
+	add := func(view *star.View, name string, filter bool) *queryPipeline {
+		var st Stats
+		lookups, err := set.lookups(env, &st, qs[name], view)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.close()
+		p := newQueryPipeline(env, lookups, qs[name], view, filter)
+		t.Cleanup(p.close)
 		if p.packer.twoWords() {
 			t.Fatalf("%s took two-word keys on the paper schema", name)
 		}
-		pipes = append(pipes, p)
+		r := root{p: p, batches: captureBatches(t, view)}
+		if filter {
+			if r.bm, err = pipelineBitmap(env, view, p, &st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		roots = append(roots, r)
+		return p
+	}
+	for _, name := range []string{"Q1", "Q2", "Q3", "Q9"} {
+		add(db.Base(), name, false)
+	}
+	indexed := db.ViewByLevels([]int{1, 1, 1, 0})
+	add(indexed, "Q5", true)
+	q7 := add(indexed, "Q7", true)
+	for dim, pass := range q7.filter {
+		if proved := indexed.HasIndex(dim); (pass == nil) != proved {
+			t.Fatalf("Q7 filters dimension %d: %v; indexed: %v", dim, pass != nil, proved)
+		}
 	}
 
+	all := identitySel(nil, indexed.Heap.TuplesPerPage())
+	words := make([]uint64, 0, indexed.Heap.TuplesPerPage()/wordBits+2)
 	feed := func() {
 		var st Stats
-		for _, b := range batches {
-			for _, p := range pipes {
-				p.foldBatch(&st, b)
+		for _, r := range roots {
+			for _, b := range r.batches {
+				sel := all[:b.N]
+				if r.bm != nil {
+					var w0 int
+					words, w0 = maskedWords(words, nil, b.Start, b.Start+int64(b.N))
+					sel = routeWords(r.p.selRows[:0], words, r.bm.Words(), w0)
+				}
+				r.p.foldBatch(&st, b, sel)
 			}
 		}
 	}
@@ -59,9 +91,12 @@ func TestFoldLoopAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, feed); allocs != 0 {
 		t.Fatalf("steady-state fold pass allocates %v objects, want 0", allocs)
 	}
-	for _, p := range pipes {
-		if p.ioErr != nil {
-			t.Fatal(p.ioErr)
+	for _, r := range roots {
+		if r.p.ioErr != nil {
+			t.Fatal(r.p.ioErr)
+		}
+		if r.p.own.TuplesAgg == 0 {
+			t.Fatalf("%s folded nothing", r.p.q.Name)
 		}
 	}
 }

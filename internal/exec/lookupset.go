@@ -5,20 +5,21 @@ import (
 
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
+	"mdxopt/internal/star"
 )
 
-// LookupSet is a collection of dimension lookups built once and shared
-// across the class passes of one executed plan. The per-pass lookupCache
-// shares identical lookups between the queries of *one* shared operator
-// (§3.1); the set extends that sharing across operators: the task-graph
-// executor hoists every distinct lookup a plan needs into per-dimension
-// build nodes, runs them first, and every class pass then probes the
-// finished set through Env.Lookups.
+// LookupSet is a collection of dimension lookups, each built once and
+// shared by every pipeline that reads it — §3.1's table sharing. It is
+// the one place a pipeline gets its lookups from. The task-graph
+// executor hoists every distinct lookup a plan needs into
+// per-dimension build nodes and hands the finished set to each class
+// pass through Env.Lookups; a pass adds to the set it is given whatever
+// its roots still lack, and a pass run on its own builds into a set of
+// its own (sharedPass).
 //
-// Build calls may run concurrently (one build node per dimension);
-// lookups are immutable once registered, so reads after the builds
-// finish are lock-cheap but still serialized for the fallback path,
-// where a pass builds a lookup the planner missed.
+// Build calls may run concurrently (one build node per dimension, or
+// passes of one plan adding what they lack); lookups are immutable once
+// registered.
 type LookupSet struct {
 	mu      sync.Mutex
 	entries map[lookupKey]*dimLookup
@@ -46,58 +47,67 @@ type LookupBuild struct {
 // BuildLookups constructs every listed lookup into set, measuring the
 // dimension-table scan I/O, hash-build rows, wall time, and reserved
 // bytes into stats. Already-present lookups are skipped, so concurrent
-// builders and the fallback path compose safely.
+// builders compose safely.
 func (e *Env) BuildLookups(set *LookupSet, builds []LookupBuild, stats *Stats) error {
 	return e.measure(stats, func() error {
 		for _, b := range builds {
 			if err := e.canceled(); err != nil {
 				return err
 			}
-			grown, err := set.build(e, stats, b.Query, b.Dim, b.ViewLevel)
-			if err != nil {
+			if _, err := set.build(e, stats, b.Query, b.Dim, b.ViewLevel); err != nil {
 				return err
 			}
-			stats.PeakMemory += grown
 		}
 		return nil
 	})
 }
 
-// build constructs and registers the lookup for dimension dim of q
-// against a view column at viewLevel, returning the bytes it reserved
-// (0 when an identical lookup was already present). Lookup memory is
-// required state, so it is an overdraft grant held until Close.
-func (s *LookupSet) build(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (int64, error) {
-	key := lookupKey{dim: dim, viewLevel: viewLevel, sig: q.DimSignature(dim)}
+// build returns the lookup for dimension dim of q against a view column
+// at viewLevel, constructing and registering it unless an identical one
+// is present, and counting the rows and bytes a construction takes into
+// stats. Lookup memory is required state, so it is an overdraft grant
+// held until Close.
+func (s *LookupSet) build(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (*dimLookup, error) {
+	key := keyOf(q, dim, viewLevel)
 	s.mu.Lock()
-	_, ok := s.entries[key]
+	lk, ok := s.entries[key]
 	s.mu.Unlock()
 	if ok {
-		return 0, nil
+		return lk, nil
 	}
 	lk, err := buildLookup(env, stats, q, dim, viewLevel)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	bytes := int64(len(lk.out)) * lookupBytesPerRow
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	if won, ok := s.entries[key]; ok {
 		// Lost a race with a concurrent builder of the same lookup; the
 		// duplicate scan's work is already in stats, but no extra memory
 		// is held.
-		return 0, nil
+		return won, nil
 	}
 	s.entries[key] = lk
+	bytes := int64(len(lk.out)) * lookupBytesPerRow
 	s.res.MustGrow(bytes)
-	return bytes, nil
+	stats.PeakMemory += bytes
+	return lk, nil
 }
 
-// get returns the shared lookup for key, or nil.
-func (s *LookupSet) get(key lookupKey) *dimLookup {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[key]
+// lookups returns q's lookups against view, one per dimension, building
+// into s those it does not hold yet and counting that work into stats as
+// BuildLookups does; the wall time and I/O are the calling pass's to
+// measure.
+func (s *LookupSet) lookups(env *Env, stats *Stats, q *query.Query, view *star.View) ([]*dimLookup, error) {
+	lks := make([]*dimLookup, len(view.Levels))
+	for dim, level := range view.Levels {
+		lk, err := s.build(env, stats, q, dim, level)
+		if err != nil {
+			return nil, err
+		}
+		lks[dim] = lk
+	}
+	return lks, nil
 }
 
 // Len returns the number of distinct lookups held.
@@ -105,13 +115,6 @@ func (s *LookupSet) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// Held returns the bytes the set currently reserves.
-func (s *LookupSet) Held() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.res.Held()
 }
 
 // Close releases the set's memory reservation. Idempotent; call only

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
 	"mdxopt/internal/table"
@@ -31,64 +30,16 @@ type lookupKey struct {
 	sig       string // query-side signature: target level + predicate
 }
 
+// keyOf is the key of the lookup for dimension dim of q against a view
+// column at viewLevel.
+func keyOf(q *query.Query, dim, viewLevel int) lookupKey {
+	return lookupKey{dim: dim, viewLevel: viewLevel, sig: q.DimSignature(dim)}
+}
+
 // lookupBytesPerRow is the estimated footprint of one view-level code in
 // a dimLookup: 4 bytes of out plus 1 byte of pass. The plan.Estimator
 // memory model mirrors this constant.
 const lookupBytesPerRow = 5
-
-// lookupCache shares dimension lookups across the queries of one shared
-// operator invocation. Lookups are required state — the join cannot run
-// without them — so their memory is an overdraft grant on the broker,
-// held until the pass closes the cache.
-type lookupCache struct {
-	env     *Env
-	entries map[lookupKey]*dimLookup
-	stats   *Stats
-	res     *mem.Reservation
-}
-
-func newLookupCache(env *Env, stats *Stats) *lookupCache {
-	return &lookupCache{
-		env:     env,
-		entries: map[lookupKey]*dimLookup{},
-		stats:   stats,
-		res:     env.Mem.Reserve("lookups"),
-	}
-}
-
-// get returns the lookup for dimension dim of q against a view column at
-// viewLevel, building (and, if sharing is enabled, caching) it. Lookups
-// prebuilt into a shared set (Env.Lookups) are preferred — the pass then
-// holds no memory for them and charges no build work; a set miss falls
-// back to the pass-local build below.
-func (c *lookupCache) get(q *query.Query, dim, viewLevel int) (*dimLookup, error) {
-	key := lookupKey{dim: dim, viewLevel: viewLevel, sig: q.DimSignature(dim)}
-	if c.env.ShareLookups {
-		if c.env.Lookups != nil {
-			if lk := c.env.Lookups.get(key); lk != nil {
-				return lk, nil
-			}
-		}
-		if lk, ok := c.entries[key]; ok {
-			return lk, nil
-		}
-	}
-	lk, err := buildLookup(c.env, c.stats, q, dim, viewLevel)
-	if err != nil {
-		return nil, err
-	}
-	c.res.MustGrow(int64(len(lk.out)) * lookupBytesPerRow)
-	if c.env.ShareLookups {
-		c.entries[key] = lk
-	}
-	return lk, nil
-}
-
-// memPeak returns the cache reservation's high-water mark.
-func (c *lookupCache) memPeak() int64 { return c.res.Peak() }
-
-// close releases the cache's memory reservation. Idempotent.
-func (c *lookupCache) close() { c.res.Release() }
 
 // buildLookup scans the stored dimension table to build the join lookup,
 // mirroring the hash-table build phase of the pipelined star join. The
@@ -109,8 +60,7 @@ func buildLookup(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (*d
 	}
 
 	if viewLevel >= d.NumLevels() {
-		// View column is at the ALL level: single code 0.
-		lk.out[0] = 0
+		// View column is at the ALL level: single code 0, out 0.
 		if lk.pass != nil {
 			lk.pass[0] = memberSet[0]
 		}
@@ -126,10 +76,8 @@ func buildLookup(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (*d
 			return nil
 		}
 		seen[code] = true
-		var target int32
-		if targetLevel >= d.NumLevels() {
-			target = 0
-		} else {
+		var target int32 // 0 at the ALL level
+		if targetLevel < d.NumLevels() {
 			target = keys[targetLevel]
 		}
 		lk.out[code] = target
@@ -159,7 +107,12 @@ type accum struct {
 // two-word key takes foldWide.
 type queryPipeline struct {
 	q       *query.Query
-	lookups []*dimLookup // one per dimension, indexed by dim position
+	lookups []*dimLookup // one per dimension, shared by the root's workers
+	// filter holds, per dimension, the pass vector the fold kernel
+	// tests: nil when the dimension is unrestricted or when the root's
+	// result bitmap already proves its predicate (an indexed dimension
+	// of a filter root).
+	filter [][]bool
 
 	packer *keyPacker
 	ftab   *foldTable
@@ -168,9 +121,6 @@ type queryPipeline struct {
 	// steady-state fold loop performs no allocation.
 	selRows []int32
 	selKeys []uint64
-	// restricted lists the dimensions whose predicates foldBatch tests
-	// on a two-word key; nil for a one-word key.
-	restricted []int
 	// qctx is the query's per-submission context (Env.QueryCtx), whose
 	// error the query's result carries. watch holds the contexts the
 	// pipeline folds for — its own and those of the members derived
@@ -190,30 +140,28 @@ type queryPipeline struct {
 	own Stats
 }
 
-func newQueryPipeline(env *Env, stats *Stats, cache *lookupCache, q *query.Query, view *star.View) (*queryPipeline, error) {
-	nd := env.DB.Schema.NumDims()
+// newQueryPipeline builds q's pipeline over view on the given lookups,
+// one per dimension (LookupSet.lookups). A filter root (filter set)
+// leaves its indexed dimensions' predicates to its result bitmap.
+func newQueryPipeline(env *Env, lookups []*dimLookup, q *query.Query, view *star.View, filter bool) *queryPipeline {
 	p := &queryPipeline{
 		q:       q,
-		lookups: make([]*dimLookup, nd),
+		lookups: lookups,
+		filter:  make([][]bool, len(lookups)),
+	}
+	for dim, lk := range lookups {
+		if !filter || view.Indexes[dim] == nil {
+			p.filter[dim] = lk.pass
+		}
 	}
 	p.packer = newKeyPacker(q.Schema, q.Levels)
 	p.ftab = newFoldTable(env, q.Agg, p.packer, q.Name)
 	tpp := view.Heap.TuplesPerPage()
 	p.selRows = make([]int32, 0, tpp)
-	if p.packer.twoWords() {
-		p.restricted = q.RestrictedDims()
-	} else {
+	if !p.packer.twoWords() {
 		p.selKeys = make([]uint64, 0, tpp)
 	}
-	for dim := 0; dim < nd; dim++ {
-		lk, err := cache.get(q, dim, view.Levels[dim])
-		if err != nil {
-			p.close()
-			return nil, err
-		}
-		p.lookups[dim] = lk
-	}
-	return p, nil
+	return p
 }
 
 // close releases the pipeline's aggregation memory and spill file.
@@ -243,69 +191,52 @@ func (p *queryPipeline) detachedNow() bool {
 	return true
 }
 
-// foldBatch pushes one decoded page of tuples through the pipeline —
-// the scan operators' per-pipeline entry point. A one-word key runs the
-// vectorized kernel below; a two-word key folds tuple by tuple.
+// foldBatch pushes the slots sel of one decoded page through the
+// pipeline — the page loop's one entry into the fold kernel, for hash
+// and filter roots alike. A one-word key runs the vectorized kernel
+// below; a two-word key folds tuple by tuple (foldWide).
 //
-// The vectorized kernel processes the batch dimension at a time
+// The vectorized kernel processes the selection dimension at a time
 // instead of tuple at a time, hoisting the per-dimension branches
-// (predicate presence, shift amount) out of the inner loops: dimension
-// 0 seeds a selection vector of surviving row indices and their
-// partial packed keys, each further dimension compacts the selection
-// while OR-ing its field into the keys, and a final tight loop folds
-// the survivors' measures into the table. All scratch lives in the
-// pipeline (selRows/selKeys), so the steady state allocates nothing.
-func (p *queryPipeline) foldBatch(st *Stats, b *table.Batch) {
-	if p.detached || p.ioErr != nil {
+// (filter presence, shift amount) out of the inner loops: sel seeds a
+// vector of surviving row indices beside their zeroed packed keys, each
+// dimension OR-s its field into the keys — compacting the survivors
+// when it has a filter — and a final tight loop folds the survivors'
+// measures into the table. All scratch lives in the pipeline
+// (selRows/selKeys, of which sel may be the first), so the steady state
+// allocates nothing. The kernel counts TuplesAgg and PackedFolds; what
+// sel cost to select (probes, bit tests, fetches) is the caller's to
+// count.
+func (p *queryPipeline) foldBatch(st *Stats, b *table.Batch, sel []int32) {
+	if p.detached || p.ioErr != nil || len(sel) == 0 {
 		return
 	}
-	n := b.N
-	st.TupleProbes += int64(n)
-	p.own.TupleProbes += int64(n)
 	if p.packer.twoWords() {
-		p.foldWide(st, b, identitySel(p.selRows[:0], n), p.restricted)
+		p.foldWide(st, b, sel)
 		return
 	}
 	nk := b.NumKeys()
 	keys := b.Keys
-	rows := p.selRows[:0]
-	pk := p.selKeys[:0]
-
-	lk := p.lookups[0]
-	sh := p.packer.shifts[0]
-	if lk.pass != nil {
-		for t := 0; t < n; t++ {
-			code := keys[t*nk]
-			if !lk.pass[code] {
-				continue
-			}
-			rows = append(rows, int32(t))
-			pk = append(pk, uint64(uint32(lk.out[code]))<<sh)
-		}
-	} else {
-		for t := 0; t < n; t++ {
-			rows = append(rows, int32(t))
-			pk = append(pk, uint64(uint32(lk.out[keys[t*nk]]))<<sh)
-		}
-	}
-	for dim := 1; dim < len(p.lookups); dim++ {
-		lk := p.lookups[dim]
-		sh := p.packer.shifts[dim]
-		if lk.pass != nil {
+	rows := append(p.selRows[:0], sel...)
+	pk := p.selKeys[:len(rows)]
+	clear(pk)
+	for dim, lk := range p.lookups {
+		out, sh := lk.out, p.packer.shifts[dim]
+		if pass := p.filter[dim]; pass != nil {
 			w := 0
 			for i, r := range rows {
 				code := keys[int(r)*nk+dim]
-				if !lk.pass[code] {
+				if !pass[code] {
 					continue
 				}
 				rows[w] = r
-				pk[w] = pk[i] | uint64(uint32(lk.out[code]))<<sh
+				pk[w] = pk[i] | uint64(uint32(out[code]))<<sh
 				w++
 			}
 			rows, pk = rows[:w], pk[:w]
 		} else {
 			for i, r := range rows {
-				pk[i] |= uint64(uint32(lk.out[keys[int(r)*nk+dim]])) << sh
+				pk[i] |= uint64(uint32(out[keys[int(r)*nk+dim]])) << sh
 			}
 		}
 	}
@@ -380,76 +311,18 @@ func (p *queryPipeline) foldSelection(rows []int32, pk []uint64, b *table.Batch)
 	return nil
 }
 
-// foldBatchSel is the index path's per-pipeline entry into the fold
-// kernel: sel holds the batch slots of tuples whose position the
-// query's bitmap already covers, so the indexed predicates are proven
-// and only residual (unindexed restricted) dimensions still filter.
-// Every survivor folds with its full packed key. It counts TuplesAgg
-// (and PackedFolds for a one-word key) in both st and the pipeline's
-// own stats; TuplesFetched and BitTests are the caller's to count —
-// they are properties of the routing, not the fold.
-func (p *queryPipeline) foldBatchSel(st *Stats, b *table.Batch, sel []int32, residual []int) {
-	if p.detached || p.ioErr != nil || len(sel) == 0 {
-		return
-	}
-	if p.packer.twoWords() {
-		p.foldWide(st, b, sel, residual)
-		return
-	}
-	nk := b.NumKeys()
-	keys := b.Keys
-	rows := append(p.selRows[:0], sel...)
-	for _, dim := range residual {
-		lk := p.lookups[dim]
-		if lk.pass == nil {
-			continue
-		}
-		w := 0
-		for _, r := range rows {
-			if lk.pass[keys[int(r)*nk+dim]] {
-				rows[w] = r
-				w++
-			}
-		}
-		rows = rows[:w]
-	}
-	pk := p.selKeys[:0]
-	lk0 := p.lookups[0]
-	sh0 := p.packer.shifts[0]
-	for _, r := range rows {
-		pk = append(pk, uint64(uint32(lk0.out[keys[int(r)*nk]]))<<sh0)
-	}
-	for dim := 1; dim < len(p.lookups); dim++ {
-		lk := p.lookups[dim]
-		sh := p.packer.shifts[dim]
-		for i, r := range rows {
-			pk[i] |= uint64(uint32(lk.out[keys[int(r)*nk+dim]])) << sh
-		}
-	}
-	p.selRows, p.selKeys = rows[:0], pk[:0]
-
-	survivors := int64(len(rows))
-	st.TuplesAgg += survivors
-	p.own.TuplesAgg += survivors
-	st.PackedFolds += survivors
-	p.own.PackedFolds += survivors
-	if err := p.foldSelection(rows, pk, b); err != nil {
-		p.ioErr = err
-	}
-}
-
-// foldWide is foldBatch's and foldBatchSel's loop for a two-word key,
-// tuple at a time: every batch slot of sel whose codes pass the
-// predicates of dims folds its delta under its key. It counts TuplesAgg
-// but not PackedFolds, which count one-word folds only.
-func (p *queryPipeline) foldWide(st *Stats, b *table.Batch, sel []int32, dims []int) {
+// foldWide is foldBatch's loop for a two-word key, tuple at a time:
+// every batch slot of sel whose codes pass the pipeline's filters folds
+// its delta under its key. It counts TuplesAgg but not PackedFolds,
+// which count one-word folds only.
+func (p *queryPipeline) foldWide(st *Stats, b *table.Batch, sel []int32) {
 	nk := b.NumKeys()
 	var folded int64
 tuples:
 	for _, r := range sel {
 		keys := b.Keys[int(r)*nk : int(r+1)*nk]
-		for _, d := range dims {
-			if pass := p.lookups[d].pass; pass != nil && !pass[keys[d]] {
+		for d, pass := range p.filter {
+			if pass != nil && !pass[keys[d]] {
 				continue tuples
 			}
 		}

@@ -80,9 +80,9 @@ func HashJoinQuery(env *Env, view *star.View, q *query.Query, stats *Stats) (*Re
 
 // SharedScanHash evaluates all queries with the shared-scan hash star
 // join operator (§3.1, Fig. 2): one sequential scan of view feeds every
-// query's join + aggregation pipeline, and identical dimension lookup
-// tables are built once when Env.ShareLookups is set. It is SharedMixed
-// without bitmap-filter members.
+// query's join + aggregation pipeline, each identical dimension lookup
+// table built once (Env.ShareLookups). It is SharedMixed without
+// bitmap-filter members.
 func SharedScanHash(env *Env, view *star.View, queries []*query.Query, stats *Stats) ([]*Result, error) {
 	results, _, err := SharedMixed(env, view, queries, nil, stats)
 	return results, err
@@ -91,25 +91,23 @@ func SharedScanHash(env *Env, view *star.View, queries []*query.Query, stats *St
 // resultBitmap builds the query's result bitmap over view: for each
 // restricted dimension *with a bitmap join index* the per-member bitmaps
 // are OR-ed, and the per-dimension results are AND-ed (§3.2 steps 1–5).
-// Restricted dimensions without an index are returned as residual
-// dimensions whose predicate must be applied to each fetched tuple (the
-// paper's test queries all carry a D filter while only A, B and C are
-// indexed). At least one restricted dimension must be indexed, otherwise
-// an index star join is meaningless and ErrNoIndex is returned.
-func resultBitmap(env *Env, view *star.View, q *query.Query, stats *Stats) (*bitmap.Bitset, []int, error) {
+// Restricted dimensions without an index stay for the fold kernel to
+// test on each fetched tuple (the paper's test queries all carry a D
+// filter while only A, B and C are indexed; see newQueryPipeline). At
+// least one restricted dimension must be indexed, otherwise an index
+// star join is meaningless and ErrNoIndex is returned.
+func resultBitmap(env *Env, view *star.View, q *query.Query, stats *Stats) (*bitmap.Bitset, error) {
 	var acc *bitmap.Bitset
-	var residual []int
 	restricted := q.RestrictedDims()
 	for _, dim := range restricted {
 		ix := view.Indexes[dim]
 		if ix == nil {
-			residual = append(residual, dim)
 			continue
 		}
 		codes := q.ViewPredicate(dim, view.Levels[dim])
 		bs, words, err := ix.OrOf(codes)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		stats.BitmapWords += words
 		if acc == nil {
@@ -120,23 +118,23 @@ func resultBitmap(env *Env, view *star.View, q *query.Query, stats *Stats) (*bit
 	}
 	if acc == nil {
 		if len(restricted) > 0 {
-			return nil, nil, fmt.Errorf("%w: %s has no usable index for %s", ErrNoIndex, view.Name, q)
+			return nil, fmt.Errorf("%w: %s has no usable index for %s", ErrNoIndex, view.Name, q)
 		}
 		acc = bitmap.NewFull(view.Rows())
 	}
-	return acc, residual, nil
+	return acc, nil
 }
 
 // pipelineBitmap builds p's result bitmap, charging the bitmap work to
 // the pipeline's own stats as well as the pass stats.
-func pipelineBitmap(env *Env, view *star.View, p *queryPipeline, stats *Stats) (*bitmap.Bitset, []int, error) {
+func pipelineBitmap(env *Env, view *star.View, p *queryPipeline, stats *Stats) (*bitmap.Bitset, error) {
 	before := stats.BitmapWords
-	bs, residual, err := resultBitmap(env, view, p.q, stats)
+	bs, err := resultBitmap(env, view, p.q, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p.own.BitmapWords += stats.BitmapWords - before
-	return bs, residual, nil
+	return bs, nil
 }
 
 // IndexJoinQuery evaluates a single query with a bitmap-index star join
@@ -183,20 +181,32 @@ func SharedMixed(env *Env, view *star.View, hashQueries, indexQueries []*query.Q
 // pool workers (poolDrive), each folding into its own pipeline set;
 // emit combines the worker tables key range by key range (finalize.go).
 // Results come back in member order, hash members first.
+//
+// Before any pipeline exists the pass builds the lookups its roots
+// lack (forest.lookups), so pipelines only read finished lookup sets.
 func sharedPass(env *Env, view *star.View, hashQueries, filterQueries []*query.Query, probe bool, stats *Stats) ([]*Result, error) {
 	if len(hashQueries)+len(filterQueries) == 0 {
 		return nil, nil
 	}
-	if err := checkAnswerable(env, view, hashQueries); err != nil {
-		return nil, err
-	}
-	if err := checkAnswerable(env, view, filterQueries); err != nil {
+	members := append(append([]*query.Query(nil), hashQueries...), filterQueries...)
+	if err := checkAnswerable(env, view, members); err != nil {
 		return nil, err
 	}
 	var results []*Result
 	err := env.measure(stats, func() error {
-		cache := newLookupCache(env, stats)
-		defer cache.close()
+		// Only the roots of the derivation forest take tuples: a derived
+		// member — hash or bitmap-filter alike — needs no lookups, builds
+		// no result bitmap and is folded from its parent at emit.
+		f := newForest(env, members)
+		lookups, owned, err := f.lookups(env, stats, view)
+		defer func() {
+			for _, set := range owned {
+				set.Close()
+			}
+		}()
+		if err != nil {
+			return err
+		}
 		// Result bitmaps (and the union) are required state: the pass
 		// cannot run without them, so their footprint is an overdraft
 		// grant held for the duration of the pass. The workers' page
@@ -204,44 +214,40 @@ func sharedPass(env *Env, view *star.View, hashQueries, filterQueries []*query.Q
 		bres := env.Mem.Reserve("bitmaps")
 		defer bres.Release()
 		width := env.scanWidth()
-		// Only the roots of the derivation forest take tuples: a derived
-		// member — hash or bitmap-filter alike — builds no result bitmap
-		// and is folded from its parent at emit.
-		f := newForest(env, append(append([]*query.Query(nil), hashQueries...), filterQueries...))
-		pipes, err := f.workerSets(env, stats, cache, view, width)
+		nh := len(hashQueries)
+		pipes := f.workerSets(env, lookups, view, nh, width)
 		defer closePipes(pipes)
-		if err != nil {
-			return err
-		}
 		own := f.workerSet(pipes, 0)
 		s := &pagePass{
-			view: view,
-			nh:   len(f.roots(0, len(hashQueries))),
-			tpp:  int64(view.Heap.TuplesPerPage()),
-			rows: view.Rows(),
+			view:    view,
+			bitmaps: make([]*bitmap.Bitset, len(own)),
+			tpp:     int64(view.Heap.TuplesPerPage()),
+			rows:    view.Rows(),
 		}
-		s.bitmaps = make([]*bitmap.Bitset, 0, len(own)-s.nh)
-		s.residuals = make([][]int, 0, len(own)-s.nh)
-		for _, p := range own[s.nh:] {
-			bs, residual, err := pipelineBitmap(env, view, p, stats)
+		var filters []*bitmap.Bitset
+		for k, m := range f.rootIdx {
+			if m < nh {
+				continue // a hash root selects every slot
+			}
+			bs, err := pipelineBitmap(env, view, own[k], stats)
 			if err != nil {
 				return err
 			}
 			bres.MustGrow(bitsetBytes(s.rows))
-			s.bitmaps = append(s.bitmaps, bs)
-			s.residuals = append(s.residuals, residual)
+			s.bitmaps[k] = bs
+			filters = append(filters, bs)
 		}
 		// A single root probes its own bitmap directly; a real union is
 		// accumulated into a fresh bitset (no clone of the first operand)
 		// with the n-1 ORs charged as bitmap work, same as the estimator
 		// prices them.
 		if probe {
-			s.union = s.bitmaps[0]
-			if len(s.bitmaps) > 1 {
+			s.union = filters[0]
+			if len(filters) > 1 {
 				s.union = bitmap.New(s.rows)
 				bres.MustGrow(bitsetBytes(s.rows))
-				s.union.CopyFrom(s.bitmaps[0])
-				for _, bs := range s.bitmaps[1:] {
+				s.union.CopyFrom(filters[0])
+				for _, bs := range filters[1:] {
 					stats.BitmapWords += bs.OrInto(s.union)
 				}
 			}
@@ -260,7 +266,7 @@ func sharedPass(env *Env, view *star.View, hashQueries, filterQueries []*query.Q
 		if err != nil {
 			return err
 		}
-		stats.PeakMemory += cache.memPeak() + bres.Peak()
+		stats.PeakMemory += bres.Peak()
 		results, err = f.emit(env, stats, pipes)
 		return err
 	})

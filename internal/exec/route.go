@@ -19,7 +19,9 @@ import (
 //
 // Per page, the loop builds the selection around 64-bit words and a
 // selection vector, pins and decodes the selected slots once
-// (table.HeapFile.FetchPage), and folds the dense batch:
+// (table.HeapFile.FetchPage), and folds the dense batch into every root
+// through the one fold kernel (foldBatch), each root with its own
+// selection of the batch's slots:
 //
 //   - maskedWords slices the selection's words covering the page,
 //     masking the page-boundary edge words (pages are not word-aligned:
@@ -27,20 +29,24 @@ import (
 //     words are all ones.
 //   - expandWords turns those words into the selection vector of
 //     page-relative slot numbers, one trailing-zeros step per set bit.
-//   - hash roots fold the whole batch (foldBatch); a filter root routes
-//     it with routeWords — one AND of each selection word against the
-//     root's bitmap word replaces up to 64 scalar Get calls, and each
-//     hit bit's rank among the selection's set bits is exactly its slot
-//     in the dense batch. A root whose bitmap is the selection (a
-//     single-root probe) takes the whole batch.
+//   - a hash root selects every slot. Hash roots ride the scan regime
+//     only, where the page's selection vector is every slot already.
+//   - a filter root routes the batch with routeWords — one AND of each
+//     selection word against the root's bitmap word replaces up to 64
+//     scalar Get calls, and each hit bit's rank among the selection's
+//     set bits is exactly its slot in the dense batch. A root whose
+//     bitmap is the selection (a single-root probe) takes the whole
+//     batch. Either way its bitmap has proved its indexed predicates,
+//     so the kernel tests only its unindexed ones.
 //
 // The counters are the logical per-tuple work, not the instructions. A
-// scanned page's rows are TuplesScanned, and each attached filter root
-// is charged that many BitTests and its hits as TuplesFetched, pass and
-// own. A probed page's selection popcount is the pass's TuplesFetched;
-// each attached root that routes is charged that popcount of BitTests
-// and its hits as its own TuplesFetched. They are closed-form in the
-// bitmaps and identical at every worker width.
+// scanned page's rows are TuplesScanned; each attached hash root is
+// charged them as TupleProbes, and each attached filter root that many
+// BitTests and its hits as TuplesFetched, pass and own. A probed page's
+// selection popcount is the pass's TuplesFetched; each attached root
+// that routes is charged that popcount of BitTests and its hits as its
+// own TuplesFetched. They are closed-form in the bitmaps and identical
+// at every worker width.
 
 // maskedWords copies the bitset words covering rows [from, to) into
 // dst, masking bits below from in the first word and at/above to in the
@@ -150,23 +156,21 @@ type pagePass struct {
 	// union is the probe regime's selection, the OR of bitmaps (or the
 	// single root's bitmap itself); nil selects every slot, the scan
 	// regime.
-	union     *bitmap.Bitset
-	bitmaps   []*bitmap.Bitset // each filter root's result bitmap
-	residuals [][]int          // each filter root's unindexed restricted dims
-	nh        int              // hash roots, which lead every worker's set
+	union *bitmap.Bitset
+	// bitmaps holds each root's result bitmap, in root order; nil for a
+	// hash root.
+	bitmaps   []*bitmap.Bitset
 	tpp, rows int64
 }
 
-// pageWorker is one worker's private state: its pipeline set (hash
-// roots first, then filter roots), the reusable page batch, one
-// selection vector and the masked-word scratch. All buffers are sized
-// to one page, so the steady-state page loop performs no allocation.
+// pageWorker is one worker's private state: its pipeline set (one per
+// root, in root order), the reusable page batch, the selection vector
+// and the masked-word scratch. All buffers are sized to one page, so
+// the steady-state page loop performs no allocation.
 type pageWorker struct {
 	pipes []*queryPipeline
 	batch *table.Batch
-	// sel holds the page slots that drive FetchPage, then — the fetch
-	// being done with it — each filter root's routed batch slots.
-	sel   []int32
+	sel   []int32  // the page slots that drive FetchPage
 	words []uint64 // the selection's masked words over the current page
 	st    Stats    // the worker's work, added to the pass's after the loop
 }
@@ -200,7 +204,6 @@ func (s *pagePass) pages(env *Env, w *pageWorker, fromPage, toPage int64) error 
 	if s.union != nil {
 		uw = s.union.Words()
 	}
-	filters := w.pipes[s.nh:]
 	for pg := fromPage; pg < toPage; pg++ {
 		from := pg * s.tpp
 		to := min(from+s.tpp, s.rows)
@@ -223,25 +226,30 @@ func (s *pagePass) pages(env *Env, w *pageWorker, fromPage, toPage int64) error 
 		} else {
 			st.TuplesFetched += n
 		}
-		for _, p := range w.pipes[:s.nh] {
-			p.foldBatch(st, w.batch)
-		}
-		for i, p := range filters {
+		for i, p := range w.pipes {
 			if p.detached {
 				continue
 			}
-			if s.bitmaps[i] == s.union { // the whole batch is its hits
-				w.sel = identitySel(w.sel[:0], int(n))
-			} else {
+			// A filter root routes into its own scratch, leaving w.sel —
+			// every slot of a scanned page — to the hash roots.
+			sel := w.sel
+			switch bm := s.bitmaps[i]; {
+			case bm == nil:
+				st.TupleProbes += n
+				p.own.TupleProbes += n
+			case bm == s.union: // the whole batch is its hits
+				sel = identitySel(p.selRows[:0], int(n))
+				p.own.TuplesFetched += n
+			default:
 				st.BitTests += n
 				p.own.BitTests += n
-				w.sel = routeWords(w.sel[:0], w.words, s.bitmaps[i].Words(), w0)
+				sel = routeWords(p.selRows[:0], w.words, bm.Words(), w0)
 				if s.union == nil {
-					st.TuplesFetched += int64(len(w.sel))
+					st.TuplesFetched += int64(len(sel))
 				}
+				p.own.TuplesFetched += int64(len(sel))
 			}
-			p.own.TuplesFetched += int64(len(w.sel))
-			p.foldBatchSel(st, w.batch, w.sel, s.residuals[i])
+			p.foldBatch(st, w.batch, sel)
 		}
 	}
 	return nil

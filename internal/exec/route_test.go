@@ -201,8 +201,11 @@ func rootFetches(t *testing.T, view *star.View, group []*query.Query, from int) 
 	env := NewEnv(sharedDB)
 	own = make([]int64, len(group))
 	union = bitmap.New(view.Rows())
-	for _, m := range newForest(env, group).roots(from, len(group)) {
-		bs, _, err := resultBitmap(env, view, group[m], new(Stats))
+	for _, m := range newForest(env, group).rootIdx {
+		if m < from {
+			continue
+		}
+		bs, err := resultBitmap(env, view, group[m], new(Stats))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,33 +398,33 @@ func emptyQuery(t *testing.T, db *star.Database) *query.Query {
 func testPass(t *testing.T, env *Env, view *star.View, hash, filters []*query.Query, probe bool) (*pagePass, *pageWorker) {
 	t.Helper()
 	var st Stats
-	cache := newLookupCache(env, &st)
-	t.Cleanup(cache.close)
-	s := &pagePass{view: view, nh: len(hash), tpp: int64(view.Heap.TuplesPerPage()), rows: view.Rows()}
+	set := NewLookupSet(nil)
+	s := &pagePass{view: view, tpp: int64(view.Heap.TuplesPerPage()), rows: view.Rows()}
 	var pipes []*queryPipeline
+	var filterMaps []*bitmap.Bitset
 	for i, q := range append(append([]*query.Query(nil), hash...), filters...) {
-		p, err := newQueryPipeline(env, &st, cache, q, view)
+		lookups, err := set.lookups(env, &st, q, view)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := newQueryPipeline(env, lookups, q, view, i >= len(hash))
 		t.Cleanup(p.close)
 		pipes = append(pipes, p)
-		if i < len(hash) {
-			continue
-		}
-		bs, residual, err := pipelineBitmap(env, view, p, &st)
-		if err != nil {
-			t.Fatal(err)
+		var bs *bitmap.Bitset
+		if i >= len(hash) {
+			if bs, err = pipelineBitmap(env, view, p, &st); err != nil {
+				t.Fatal(err)
+			}
+			filterMaps = append(filterMaps, bs)
 		}
 		s.bitmaps = append(s.bitmaps, bs)
-		s.residuals = append(s.residuals, residual)
 	}
 	if probe {
-		s.union = s.bitmaps[0]
-		if len(s.bitmaps) > 1 {
+		s.union = filterMaps[0]
+		if len(filterMaps) > 1 {
 			s.union = bitmap.New(s.rows)
-			s.union.CopyFrom(s.bitmaps[0])
-			for _, bs := range s.bitmaps[1:] {
+			s.union.CopyFrom(filterMaps[0])
+			for _, bs := range filterMaps[1:] {
 				bs.OrInto(s.union)
 			}
 		}

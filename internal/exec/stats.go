@@ -3,8 +3,8 @@
 // and — the paper's §3 contribution — the three *shared* operators:
 //
 //   - SharedScanHash: one scan of a common base table drives many hash
-//     star-join + aggregation pipelines, with dimension lookup tables
-//     shared between queries that need identical ones (§3.1).
+//     star-join + aggregation pipelines, with each dimension lookup
+//     table built once for all queries that need it (§3.1, LookupSet).
 //   - SharedIndex: per-query result bitmaps are OR-ed and the base table
 //     is probed once; fetched tuples are routed to each query's
 //     aggregation by re-testing its bitmap (§3.2).
@@ -142,8 +142,8 @@ type Env struct {
 	DB *star.Snapshot
 	// ShareLookups enables sharing identical dimension lookup tables
 	// between the queries of one shared-scan operator (§3.1's second
-	// sharing opportunity). On by default; the ablation benchmark turns
-	// it off.
+	// sharing opportunity); off, each root of a pass builds its own. On
+	// by default; the ablation benchmark turns it off.
 	ShareLookups bool
 	// Pool, when non-nil, is the worker pool a pass fans out on: its
 	// width is the pass's worker count, and its scan and probe morsels
@@ -184,11 +184,10 @@ type Env struct {
 	// Merge memory per partition is roughly the final group footprint
 	// divided by the fanout.
 	SpillFanout int
-	// Lookups, when non-nil, is a set of prebuilt dimension lookups
-	// shared across passes: the task-graph executor hoists lookup builds
-	// out of the class passes and runs each pass with the finished set.
-	// Passes fall back to building privately when a lookup is missing.
-	// Consulted only when ShareLookups is set.
+	// Lookups, when non-nil, is the plan's dimension lookup set, shared
+	// across its passes: the task-graph executor hoists lookup builds
+	// out of the class passes, and a pass adds any its roots still lack.
+	// nil gives each pass a set of its own. Ignored without ShareLookups.
 	Lookups *LookupSet
 	// IOFiles, when non-nil, restricts measure's I/O accounting to the
 	// listed files' own counters instead of the pool-global delta. The

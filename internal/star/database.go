@@ -433,23 +433,10 @@ func (db *Database) materialize(levels []int, multi bool) (*View, error) {
 		return nil, err
 	}
 
-	// Hash aggregation: roll each source tuple up to the target levels.
-	nd := db.Schema.NumDims()
-	agg := newGroupAgg(nd, src.Rows())
-	rolled := make([]int32, nd)
-	var y storage.Yielder
-	err = src.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
-		y.Tick()
-		for i := 0; i < nd; i++ {
-			rolled[i] = db.Schema.Dims[i].RollUp(keys[i], src.Levels[i], levels[i])
-		}
-		agg.add(rolled, TupleAggregates(src, measures))
-		return nil
-	})
+	agg, err := db.aggregate(src, levels, 0)
 	if err != nil {
 		return nil, err
 	}
-
 	if err := appendGroups(out.Heap, agg, out.MultiAgg(), true); err != nil {
 		return nil, err
 	}

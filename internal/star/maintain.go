@@ -80,7 +80,7 @@ func (db *Database) Refresh() error {
 
 func (db *Database) refreshView(v *View, baseRows int64) error {
 	from := v.refreshedRows
-	agg, err := db.aggregateBase(v.Levels, from)
+	agg, err := db.aggregate(db.Base(), v.Levels, from)
 	if err != nil {
 		return err
 	}
@@ -91,24 +91,25 @@ func (db *Database) refreshView(v *View, baseRows int64) error {
 	return db.rebuildIndexesLocked(v)
 }
 
-// aggregateBase aggregates base rows with row number >= from up to the
-// given level vector, producing full (sum, count, min, max)
-// accumulators.
-func (db *Database) aggregateBase(levels []int, from int64) (*groupAgg, error) {
+// aggregate hash-aggregates src's rows from row number from on, each
+// rolled up to the given level vector, into full (sum, count, min, max)
+// accumulators — the one scan of materialize (src the cheapest source),
+// Refresh (the base table's appended delta) and Compact (the view
+// itself, where the roll-up is the identity).
+func (db *Database) aggregate(src *View, levels []int, from int64) (*groupAgg, error) {
 	nd := db.Schema.NumDims()
-	base := db.Base()
-	agg := newGroupAgg(nd, base.Rows()-from)
+	agg := newGroupAgg(nd, src.Rows()-from)
 	rolled := make([]int32, nd)
 	var y storage.Yielder
-	err := base.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
+	err := src.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
 		y.Tick()
 		if row < from {
 			return nil
 		}
-		for i := 0; i < nd; i++ {
-			rolled[i] = db.Schema.Dims[i].RollUp(keys[i], 0, levels[i])
+		for i := range rolled {
+			rolled[i] = db.Schema.Dims[i].RollUp(keys[i], src.Levels[i], levels[i])
 		}
-		agg.add(rolled, TupleAggregates(base, measures))
+		agg.add(rolled, TupleAggregates(src, measures))
 		return nil
 	})
 	if err != nil {
@@ -232,13 +233,7 @@ func (db *Database) Compact(v *View) error {
 	if v.IsBase() {
 		return fmt.Errorf("star: cannot compact the base table")
 	}
-	agg := newGroupAgg(db.Schema.NumDims(), v.Rows())
-	var y storage.Yielder
-	err := v.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
-		y.Tick()
-		agg.add(keys, TupleAggregates(v, measures))
-		return nil
-	})
+	agg, err := db.aggregate(v, v.Levels, 0)
 	if err != nil {
 		return err
 	}
