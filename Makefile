@@ -45,7 +45,8 @@ race:
 # test (random expressions x random configuration against exec.Naive),
 # the one-request-path tests (lone and merged requests sharing one
 # plan-cache entry), one cached composition run by two runners at once,
-# and the admission queue's goroutine ownership and option merging.
+# the admission queue's goroutine ownership and option merging, and the
+# per-request fallback when a merged composition fails to plan.
 # The partition-wise finalization, derivation and fold-table merge
 # suites, and the shared page loop's equivalence and regime suites, run
 # again at -cpu 1,4, so their pool tasks really run concurrently under
@@ -53,7 +54,7 @@ race:
 race-dag:
 	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
 	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestFinalizeOrder|TestFoldTableMerge|TestSharedIndexVectorScalar|TestSharedMixedVectorScalar|TestSharedPassRegimes' ./internal/exec
-	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive|TestOneRequestPath|TestSharedCompositionOverlaps|TestAdmissionOwnsNoIdleGoroutine|TestEquivalentOptionsMerge|TestBatched' .
+	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive|TestOneRequestPath|TestSharedCompositionOverlaps|TestAdmissionOwnsNoIdleGoroutine|TestEquivalentOptionsMerge|TestBatched|TestServePlanFailureFallsBackPerSubmission' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
 # codec and sort order at one and two words, the rollup key remap, the

@@ -188,37 +188,6 @@ func (b *Bitset) ForEach(fn func(i int64)) {
 	}
 }
 
-// Iterator returns a function producing set-bit indexes in ascending
-// order and -1 when exhausted, matching table.HeapFile.FetchRows. The
-// iterator caches its current word and strips one trailing set bit per
-// call, so a full traversal costs one pass over the words instead of a
-// NextSet rescan per produced bit.
-func (b *Bitset) Iterator() func() int64 {
-	wi := 0
-	var w uint64
-	if len(b.words) > 0 {
-		w = b.words[0]
-	}
-	return func() int64 {
-		for w == 0 {
-			wi++
-			if wi >= len(b.words) {
-				return -1
-			}
-			w = b.words[wi]
-		}
-		t := bits.TrailingZeros64(w)
-		w &= w - 1
-		i := int64(wi)*wordBits + int64(t)
-		if i >= b.n {
-			wi = len(b.words)
-			w = 0
-			return -1
-		}
-		return i
-	}
-}
-
 func (b *Bitset) String() string {
 	return fmt.Sprintf("Bitset{len=%d set=%d}", b.n, b.Count())
 }

@@ -44,35 +44,6 @@ func TestBitsetNextSet(t *testing.T) {
 	}
 }
 
-func TestBitsetIteratorMatchesForEach(t *testing.T) {
-	b := New(500)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 80; i++ {
-		b.Set(int64(rng.Intn(500)))
-	}
-	var fe []int64
-	b.ForEach(func(i int64) { fe = append(fe, i) })
-	it := b.Iterator()
-	var is []int64
-	for v := it(); v >= 0; v = it() {
-		is = append(is, v)
-	}
-	if len(fe) != len(is) {
-		t.Fatalf("ForEach %d items, Iterator %d", len(fe), len(is))
-	}
-	for i := range fe {
-		if fe[i] != is[i] {
-			t.Fatalf("item %d: ForEach=%d Iterator=%d", i, fe[i], is[i])
-		}
-		if i > 0 && fe[i] <= fe[i-1] {
-			t.Fatalf("ForEach not ascending at %d", i)
-		}
-	}
-	if int64(len(fe)) != b.Count() {
-		t.Fatalf("iterated %d, Count %d", len(fe), b.Count())
-	}
-}
-
 func randomBitset(rng *rand.Rand, n int64) *Bitset {
 	b := New(n)
 	for i := int64(0); i < n; i++ {
@@ -175,34 +146,25 @@ func TestBitsetIntoVariantsMatchInPlace(t *testing.T) {
 	}
 }
 
-func TestBitsetIteratorEdgeWords(t *testing.T) {
-	// Word-boundary bits and a full final partial word: the word-cached
-	// iterator must produce exactly the set bits, in order, once.
+func TestBitsetForEachEdgeWords(t *testing.T) {
+	// Word-boundary bits and a full final partial word: ForEach must
+	// produce exactly the set bits, in ascending order, once.
 	b := New(130)
 	for _, i := range []int64{0, 63, 64, 127, 128, 129} {
 		b.Set(i)
 	}
-	it := b.Iterator()
 	var got []int64
-	for v := it(); v >= 0; v = it() {
-		got = append(got, v)
-	}
+	b.ForEach(func(i int64) { got = append(got, i) })
 	want := []int64{0, 63, 64, 127, 128, 129}
 	if len(got) != len(want) {
-		t.Fatalf("iterated %d bits, want %d", len(got), len(want))
+		t.Fatalf("visited %d bits, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("bit %d: got %d, want %d", i, got[i], want[i])
 		}
 	}
-	// Exhausted iterators stay exhausted.
-	if it() != -1 || it() != -1 {
-		t.Fatal("exhausted iterator produced a bit")
-	}
-	if it := New(0).Iterator(); it() != -1 {
-		t.Fatal("zero-length iterator produced a bit")
-	}
+	New(0).ForEach(func(i int64) { t.Fatalf("zero-length bitset visited bit %d", i) })
 }
 
 func TestBitsetLengthMismatchPanics(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // registered.
 type LookupSet struct {
 	mu      sync.Mutex
-	entries map[lookupKey]*dimLookup
+	entries map[string]*dimLookup // by appendLookupKey
 	res     *mem.Reservation
 }
 
@@ -30,7 +30,7 @@ type LookupSet struct {
 // (nil b runs ungoverned). Close the set when the plan finishes.
 func NewLookupSet(b *mem.Broker) *LookupSet {
 	return &LookupSet{
-		entries: map[lookupKey]*dimLookup{},
+		entries: map[string]*dimLookup{},
 		res:     b.Reserve("shared-lookups"),
 	}
 }
@@ -66,15 +66,18 @@ func (e *Env) BuildLookups(set *LookupSet, builds []LookupBuild, stats *Stats) e
 // at viewLevel, constructing and registering it unless an identical one
 // is present, and counting the rows and bytes a construction takes into
 // stats. Lookup memory is required state, so it is an overdraft grant
-// held until Close.
+// held until Close. A hit allocates nothing: the key is built in a
+// stack buffer and copied to the heap only to register a new lookup.
 func (s *LookupSet) build(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (*dimLookup, error) {
-	key := keyOf(q, dim, viewLevel)
+	var buf [64]byte
+	b := appendLookupKey(buf[:0], q, dim, viewLevel)
 	s.mu.Lock()
-	lk, ok := s.entries[key]
+	lk, ok := s.entries[string(b)]
 	s.mu.Unlock()
 	if ok {
 		return lk, nil
 	}
+	key := string(b)
 	lk, err := buildLookup(env, stats, q, dim, viewLevel)
 	if err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func TestPassAddsMissingLookups(t *testing.T) {
 	var missing int
 	var wantRows int64
 	for dim, level := range view.Levels {
-		if keyOf(group[1], dim, level) != keyOf(group[0], dim, level) {
+		if string(appendLookupKey(nil, group[1], dim, level)) != string(appendLookupKey(nil, group[0], dim, level)) {
 			missing++
 			wantRows += int64(db.Schema.Dims[dim].Card(level))
 		}
@@ -104,5 +104,37 @@ func TestUnsharedLookupsPerRoot(t *testing.T) {
 		if st.HashBuildRows != wantRows {
 			t.Fatalf("width %d: built %d rows, want %d", width, st.HashBuildRows, wantRows)
 		}
+	}
+}
+
+// TestLookupSetHitAllocs: once a set holds every lookup a query needs
+// against a view, fetching them allocates only the returned slice — the
+// key of each probe is built on the stack.
+func TestLookupSetHitAllocs(t *testing.T) {
+	db, qs := testDB(t)
+	view := db.Base()
+	env := NewEnv(db)
+	set := NewLookupSet(nil)
+	defer set.Close()
+	for _, name := range []string{"Q1", "Q2"} {
+		if _, err := set.lookups(env, &Stats{}, qs[name], view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := set.Len()
+	var st Stats
+	for _, name := range []string{"Q1", "Q2"} {
+		q := qs[name]
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := set.lookups(env, &st, q, view); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("%s: a complete set's lookups allocate %.1f times, want at most the returned slice", name, allocs)
+		}
+	}
+	if set.Len() != n || st.HashBuildRows != 0 {
+		t.Fatalf("complete set grew %d -> %d and built %d rows", n, set.Len(), st.HashBuildRows)
 	}
 }

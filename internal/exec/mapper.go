@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
@@ -23,17 +24,16 @@ type dimLookup struct {
 	pass []bool  // nil when the dimension is unrestricted
 }
 
-// lookupKey identifies a dimLookup for sharing.
-type lookupKey struct {
-	dim       int
-	viewLevel int
-	sig       string // query-side signature: target level + predicate
-}
-
-// keyOf is the key of the lookup for dimension dim of q against a view
-// column at viewLevel.
-func keyOf(q *query.Query, dim, viewLevel int) lookupKey {
-	return lookupKey{dim: dim, viewLevel: viewLevel, sig: q.DimSignature(dim)}
+// appendLookupKey appends the key that identifies the lookup for
+// dimension dim of q against a view column at viewLevel, for sharing:
+// "dim/viewLevel/" and the query-side signature (target level and
+// predicate, query.DimSignature).
+func appendLookupKey(b []byte, q *query.Query, dim, viewLevel int) []byte {
+	b = strconv.AppendInt(b, int64(dim), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(viewLevel), 10)
+	b = append(b, '/')
+	return q.AppendDimSignature(b, dim)
 }
 
 // lookupBytesPerRow is the estimated footprint of one view-level code in

@@ -68,16 +68,6 @@ func finalValue(avg bool, a, b float64) float64 {
 	return a / b
 }
 
-// Find returns the value for the given group keys.
-func (r *Result) Find(keys []int32) (float64, bool) {
-	for _, g := range r.Groups {
-		if equalKeys(g.Keys, keys) {
-			return g.Value, true
-		}
-	}
-	return 0, false
-}
-
 func equalKeys(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false

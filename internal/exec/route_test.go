@@ -752,11 +752,10 @@ func reportRouted(b *testing.B, routed int64) {
 	}
 }
 
-// BenchmarkFetchBatches compares the production paged fetch loop —
-// word expansion into a selection vector plus one FetchPage into a
-// reused batch, exactly the probe worker's data path — against the
-// per-row FetchRows callback, on a warm pool over a half-dense row
-// set. The paged variant must not allocate.
+// BenchmarkFetchBatches times the production paged fetch loop — word
+// expansion into a selection vector plus one FetchPage into a reused
+// batch, exactly the probe worker's data path — on a warm pool over a
+// half-dense row set. It must not allocate.
 func BenchmarkFetchBatches(b *testing.B) {
 	db, _ := testDB(b)
 	view := db.ViewByLevels([]int{1, 1, 1, 0})
@@ -772,7 +771,12 @@ func BenchmarkFetchBatches(b *testing.B) {
 	tpp := int64(heap.TuplesPerPage())
 	pages := heap.DataPages()
 	// Warm the pool.
-	if err := heap.FetchBatches(sel.Iterator(), func(*table.Batch, []int32) error { return nil }); err != nil {
+	next := int64(0)
+	if err := heap.FetchBatches(func() int64 {
+		row := sel.NextSet(next)
+		next = row + 1
+		return row
+	}, func(*table.Batch, []int32) error { return nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("paged", func(b *testing.B) {
@@ -802,20 +806,7 @@ func BenchmarkFetchBatches(b *testing.B) {
 		}
 		reportRouted(b, fetched)
 	})
-	b.Run("per-row", func(b *testing.B) {
-		b.ReportAllocs()
-		var fetched int64
-		for i := 0; i < b.N; i++ {
-			err := heap.FetchRows(sel.Iterator(), func(row int64, keys []int32, ms []float64) error {
-				fetched++
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRouted(b, fetched)
-	})
+
 }
 
 // passIO is the heap-file I/O of one shared pass over view from a cold

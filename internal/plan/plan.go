@@ -110,27 +110,6 @@ func (c *Class) Queries() []*query.Query {
 	return out
 }
 
-// Origins returns the distinct submission origins of the class's
-// queries in first-appearance order. A class spanning more than one
-// origin merges work across independently submitted requests — the
-// cross-request generalization of the paper's sharing.
-func (c *Class) Origins() []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, p := range c.Plans {
-		o := p.Query.Origin
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// SharesOrigins reports whether the class merges queries from more than
-// one submission.
-func (c *Class) SharesOrigins() bool { return len(c.Origins()) > 1 }
-
 func (c *Class) String() string {
 	parts := make([]string, len(c.Plans))
 	for i, p := range c.Plans {
@@ -166,16 +145,6 @@ func (g *Global) NumQueries() int {
 		n += len(c.Plans)
 	}
 	return n
-}
-
-// CachePlanFor returns the cache plan serving the given query, or nil.
-func (g *Global) CachePlanFor(q *query.Query) *CachePlan {
-	for _, cp := range g.Cached {
-		if cp.Query == q {
-			return cp
-		}
-	}
-	return nil
 }
 
 // PlanFor returns the local plan of the given query, or nil.

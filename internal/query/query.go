@@ -299,18 +299,24 @@ func (q *Query) String() string {
 // dimension need the identical dimension lookup against any one view
 // column, so the operators and the memory model key shared lookups by it.
 func (q *Query) DimSignature(dim int) string {
+	return string(q.AppendDimSignature(make([]byte, 0, 8+6*len(q.Preds[dim].Members)), dim))
+}
+
+// AppendDimSignature appends DimSignature(dim) to b and returns the
+// extended buffer, so a caller probing a map keyed by signatures can
+// build the key without allocating.
+func (q *Query) AppendDimSignature(b []byte, dim int) []byte {
 	p := q.Preds[dim]
-	b := make([]byte, 0, 8+6*len(p.Members))
 	b = strconv.AppendInt(b, int64(q.Levels[dim]), 10)
 	b = append(b, ':')
 	if !p.IsRestricted() {
-		return string(append(b, '*'))
+		return append(b, '*')
 	}
 	for _, m := range p.Members {
 		b = strconv.AppendInt(b, int64(m), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }
 
 // Signature returns a canonical string identifying the query's semantics

@@ -3,21 +3,24 @@ package sched
 import (
 	"context"
 	"errors"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"mdxopt/internal/core"
-	"mdxopt/internal/plan"
-	"mdxopt/internal/query"
 )
 
-// echoRun answers every request with a trivial outcome recording the
+// echo is the tests' reply type: the size of the batch that ran.
+type echo struct{ BatchSize int }
+
+// echoRun answers every request with a trivial reply recording the
 // batch size.
-func echoRun(batch []Request, _ int) []Outcome {
-	outs := make([]Outcome, len(batch))
+func echoRun(batch []Request, _ int) []echo {
+	outs := make([]echo, len(batch))
 	for i := range outs {
 		outs[i].BatchSize = len(batch)
 	}
@@ -36,7 +39,7 @@ func newGatedRun() *gatedRun {
 	return &gatedRun{gate: make(chan struct{}), entered: make(chan []string, 256)}
 }
 
-func (g *gatedRun) run(batch []Request, opts int) []Outcome {
+func (g *gatedRun) run(batch []Request, opts int) []echo {
 	keys := make([]string, len(batch))
 	for i, r := range batch {
 		keys[i] = r.Key
@@ -49,12 +52,12 @@ func (g *gatedRun) run(batch []Request, opts int) []Outcome {
 // result is one asynchronous Submit's return.
 type result struct {
 	key string
-	out *Outcome
+	out *echo
 	err error
 }
 
 // submitAsync submits on a new goroutine and reports on res.
-func submitAsync(ctx context.Context, q *Queue[int], key string, opts int, alone bool, res chan<- result) {
+func submitAsync(ctx context.Context, q *Queue[int, echo], key string, opts int, alone bool, res chan<- result) {
 	go func() {
 		out, err := q.Submit(ctx, key, opts, alone)
 		res <- result{key, out, err}
@@ -63,7 +66,7 @@ func submitAsync(ctx context.Context, q *Queue[int], key string, opts int, alone
 
 // holdSlot submits a blocker that occupies the queue's only slot and
 // waits until it is running.
-func holdSlot(t *testing.T, q *Queue[int], g *gatedRun) <-chan result {
+func holdSlot(t *testing.T, q *Queue[int, echo], g *gatedRun) <-chan result {
 	t.Helper()
 	res := make(chan result, 1)
 	submitAsync(context.Background(), q, "blocker", 0, false, res)
@@ -74,7 +77,7 @@ func holdSlot(t *testing.T, q *Queue[int], g *gatedRun) <-chan result {
 }
 
 // waitQueued waits until n submissions wait behind busy slots.
-func waitQueued(t *testing.T, q *Queue[int], n int) {
+func waitQueued(t *testing.T, q *Queue[int, echo], n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -103,10 +106,10 @@ func collect(t *testing.T, res <-chan result, n int) map[string]result {
 }
 
 func TestIdlePathRunsInlineWithoutAllocating(t *testing.T) {
-	outs := []Outcome{{BatchSize: 1}}
+	outs := []echo{{BatchSize: 1}}
 	var goroutines int
 	var inline bool
-	q := NewQueue(2, func(batch []Request, _ int) []Outcome {
+	q := NewQueue(2, func(batch []Request, _ int) []echo {
 		goroutines = runtime.NumGoroutine()
 		var buf [4096]byte
 		inline = strings.Contains(string(buf[:runtime.Stack(buf[:], false)]), "TestIdlePathRunsInlineWithoutAllocating")
@@ -121,7 +124,7 @@ func TestIdlePathRunsInlineWithoutAllocating(t *testing.T) {
 		t.Fatalf("idle submit ran inline=%t with %d goroutines (had %d): want the caller's goroutine and none started", inline, goroutines, before)
 	}
 
-	q = NewQueue(1, func([]Request, int) []Outcome { return outs })
+	q = NewQueue(1, func([]Request, int) []echo { return outs })
 	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := q.Submit(ctx, "k", 0, false); err != nil {
@@ -196,7 +199,7 @@ func TestUnequalOptionsNeverMerge(t *testing.T) {
 // it runs at once on its caller as a batch of one.
 func TestAloneRequestsRunAlone(t *testing.T) {
 	g := newGatedRun()
-	q := NewQueue(1, func(batch []Request, opts int) []Outcome {
+	q := NewQueue(1, func(batch []Request, opts int) []echo {
 		if batch[0].Key == "blocker" {
 			return g.run(batch, opts)
 		}
@@ -234,7 +237,7 @@ func TestAloneRequestsRunAlone(t *testing.T) {
 // runs at once.
 func TestRunPanicLeavesQueueUsable(t *testing.T) {
 	g := newGatedRun()
-	q := NewQueue(1, func(batch []Request, opts int) []Outcome {
+	q := NewQueue(1, func(batch []Request, opts int) []echo {
 		switch batch[0].Key {
 		case "blocker":
 			return g.run(batch, opts)
@@ -244,7 +247,7 @@ func TestRunPanicLeavesQueueUsable(t *testing.T) {
 		return echoRun(batch, opts)
 	})
 	defer q.Stop()
-	submit := func(key string) (out *Outcome, p any, err error) {
+	submit := func(key string) (out *echo, p any, err error) {
 		defer func() { p = recover() }()
 		out, err = q.Submit(context.Background(), key, 0, false)
 		return out, nil, err
@@ -428,7 +431,7 @@ func TestRunnerMustDeliver(t *testing.T) {
 	// caller, inline or queued: the queue backstops with an error.
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 2)
-	q := NewQueue(1, func(batch []Request, _ int) []Outcome {
+	q := NewQueue(1, func(batch []Request, _ int) []echo {
 		entered <- struct{}{}
 		if batch[0].Key == "first" {
 			<-gate
@@ -449,34 +452,29 @@ func TestRunnerMustDeliver(t *testing.T) {
 	}
 }
 
-func TestExecPlanFailureFallsBackPerSubmission(t *testing.T) {
-	// When planning the merged batch fails, Exec replans each request
-	// alone, so one unplannable request cannot sink its batch mates.
-	// With a planFn that always fails, every request must still get its
-	// own error — delivered from a single-request retry, which we
-	// observe via the calls planFn receives.
-	planErr := errors.New("unplannable")
-	var calls [][]string
-	planFn := func(reqs []Request) ([][]*query.Query, *plan.Global, error) {
-		var keys []string
-		for _, r := range reqs {
-			keys = append(keys, r.Key)
+// TestSchedImportsNoEngine: the queue is generic over the reply type, so
+// its non-test sources import no package of the engine.
+func TestSchedImportsNoEngine(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no non-test sources parsed")
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if path == "mdxopt" || strings.HasPrefix(path, "mdxopt/") {
+					t.Errorf("%s imports %s: the admission queue must not depend on the engine", name, path)
+				}
+			}
 		}
-		calls = append(calls, keys)
-		return nil, nil, planErr
-	}
-	reqs := []Request{{Key: "a"}, {Key: "b"}}
-	outs := Exec(nil, planFn, reqs, core.ExecOptions{})
-	if len(outs) != len(reqs) {
-		t.Fatalf("%d outcomes for %d requests", len(outs), len(reqs))
-	}
-	for i, out := range outs {
-		if !errors.Is(out.Err, planErr) {
-			t.Fatalf("request %s got %v, want the plan error", reqs[i].Key, out.Err)
-		}
-	}
-	// One merged attempt plus one single-request retry each.
-	if len(calls) != 3 || len(calls[0]) != 2 || len(calls[1]) != 1 || len(calls[2]) != 1 {
-		t.Fatalf("planFn call shapes %v, want [a b], [a], [b]", calls)
 	}
 }

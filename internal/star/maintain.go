@@ -53,9 +53,10 @@ func (db *Database) StaleViews() []*View {
 }
 
 // Refresh folds base-table rows appended since each view's last refresh
-// into that view, rebuilds the affected bitmap join indexes, and
-// recomputes the base-table statistics (so selectivity estimates track
-// the loaded data). Views that are already fresh are untouched. The
+// into that view, rebuilds the affected bitmap join indexes, and counts
+// the rows the base-table statistics have not seen into them (so
+// selectivity estimates track the loaded data). Every scan reads only
+// the appended rows. Views that are already fresh are untouched. The
 // result is published as one successor snapshot; readers pinned to
 // older snapshots keep their pre-refresh views (frozen heaps hide the
 // appended delta groups, retired index files outlive the rebuild).
@@ -101,11 +102,8 @@ func (db *Database) aggregate(src *View, levels []int, from int64) (*groupAgg, e
 	agg := newGroupAgg(nd, src.Rows()-from)
 	rolled := make([]int32, nd)
 	var y storage.Yielder
-	err := src.Heap.Scan(func(row int64, keys []int32, measures []float64) error {
+	err := src.Heap.ScanRange(from, src.Rows(), func(row int64, keys []int32, measures []float64) error {
 		y.Tick()
-		if row < from {
-			return nil
-		}
 		for i := range rolled {
 			rolled[i] = db.Schema.Dims[i].RollUp(keys[i], src.Levels[i], levels[i])
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mdxopt/internal/storage"
@@ -124,8 +125,7 @@ func TestRefreshFoldsDelta(t *testing.T) {
 		}
 		keys := make([]int32, 3)
 		ms := make([]float64, 1)
-		it := bs.Iterator()
-		for row := it(); row >= 0; row = it() {
+		bs.ForEach(func(row int64) {
 			if err := v.Heap.FetchRow(row, keys, ms); err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestRefreshFoldsDelta(t *testing.T) {
 				t.Fatalf("index row %d has code %d, want %d", row, keys[0], code)
 			}
 			viaIndex += ms[0]
-		}
+		})
 	}
 	var total float64
 	for _, x := range viewAggregate(t, v) {
@@ -375,5 +375,49 @@ func TestGroupAggMatchesMap(t *testing.T) {
 	}
 	if heap.Count() != int64(len(want)) {
 		t.Fatalf("%d rows appended, want %d", heap.Count(), len(want))
+	}
+}
+
+// TestRefreshReadsOnlyTheDelta: a cold Refresh of three views after a
+// small load reads only the appended rows of the base table — once per
+// view and once for the statistics — not the whole base four times, and
+// the statistics it leaves equal a full recount.
+func TestRefreshReadsOnlyTheDelta(t *testing.T) {
+	db := buildDB(t, 20000)
+	for _, levels := range [][]int{{1, 1, 0}, {2, 0, 1}, {0, 2, 2}} {
+		if _, err := db.Materialize(levels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.RefreshStats(); err != nil {
+		t.Fatal(err)
+	}
+	appendFacts(t, db, 50, 5)
+	if pages := db.Base().Pages(); pages != 50 {
+		t.Fatalf("base spans %d pages, want 50", pages)
+	}
+	if err := db.ColdReset(); err != nil {
+		t.Fatal(err)
+	}
+	base := db.Base().Heap.File()
+	before := base.IOStats()
+	if err := db.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	after := base.IOStats()
+	if fetched := after.Reads() + after.Hits - before.Reads() - before.Hits; fetched > 8 {
+		t.Fatalf("Refresh fetched %d base pages for a 50-row delta, want at most 8", fetched)
+	}
+	for _, v := range db.Views[1:] {
+		if !equalAgg(viewAggregate(t, v), baseOracle(t, db, v.Levels)) {
+			t.Fatalf("refreshed view %s differs from the base oracle", v.Name)
+		}
+	}
+	want, err := db.ComputeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(db.Stats, want) {
+		t.Fatalf("refreshed stats (%d rows) differ from a full recount (%d rows)", db.Stats.Rows, want.Rows)
 	}
 }

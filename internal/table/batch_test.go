@@ -119,6 +119,9 @@ func TestBatchBuffersAreReused(t *testing.T) {
 	}
 }
 
+// TestFetchBatchesMatchesFetchRows checks the page-batched fetch against
+// a full ScanRange: the same rows, keys and measures, one call and at
+// most one physical read per distinct page.
 func TestFetchBatchesMatchesFetchRows(t *testing.T) {
 	const n = 2500
 	pool, h := newHeap(t, testSchema())
@@ -163,15 +166,26 @@ func TestFetchBatchesMatchesFetchRows(t *testing.T) {
 			keys []int32
 			ms   []float64
 		}
+		// The reference: every row read in order by ScanRange, the
+		// selected ones kept.
+		selected := make(map[int64]bool, len(rows))
+		for _, r := range rows {
+			selected[r] = true
+		}
 		var want []tuple
-		err := h.FetchRows(iter(rows), func(row int64, keys []int32, measures []float64) error {
-			want = append(want, tuple{row, append([]int32(nil), keys...), append([]float64(nil), measures...)})
+		err := h.ScanRange(0, n, func(row int64, keys []int32, measures []float64) error {
+			if selected[row] {
+				want = append(want, tuple{row, append([]int32(nil), keys...), append([]float64(nil), measures...)})
+			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("set %d: FetchRows: %v", si, err)
+			t.Fatalf("set %d: ScanRange: %v", si, err)
 		}
 
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
 		pool.ResetStats()
 		var got []tuple
 		pages := 0
@@ -190,7 +204,7 @@ func TestFetchBatchesMatchesFetchRows(t *testing.T) {
 			t.Fatalf("set %d: FetchBatches: %v", si, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("set %d: FetchBatches %d tuples, FetchRows %d", si, len(got), len(want))
+			t.Fatalf("set %d: FetchBatches %d tuples, ScanRange %d", si, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].row != want[i].row {
@@ -214,6 +228,9 @@ func TestFetchBatchesMatchesFetchRows(t *testing.T) {
 		}
 		if pages != len(distinct) {
 			t.Fatalf("set %d: fn called %d times, want %d pages", si, pages, len(distinct))
+		}
+		if reads := pool.Stats().Reads(); reads > int64(len(distinct)) {
+			t.Fatalf("set %d: %d physical reads for %d pages", si, reads, len(distinct))
 		}
 	}
 }
@@ -255,10 +272,10 @@ func TestFetchPageErrors(t *testing.T) {
 	}
 }
 
-// TestWarmScanAllocs pins the scan and row-fetch loops to a constant
-// number of allocations however many pages they pin: the batch (or the
-// row buffers) once per call, nothing per page — the pin itself lives
-// on the caller's stack (storage.Pool.FetchInto).
+// TestWarmScanAllocs pins the scan loop to a constant number of
+// allocations however many pages it pins — the batch once per call,
+// nothing per page; the pin itself lives on the caller's stack
+// (storage.Pool.FetchInto) — and a single-row fetch to none.
 func TestWarmScanAllocs(t *testing.T) {
 	_, h := newHeap(t, testSchema())
 	const rows = 5000 // a few dozen pages, all resident after the first pass
@@ -275,22 +292,6 @@ func TestWarmScanAllocs(t *testing.T) {
 	})
 	if scan > 4 {
 		t.Fatalf("ScanRangeBatches allocates %v objects over %v pages, want at most 4", scan, pages)
-	}
-	fetch := testing.AllocsPerRun(5, func() {
-		next, n := int64(0), 0
-		err := h.FetchRows(func() int64 {
-			if next >= rows {
-				return -1
-			}
-			next += 7
-			return next - 7
-		}, func(int64, []int32, []float64) error { n++; return nil })
-		if err != nil || n == 0 {
-			t.Fatalf("fetched %d rows, err %v", n, err)
-		}
-	})
-	if fetch > 4 {
-		t.Fatalf("FetchRows allocates %v objects over %v pages, want at most 4", fetch, pages)
 	}
 	keys, measures := make([]int32, 4), make([]float64, 1)
 	if row := testing.AllocsPerRun(5, func() {

@@ -375,7 +375,7 @@ func (h *HeapFile) FetchPage(b *Batch, page int64, sel []int32) error {
 }
 
 // FetchBatches reads the rows produced by next (ascending, -1 when
-// exhausted) like FetchRows, but a page at a time: each page's rows are
+// exhausted) a page at a time: each page's rows are
 // collected into a selection vector of page slots, decoded with one pin
 // (FetchPage), and handed to fn as a batch — tuple i of the batch is
 // row b.Start+int64(sel[i]). The batch and selection vector are reused
@@ -428,44 +428,4 @@ func (h *HeapFile) FetchRow(row int64, keys []int32, measures []float64) error {
 	decodeTuple(page.Data()[slot*h.size:], keys, measures)
 	page.Unpin()
 	return nil
-}
-
-// FetchRows reads the rows whose numbers are produced by next (which
-// returns -1 when exhausted) in ascending order, calling fn for each.
-// Ascending order lets consecutive rows on one page share a single fetch.
-func (h *HeapFile) FetchRows(next func() int64, fn func(row int64, keys []int32, measures []float64) error) error {
-	keys := make([]int32, h.schema.NumKeys())
-	measures := make([]float64, h.schema.NumMeasures())
-	var page storage.Page // stack-held pin, valid while pinned != 0
-	var pinned uint32     // data pages are numbered from 1
-	defer func() {
-		if pinned != 0 {
-			page.Unpin()
-		}
-	}()
-	for {
-		row := next()
-		if row < 0 {
-			return nil
-		}
-		if row >= h.count {
-			return fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, row, h.count)
-		}
-		pageNo := uint32(row/int64(h.tpp)) + 1
-		if pageNo != pinned {
-			if pinned != 0 {
-				page.Unpin()
-				pinned = 0
-			}
-			if err := h.pool.FetchInto(h.file, pageNo, &page); err != nil {
-				return err
-			}
-			pinned = pageNo
-		}
-		slot := int(row % int64(h.tpp))
-		decodeTuple(page.Data()[slot*h.size:], keys, measures)
-		if err := fn(row, keys, measures); err != nil {
-			return err
-		}
-	}
 }

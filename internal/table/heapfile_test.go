@@ -107,40 +107,6 @@ func TestHeapFetchRow(t *testing.T) {
 	}
 }
 
-func TestHeapFetchRowsSharesPages(t *testing.T) {
-	pool, h := newHeap(t, testSchema())
-	appendN(t, h, 1000)
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	pool.ResetStats()
-	// All rows on the first data page: one physical read total.
-	rows := []int64{0, 1, 2, 3, 10}
-	i := 0
-	next := func() int64 {
-		if i == len(rows) {
-			return -1
-		}
-		r := rows[i]
-		i++
-		return r
-	}
-	var got []int64
-	err := h.FetchRows(next, func(row int64, keys []int32, measures []float64) error {
-		got = append(got, row)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("fetched %d rows, want %d", len(got), len(rows))
-	}
-	if reads := pool.Stats().Reads(); reads != 1 {
-		t.Fatalf("physical reads = %d, want 1 (page sharing)", reads)
-	}
-}
-
 func TestHeapPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "persist.heap")

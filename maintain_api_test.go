@@ -111,3 +111,47 @@ func findRow(ans *Answer, member string) (float64, bool) {
 	}
 	return 0, false
 }
+
+// TestAddCodesRejectsOutOfRangeCodes: a code outside its dimension's
+// base level, or the wrong number of codes, is refused with an error
+// naming the dimension, and nothing is appended — a later Refresh and
+// Query see only the valid rows.
+func TestAddCodesRejectsOutOfRangeCodes(t *testing.T) {
+	db, err := CreateSample(filepath.Join(t.TempDir(), "db"), 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	facts := db.Facts()
+	loader := db.Load()
+	for _, bad := range []struct {
+		codes []int32
+		dim   string
+	}{
+		{[]int32{1 << 20, 0, 0, 0}, db.Dimensions()[0]},
+		{[]int32{0, 0, -1, 0}, db.Dimensions()[2]},
+	} {
+		err := loader.AddCodes(bad.codes, 1)
+		if err == nil || !strings.Contains(err.Error(), "dimension "+bad.dim+" ") {
+			t.Fatalf("AddCodes(%v) returned %v, want an error naming dimension %s", bad.codes, err, bad.dim)
+		}
+	}
+	if err := loader.AddCodes([]int32{0, 0, 0}, 1); err == nil {
+		t.Fatal("AddCodes accepted three codes for four dimensions")
+	}
+	if err := loader.AddCodes([]int32{0, 0, 0, 0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Facts(); got != facts+1 {
+		t.Fatalf("base holds %d facts after one valid row, want %d", got, facts+1)
+	}
+	if err := db.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD FILTER (D'.DD1)`); err != nil {
+		t.Fatal(err)
+	}
+}

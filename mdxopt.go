@@ -135,7 +135,7 @@ type DB struct {
 
 	// queue admits every request by group commit (internal/sched), with
 	// one runner slot per unit of the database width.
-	queue *sched.Queue[Options]
+	queue *sched.Queue[Options, reply]
 }
 
 type cachedPlan struct {
@@ -535,8 +535,19 @@ func (l *Loader) Add(members []string, measure float64) error {
 	return l.app.Append(l.keys, []float64{measure})
 }
 
-// AddCodes appends one fact given base-level member codes.
+// AddCodes appends one fact given base-level member codes, one per
+// dimension in schema order; a code outside its dimension's base level
+// is refused.
 func (l *Loader) AddCodes(codes []int32, measure float64) error {
+	schema := l.db.db.Schema
+	if len(codes) != schema.NumDims() {
+		return fmt.Errorf("mdxopt: %d codes for %d dimensions", len(codes), schema.NumDims())
+	}
+	for i, code := range codes {
+		if card := schema.Dims[i].Card(0); code < 0 || code >= card {
+			return fmt.Errorf("mdxopt: dimension %s has no base member code %d (%d members)", schema.Dims[i].Name, code, card)
+		}
+	}
 	return l.app.Append(codes, []float64{measure})
 }
 
@@ -696,21 +707,42 @@ func (d *DB) QueryWith(src string, opts Options) (*Answer, error) {
 func (d *DB) QueryContext(ctx context.Context, src string, opts Options) (*Answer, error) {
 	// Options that plan and run alike merge: spell out the defaults.
 	opts.Algorithm, opts.Workers = algorithm(opts), d.effectiveWorkers(opts.Workers)
-	out, err := d.queue.Submit(ctx, src, opts, opts.ColdCache || opts.MemoryBudget > 0)
+	rep, err := d.queue.Submit(ctx, src, opts, opts.ColdCache || opts.MemoryBudget > 0)
 	if err != nil {
 		return nil, err
 	}
-	return d.answer(out), nil
+	return d.answer(rep)
+}
+
+// reply is what serve hands one request back: its queries — the plan
+// cache's objects, read-only — with their results and attributed work,
+// the passes and cache rollups it took part in, and the facts of the
+// whole run, shared by pointer. err, when set, voids the rest.
+type reply struct {
+	err        error
+	queries    []*query.Query
+	results    []*exec.Result
+	perQuery   []exec.Stats
+	classes    []core.ClassStat
+	cached     []*plan.CachePlan
+	sharedWith int
+	run        *servedRun
+}
+
+// servedRun is what every request of one run shares.
+type servedRun struct {
+	plan      string // the global plan in the paper's notation
+	batchSize int
+	ex        *core.Execution
+	epoch     uint64 // the snapshot epoch the run pinned
 }
 
 // serve is the one request path, the admission queue's Run callback.
 // Every composition — a lone request, or a batch merged at a runner slot
 // — pins the published snapshot (mutations proceed concurrently and the
-// whole composition sees one consistent catalog), is planned through
-// the plan cache, and runs once on sched.Exec. At width > 1 each plan
-// node's start is gated on the memory broker with its estimated
-// footprint.
-func (d *DB) serve(reqs []sched.Request, opts Options) []sched.Outcome {
+// whole composition sees one consistent catalog) and is planned, run
+// and demultiplexed by serveOn.
+func (d *DB) serve(reqs []sched.Request, opts Options) []reply {
 	snap, release := d.db.Pin()
 	defer release()
 	env := exec.NewEnv(snap)
@@ -719,15 +751,115 @@ func (d *DB) serve(reqs []sched.Request, opts Options) []sched.Outcome {
 		env.Mem = d.mem.Child(opts.MemoryBudget)
 	}
 	env.SpillDir = d.spillDir
-	planFn := func(reqs []sched.Request) ([][]*query.Query, *plan.Global, error) {
-		perReq, g, err := d.plan(snap, reqs, opts)
-		if err == nil && opts.ColdCache {
-			// After planning, so the run itself starts cold.
-			err = snap.ColdReset()
+	return d.serveOn(env, reqs, opts)
+}
+
+// serveOn plans a composition of requests as one query set through the
+// plan cache, runs the plan once with core.Run on env, and returns one
+// reply per request, in order. A lone request runs under its own
+// context as env.Ctx, so canceling it aborts the run; several run under
+// per-query contexts (env.QueryCtx), so a canceled caller detaches
+// without aborting a pass others share. At width > 1 each plan node's
+// start is gated on the memory broker with its estimated footprint. If
+// planning several requests fails, each is planned and run on its own,
+// so one infeasible request cannot sink its batch mates.
+//
+// Every request is demultiplexed by one rule, a lone request being the
+// composition of one: its Stats are the sum of its queries' attributed
+// work, its passes and cache rollups are those holding a query of its
+// origin, and it shares with the other origins found in them.
+func (d *DB) serveOn(env *exec.Env, reqs []sched.Request, opts Options) []reply {
+	reps := make([]reply, len(reqs))
+	fail := func(err error) []reply {
+		for i := range reps {
+			reps[i].err = err
 		}
-		return perReq, g, err
+		return reps
 	}
-	return sched.Exec(env, planFn, reqs, d.execOptions(snap, d.effectiveWorkers(opts.Workers), env.Mem))
+	perReq, g, err := d.plan(env.DB, reqs, opts)
+	if err == nil && opts.ColdCache {
+		// After planning, so the run itself starts cold.
+		err = env.DB.ColdReset()
+	}
+	switch {
+	case err != nil && len(reqs) > 1:
+		for i := range reqs {
+			reps[i] = d.serveOn(env, reqs[i:i+1], opts)[0]
+		}
+		return reps
+	case err != nil:
+		return fail(err)
+	}
+
+	queries := perReq[0]
+	if len(reqs) == 1 {
+		env.Ctx = reqs[0].Ctx
+	} else {
+		queries = slices.Concat(perReq...)
+		ctxOf := make(map[*query.Query]context.Context, len(queries))
+		for i, qs := range perReq {
+			for _, q := range qs {
+				ctxOf[q] = reqs[i].Ctx
+			}
+		}
+		env.QueryCtx = func(q *query.Query) context.Context { return ctxOf[q] }
+		defer func() { env.QueryCtx = nil }()
+	}
+	var total exec.Stats
+	ex, err := core.Run(env, g, queries, &total, d.execOptions(env.DB, d.effectiveWorkers(opts.Workers), env.Mem))
+	if err != nil {
+		return fail(err)
+	}
+
+	run := &servedRun{plan: g.Describe(), batchSize: len(reqs), ex: ex, epoch: env.DB.Epoch}
+	// seen[o] is the last request (1-based) that counted origin o; a
+	// lone request's origin is 0, a batch's are 1..len(reqs).
+	seen := make([]int, len(reqs)+1)
+	offset := 0
+	for i, qs := range perReq {
+		r := &reps[i]
+		n := len(qs)
+		*r = reply{queries: qs, results: ex.Results[offset : offset+n], perQuery: ex.PerQuery[offset : offset+n], run: run}
+		offset += n
+		if err := resultErr(r.results); err != nil {
+			*r = reply{err: err}
+			continue
+		}
+		origin := qs[0].Origin
+		seen[origin] = i + 1
+		// ex.Classes covers g.Classes followed by one entry per cache
+		// rollup, in g.Cached order.
+		for ci, c := range g.Classes {
+			if !slices.ContainsFunc(c.Plans, func(p *plan.Local) bool { return p.Query.Origin == origin }) {
+				continue
+			}
+			r.classes = append(r.classes, ex.Classes[ci])
+			for _, p := range c.Plans {
+				if o := p.Query.Origin; seen[o] != i+1 {
+					seen[o] = i + 1
+					r.sharedWith++
+				}
+			}
+		}
+		for ci, cp := range g.Cached {
+			if cp.Query.Origin == origin {
+				r.classes = append(r.classes, ex.Classes[len(g.Classes)+ci])
+				r.cached = append(r.cached, cp)
+			}
+		}
+	}
+	return reps
+}
+
+// resultErr returns the first error among a request's results: a
+// detached query's context error.
+func resultErr(rs []*exec.Result) error {
+	for _, r := range rs {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
 }
 
 // parse parses and translates one MDX expression.
@@ -847,15 +979,12 @@ func algorithm(opts Options) Algorithm {
 }
 
 // Explain parses and optimizes an MDX expression, returning the global
-// plan without executing it.
+// plan without executing it. It plans as a lone request does, through
+// the plan cache, so a Query of the same text reuses the plan.
 func (d *DB) Explain(src string, opts Options) (string, error) {
 	snap, release := d.db.Pin()
 	defer release()
-	queries, err := mdx.ParseAndTranslate(snap.Schema, src)
-	if err != nil {
-		return "", err
-	}
-	g, err := d.optimize(snap, queries, opts)
+	_, g, err := d.plan(snap, []sched.Request{{Key: src}}, opts)
 	if err != nil {
 		return "", err
 	}
@@ -874,36 +1003,44 @@ func (d *DB) optimize(snap *star.Snapshot, queries []*query.Query, opts Options)
 	return core.Optimize(est, queries, core.Algorithm(algorithm(opts)))
 }
 
-// answer assembles one request's Answer from its outcome. The cache
-// rollups that served it refresh their entries' recency before its
-// results are admitted to the result cache, so the admission's
-// evictions spare the entries this request just used.
-func (d *DB) answer(out *sched.Outcome) *Answer {
-	d.noteCacheUse(out.Cached, len(out.Queries))
+// answer assembles one request's Answer from its reply, on the
+// caller's goroutine. The cache rollups that served it refresh their
+// entries' recency before its results are admitted to the result cache,
+// so the admission's evictions spare the entries this request just used.
+func (d *DB) answer(rep *reply) (*Answer, error) {
+	if rep.err != nil {
+		return nil, rep.err
+	}
+	run := rep.run
+	d.noteCacheUse(rep.cached, len(rep.queries))
 	// The epoch is the one the run pinned, so cache entries are marked
 	// exactly.
-	evicted := d.putResults(out.Queries, out.Results, out.PerQuery, out.SnapshotEpoch)
+	evicted := d.putResults(rep.queries, rep.results, rep.perQuery, run.epoch)
+	var st exec.Stats
+	for _, s := range rep.perQuery {
+		st.Add(s)
+	}
 	ans := &Answer{
-		Queries:    make([]QueryResult, len(out.Queries)),
-		Plan:       out.Plan,
-		Classes:    make([]ClassStats, len(out.Classes)),
-		Stats:      statsOut(out.Stats),
-		BatchSize:  out.BatchSize,
-		SharedWith: out.SharedWith,
+		Queries:    make([]QueryResult, len(rep.queries)),
+		Plan:       run.plan,
+		Classes:    make([]ClassStats, len(rep.classes)),
+		Stats:      statsOut(st),
+		BatchSize:  run.batchSize,
+		SharedWith: rep.sharedWith,
 	}
-	for i, q := range out.Queries {
-		ans.Queries[i] = d.formatResult(q, out.Results[i])
+	for i, q := range rep.queries {
+		ans.Queries[i] = d.formatResult(q, rep.results[i])
 	}
-	for i, cs := range out.Classes {
+	for i, cs := range rep.classes {
 		ans.Classes[i] = classStatsOut(cs)
 	}
-	ans.Stats.DAGNodes = out.DAGNodes
-	ans.Stats.WorkerPeak = out.WorkerPeak
-	ans.Stats.EffectiveWorkers = out.EffectiveWorkers
-	ans.Stats.SnapshotEpoch = out.SnapshotEpoch
+	ans.Stats.DAGNodes = run.ex.DAGNodes
+	ans.Stats.WorkerPeak = run.ex.WorkerPeak
+	ans.Stats.EffectiveWorkers = run.ex.EffectiveWorkers
+	ans.Stats.SnapshotEpoch = run.epoch
 	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
-	d.cacheCounters(&ans.Stats, out.Results, evicted)
-	return ans
+	d.cacheCounters(&ans.Stats, rep.results, evicted)
+	return ans, nil
 }
 
 // effectiveWorkers resolves one request's unified pool width: the

@@ -207,10 +207,11 @@ func TestResultCacheBatchedPath(t *testing.T) {
 		reqs := []sched.Request{{Key: srcs[0]}, {Key: srcs[1]}}
 		var out []*Answer
 		for _, o := range cdb.serve(reqs, Options{}) {
-			if o.Err != nil {
-				t.Fatal(o.Err)
+			ans, err := cdb.answer(&o)
+			if err != nil {
+				t.Fatal(err)
 			}
-			out = append(out, cdb.answer(&o))
+			out = append(out, ans)
 		}
 		return out
 	}

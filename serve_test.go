@@ -42,11 +42,11 @@ func holdSlots(t *testing.T, db *DB) (waitQueued func(n int), release func()) {
 	held.Add(slots)
 	var runs atomic.Int32
 	orig := db.queue
-	q := sched.NewQueue(slots, func(reqs []sched.Request, opts Options) []sched.Outcome {
+	q := sched.NewQueue(slots, func(reqs []sched.Request, opts Options) []reply {
 		if runs.Add(1) <= int32(slots) {
 			held.Done()
 			<-gate
-			return []sched.Outcome{{Err: errHeld}}
+			return []reply{{err: errHeld}}
 		}
 		return db.serve(reqs, opts)
 	})
@@ -335,13 +335,16 @@ func TestSharedCompositionOverlaps(t *testing.T) {
 		}
 		for i, out := range db.serve(reqs, Options{}) {
 			src := order[i]
-			if out.Err != nil {
-				return out.Err
+			if out.err != nil {
+				return out.err
 			}
-			if got := out.Queries[0].Origin; got != origin[src] {
+			if got := out.queries[0].Origin; got != origin[src] {
 				return fmt.Errorf("request %d has origin %d, want its sorted position %d", i, got, origin[src])
 			}
-			ans := db.answer(&out)
+			ans, err := db.answer(&out)
+			if err != nil {
+				return err
+			}
 			if !reflect.DeepEqual(ans.Queries, want[src].Queries) {
 				return fmt.Errorf("request %d: results differ from the standalone run", i)
 			}
@@ -545,10 +548,7 @@ func TestOneRequestPath(t *testing.T) {
 	queued := run(func(db *DB, src string) (*Answer, error) { return db.QueryWith(src, Options{}) })
 	direct := run(func(db *DB, src string) (*Answer, error) {
 		out := db.serve([]sched.Request{{Key: src, Ctx: context.Background()}}, Options{})[0]
-		if out.Err != nil {
-			return nil, out.Err
-		}
-		return db.answer(&out), nil
+		return db.answer(&out)
 	})
 	for i, src := range srcs {
 		a, b := queued[i], direct[i]
