@@ -36,8 +36,9 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-# Focused race gate for the concurrent layers: the worker pool and
-# task-graph executor, the memory broker, the result cache, the
+# Focused race gate for the concurrent layers: the worker pool and the
+# executor's two task lists (lookup builds, then class passes and cache
+# rollups) claimed on it, the memory broker, the result cache, the
 # sharded buffer pool, the page-batched fetch / bitmap routing layers
 # under the shared page loop's workers, the snapshot-isolated catalog (star,
 # epoch reclamation in storage) with the core executor above it, and
@@ -48,12 +49,14 @@ race:
 # the admission queue's goroutine ownership and option merging, and the
 # per-request fallback when a merged composition fails to plan.
 # The partition-wise finalization, derivation and fold-table merge
-# suites, and the shared page loop's equivalence and regime suites, run
-# again at -cpu 1,4, so their pool tasks really run concurrently under
-# the detector.
+# suites, the task-list driver's suite, the shared page loop's
+# equivalence and regime suites, and the executor's equivalence and
+# error suites run again at -cpu 1,4, so their pool tasks really run
+# concurrently under the detector.
 race-dag:
-	$(GO) test -race ./internal/dag/... ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
-	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestFinalizeOrder|TestFoldTableMerge|TestSharedIndexVectorScalar|TestSharedMixedVectorScalar|TestSharedPassRegimes' ./internal/exec
+	$(GO) test -race ./internal/exec/... ./internal/sched/... ./internal/mem/... ./internal/rescache/... ./internal/storage/... ./internal/table/... ./internal/bitmap/... ./internal/core/... ./internal/star/...
+	$(GO) test -race -cpu 1,4 -run 'TestPartition|TestDerivation|TestMorsel|TestPoolDrive|TestRunTasks|TestFinalizeOrder|TestFoldTableMerge|TestSharedIndexVectorScalar|TestSharedMixedVectorScalar|TestSharedPassRegimes' ./internal/exec
+	$(GO) test -race -cpu 1,4 -run 'TestDAGExecutionEquivalence|TestDAGEquivalenceUnderDetach|TestDAGErrorReleasesResources' ./internal/core
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive|TestOneRequestPath|TestSharedCompositionOverlaps|TestAdmissionOwnsNoIdleGoroutine|TestEquivalentOptionsMerge|TestBatched|TestServePlanFailureFallsBackPerSubmission' .
 
 # Short deterministic runs of the native fuzz targets (packed-key

@@ -12,7 +12,7 @@ import (
 )
 
 // TestWorkersEquivalence runs the same expressions serially and with
-// the parallel task-graph executor and requires byte-identical answers:
+// the parallel executor and requires byte-identical answers:
 // same component queries, groups, orders and values, and the same
 // deterministic work counters.
 func TestWorkersEquivalence(t *testing.T) {
@@ -53,7 +53,7 @@ func TestWorkersEquivalence(t *testing.T) {
 
 // TestWorkersUnderMutation races parallel-executor queries against
 // value-preserving mutations: answers must never change, with the
-// serialization and the task graph's error/cleanup paths exercised
+// serialization and the task lists' error/cleanup paths exercised
 // together.
 func TestWorkersUnderMutation(t *testing.T) {
 	dir, err := os.MkdirTemp("", "mdxopt-dagmut-test")

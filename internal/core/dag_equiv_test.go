@@ -27,7 +27,7 @@ func detCounters(s exec.Stats) [8]int64 {
 }
 
 // runDAG executes g at the given worker count on a fresh broker-governed
-// Env, with per-node admission gating, and verifies the broker drains.
+// Env, with per-task admission gating, and verifies the broker drains.
 func runDAG(t *testing.T, env *exec.Env, g *plan.Global, queries []*query.Query, workers int) (*Execution, exec.Stats) {
 	t.Helper()
 	broker := mem.New(0)
@@ -50,8 +50,8 @@ func runDAG(t *testing.T, env *exec.Env, g *plan.Global, queries []*query.Query,
 	return ex, st
 }
 
-// TestDAGExecutionEquivalence fuzzes the task-graph executor: for random
-// query sets, running the plan's graph at 2 and 4 workers must produce
+// TestDAGExecutionEquivalence fuzzes the executor's task lists: for
+// random query sets, running the plan at 2, 4 and 8 workers must produce
 // byte-identical results (same groups in the same order) and identical
 // deterministic work counters — per attributed query and in total — as
 // the serial order at 1 worker.
@@ -78,8 +78,12 @@ func TestDAGExecutionEquivalence(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4, 8} {
 			got, gotTotal := runDAG(t, env, g, queries, workers)
+			if got.WorkerPeak < 1 || got.WorkerPeak > got.EffectiveWorkers {
+				t.Fatalf("trial %d workers=%d: peak %d of effective width %d",
+					trial, workers, got.WorkerPeak, got.EffectiveWorkers)
+			}
 			if got.DAGNodes != base.DAGNodes {
-				t.Fatalf("trial %d workers=%d: %d nodes vs %d serial",
+				t.Fatalf("trial %d workers=%d: %d tasks vs %d serial",
 					trial, workers, got.DAGNodes, base.DAGNodes)
 			}
 			if detCounters(gotTotal) != detCounters(baseTotal) {
@@ -146,8 +150,8 @@ func TestDAGEquivalenceUnderDetach(t *testing.T) {
 	}
 }
 
-// TestDAGErrorReleasesResources injects disk faults so task-graph nodes
-// fail while others are in flight, and checks the error paths leak
+// TestDAGErrorReleasesResources injects disk faults so tasks fail while
+// others are in flight, and checks the error paths leak
 // nothing: the broker drains to zero, every buffer-pool page is
 // unpinned (FlushAll refuses while pages are pinned), and the engine
 // runs the same plan cleanly once the fault clears.
@@ -169,7 +173,7 @@ func TestDAGErrorReleasesResources(t *testing.T) {
 		})
 	}
 
-	// One faulted file per round: a dimension table (build nodes fail),
+	// One faulted file per round: a dimension table (a build fails),
 	// then each class's view heap (that class's pass fails mid-scan while
 	// its siblings are in flight).
 	victims := []*storage.File{db.DimTables[0].File()}

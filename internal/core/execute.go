@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/exec"
 	"mdxopt/internal/plan"
 	"mdxopt/internal/query"
@@ -23,22 +23,20 @@ type ClassStat struct {
 // ExecOptions configures Run.
 type ExecOptions struct {
 	// Workers is the unified pool width: it bounds every executor
-	// goroutine at once — concurrently running task-graph nodes (class
-	// passes, cache rollups, shared lookup builds) AND the scan-morsel
-	// workers a running class pass fans out, all drawing slots from one
-	// dag.Pool. Values <= 1 run the graph serially in the legacy order
-	// (builds, classes in plan order, cache rollups) with serial scans;
-	// any width produces byte-identical results and identical
-	// deterministic work counters. Widths beyond dag.WorkerCap() are
-	// clamped.
+	// goroutine at once — the workers claiming the run's tasks (lookup
+	// builds, class passes, cache rollups) AND the scan-morsel workers a
+	// running class pass fans out, all holding slots of one exec.Pool.
+	// Values <= 1 run every task inline, in order (builds, classes in
+	// plan order, cache rollups), with serial scans; any width produces
+	// byte-identical results and identical deterministic work counters.
+	// Widths beyond exec.WorkerCap() are clamped.
 	Workers int
-	// Est prices each node's memory footprint for Gate and for the
-	// graph's node costs. nil prices every node at zero (gating then
-	// admits trivially).
+	// Est prices each task's memory footprint for Gate. nil prices
+	// every task at zero (gating then admits trivially).
 	Est *plan.Estimator
-	// Gate, when non-nil, admits each node's estimated footprint before
-	// the node starts — typically mem.Broker.Admit — and its release runs
-	// when the node finishes. Admission defers node starts while memory
+	// Gate, when non-nil, admits each task's estimated footprint before
+	// the task starts — typically mem.Broker.Admit — and its release runs
+	// when the task finishes. Admission defers task starts while memory
 	// is saturated, so at tight budgets inter-class parallelism degrades
 	// toward the serial order instead of violating the budget.
 	Gate func(ctx context.Context, cost int64) (release func(), err error)
@@ -55,14 +53,15 @@ type Execution struct {
 	// Classes covers the plan's classes in order, followed by one entry
 	// per cache-served query (View "cache:<entry>", Regime "cache").
 	Classes []ClassStat
-	// DAGNodes is how many task-graph nodes the plan compiled to.
+	// DAGNodes is how many tasks the plan ran: lookup builds + class
+	// passes + cache rollups.
 	DAGNodes int
-	// WorkerPeak is the pool-wide concurrency peak: nodes running plus
+	// WorkerPeak is the pool-wide concurrency peak: task workers plus
 	// the scan-morsel workers they fanned out, never exceeding the
 	// effective width.
 	WorkerPeak int
 	// EffectiveWorkers is the width the run actually used: the requested
-	// Workers clamped to [1, dag.WorkerCap()].
+	// Workers clamped to [1, exec.WorkerCap()].
 	EffectiveWorkers int
 }
 
@@ -77,30 +76,32 @@ func Execute(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.
 	return ex.Results, nil
 }
 
-// Run compiles a global plan into an operator task graph and executes it
-// on a bounded worker pool (internal/dag):
+// Run executes a global plan as two task lists on one bounded worker
+// pool (exec.RunTasks):
 //
-//   - one node per shared dimension-lookup build, grouped per dimension
-//     and hoisted out of the class passes — classes touching the same
+//   - first the shared dimension-lookup builds, one per dimension,
+//     hoisted out of the class passes — classes touching the same
 //     dimension share one build instead of each rebuilding it;
-//   - one node per class pass (shared scan/index/mixed), depending on
-//     every build node;
-//   - one independent node per cache rollup.
+//   - then one task per class pass (shared scan/index/mixed), followed
+//     by one per cache rollup.
 //
-// Every node runs on a private Env clone and accumulates into a private
-// Stats; totals, attribution and the caller's stats are merged on join,
-// after the graph has fully drained, so no Stats.Add ever races
-// (merge-on-join). At every width each node restricts its I/O accounting
-// to the files it owns (exec.Env.IOFiles): concurrent nodes touch
-// disjoint files, so pool-global deltas would double-count each other's
-// reads, and would also count pages that other goroutines sharing the
-// buffer pool — a maintainer, a concurrent request — read from files the
-// plan never touches. Per-file counters are read-side only, so a node's
-// IO carries no Writes, Allocs or Evictions.
+// The lists run one after the other, so every build has finished before
+// any class pass reads the set; within a list the tasks are mutually
+// independent. Every task runs on a private Env copy and accumulates
+// into a private Stats; totals, attribution and the caller's stats are
+// merged on join, after both lists have drained, so no Stats.Add ever
+// races (merge-on-join). At every width each task restricts its I/O
+// accounting to the files it owns (exec.Env.IOFiles): concurrent tasks
+// touch disjoint files, so pool-global deltas would double-count each
+// other's reads, and would also count pages that other goroutines
+// sharing the buffer pool — a maintainer, a concurrent request — read
+// from files the plan never touches. Per-file counters are read-side
+// only, so a task's IO carries no Writes, Allocs or Evictions.
 //
-// The first node error cancels the rest of the graph; in-flight nodes
+// The first task error cancels the rest of the run; in-flight tasks
 // drain — releasing their reservations, pins and spill files through the
-// operators' own cleanup paths — before Run returns the error.
+// operators' own cleanup paths — before Run returns the error, labeled
+// with the failing task.
 func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stats, opts ExecOptions) (*Execution, error) {
 	for _, c := range g.Classes {
 		if c.Regime == plan.ProbeRegime && len(c.HashPlans()) > 0 {
@@ -111,13 +112,16 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One pool for the whole run: node starts and the scan morsels class
-	// passes fan out draw on the same slots.
-	pool := dag.NewPool(opts.Workers)
-	parallel := pool.Width() > 1
+	ex := &Execution{EffectiveWorkers: min(max(opts.Workers, 1), exec.WorkerCap())}
+	// One pool for the whole run, only when it is parallel: task workers
+	// and the scan morsels class passes fan out hold the same slots.
+	var pool *exec.Pool
+	if ex.EffectiveWorkers > 1 {
+		pool = exec.NewPool(ex.EffectiveWorkers)
+	}
 
 	// Shared lookup builds, hoisted out of the class passes. The set is
-	// closed only after the graph has drained, so an error path never
+	// closed only after the run has drained, so an error path never
 	// frees lookups a still-running pass is reading.
 	var builds []plan.BuildTask
 	var lookups *exec.LookupSet
@@ -128,33 +132,30 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		lookups = exec.NewLookupSet(env.Mem)
 		defer lookups.Close()
 	}
+	ex.DAGNodes = len(builds) + len(g.Classes) + len(g.Cached)
 
 	dimFiles := make([]*storage.File, len(env.DB.DimTables))
 	for i, t := range env.DB.DimTables {
 		dimFiles[i] = t.File()
 	}
 
-	var graph dag.Graph
 	buildStats := make([]exec.Stats, len(builds))
-	buildNodes := make([]*dag.Node, len(builds))
-	for bi, t := range builds {
-		bi, t := bi, t
-		nodeEnv := *env
-		nodeEnv.Lookups = lookups
-		nodeEnv.IOFiles = dimFiles[t.Dim : t.Dim+1 : t.Dim+1]
-		specs := make([]exec.LookupBuild, len(t.Specs))
-		for i, s := range t.Specs {
-			specs[i] = exec.LookupBuild{Query: s.Query, Dim: s.Dim, ViewLevel: s.ViewLevel}
-		}
-		buildNodes[bi] = graph.Add(&dag.Node{
-			Label: "build " + env.DB.Schema.Dims[t.Dim].Name,
-			Cost:  nodeCost(opts.Est, func(e *plan.Estimator) int64 { return e.BuildMemory(t) }),
-			Run: func(nctx context.Context) error {
-				e := nodeEnv
-				e.Ctx = nctx
+	err := exec.RunTasks(ctx, pool, len(builds), func(ctx context.Context, bi int) error {
+		t := &builds[bi]
+		return opts.runTask(ctx, func() string { return "build " + env.DB.Schema.Dims[t.Dim].Name },
+			func(e *plan.Estimator) int64 { return e.BuildMemory(*t) },
+			func() error {
+				e := *env
+				e.Ctx, e.Lookups, e.IOFiles = ctx, lookups, dimFiles[t.Dim:t.Dim+1:t.Dim+1]
+				specs := make([]exec.LookupBuild, len(t.Specs))
+				for i, s := range t.Specs {
+					specs[i] = exec.LookupBuild{Query: s.Query, Dim: s.Dim, ViewLevel: s.ViewLevel}
+				}
 				return e.BuildLookups(lookups, specs, &buildStats[bi])
-			},
-		})
+			})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	type classOut struct {
@@ -162,75 +163,53 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		rs []*exec.Result
 		cs exec.Stats
 	}
-	classOuts := make([]classOut, len(g.Classes))
-	for ci, c := range g.Classes {
-		ci, c := ci, c
-		hashQs := plansQueries(c.HashPlans())
-		indexQs := plansQueries(c.IndexPlans())
-		nodeEnv := *env
-		nodeEnv.Lookups = lookups
-		nodeEnv.IOFiles = classFiles(c, dimFiles)
-		if parallel {
-			// The pass's scan morsels draw on the run's pool.
-			nodeEnv.Pool = pool
-		}
-		graph.Add(&dag.Node{
-			Label: "class " + c.View.Name,
-			Cost:  nodeCost(opts.Est, func(e *plan.Estimator) int64 { return e.ClassPassMemory(c, lookups != nil) }),
-			Run: func(nctx context.Context) error {
-				e := nodeEnv
-				e.Ctx = nctx
-				out := &classOuts[ci]
-				if c.Regime == plan.ProbeRegime {
-					rs, err := exec.SharedIndex(&e, c.View, indexQs, &out.cs)
-					if err != nil {
-						return err
-					}
-					out.qs, out.rs = indexQs, rs
-					return nil
-				}
-				hr, ir, err := exec.SharedMixed(&e, c.View, hashQs, indexQs, &out.cs)
-				if err != nil {
-					return err
-				}
-				out.qs = append(append([]*query.Query{}, hashQs...), indexQs...)
-				out.rs = append(append([]*exec.Result{}, hr...), ir...)
-				return nil
-			},
-		}, buildNodes...)
-	}
-
 	type cacheOut struct {
 		r  *exec.Result
 		cs exec.Stats
 	}
+	classOuts := make([]classOut, len(g.Classes))
 	cacheOuts := make([]cacheOut, len(g.Cached))
-	for i, cp := range g.Cached {
-		i, cp := i, cp
-		nodeEnv := *env
-		nodeEnv.IOFiles = []*storage.File{} // the rollup reads no pages
-		graph.Add(&dag.Node{
-			Label: "cache rollup for " + cp.Query.QualifiedName(),
-			Cost:  nodeCost(opts.Est, func(e *plan.Estimator) int64 { return e.CacheMemory(cp) }),
-			Run: func(nctx context.Context) error {
-				e := nodeEnv
-				e.Ctx = nctx
-				r, err := exec.RollupCached(&e, cp.Entry, cp.Query, &cacheOuts[i].cs)
-				if err != nil {
+	err = exec.RunTasks(ctx, pool, len(g.Classes)+len(g.Cached), func(ctx context.Context, i int) error {
+		e := *env
+		e.Ctx = ctx
+		if i >= len(g.Classes) {
+			cp, out := g.Cached[i-len(g.Classes)], &cacheOuts[i-len(g.Classes)]
+			e.IOFiles = []*storage.File{} // the rollup reads no pages
+			return opts.runTask(ctx, func() string { return "cache rollup for " + cp.Query.QualifiedName() },
+				func(est *plan.Estimator) int64 { return est.CacheMemory(cp) },
+				func() (err error) {
+					out.r, err = exec.RollupCached(&e, cp.Entry, cp.Query, &out.cs)
+					return err
+				})
+		}
+		c, out := g.Classes[i], &classOuts[i]
+		e.Lookups, e.IOFiles = lookups, classFiles(c, dimFiles)
+		if pool != nil {
+			// The pass's scan morsels draw on the run's pool.
+			e.Pool = pool
+		}
+		return opts.runTask(ctx, func() string { return "class " + c.View.Name },
+			func(est *plan.Estimator) int64 { return est.ClassPassMemory(c, lookups != nil) },
+			func() error {
+				hashQs, indexQs := plansQueries(c.HashPlans()), plansQueries(c.IndexPlans())
+				if c.Regime == plan.ProbeRegime {
+					rs, err := exec.SharedIndex(&e, c.View, indexQs, &out.cs)
+					out.qs, out.rs = indexQs, rs
 					return err
 				}
-				cacheOuts[i].r = r
-				return nil
-			},
-		})
-	}
-
-	dagStats, err := graph.Run(ctx, dag.Options{Pool: pool, Gate: opts.Gate})
+				hr, ir, err := exec.SharedMixed(&e, c.View, hashQs, indexQs, &out.cs)
+				out.qs, out.rs = slices.Concat(hashQs, indexQs), slices.Concat(hr, ir)
+				return err
+			})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if ex.DAGNodes > 0 {
+		ex.WorkerPeak = max(pool.Peak(), 1)
+	}
 
-	// Join: the graph has drained, so every node's private output is
+	// Join: both lists have drained, so every task's private output is
 	// stable. The hoisted builds are shared by every class; split their
 	// work equally across the classes, then split each class — builds
 	// included — across its queries. Totals are conserved: the class
@@ -241,11 +220,6 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 		}
 	}
 
-	ex := &Execution{
-		DAGNodes:         dagStats.Nodes,
-		WorkerPeak:       dagStats.WorkerPeak,
-		EffectiveWorkers: pool.Width(),
-	}
 	byQuery := map[*query.Query]*exec.Result{}
 	perQuery := map[*query.Query]exec.Stats{}
 	for ci, c := range g.Classes {
@@ -295,12 +269,25 @@ func Run(env *exec.Env, g *plan.Global, queries []*query.Query, stats *exec.Stat
 	return ex, nil
 }
 
-// nodeCost prices one node with est, or zero without an estimator.
-func nodeCost(est *plan.Estimator, f func(*plan.Estimator) int64) int64 {
-	if est == nil {
-		return 0
+// runTask runs one task admitted through o.Gate with its footprint as
+// cost prices it (zero without an estimator), and labels its failure —
+// a refusal as an admission error.
+func (o ExecOptions) runTask(ctx context.Context, label func() string, cost func(*plan.Estimator) int64, run func() error) error {
+	if o.Gate != nil {
+		var c int64
+		if o.Est != nil {
+			c = cost(o.Est)
+		}
+		release, err := o.Gate(ctx, c)
+		if err != nil {
+			return fmt.Errorf("admit %s: %w", label(), err)
+		}
+		defer release()
 	}
-	return f(est)
+	if err := run(); err != nil {
+		return fmt.Errorf("%s: %w", label(), err)
+	}
+	return nil
 }
 
 // classFiles enumerates the files a class pass may touch: the view's

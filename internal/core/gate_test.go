@@ -11,7 +11,7 @@ import (
 	"mdxopt/internal/plan"
 )
 
-// gatedRun starts Run on a broker-governed copy of env with every node
+// gatedRun starts Run on a broker-governed copy of env with every task
 // admitted through broker.Admit, and returns a channel that yields
 // Run's error when it finishes.
 func gatedRun(t *testing.T, ctx context.Context, broker *mem.Broker, workers int) <-chan error {
@@ -39,7 +39,7 @@ func gatedRun(t *testing.T, ctx context.Context, broker *mem.Broker, workers int
 }
 
 // TestRunGateDefersUntilRelease: a saturated memory broker must defer
-// the plan's nodes — not error them — and let them run once memory is
+// the plan's tasks — not error them — and let them run once memory is
 // released. The running work is itself an admitted claim: a broker with
 // no unreleased claim is idle and admits anything.
 func TestRunGateDefersUntilRelease(t *testing.T) {
@@ -75,7 +75,7 @@ func TestRunGateDefersUntilRelease(t *testing.T) {
 }
 
 // TestRunGateCanceledContextFailsRun: the run's context bounds the
-// admission wait — a node waiting for memory fails the run with the
+// admission wait — a task waiting for memory fails the run with the
 // context's error instead of waiting forever, and leaves no waiter
 // queued.
 func TestRunGateCanceledContextFailsRun(t *testing.T) {

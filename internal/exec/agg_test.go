@@ -3,7 +3,6 @@ package exec
 import (
 	"testing"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/query"
 )
 
@@ -161,7 +160,7 @@ func TestParallelSharedScanMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{2, 3, 7} {
 		env := NewEnv(db)
-		env.Pool = dag.NewPool(workers)
+		env.Pool = NewPool(workers)
 		var st Stats
 		got, err := SharedScanHash(env, db.Base(), group, &st)
 		if err != nil {
@@ -190,7 +189,7 @@ func TestParallelSharedScanMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := NewEnv(db)
-	env.Pool = dag.NewPool(4)
+	env.Pool = NewPool(4)
 	var st Stats
 	gh, gi, err := SharedMixed(env, view, hash, index, &st)
 	if err != nil {

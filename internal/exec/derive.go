@@ -107,17 +107,23 @@ func (f *forest) lookups(env *Env, stats *Stats, view *star.View) (lookups [][]*
 // workerSets builds the pipelines of width workers over the roots, on
 // each root's lookups (forest.lookups): worker w's are workerSet(pipes,
 // w), worker 0's being the pass's own. Members below nh are hash
-// members; the rest filter by their result bitmaps. A pipeline detaches
-// only when the submissions of its root and of every member derived
-// from it are all canceled: a root keeps folding for an attached
-// descendant after its own caller is gone (its Result.Err is set
-// regardless).
+// members; the rest filter by their result bitmaps. A root's pass
+// vectors (passFilter) are cut from one slab for the whole pass and
+// shared by the root's worker pipelines. A pipeline detaches only when
+// the submissions of its root and of every member derived from it are
+// all canceled: a root keeps folding for an attached descendant after
+// its own caller is gone (its Result.Err is set regardless).
 func (f *forest) workerSets(env *Env, lookups [][]*dimLookup, view *star.View, nh, width int) []*queryPipeline {
-	pipes := make([]*queryPipeline, width*len(f.rootIdx))
+	nr, nd := len(f.rootIdx), len(view.Levels)
+	filters := make([][]bool, nr*nd)
+	for k, m := range f.rootIdx {
+		passFilter(filters[k*nd:(k+1)*nd:(k+1)*nd], lookups[k], view, m >= nh)
+	}
+	pipes := make([]*queryPipeline, width*nr)
 	for i := range pipes {
-		k := i % len(f.rootIdx)
+		k := i % nr
 		m := f.rootIdx[k]
-		pipes[i] = newQueryPipeline(env, lookups[k], f.queries[m], view, m >= nh)
+		pipes[i] = newQueryPipeline(env, lookups[k], filters[k*nd:(k+1)*nd:(k+1)*nd], f.queries[m], view)
 		pipes[i].qctx, pipes[i].watch = f.qctx[m], f.watch[m]
 	}
 	return pipes

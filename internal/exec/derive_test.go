@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
@@ -149,7 +148,7 @@ func sweepWidths(t *testing.T, label string, db *star.Database, lookups *LookupS
 		for _, run := range widthGrains {
 			workers := run[0]
 			env := NewEnv(db)
-			env.Pool = dag.NewPool(workers)
+			env.Pool = NewPool(workers)
 			env.MorselPages = run[1]
 			env.Lookups = lookups
 			if budget > 0 {
@@ -314,7 +313,7 @@ func TestDetachedParentKeepsFoldingForChild(t *testing.T) {
 	parent, child := derivablePair(t, db.Schema)
 	for _, workers := range []int{1, 4} {
 		env := NewEnv(db)
-		env.Pool = dag.NewPool(workers)
+		env.Pool = NewPool(workers)
 		env.QueryCtx = func(q *query.Query) context.Context {
 			if q == parent {
 				return canceledCtx()
@@ -371,7 +370,7 @@ func TestDerivedFamilyAllDetachedAbortsPass(t *testing.T) {
 	parent, child := derivablePair(t, db.Schema)
 	for _, workers := range []int{1, 4} {
 		env := NewEnv(db)
-		env.Pool = dag.NewPool(workers)
+		env.Pool = NewPool(workers)
 		env.QueryCtx = func(*query.Query) context.Context { return canceledCtx() }
 		var st Stats
 		rs, err := SharedScanHash(env, db.Base(), []*query.Query{parent, child}, &st)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/datagen"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
@@ -159,7 +158,7 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 		for _, budget := range []int64{0, 4 << 10} {
 			for _, run := range widthGrains {
 				env := NewEnv(db)
-				env.Pool, env.MorselPages = dag.NewPool(run[0]), run[1]
+				env.Pool, env.MorselPages = NewPool(run[0]), run[1]
 				env.SpillDir = t.TempDir()
 				env.Mem = mem.New(budget)
 				env.Lookups = lookups
@@ -314,7 +313,7 @@ func TestFinalizeAllocs(t *testing.T) {
 func TestFinalizeAllocsWidth2(t *testing.T) {
 	db, _ := testDB(t)
 	env := NewEnv(db)
-	env.Pool = dag.NewPool(2)
+	env.Pool = NewPool(2)
 	small, large := finalizeAllocs(t, env, 2, 100), finalizeAllocs(t, env, 2, 10000)
 	if small != large {
 		t.Fatalf("width-2 finalization allocates %v objects for 100 groups, %v for 10,000", small, large)
@@ -336,7 +335,7 @@ func BenchmarkFinalize(b *testing.B) {
 				}
 				b.Run(name, func(b *testing.B) {
 					env := NewEnv(db)
-					env.Pool = dag.NewPool(width)
+					env.Pool = NewPool(width)
 					if spilled {
 						// A quarter of what the resident tables would hold.
 						env.Mem = mem.New(int64(width*n) * foldSlotBytes / 4)

@@ -45,7 +45,7 @@ func TestFoldLoopAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := newQueryPipeline(env, lookups, qs[name], view, filter)
+		p := newQueryPipeline(env, lookups, passFilter(make([][]bool, len(lookups)), lookups, view, filter), qs[name], view)
 		t.Cleanup(p.close)
 		if p.packer.twoWords() {
 			t.Fatalf("%s took two-word keys on the paper schema", name)

@@ -10,14 +10,14 @@ import (
 
 // LookupSet is a collection of dimension lookups, each built once and
 // shared by every pipeline that reads it — §3.1's table sharing. It is
-// the one place a pipeline gets its lookups from. The task-graph
-// executor hoists every distinct lookup a plan needs into
-// per-dimension build nodes and hands the finished set to each class
-// pass through Env.Lookups; a pass adds to the set it is given whatever
-// its roots still lack, and a pass run on its own builds into a set of
-// its own (sharedPass).
+// the one place a pipeline gets its lookups from. The executor hoists
+// every distinct lookup a plan needs into a first task list of
+// per-dimension builds and hands the finished set to each class pass
+// through Env.Lookups; a pass adds to the set it is given whatever its
+// roots still lack, and a pass run on its own builds into a set of its
+// own (sharedPass).
 //
-// Build calls may run concurrently (one build node per dimension, or
+// Build calls may run concurrently (one build task per dimension, or
 // passes of one plan adding what they lack); lookups are immutable once
 // registered.
 type LookupSet struct {

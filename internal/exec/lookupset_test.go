@@ -3,7 +3,6 @@ package exec
 import (
 	"testing"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
 )
@@ -29,7 +28,7 @@ func TestPassAddsMissingLookups(t *testing.T) {
 	view := db.Base()
 	group := []*query.Query{qs["Q1"], qs["Q2"]}
 	env := NewEnv(db)
-	env.Pool, env.MorselPages = dag.NewPool(2), 1
+	env.Pool, env.MorselPages = NewPool(2), 1
 
 	set := NewLookupSet(nil)
 	defer set.Close()
@@ -95,7 +94,7 @@ func TestUnsharedLookupsPerRoot(t *testing.T) {
 		env := NewEnv(db)
 		env.ShareLookups = false
 		if width > 1 {
-			env.Pool, env.MorselPages = dag.NewPool(width), 1
+			env.Pool, env.MorselPages = NewPool(width), 1
 		}
 		var st Stats
 		if _, err := SharedScanHash(env, view, group, &st); err != nil {

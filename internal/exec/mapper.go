@@ -141,18 +141,13 @@ type queryPipeline struct {
 }
 
 // newQueryPipeline builds q's pipeline over view on the given lookups,
-// one per dimension (LookupSet.lookups). A filter root (filter set)
-// leaves its indexed dimensions' predicates to its result bitmap.
-func newQueryPipeline(env *Env, lookups []*dimLookup, q *query.Query, view *star.View, filter bool) *queryPipeline {
+// one per dimension (LookupSet.lookups), testing the pass vectors in
+// filter (passFilter), which the root's worker pipelines share.
+func newQueryPipeline(env *Env, lookups []*dimLookup, filter [][]bool, q *query.Query, view *star.View) *queryPipeline {
 	p := &queryPipeline{
 		q:       q,
 		lookups: lookups,
-		filter:  make([][]bool, len(lookups)),
-	}
-	for dim, lk := range lookups {
-		if !filter || view.Indexes[dim] == nil {
-			p.filter[dim] = lk.pass
-		}
+		filter:  filter,
 	}
 	p.packer = newKeyPacker(q.Schema, q.Levels)
 	p.ftab = newFoldTable(env, q.Agg, p.packer, q.Name)
@@ -162,6 +157,19 @@ func newQueryPipeline(env *Env, lookups []*dimLookup, q *query.Query, view *star
 		p.selKeys = make([]uint64, 0, tpp)
 	}
 	return p
+}
+
+// passFilter fills dst, one entry per dimension of lookups, with the
+// pass vectors the fold kernel tests for a root on those lookups, and
+// returns it. A filter root (filterRoot set) leaves its indexed
+// dimensions' predicates to its result bitmap.
+func passFilter(dst [][]bool, lookups []*dimLookup, view *star.View, filterRoot bool) [][]bool {
+	for dim, lk := range lookups {
+		if !filterRoot || view.Indexes[dim] == nil {
+			dst[dim] = lk.pass
+		}
+	}
+	return dst
 }
 
 // close releases the pipeline's aggregation memory and spill file.

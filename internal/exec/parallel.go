@@ -1,10 +1,9 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
-
-	"mdxopt/internal/dag"
 )
 
 // Parallel shared passes.
@@ -22,9 +21,9 @@ import (
 // claims fewer morsels while its siblings absorb the rest — no static
 // pre-split, no straggler. The pass's own goroutine is always worker 0
 // and folds into the pass's own pipelines. Extra workers run only while
-// they hold a slot of the dag.Pool (Env.Pool) whose width sets their
-// number, the same pool the task-graph scheduler starts nodes on, so
-// intra-class fan-out and inter-class node concurrency are bounded by
+// they hold a slot of the Pool (Env.Pool) whose width sets their
+// number, the same pool a run's task lists are claimed on (RunTasks),
+// so intra-class fan-out and inter-class concurrency are bounded by
 // one width. After the pass the worker tables are finalized key range
 // by key range on the same pool (finalize.go).
 //
@@ -39,7 +38,7 @@ import (
 const defaultMorselPages = 16
 
 // scanWidth is the worker fan-out of one shared pass: the pool's width
-// (already clamped to dag.WorkerCap), 1 without a pool.
+// (already clamped to WorkerCap), 1 without a pool.
 func (e *Env) scanWidth() int { return e.Pool.Width() }
 
 // morselPages resolves the pages-per-morsel grain.
@@ -66,19 +65,22 @@ func (p *queryPipeline) addWorker(o *queryPipeline, w int) error {
 type drive struct {
 	n, grain int64
 	run      func(w int, from, to int64) error
-	cursor   atomic.Int64
-	aborted  atomic.Bool
-	err      error // the first real error, written by whoever set aborted
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// abort, when set, is called once by the worker whose error stops
+	// the drive, before any sibling can see that error's effects.
+	abort   func()
+	cursor  atomic.Int64
+	aborted atomic.Bool
+	err     error // the first real error, written by whoever set aborted
+	stop    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // poolDrive is the shared work-claiming driver — page morsels for the
-// shared pass, single tasks for finalization: nWorkers workers
-// atomically claim the next grain-sized range of [0, n) and hand it to
-// run until the cursor is exhausted. Worker 0 is the calling goroutine
-// (it already occupies a pool slot when running as a task-graph node);
-// workers 1..nWorkers-1 participate only once they Join env.Pool, so a
+// shared pass, single tasks for finalization and for a run's task lists
+// (RunTasks): nWorkers workers atomically claim the next grain-sized
+// range of [0, n) and hand it to run until the cursor is exhausted.
+// Worker 0 is the calling goroutine (it already occupies a pool slot);
+// workers 1..nWorkers-1 participate only once they join env.Pool, so a
 // saturated pool degrades the work toward worker 0 alone instead of
 // oversubscribing. nWorkers may exceed 1 only with a pool; at one
 // worker the ranges run inline, in order, without allocating. The first
@@ -96,10 +98,15 @@ func poolDrive(env *Env, n, grain int64, nWorkers int, run func(w int, from, to 
 		}
 		return nil
 	}
-	d := &drive{n: n, grain: grain, run: run, stop: make(chan struct{})}
+	return (&drive{n: n, grain: grain, run: run}).start(env.Pool, nWorkers)
+}
+
+// start runs the drive on nWorkers workers, the caller being worker 0.
+func (d *drive) start(pool *Pool, nWorkers int) error {
+	d.stop = make(chan struct{})
 	for w := 1; w < nWorkers; w++ {
 		d.wg.Add(1)
-		go d.help(env.Pool, w)
+		go d.help(pool, w)
 	}
 	d.work(0)
 	// stop releases helpers still waiting for a slot once the cursor is
@@ -111,12 +118,12 @@ func poolDrive(env *Env, n, grain int64, nWorkers int, run func(w int, from, to 
 }
 
 // help runs worker w once it holds a pool slot.
-func (d *drive) help(pool *dag.Pool, w int) {
+func (d *drive) help(pool *Pool, w int) {
 	defer d.wg.Done()
-	if !pool.Join(d.stop) {
+	if !pool.join(d.stop) {
 		return
 	}
-	defer pool.Leave()
+	defer pool.leave()
 	d.work(w)
 }
 
@@ -131,10 +138,51 @@ func (d *drive) work(w int) {
 		if err := d.run(w, from, min(from+d.grain, d.n)); err != nil {
 			if err != errDetached && d.aborted.CompareAndSwap(false, true) {
 				d.err = err
+				if d.abort != nil {
+					d.abort()
+				}
 			}
 			return
 		}
 	}
+}
+
+// RunTasks runs task(ctx, i) for every i in [0, n) as one task list on
+// pool. At width 1 the tasks run inline, in order, under ctx itself: no
+// goroutine, no derived context. Wider, the caller holds a pool slot as
+// worker 0 for the whole list and up to width-1 helpers join it, each
+// claiming the next task (poolDrive), so the tasks and the morsel
+// helpers they fan out draw on one width. A task starts only while ctx
+// is live. The first error cancels the context the tasks run under —
+// unstarted tasks are skipped and in-flight ones see the cancellation
+// — and is returned once every started task has finished, so callers
+// may tear down what the tasks shared as soon as RunTasks returns.
+func RunTasks(ctx context.Context, pool *Pool, n int, task func(ctx context.Context, i int) error) error {
+	if pool.Width() <= 1 {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := task(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	pool.join(nil)
+	defer pool.leave()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	d := &drive{n: int64(n), grain: 1, abort: cancel, run: func(_ int, i, _ int64) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return task(ctx, int(i))
+	}}
+	return d.start(pool, min(pool.Width(), n))
 }
 
 // poolTasks runs task(i) for every i in [0, n) — inline at width 1,

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 )
@@ -84,7 +83,7 @@ func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [
 	}
 	slices.SortFunc(keys, func(x, y [2]uint64) int { return kp.compareKeys(x[0], x[1], y[0], y[1]) })
 
-	env.Pool = dag.NewPool(len(runs))
+	env.Pool = NewPool(len(runs))
 	if err := finalizeSets(env, []*queryPipeline{root}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mdxopt/internal/bitmap"
-	"mdxopt/internal/dag"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
 	"mdxopt/internal/table"
@@ -265,7 +264,7 @@ func TestSharedIndexVectorScalarEquivalence(t *testing.T) {
 		var baseSt Stats
 		for _, workers := range []int{1, 2, 4, 8} {
 			env := NewEnv(db)
-			env.Pool = dag.NewPool(workers)
+			env.Pool = NewPool(workers)
 			env.MorselPages = 1 + rng.Intn(3)
 			var st Stats
 			results, err := SharedIndex(env, view, group, &st)
@@ -326,7 +325,7 @@ func TestSharedMixedVectorScalarEquivalence(t *testing.T) {
 		var baseSt Stats
 		for _, workers := range []int{1, 2, 4, 8} {
 			env := NewEnv(db)
-			env.Pool = dag.NewPool(workers)
+			env.Pool = NewPool(workers)
 			env.MorselPages = 1
 			var st Stats
 			gotHash, gotIndex, err := SharedMixed(env, view, hash, index, &st)
@@ -367,7 +366,7 @@ func TestSharedIndexSpillEquivalence(t *testing.T) {
 	group := []*query.Query{qs["Q5"], qs["Q6"], qs["Q7"], qs["Q8"]}
 	for _, workers := range []int{1, 4} {
 		env, broker := budgetedEnv(t, db, 1<<12)
-		env.Pool = dag.NewPool(workers)
+		env.Pool = NewPool(workers)
 		env.MorselPages = 1
 		var st Stats
 		results, err := SharedIndex(env, view, group, &st)
@@ -407,7 +406,7 @@ func testPass(t *testing.T, env *Env, view *star.View, hash, filters []*query.Qu
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := newQueryPipeline(env, lookups, q, view, i >= len(hash))
+		p := newQueryPipeline(env, lookups, passFilter(make([][]bool, len(lookups)), lookups, view, i >= len(hash)), q, view)
 		t.Cleanup(p.close)
 		pipes = append(pipes, p)
 		var bs *bitmap.Bitset
@@ -485,7 +484,7 @@ func TestSharedIndexDetachMidProbe(t *testing.T) {
 	defer disk.SetFault(nil)
 
 	env := NewEnv(db)
-	env.Pool = dag.NewPool(4)
+	env.Pool = NewPool(4)
 	env.MorselPages = 1
 	env.QueryCtx = func(q *query.Query) context.Context {
 		if q == dead {
@@ -530,7 +529,7 @@ func TestSharedIndexVectorDiskFault(t *testing.T) {
 			return nil
 		})
 		env, broker := budgetedEnv(t, db, 1<<30)
-		env.Pool = dag.NewPool(workers)
+		env.Pool = NewPool(workers)
 		var st Stats
 		if _, err := SharedIndex(env, view, group, &st); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want injected fault", workers, err)
@@ -550,7 +549,7 @@ func TestSharedIndexAllDetachedStopsEarly(t *testing.T) {
 	db, qs := testDB(t)
 	view := db.ViewByLevels([]int{1, 1, 1, 0})
 	env := NewEnv(db)
-	env.Pool = dag.NewPool(4)
+	env.Pool = NewPool(4)
 	env.MorselPages = 1
 	env.QueryCtx = func(*query.Query) context.Context { return canceledCtx() }
 
@@ -884,7 +883,7 @@ func TestSharedPassRegimes(t *testing.T) {
 		for _, w := range []int{1, 2, 4} {
 			env := NewEnv(db)
 			if w > 1 {
-				env.Pool, env.MorselPages = dag.NewPool(w), 1
+				env.Pool, env.MorselPages = NewPool(w), 1
 			}
 			var r run
 			r.io = coldPass(t, db, view, func() error { return pass(env, &r.st) })

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 )
@@ -152,7 +151,7 @@ func TestSpillEquivalenceParallelWorkers(t *testing.T) {
 	// Baseline: parallel but ungoverned (parallel merge order already
 	// yields exact sums: whole-dollar measures).
 	env0 := NewEnv(db)
-	env0.Pool = dag.NewPool(4)
+	env0.Pool = NewPool(4)
 	var st0 Stats
 	baseline, err := SharedScanHash(env0, db.Base(), group, &st0)
 	if err != nil {
@@ -160,7 +159,7 @@ func TestSpillEquivalenceParallelWorkers(t *testing.T) {
 	}
 
 	env, broker := budgetedEnv(t, db, 1<<12)
-	env.Pool = dag.NewPool(4)
+	env.Pool = NewPool(4)
 	var st Stats
 	results, err := SharedScanHash(env, db.Base(), group, &st)
 	if err != nil {

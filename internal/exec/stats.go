@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"mdxopt/internal/cost"
-	"mdxopt/internal/dag"
 	"mdxopt/internal/mem"
 	"mdxopt/internal/query"
 	"mdxopt/internal/star"
@@ -147,12 +146,12 @@ type Env struct {
 	ShareLookups bool
 	// Pool, when non-nil, is the worker pool a pass fans out on: its
 	// width is the pass's worker count, and its scan and probe morsels
-	// and finalization tasks draw slots from it — the same pool the
-	// task-graph scheduler starts nodes on. Extra workers beyond the
+	// and finalization tasks draw slots from it — the same pool a run's
+	// task lists are claimed on (RunTasks). Extra workers beyond the
 	// pass's own goroutine run only while they hold a pool slot, so total
 	// executor concurrency never exceeds the pool width. nil runs every
 	// pass serially.
-	Pool *dag.Pool
+	Pool *Pool
 	// MorselPages overrides the pages per scan morsel (default
 	// defaultMorselPages). Smaller morsels steal more finely; tests use
 	// tiny morsels to force contention on the shared cursor.
@@ -185,16 +184,16 @@ type Env struct {
 	// divided by the fanout.
 	SpillFanout int
 	// Lookups, when non-nil, is the plan's dimension lookup set, shared
-	// across its passes: the task-graph executor hoists lookup builds
-	// out of the class passes, and a pass adds any its roots still lack.
+	// across its passes: the executor hoists lookup builds out of the
+	// class passes, and a pass adds any its roots still lack.
 	// nil gives each pass a set of its own. Ignored without ShareLookups.
 	Lookups *LookupSet
 	// IOFiles, when non-nil, restricts measure's I/O accounting to the
 	// listed files' own counters instead of the pool-global delta. The
-	// task-graph executor sets it on every node: concurrent nodes touch
-	// disjoint file sets, so pool-global deltas would double-count each
-	// other's reads and count other goroutines' reads of unrelated files.
-	// A non-nil empty slice measures no I/O at all (cache rollup nodes).
+	// executor sets it on every task: concurrent tasks touch disjoint
+	// file sets, so pool-global deltas would double-count each other's
+	// reads and count other goroutines' reads of unrelated files. A
+	// non-nil empty slice measures no I/O at all (cache rollup tasks).
 	IOFiles []*storage.File
 }
 

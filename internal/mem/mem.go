@@ -18,16 +18,16 @@
 //     it always succeeds but is tracked, and the bytes granted past the
 //     budget are reported as Overdraft so the planner's admission
 //     estimates can be audited.
-//   - Admit is an *admission claim* the task-graph executor takes
-//     before each plan node starts: when the node's estimated footprint
-//     does not fit, the node is deferred — blocked, not refused — until
+//   - Admit is an *admission claim* the executor takes before each
+//     plan task starts: when the task's estimated footprint does not
+//     fit, the task is deferred — blocked, not refused — until
 //     running work releases memory. Deferred claims are granted in
 //     strict FIFO order, so a large claim is never starved by a stream
 //     of small ones: once it is the oldest waiter every newcomer queues
 //     behind it, admitted work drains, and at the latest the idle broker
 //     grants it. A claim on an idle broker — one with no unreleased
 //     admission claim, whatever bytes standing reservations hold —
-//     always succeeds, even past the limit, so a node larger than the
+//     always succeeds, even past the limit, so a task larger than the
 //     whole budget still runs (relying on the operators' spill paths to
 //     stay within it).
 //

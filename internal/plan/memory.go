@@ -7,7 +7,7 @@ import (
 
 // Memory model.
 //
-// A parallel run admits each task-graph node only when its estimated
+// A parallel run admits each task only when its estimated
 // operator-state footprint fits the memory broker's budget
 // (internal/mem), so the estimator mirrors the execution layer's accounting: dimension lookup
 // tables, result bitmaps, and aggregation hash tables, with the same
@@ -136,8 +136,8 @@ func (e *Estimator) ClassMemory(c *Class) int64 {
 }
 
 // classLookupMemory estimates the class's deduplicated dimension-lookup
-// footprint (assuming lookup sharing), the component the task-graph
-// executor hoists into shared build tasks. parents is the class's
+// footprint (assuming lookup sharing), the component the executor
+// hoists into shared build tasks. parents is the class's
 // query.Forest: derived members need no view lookups.
 func (e *Estimator) classLookupMemory(c *Class, parents []int) int64 {
 	v := c.View

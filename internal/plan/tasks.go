@@ -4,14 +4,14 @@ import (
 	"mdxopt/internal/query"
 )
 
-// Task-graph decomposition.
+// Hoisted lookup builds.
 //
-// A global plan is naturally a DAG of tasks: the dimension lookups its
-// class passes need can be built once up front and shared across every
-// class (extending §3.1's within-pass sharing across passes), the class
-// passes themselves are mutually independent, and cache rollups depend
-// on nothing. BuildTasks enumerates the hoisted lookup builds; the core
-// executor turns them plus the classes and cache plans into dag nodes.
+// The dimension lookups a global plan's class passes need can be built
+// once up front and shared across every class (extending §3.1's
+// within-pass sharing across passes); the class passes themselves are
+// mutually independent, and so are the cache rollups. BuildTasks
+// enumerates the hoisted lookup builds; the core executor runs them as
+// a first task list, then the classes and cache rollups as a second.
 //
 // Builds are grouped one task per dimension, not one per lookup: a
 // build task then scans only its own dimension's stored table, so
@@ -31,7 +31,7 @@ type LookupSpec struct {
 	Query     *query.Query
 }
 
-// BuildTask is one task-graph build node: the distinct lookups of one
+// BuildTask is one hoisted lookup build: the distinct lookups of one
 // dimension across the whole plan, deduplicated exactly the way the
 // execution layer's lookup cache would share them.
 type BuildTask struct {
@@ -41,9 +41,9 @@ type BuildTask struct {
 
 // BuildTasks enumerates the shared dimension-lookup builds of g,
 // deduplicated across classes and grouped per dimension, in dimension
-// order. Every class pass consumes lookups of every dimension, so each
-// class depends on every returned task. Plans without classes need no
-// builds.
+// order. Every class pass consumes lookups of every dimension, so a run
+// finishes every returned build before any class pass starts. Plans
+// without classes need no builds.
 func BuildTasks(g *Global) []BuildTask {
 	if len(g.Classes) == 0 {
 		return nil
@@ -94,7 +94,7 @@ func (e *Estimator) BuildMemory(t BuildTask) int64 {
 }
 
 // ClassPassMemory estimates the operator-state footprint of one class's
-// shared pass as a task-graph node. With hoisted lookups the pass holds
+// shared pass as one task of a run. With hoisted lookups the pass holds
 // no lookup memory of its own (the shared set does, priced by
 // BuildMemory); otherwise this is ClassMemory.
 func (e *Estimator) ClassPassMemory(c *Class, hoistedLookups bool) int64 {

@@ -49,8 +49,8 @@ type Metrics struct {
 }
 
 const (
-	// maxBatch caps the submissions merged into one batch.
-	maxBatch = 16
+	// MaxBatch caps the submissions merged into one batch.
+	MaxBatch = 16
 	// maxQueue bounds the submissions waiting for a slot; Submit fails
 	// with ErrQueueFull beyond it.
 	maxQueue = 64
@@ -65,7 +65,7 @@ var errNoReply = errors.New("sched: batch runner delivered no reply")
 // runs at once on its caller's goroutine as a batch of one. One that
 // finds every slot busy waits in the queue; whenever a slot frees, it
 // takes the oldest waiter together with every later waiter whose
-// options equal its own, up to maxBatch, and runs them as one batch on
+// options equal its own, up to MaxBatch, and runs them as one batch on
 // a goroutine that holds the slot until the queue is empty. No timer is
 // involved: a batch is whatever queued while the slots were busy.
 // Submissions flagged alone never merge, so they take no slot and never
@@ -232,7 +232,7 @@ func (q *Queue[O, R]) drive(s *slot, batch []*waiter[O, R]) {
 }
 
 // next removes and returns the next batch — the oldest waiter and every
-// later waiter with equal options, up to maxBatch — or nil when nothing
+// later waiter with equal options, up to MaxBatch — or nil when nothing
 // waits. Callers hold q.mu.
 func (q *Queue[O, R]) next() []*waiter[O, R] {
 	if len(q.waiting) == 0 {
@@ -242,7 +242,7 @@ func (q *Queue[O, R]) next() []*waiter[O, R] {
 	batch := []*waiter[O, R]{first}
 	rest := q.waiting[:0]
 	for _, w := range q.waiting[1:] {
-		if w.opts == first.opts && len(batch) < maxBatch {
+		if w.opts == first.opts && len(batch) < MaxBatch {
 			batch = append(batch, w)
 		} else {
 			rest = append(rest, w)

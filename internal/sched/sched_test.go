@@ -369,7 +369,7 @@ func TestBatchCappedAtMaxBatch(t *testing.T) {
 	defer q.Stop()
 	blocker := holdSlot(t, q, g)
 
-	const n = maxBatch + 4
+	const n = MaxBatch + 4
 	res := make(chan result, n)
 	for i := 0; i < n; i++ {
 		submitAsync(context.Background(), q, "k", 0, false, res)
@@ -385,8 +385,8 @@ func TestBatchCappedAtMaxBatch(t *testing.T) {
 		}
 		sizes[r.out.BatchSize]++
 	}
-	if sizes[maxBatch] != maxBatch || sizes[n-maxBatch] != n-maxBatch {
-		t.Fatalf("batch sizes %v, want %d requests in a batch of %d and %d in one of %d", sizes, maxBatch, maxBatch, n-maxBatch, n-maxBatch)
+	if sizes[MaxBatch] != MaxBatch || sizes[n-MaxBatch] != n-MaxBatch {
+		t.Fatalf("batch sizes %v, want %d requests in a batch of %d and %d in one of %d", sizes, MaxBatch, MaxBatch, n-MaxBatch, n-MaxBatch)
 	}
 }
 

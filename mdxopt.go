@@ -36,7 +36,6 @@ import (
 
 	"mdxopt/internal/core"
 	"mdxopt/internal/cost"
-	"mdxopt/internal/dag"
 	"mdxopt/internal/datagen"
 	"mdxopt/internal/exec"
 	"mdxopt/internal/mdx"
@@ -621,10 +620,10 @@ type Stats struct {
 	DerivedQueries int64
 	DerivedRows    int64
 
-	// DAGNodes is how many task-graph nodes the plan compiled to (class
-	// passes + cache rollups + shared lookup builds). WorkerPeak is the
-	// unified worker pool's concurrency peak — nodes running plus the
-	// scan-morsel workers they fanned out (1 under the serial executor).
+	// DAGNodes is how many tasks the plan ran: lookup builds + class
+	// passes + cache rollups. WorkerPeak is the unified worker pool's
+	// concurrency peak — task workers plus the scan-morsel workers they
+	// fanned out (1 under the serial executor).
 	// EffectiveWorkers is the pool width the request actually ran at:
 	// the requested Workers clamped to the GOMAXPROCS-derived cap.
 	DAGNodes         int
@@ -717,7 +716,8 @@ func (d *DB) QueryContext(ctx context.Context, src string, opts Options) (*Answe
 // reply is what serve hands one request back: its queries — the plan
 // cache's objects, read-only — with their results and attributed work,
 // the passes and cache rollups it took part in, and the facts of the
-// whole run, shared by pointer. err, when set, voids the rest.
+// whole run, copied into every request's reply. err, when set, voids
+// the rest.
 type reply struct {
 	err        error
 	queries    []*query.Query
@@ -726,11 +726,7 @@ type reply struct {
 	classes    []core.ClassStat
 	cached     []*plan.CachePlan
 	sharedWith int
-	run        *servedRun
-}
-
-// servedRun is what every request of one run shares.
-type servedRun struct {
+	// The run's facts.
 	plan      string // the global plan in the paper's notation
 	batchSize int
 	ex        *core.Execution
@@ -759,7 +755,7 @@ func (d *DB) serve(reqs []sched.Request, opts Options) []reply {
 // reply per request, in order. A lone request runs under its own
 // context as env.Ctx, so canceling it aborts the run; several run under
 // per-query contexts (env.QueryCtx), so a canceled caller detaches
-// without aborting a pass others share. At width > 1 each plan node's
+// without aborting a pass others share. At width > 1 each plan task's
 // start is gated on the memory broker with its estimated footprint. If
 // planning several requests fails, each is planned and run on its own,
 // so one infeasible request cannot sink its batch mates.
@@ -811,34 +807,54 @@ func (d *DB) serveOn(env *exec.Env, reqs []sched.Request, opts Options) []reply 
 		return fail(err)
 	}
 
-	run := &servedRun{plan: g.Describe(), batchSize: len(reqs), ex: ex, epoch: env.DB.Epoch}
+	desc := g.Describe()
 	// seen[o] is the last request (1-based) that counted origin o; a
-	// lone request's origin is 0, a batch's are 1..len(reqs).
-	seen := make([]int, len(reqs)+1)
+	// lone request's origin is 0, a batch's are 1..len(reqs), and the
+	// admission queue merges at most sched.MaxBatch.
+	var seen [sched.MaxBatch + 1]int
 	offset := 0
 	for i, qs := range perReq {
 		r := &reps[i]
 		n := len(qs)
-		*r = reply{queries: qs, results: ex.Results[offset : offset+n], perQuery: ex.PerQuery[offset : offset+n], run: run}
+		*r = reply{queries: qs, results: ex.Results[offset : offset+n], perQuery: ex.PerQuery[offset : offset+n],
+			plan: desc, batchSize: len(reqs), ex: ex, epoch: env.DB.Epoch}
 		offset += n
 		if err := resultErr(r.results); err != nil {
 			*r = reply{err: err}
 			continue
 		}
 		origin := qs[0].Origin
+		holds := func(c *plan.Class) bool {
+			return slices.ContainsFunc(c.Plans, func(p *plan.Local) bool { return p.Query.Origin == origin })
+		}
 		seen[origin] = i + 1
-		// ex.Classes covers g.Classes followed by one entry per cache
-		// rollup, in g.Cached order.
-		for ci, c := range g.Classes {
-			if !slices.ContainsFunc(c.Plans, func(p *plan.Local) bool { return p.Query.Origin == origin }) {
+		all := true
+		for _, c := range g.Classes {
+			if !holds(c) {
+				all = false
 				continue
 			}
-			r.classes = append(r.classes, ex.Classes[ci])
 			for _, p := range c.Plans {
 				if o := p.Query.Origin; seen[o] != i+1 {
 					seen[o] = i + 1
 					r.sharedWith++
 				}
+			}
+		}
+		for _, cp := range g.Cached {
+			all = all && cp.Query.Origin == origin
+		}
+		if all {
+			// Every pass and rollup holds this request (always so for a
+			// lone one): the run's lists are its own, read-only.
+			r.classes, r.cached = ex.Classes, g.Cached
+			continue
+		}
+		// ex.Classes covers g.Classes followed by one entry per cache
+		// rollup, in g.Cached order.
+		for ci, c := range g.Classes {
+			if holds(c) {
+				r.classes = append(r.classes, ex.Classes[ci])
 			}
 		}
 		for ci, cp := range g.Cached {
@@ -1011,21 +1027,20 @@ func (d *DB) answer(rep *reply) (*Answer, error) {
 	if rep.err != nil {
 		return nil, rep.err
 	}
-	run := rep.run
 	d.noteCacheUse(rep.cached, len(rep.queries))
 	// The epoch is the one the run pinned, so cache entries are marked
 	// exactly.
-	evicted := d.putResults(rep.queries, rep.results, rep.perQuery, run.epoch)
+	evicted := d.putResults(rep.queries, rep.results, rep.perQuery, rep.epoch)
 	var st exec.Stats
 	for _, s := range rep.perQuery {
 		st.Add(s)
 	}
 	ans := &Answer{
 		Queries:    make([]QueryResult, len(rep.queries)),
-		Plan:       run.plan,
+		Plan:       rep.plan,
 		Classes:    make([]ClassStats, len(rep.classes)),
 		Stats:      statsOut(st),
-		BatchSize:  run.batchSize,
+		BatchSize:  rep.batchSize,
 		SharedWith: rep.sharedWith,
 	}
 	for i, q := range rep.queries {
@@ -1034,10 +1049,10 @@ func (d *DB) answer(rep *reply) (*Answer, error) {
 	for i, cs := range rep.classes {
 		ans.Classes[i] = classStatsOut(cs)
 	}
-	ans.Stats.DAGNodes = run.ex.DAGNodes
-	ans.Stats.WorkerPeak = run.ex.WorkerPeak
-	ans.Stats.EffectiveWorkers = run.ex.EffectiveWorkers
-	ans.Stats.SnapshotEpoch = run.epoch
+	ans.Stats.DAGNodes = rep.ex.DAGNodes
+	ans.Stats.WorkerPeak = rep.ex.WorkerPeak
+	ans.Stats.EffectiveWorkers = rep.ex.EffectiveWorkers
+	ans.Stats.SnapshotEpoch = rep.epoch
 	ans.Stats.RetiredFiles = d.db.MaintainStats().RetiredFiles
 	d.cacheCounters(&ans.Stats, rep.results, evicted)
 	return ans, nil
@@ -1052,10 +1067,10 @@ func (d *DB) effectiveWorkers(workers int) int {
 	return clampWorkers(workers)
 }
 
-// clampWorkers clamps a pool width to [1, dag.WorkerCap()].
-func clampWorkers(w int) int { return min(max(w, 1), dag.WorkerCap()) }
+// clampWorkers clamps a pool width to [1, exec.WorkerCap()].
+func clampWorkers(w int) int { return min(max(w, 1), exec.WorkerCap()) }
 
-// execOptions shapes the task-graph executor's configuration for one
+// execOptions shapes the executor's configuration for one
 // request running at the given resolved pool width: when actually
 // parallel, per-pass memory admission against broker with the
 // optimizer's footprint estimates, priced per worker (scan fan-out

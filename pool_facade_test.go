@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"mdxopt/internal/dag"
+	"mdxopt/internal/exec"
 	"mdxopt/internal/workload"
 )
 
@@ -12,7 +12,7 @@ import (
 // default (OpenOptions.Workers) otherwise — a batch runs as a request
 // with Workers unset; every width clamps to [1, the pool cap].
 func TestEffectiveWorkers(t *testing.T) {
-	cap := dag.WorkerCap()
+	cap := exec.WorkerCap()
 	cases := []struct {
 		request, database, want int
 	}{
@@ -79,9 +79,9 @@ func TestWorkersKnobEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clamped.Stats.EffectiveWorkers != dag.WorkerCap() {
+	if clamped.Stats.EffectiveWorkers != exec.WorkerCap() {
 		t.Fatalf("Workers=1<<20: EffectiveWorkers = %d, want cap %d",
-			clamped.Stats.EffectiveWorkers, dag.WorkerCap())
+			clamped.Stats.EffectiveWorkers, exec.WorkerCap())
 	}
 	if !reflect.DeepEqual(clamped.Queries, base.Queries) {
 		t.Fatal("clamped run differs from serial")

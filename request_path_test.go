@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"mdxopt/internal/core"
 	"mdxopt/internal/datagen"
 	"mdxopt/internal/exec"
 	"mdxopt/internal/sched"
@@ -58,7 +61,7 @@ func TestLoneStatsAreTheRunTotal(t *testing.T) {
 					// core.Run adds every class's and cache rollup's
 					// stats into its total, and nothing else.
 					var total exec.Stats
-					for _, cs := range rep.run.ex.Classes {
+					for _, cs := range rep.ex.Classes {
 						total.Add(cs.Stats)
 					}
 					var sum exec.Stats
@@ -68,8 +71,11 @@ func TestLoneStatsAreTheRunTotal(t *testing.T) {
 					if sum != total {
 						t.Fatalf("%s: %s: attributed work sums to\n%v\nthe run's total is\n%v", label, src, sum, total)
 					}
-					if len(rep.classes) != len(rep.run.ex.Classes) || rep.sharedWith != 0 {
-						t.Fatalf("%s: %s: lone request lists %d of %d passes, shares with %d", label, src, len(rep.classes), len(rep.run.ex.Classes), rep.sharedWith)
+					if len(rep.classes) != len(rep.ex.Classes) || rep.sharedWith != 0 {
+						t.Fatalf("%s: %s: lone request lists %d of %d passes, shares with %d", label, src, len(rep.classes), len(rep.ex.Classes), rep.sharedWith)
+					}
+					if &rep.classes[0] != &rep.ex.Classes[0] {
+						t.Fatalf("%s: %s: lone request copied the run's pass list", label, src)
 					}
 					ans, err := db.answer(&rep)
 					if err != nil {
@@ -86,6 +92,29 @@ func TestLoneStatsAreTheRunTotal(t *testing.T) {
 				}
 				if cacheBudget > 0 && cached == 0 {
 					t.Fatalf("%s: no request was served from the result cache", label)
+				}
+				// In a batch of two, each reply lists exactly the passes
+				// and rollups holding a query of its own origin.
+				pair := []string{diffMarginal(rng, true), slice}
+				reps := db.serve([]sched.Request{{Key: pair[0], Ctx: context.Background()}, {Key: pair[1], Ctx: context.Background()}}, Options{})
+				for i, rep := range reps {
+					if rep.err != nil {
+						t.Fatalf("%s: batch %q: %v", label, pair, rep.err)
+					}
+					prefix := fmt.Sprintf("s%d.", rep.queries[0].Origin)
+					var want []core.ClassStat
+					rollups := 0
+					for _, cs := range rep.ex.Classes {
+						if slices.ContainsFunc(cs.Queries, func(n string) bool { return strings.HasPrefix(n, prefix) }) {
+							want = append(want, cs)
+							if cs.Regime == "cache" {
+								rollups++
+							}
+						}
+					}
+					if !reflect.DeepEqual(rep.classes, want) || len(rep.cached) != rollups {
+						t.Fatalf("%s: batch %q: reply %d lists %d passes and %d rollups, holds %d of the run's %d", label, pair, i, len(rep.classes), len(rep.cached), len(want), len(rep.ex.Classes))
+					}
 				}
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
