@@ -86,11 +86,9 @@ func TestPoolJoinUnblocksOnStop(t *testing.T) {
 }
 
 // TestRunTasksSerialOrder: without a pool or with a width-1 one, a task
-// list runs inline in index order, under the caller's own context, and
-// stops at the first error without starting the tasks after it.
+// list runs inline in index order, under the caller's own context.
 func TestRunTasksSerialOrder(t *testing.T) {
 	ctx := context.Background()
-	boom := errors.New("boom")
 	for _, pool := range []*Pool{nil, NewPool(1)} {
 		var order []int
 		err := RunTasks(ctx, pool, 4, func(tctx context.Context, i int) error {
@@ -103,8 +101,17 @@ func TestRunTasksSerialOrder(t *testing.T) {
 		if err != nil || fmt.Sprint(order) != "[0 1 2 3]" {
 			t.Fatalf("width %d: order %v, err %v", pool.Width(), order, err)
 		}
-		order = order[:0]
-		err = RunTasks(ctx, pool, 4, func(_ context.Context, i int) error {
+	}
+}
+
+// TestRunTasksSharedPoolBoundsTasks: on a width-1 shared pool a list
+// runs serially even though every task is ready, claims no pool slot,
+// and a task's error stops it before the tasks after it start.
+func TestRunTasksSharedPoolBoundsTasks(t *testing.T) {
+	boom := errors.New("boom")
+	for _, pool := range []*Pool{nil, NewPool(1)} {
+		var order []int
+		err := RunTasks(context.Background(), pool, 4, func(_ context.Context, i int) error {
 			order = append(order, i)
 			if i == 1 {
 				return boom
