@@ -48,7 +48,8 @@ race:
 # plan-cache entry), one cached composition run by two runners at once,
 # the admission queue's goroutine ownership and option merging, and the
 # per-request fallback when a merged composition fails to plan.
-# The partition-wise finalization, derivation and fold-table merge
+# The partition-wise finalization suites (two-word keys included:
+# TestPartitionTwoWordKeysMatchNaive), derivation and fold-table merge
 # suites, the task-list driver's suite, the shared page loop's
 # equivalence and regime suites, and the executor's equivalence and
 # error suites run again at -cpu 1,4, so their pool tasks really run
@@ -60,10 +61,11 @@ race-dag:
 	$(GO) test -race -run 'TestSnapshotTorture|TestSnapshotReclamation|TestDifferentialAgainstNaive|TestOneRequestPath|TestSharedCompositionOverlaps|TestAdmissionOwnsNoIdleGoroutine|TestEquivalentOptionsMerge|TestBatched|TestServePlanFailureFallsBackPerSubmission' .
 
 # Short deterministic runs of the native fuzz targets (packed-key
-# codec and sort order at one and two words, the rollup key remap, the
-# partitioned worker merge, spill record codec, selection-vector
-# expansion, the bitmap index directory page) — regression smoke, not a
-# fuzzing session.
+# codec at one and two words; the packed key's order — (hi, lo) as one
+# 128-bit integer is bytes.Compare on the canonical byte key; the
+# rollup key remap, the partitioned worker merge, spill record codec,
+# selection-vector expansion, the bitmap index directory page) —
+# regression smoke, not a fuzzing session.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedKeyRoundTrip -fuzztime 5s
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzPackedSortOrder -fuzztime 5s

@@ -16,8 +16,9 @@ import (
 //  1. split: one slab region per worker table (a spilled table is first
 //     merged partition by partition, foldTable.rows);
 //  2. sort, per table: copy its groups into its region, release the
-//     table to the broker, radix-sort the region on the sort key (a table
-//     holds a key once);
+//     table to the broker, radix-sort the region on the packed key, whose
+//     numeric order is the canonical one (pack.go; a table holds a key
+//     once);
 //  3. bound: P-1 key-range boundaries drawn from a strided sample of the
 //     sorted regions cut every region into P runs;
 //  4. merge, per key range: merge the W runs, combining equal keys in
@@ -28,17 +29,15 @@ import (
 // are byte-identical to Naive's. Steps 2, 4 and 5 are pool tasks over
 // every root of the pass. At width 1, P = 1, the merge of a single run is
 // the identity and the steps run inline: the serial pass does the same
-// work through the same code. Keys without a sort key — one-word keys
-// of more than eight significant bytes, and every two-word key, whose
-// rows carry the high word where a sort key would be — use P = 1, a
-// comparison sort and a W-way comparator merge. Slab, merged rows and
-// groups are result state, not charged to the broker.
+// work through the same code. Keys of one word and of two take the same
+// steps. Slab, merged rows and groups are result state, not charged to
+// the broker.
 
 const (
 	// rangesPerWorker sets P = rangesPerWorker × W: a worker done with a
 	// small range claims another while a sibling works through a big one.
 	rangesPerWorker = 4
-	// samplesPerRange is the number of sampled sort keys per key range.
+	// samplesPerRange is the number of sampled keys per key range.
 	samplesPerRange = 64
 )
 
@@ -77,9 +76,7 @@ func (rs *runSet) init(t0 *foldTable, width int) {
 	ints := rs.int1[:]
 	rs.src = rs.src1[:]
 	if width > 1 {
-		if rs.kp.sortSteps != nil {
-			rs.parts = rangesPerWorker * width
-		}
+		rs.parts = rangesPerWorker * width
 		ints = make([]int, (width+2)*(rs.parts+1)+width*rs.parts)
 		rs.src = make([]runSrc, width)
 	}
@@ -194,21 +191,17 @@ func (rs *runSet) sort(w int) {
 	}
 	s.rows = nil
 	s.t.close()
-	if rs.kp.sortSteps != nil {
-		radixSort(region, 8*len(rs.kp.sortSteps)-8)
-	} else {
-		slices.SortFunc(region, func(x, y foldRow) int { return rs.kp.compareKeys(x.key, x.sortKey, y.key, y.sortKey) })
-	}
+	radixSort(region, (rs.kp.bits+7)/8*8-8)
 }
 
-// radixSort sorts rows in place on their sort keys' bytes from shift
+// radixSort sorts rows in place on their keys' bytes from bit shift
 // down, most significant first (American flag sort): count the rows per
 // byte value, then cycle every row into its bucket and sort each bucket
 // on the next byte; buckets of a few dozen rows finish by insertion sort.
 func radixSort(rows []foldRow, shift int) {
 	if len(rows) <= 48 || shift < 0 {
 		for i := 1; i < len(rows); i++ {
-			for j := i; j > 0 && rows[j].sortKey < rows[j-1].sortKey; j-- {
+			for j := i; j > 0 && compareRows(&rows[j], &rows[j-1]) < 0; j-- {
 				rows[j], rows[j-1] = rows[j-1], rows[j]
 			}
 		}
@@ -216,7 +209,7 @@ func radixSort(rows []foldRow, shift int) {
 	}
 	var next, end [256]int
 	for i := range rows {
-		end[rows[i].sortKey>>shift&0xff]++
+		end[rows[i].keyByte(shift)]++
 	}
 	for b, start := 0, 0; b < 256; b++ {
 		next[b], end[b] = start, start+end[b]
@@ -224,9 +217,9 @@ func radixSort(rows []foldRow, shift int) {
 	}
 	for b := range next {
 		for next[b] < end[b] {
-			i, j := next[b], next[rows[next[b]].sortKey>>shift&0xff]
+			i, j := next[b], next[rows[next[b]].keyByte(shift)]
 			rows[i], rows[j] = rows[j], rows[i]
-			next[rows[j].sortKey>>shift&0xff]++
+			next[rows[j].keyByte(shift)]++
 		}
 	}
 	for b, lo := 0, 0; b < 256; b++ {
@@ -236,7 +229,7 @@ func radixSort(rows []foldRow, shift int) {
 }
 
 // bound draws the P-1 key-range boundaries from a strided sample of the
-// sorted regions — quantiles of the sort key, not its top bits, whose top
+// sorted regions — quantiles of the key, not its top bits, whose top
 // byte is dimension 0's low code byte and may take only three values —
 // and cuts each region into its P runs by binary search.
 func (rs *runSet) bound() {
@@ -246,17 +239,18 @@ func (rs *runSet) bound() {
 	}
 	want := samplesPerRange * P
 	stride := max(1, (rs.off[W*(P+1)-1]+want-1)/want)
-	sample := make([]uint64, 0, want+W)
+	sample := make([]foldRow, 0, want+W)
 	for w := 0; w < W; w++ {
 		for i := rs.off[w*(P+1)]; i < rs.off[w*(P+1)+P]; i += stride {
-			sample = append(sample, rs.slab[i].sortKey)
+			sample = append(sample, foldRow{hi: rs.slab[i].hi, lo: rs.slab[i].lo})
 		}
 	}
-	slices.Sort(sample)
+	byKey := func(x, y foldRow) int { return compareRows(&x, &y) }
+	slices.SortFunc(sample, byKey)
 	for w := 0; w < W; w++ {
 		o := rs.off[w*(P+1) : (w+1)*(P+1)]
 		for p := 1; p < P && len(sample) > 0; p++ {
-			i, _ := slices.BinarySearchFunc(rs.slab[o[0]:o[P]], sample[p*len(sample)/P], func(r foldRow, k uint64) int { return cmp.Compare(r.sortKey, k) })
+			i, _ := slices.BinarySearchFunc(rs.slab[o[0]:o[P]], sample[p*len(sample)/P], byKey)
 			o[p] = o[0] + i
 		}
 	}
@@ -283,7 +277,7 @@ func (rs *runSet) merge(p int) {
 	for {
 		best := -1
 		for w, i := range c {
-			if i < rs.off[w*(P+1)+p+1] && (best < 0 || rs.compare(&rs.slab[i], &rs.slab[c[best]]) < 0) {
+			if i < rs.off[w*(P+1)+p+1] && (best < 0 || compareRows(&rs.slab[i], &rs.slab[c[best]]) < 0) {
 				best = w
 			}
 		}
@@ -293,7 +287,7 @@ func (rs *runSet) merge(p int) {
 		m := &rs.merged[out]
 		*m = rs.slab[c[best]]
 		for w := best; w < W; w++ {
-			if i := c[w]; i < rs.off[w*(P+1)+p+1] && rs.slab[i].key == m.key && rs.slab[i].sortKey == m.sortKey {
+			if i := c[w]; i < rs.off[w*(P+1)+p+1] && rs.slab[i].lo == m.lo && rs.slab[i].hi == m.hi {
 				if w > best {
 					s := foldSlot{a: m.a, b: m.b, set: true}
 					foldSlotMerge(rs.agg, &s, accum{a: rs.slab[i].a, b: rs.slab[i].b, set: true})
@@ -307,13 +301,13 @@ func (rs *runSet) merge(p int) {
 	rs.gof[p+1] = out - rs.mo[p]
 }
 
-// compare orders two rows canonically: by sort key, or with the
-// comparator when the packer has none.
-func (rs *runSet) compare(x, y *foldRow) int {
-	if rs.kp.sortSteps != nil {
-		return cmp.Compare(x.sortKey, y.sortKey)
+// compareRows orders two rows canonically: by key, (hi, lo) compared
+// as one 128-bit integer.
+func compareRows(x, y *foldRow) int {
+	if x.hi != y.hi {
+		return cmp.Compare(x.hi, y.hi)
 	}
-	return rs.kp.compareKeys(x.key, x.sortKey, y.key, y.sortKey)
+	return cmp.Compare(x.lo, y.lo)
 }
 
 // count turns the ranges' group counts into offsets and allocates the
@@ -339,7 +333,7 @@ func (rs *runSet) decode(p int) {
 	for i, r := range rs.rowsOf(p) {
 		g := rs.gof[p] + i
 		keys := rs.keys[g*nd : (g+1)*nd : (g+1)*nd]
-		rs.kp.unpack(r.key, r.sortKey, keys)
+		rs.kp.unpack(r.lo, r.hi, keys)
 		rs.groups[g] = Group{Keys: keys, Value: finalValue(avg, r.a, r.b)}
 	}
 }

@@ -62,6 +62,16 @@ func buildDB(t *testing.T, spec datagen.Spec) *star.Database {
 	return db
 }
 
+// roundedBytes is kp's key width with every field rounded up to whole
+// bytes: the width of the canonical byte key less its always-zero bytes.
+func roundedBytes(kp *keyPacker) int {
+	n := 0
+	for _, m := range kp.masks {
+		n += (star.FieldBits(int32(m+1)) + 7) / 8
+	}
+	return n
+}
+
 // highWordDims counts the dimensions of kp with bits in the high word.
 func highWordDims(kp *keyPacker) int {
 	n := 0
@@ -74,9 +84,9 @@ func highWordDims(kp *keyPacker) int {
 }
 
 // TestFinalizeOrderMatchesOracle runs every aggregate of group-bys over
-// the straddling schema — level vectors whose sort key fits a word, ones
-// that need the fallback comparator (one key range at any width), ones
-// that take two words — and over highWordSpec's base level, whose high
+// the straddling schema — level vectors of one word whose byte-rounded
+// fields fit eight bytes, ones of one word whose byte-rounded fields do
+// not, ones that take two words — and over highWordSpec's base level, whose high
 // word holds three dimensions, through the shared scan at every width
 // and grain of widthGrains, unspilled and under a 4 KiB budget, and
 // requires groups, order and values equal to Naive's.
@@ -86,11 +96,11 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 	all := func(d int) int { return schema.Dims[d].AllLevel() }
 
 	vectors := [][]int{
-		{1, 1, 1, 1, 1},                     // 8 sort bytes: sort key, every field at a byte edge
-		{0, 0, all(2), all(3), all(4)},      // 5 sort bytes, two wide fields
-		{0, 1, 1, 0, 2},                     // 3+1+2+2+1 = 9 sort bytes in 46 bits: comparator
-		{0, 0, 0, all(3), all(4)},           // 8 sort bytes exactly: sort key
-		{0, all(1), 0, 1, 0},                // 3+3+1+3 = 10 sort bytes in 59 bits: comparator
+		{1, 1, 1, 1, 1},                     // 8 rounded bytes, every field at a byte edge
+		{0, 0, all(2), all(3), all(4)},      // 5 rounded bytes, two wide fields
+		{0, 1, 1, 0, 2},                     // 3+1+2+2+1 = 9 rounded bytes in 46 bits
+		{0, 0, 0, all(3), all(4)},           // 8 rounded bytes exactly
+		{0, all(1), 0, 1, 0},                // 3+3+1+3 = 10 rounded bytes in 59 bits
 		{0, 0, 0, 0, 0},                     // 77 bits: two words
 		{0, 0, 0, 0, 1},                     // 69 bits: two words, a field across bit 64
 		{all(0), 2, all(2), all(3), all(4)}, // five groups
@@ -114,7 +124,7 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 	hw := buildDB(t, highWordSpec())
 	cases = append(cases, vector{hw, make([]int, hw.Schema.NumDims())})
 
-	var sortKeyed, compared, twoWord, highWord int
+	var narrow, wide, twoWord, highWord int
 	for vi, c := range cases {
 		db, schema, levels := c.db, c.db.Schema, c.levels
 		kp := newKeyPacker(schema, levels)
@@ -124,10 +134,10 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 			if highWordDims(kp) >= 2 {
 				highWord++
 			}
-		case kp.sortSteps == nil:
-			compared++
+		case roundedBytes(kp) > 8:
+			wide++
 		default:
-			sortKeyed++
+			narrow++
 		}
 		var group []*query.Query
 		for _, agg := range []query.Agg{query.Sum, query.Count, query.Min, query.Max, query.Avg} {
@@ -180,9 +190,9 @@ func TestFinalizeOrderMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	if sortKeyed < 3 || compared < 2 || twoWord < 2 || highWord < 1 {
-		t.Fatalf("coverage: %d sort-keyed, %d comparator, %d two-word vectors, %d with two dimensions in the high word",
-			sortKeyed, compared, twoWord, highWord)
+	if narrow < 3 || wide < 2 || twoWord < 2 || highWord < 1 {
+		t.Fatalf("coverage: %d one-word vectors within 8 rounded bytes, %d past them, %d two-word vectors, %d with two dimensions in the high word",
+			narrow, wide, twoWord, highWord)
 	}
 }
 
@@ -227,14 +237,19 @@ func TestGroupKeysDoNotAlias(t *testing.T) {
 	}
 }
 
-// filledPipeline returns a packed pipeline over a 4x8-bit key space
-// holding n distinct groups, each folded twice.
-func filledPipeline(tb testing.TB, env *Env, n int) *queryPipeline {
+// filledPipeline returns a packed pipeline holding n distinct groups,
+// each folded twice: over a 4x8-bit key space, or with wide over a
+// 98-bit two-word one whose groups differ in both words.
+func filledPipeline(tb testing.TB, env *Env, n int, wide bool) *queryPipeline {
 	tb.Helper()
 	_, qs := testDB(tb)
-	kp, ok := newKeyPackerFromCards([]int32{256, 256, 256, 256})
-	if !ok {
-		tb.Fatal("4x8-bit key did not pack")
+	cards := []int32{256, 256, 256, 256}
+	if wide {
+		cards = []int32{1 << 30, 1 << 30, 1 << 30, 256}
+	}
+	kp, ok := newKeyPackerFromCards(cards)
+	if !ok || kp.twoWords() != wide {
+		tb.Fatalf("key of cards %v: packed %v, two words %v, want %v", cards, ok, ok && kp.twoWords(), wide)
 	}
 	q := *qs["Q1"]
 	q.Agg = query.Avg
@@ -243,8 +258,12 @@ func filledPipeline(tb testing.TB, env *Env, n int) *queryPipeline {
 		for i := 0; i < n; i++ {
 			// An odd multiplier permutes the 32-bit key space: n
 			// distinct keys in scattered order.
-			key := uint64(uint32(i) * 2654435761)
-			if err := p.ftab.fold(key, accum{a: float64(i), b: 1, set: true}); err != nil {
+			x := uint64(uint32(i) * 2654435761)
+			lo, hi := x, uint64(0)
+			if wide {
+				lo, hi = x<<32|x, x>>16
+			}
+			if err := p.ftab.foldKey(lo, hi, accum{a: float64(i), b: 1, set: true}); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -255,12 +274,12 @@ func filledPipeline(tb testing.TB, env *Env, n int) *queryPipeline {
 // filledRoot returns a root pipeline ready for finalizeSets: width
 // worker tables (filledPipeline's), each holding the same n groups, so
 // every group has a duplicate in every other worker.
-func filledRoot(tb testing.TB, env *Env, width, n int) *queryPipeline {
+func filledRoot(tb testing.TB, env *Env, width, n int, wide bool) *queryPipeline {
 	tb.Helper()
-	p := filledPipeline(tb, env, n)
+	p := filledPipeline(tb, env, n, wide)
 	p.ftab.fin.init(p.ftab, width)
 	for w := 1; w < width; w++ {
-		p.ftab.fin.src[w].t = filledPipeline(tb, env, n).ftab
+		p.ftab.fin.src[w].t = filledPipeline(tb, env, n, wide).ftab
 	}
 	return p
 }
@@ -275,7 +294,7 @@ func finalizeAllocs(t *testing.T, env *Env, width, n int) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var total uint64
 	for i := 0; i <= runs; i++ { // the first run warms up
-		p := filledRoot(t, env, width, n)
+		p := filledRoot(t, env, width, n, false)
 		roots := []*queryPipeline{p}
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -323,37 +342,44 @@ func TestFinalizeAllocsWidth2(t *testing.T) {
 
 // BenchmarkFinalize measures finalization alone — spill merge, copy,
 // sort, merge, decode — of a root of 1k and 100k groups per worker
-// table, resident or spilled, at widths 1 and 2.
+// table, one-word or two-word keys, resident or spilled, at widths 1
+// and 2.
 func BenchmarkFinalize(b *testing.B) {
 	db, _ := testDB(b)
-	for _, width := range []int{1, 2} {
-		for _, n := range []int{1000, 100000} {
-			for _, spilled := range []bool{false, true} {
-				name := fmt.Sprintf("width=%d/groups=%d/unspilled", width, n)
-				if spilled {
-					name = fmt.Sprintf("width=%d/groups=%d/spilled", width, n)
-				}
-				b.Run(name, func(b *testing.B) {
-					env := NewEnv(db)
-					env.Pool = NewPool(width)
+	for _, wide := range []bool{false, true} {
+		key, slot := "one_word", int64(foldSlotBytes)
+		if wide {
+			key, slot = "two_word", foldSlotBytes+8
+		}
+		for _, width := range []int{1, 2} {
+			for _, n := range []int{1000, 100000} {
+				for _, spilled := range []bool{false, true} {
+					name := fmt.Sprintf("%s/width=%d/groups=%d/unspilled", key, width, n)
 					if spilled {
-						// A quarter of what the resident tables would hold.
-						env.Mem = mem.New(int64(width*n) * foldSlotBytes / 4)
-						env.SpillDir = b.TempDir()
+						name = fmt.Sprintf("%s/width=%d/groups=%d/spilled", key, width, n)
 					}
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						p := filledRoot(b, env, width, n)
-						if spilled != (p.ftab.sp != nil) {
-							b.Fatalf("spilled = %v, want %v", p.ftab.sp != nil, spilled)
+					b.Run(name, func(b *testing.B) {
+						env := NewEnv(db)
+						env.Pool = NewPool(width)
+						if spilled {
+							// A quarter of what the resident tables would hold.
+							env.Mem = mem.New(int64(width*n) * slot / 4)
+							env.SpillDir = b.TempDir()
 						}
-						b.StartTimer()
-						if err := finalizeSets(env, []*queryPipeline{p}); err != nil || len(p.ftab.fin.groups) != n {
-							b.Fatalf("finalize: %d groups, err %v", len(p.ftab.fin.groups), err)
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							b.StopTimer()
+							p := filledRoot(b, env, width, n, wide)
+							if spilled != (p.ftab.sp != nil) {
+								b.Fatalf("spilled = %v, want %v", p.ftab.sp != nil, spilled)
+							}
+							b.StartTimer()
+							if err := finalizeSets(env, []*queryPipeline{p}); err != nil || len(p.ftab.fin.groups) != n {
+								b.Fatalf("finalize: %d groups, err %v", len(p.ftab.fin.groups), err)
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -30,10 +30,10 @@ import (
 //     partition so a key's records stay in one partition in arrival
 //     order;
 //   - finalization (finalize.go) copies the groups of every worker's
-//     table into one flat slab, orders it canonically — by the packer's
-//     order-preserving sort key where there is one, with compareKeys
-//     otherwise — and decodes into slab-backed Groups, so results are
-//     byte-identical to the oracle's.
+//     table into one flat slab, orders it canonically — by the packed
+//     key itself, whose numeric order is the canonical one (pack.go) —
+//     and decodes into slab-backed Groups, so results are byte-identical
+//     to the oracle's.
 const (
 	// foldInitialSlots is the initial slot-array capacity. Its slab
 	// (foldInitialSlots slots, high words included) is also the table
@@ -384,15 +384,21 @@ func (t *foldTable) writeKB(h uint64, ac accum) error {
 	return nil
 }
 
-// foldRow is one finalized group: its key and the accumulator. key is
-// the key's low word; sortKey is the key's sort key when the packer has
-// sort steps and its high word otherwise (0 for a one-word key). Either
-// way (key, sortKey) identifies the key, and every function that reads
-// both words of a row reads sortKey as hi: a one-word packer's fields
-// never reach it (keyPacker.code).
+// foldRow is one finalized group: its key's two words (hi is 0 for a
+// one-word key) and the accumulator. (hi, lo) compared as one 128-bit
+// integer is the canonical order (compareRows).
 type foldRow struct {
-	sortKey, key uint64
-	a, b         float64
+	hi, lo uint64
+	a, b   float64
+}
+
+// keyByte is the byte of r's key at bit shift, a multiple of 8 below
+// 128.
+func (r *foldRow) keyByte(shift int) uint8 {
+	if shift >= 64 {
+		return uint8(r.hi >> (shift - 64))
+	}
+	return uint8(r.lo >> shift)
 }
 
 // rows returns every group of a spilled table fully merged, in no
@@ -429,11 +435,11 @@ func (t *foldTable) appendRows(out []foldRow) []foldRow {
 		if !s.used {
 			continue
 		}
-		top := t.kp.sortKey(s.key)
+		var hi uint64
 		if t.hi != nil {
-			top = t.hi[i]
+			hi = t.hi[i]
 		}
-		out = append(out, foldRow{sortKey: top, key: s.key, a: s.a, b: s.b})
+		out = append(out, foldRow{hi: hi, lo: s.key, a: s.a, b: s.b})
 	}
 	return out
 }

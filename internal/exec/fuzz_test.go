@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"math"
 	"math/big"
@@ -14,10 +13,12 @@ import (
 // legacyKey appends the canonical byte form of key (lo, hi) — each
 // dimension's code as a little-endian int32, the exact layout the
 // oracle sorts on. The engine never materializes it; it is the
-// reference the packed sort order is checked against.
+// reference the packed key's order is checked against.
 func (kp *keyPacker) legacyKey(dst []byte, lo, hi uint64) []byte {
-	for i := range kp.shifts {
-		dst = binary.LittleEndian.AppendUint32(dst, kp.code(lo, hi, i))
+	codes := make([]int32, len(kp.shifts))
+	kp.unpack(lo, hi, codes)
+	for _, c := range codes {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
 	}
 	return dst
 }
@@ -58,29 +59,42 @@ func cardWords(cards ...uint32) [4]uint64 {
 	return fuzzWords(vals...)
 }
 
-// FuzzPackedSortOrder checks the finalizer's ordering against the
+// FuzzPackedSortOrder checks the packed key's order against the
 // canonical one: for any two keys of any packer over 4 to 8 dimensions,
-// one word or two, comparing sort keys (or, when the packer has none,
-// compareKeys) must agree with bytes.Compare on the legacy byte keys,
-// and a sort key must exist exactly when the significant code bytes fit
-// a word.
+// one word or two, comparing them as 128-bit integers (hi, lo) — the
+// order finalization sorts, bounds and merges by — must agree with
+// bytes.Compare on the legacy byte keys.
 func FuzzPackedSortOrder(f *testing.F) {
-	// One byte per dim; codes differing only in the high byte of a
-	// two-byte field (where byte order and numeric order disagree);
-	// cards straddling 256 and 65,536; three 17-bit dims = 9 sort bytes
-	// in 51 packed bits (fallback comparator); ALL-level dims; and two
-	// two-word keys, one with a field across bit 64 and several fields
-	// in the high word.
-	add := func(nd uint8, w [4]uint64, xlo, xhi, ylo, yhi uint64) {
+	// Seeds are code vectors, packed here: one byte per dim; codes
+	// differing only in the high byte of a two-byte field (where byte
+	// order and numeric order disagree); cards straddling 256 and
+	// 65,536; three 17-bit dims = 9 byte-rounded bytes in 51 bits and
+	// six 10-bit dims = 12 in 60, one-word keys wider than a byte-rounded
+	// word; ALL-level dims; and two two-word keys, one with a field
+	// across bit 64 and several fields in the high word.
+	add := func(nd uint8, cards []uint32, x, y []uint32) {
+		w := cardWords(cards...)
+		cs := fuzzCards(nd, w[0], w[1], w[2], w[3])
+		kp, ok := newKeyPackerFromCards(cs)
+		if !ok {
+			f.Fatalf("seed cards %v do not pack", cs)
+		}
+		xc, yc := make([]int32, len(cs)), make([]int32, len(cs))
+		for i := range cs {
+			xc[i], yc[i] = int32(x[i]), int32(y[i])
+		}
+		xlo, xhi := kp.pack(xc)
+		ylo, yhi := kp.pack(yc)
 		f.Add(nd, w[0], w[1], w[2], w[3], xlo, xhi, ylo, yhi)
 	}
-	add(0, cardWords(12, 30, 200, 2), 0x1234, 0, 0x4321, 0)
-	add(0, cardWords(1000, 1000, 1, 1), 0x0100, 0, 0x00ff, 0)
-	add(0, cardWords(255, 256, 65535, 65536), 0xffffffffffff, 0, 0xff00ff00ff00, 0)
-	add(0, cardWords(65537, 65537, 65537, 1), 0x10000, 0, 0x0ffff, 0)
-	add(0, cardWords(1, 1, 1, 1), 0, 0, 0, 0)
-	add(1, cardWords(1<<20, 1<<20, 1<<20, 300, 5000), 0xfedcba9876543210, 0x1234, 0xfedcba9876543210, 0x1235)
-	add(4, cardWords(1<<16, 1<<16, 1<<16, 1<<16, 257, 3, 1<<12, 2), 0, 0x10203, 0, 0x10103)
+	add(0, []uint32{12, 30, 200, 2}, []uint32{4, 18, 1, 0}, []uint32{4, 17, 3, 1})
+	add(0, []uint32{1000, 1000, 1, 1}, []uint32{7, 0x100, 0, 0}, []uint32{7, 0xff, 0, 0})
+	add(0, []uint32{255, 256, 65535, 65536}, []uint32{254, 255, 0xff00, 0xffff}, []uint32{254, 255, 0x00ff, 0xff00})
+	add(0, []uint32{65537, 65537, 65537, 1}, []uint32{0x10000, 1, 2, 0}, []uint32{0x0ffff, 1, 2, 0})
+	add(0, []uint32{1, 1, 1, 1}, []uint32{0, 0, 0, 0}, []uint32{0, 0, 0, 0})
+	add(1, []uint32{1 << 20, 1 << 20, 1 << 20, 300, 5000}, []uint32{0x12345, 9, 0x10000, 299, 0x1234}, []uint32{0x12345, 9, 0x10000, 44, 0x1235})
+	add(4, []uint32{1 << 16, 1 << 16, 1 << 16, 1 << 16, 257, 3, 1 << 12, 2}, []uint32{1, 2, 3, 4, 256, 2, 0x100, 1}, []uint32{1, 2, 3, 4, 256, 2, 0x0ff, 1})
+	add(2, []uint32{1000, 1000, 1000, 1000, 1000, 1000}, []uint32{1, 2, 3, 4, 5, 0x200}, []uint32{1, 2, 3, 4, 5, 0x1ff})
 	f.Fuzz(func(t *testing.T, nd uint8, w0, w1, w2, w3, xlo, xhi, ylo, yhi uint64) {
 		cards := fuzzCards(nd, w0, w1, w2, w3)
 		kp, ok := newKeyPackerFromCards(cards)
@@ -90,28 +104,17 @@ func FuzzPackedSortOrder(f *testing.F) {
 		if kp.twoWords() != (fuzzKeyBits(cards) > 64) {
 			t.Fatalf("cards %v (%d bits): twoWords = %v", cards, fuzzKeyBits(cards), kp.twoWords())
 		}
-		sortBytes := 0
-		for _, c := range cards {
-			sortBytes += (star.FieldBits(c) + 7) / 8
-		}
-		if has := kp.sortSteps != nil; has != (sortBytes <= 8) {
-			t.Fatalf("cards %v (%d sort bytes): has sort key = %v", cards, sortBytes, has)
-		}
-		// Any bit pattern under the field masks is a legal key.
+		// Any bit pattern under the field masks is a legal key: a
+		// field's values are a permutation of its width's codes.
 		var allLo, allHi uint64
 		for i, m := range kp.masks {
 			allLo, allHi = kp.put(allLo, allHi, i, uint32(m))
 		}
-		xlo, xhi, ylo, yhi = xlo&allLo, xhi&allHi, ylo&allLo, yhi&allHi
-		want := bytes.Compare(kp.legacyKey(nil, xlo, xhi), kp.legacyKey(nil, ylo, yhi))
-		if got := kp.compareKeys(xlo, xhi, ylo, yhi); got != want {
-			t.Fatalf("cards %v keys %#x:%#x %#x:%#x: compareKeys = %d, bytes.Compare = %d", cards, xhi, xlo, yhi, ylo, got, want)
-		}
-		if kp.sortSteps != nil {
-			if got := cmp.Compare(kp.sortKey(xlo), kp.sortKey(ylo)); got != want {
-				t.Fatalf("cards %v keys %#x %#x: sort keys %#x %#x compare %d, bytes.Compare = %d",
-					cards, xlo, ylo, kp.sortKey(xlo), kp.sortKey(ylo), got, want)
-			}
+		x := foldRow{hi: xhi & allHi, lo: xlo & allLo}
+		y := foldRow{hi: yhi & allHi, lo: ylo & allLo}
+		want := bytes.Compare(kp.legacyKey(nil, x.lo, x.hi), kp.legacyKey(nil, y.lo, y.hi))
+		if got := compareRows(&x, &y); got != want {
+			t.Fatalf("cards %v keys %#x:%#x %#x:%#x: packed order %d, bytes.Compare = %d", cards, x.hi, x.lo, y.hi, y.lo, got, want)
 		}
 	})
 }
@@ -119,8 +122,9 @@ func FuzzPackedSortOrder(f *testing.F) {
 // FuzzPackedKeyRoundTrip checks the packed-key codec against arbitrary
 // cardinalities of 4 to 8 dimensions and arbitrary codes: a packer must
 // exist exactly when the field widths fit two words, the key must be
-// the fields' 128-bit sum, and pack → unpack and pack → legacyKey must
-// both reproduce the codes.
+// the 128-bit sum of the codes' field values (fieldValue) at fields laid
+// out from dimension 0 down, from the key's top bit, and pack → unpack
+// and pack → legacyKey must both reproduce the codes.
 func FuzzPackedKeyRoundTrip(f *testing.F) {
 	// Paper-shaped small cards; max-cardinality codes at 16-bit fields;
 	// degenerate ALL-level dims; eight 16-bit fields (exactly 128 bits);
@@ -145,9 +149,18 @@ func FuzzPackedKeyRoundTrip(f *testing.F) {
 		kw := [4]uint64{k0, k1, k2, k3}
 		codes := make([]int32, len(cards))
 		sum := new(big.Int)
+		top := total
 		for i := range codes {
+			w := star.FieldBits(cards[i])
+			if top -= w; kp.shifts[i] != uint(top) {
+				t.Fatalf("cards %v: dim %d field at bit %d, want %d", cards, i, kp.shifts[i], top)
+			}
 			codes[i] = int32(uint32(kw[i/2]>>(32*(i%2))) % uint32(cards[i]))
-			sum.Or(sum, new(big.Int).Lsh(big.NewInt(int64(codes[i])), kp.shifts[i]))
+			v := fieldValue(uint32(codes[i]), w)
+			if v>>w != 0 || fieldCode(v, w) != uint32(codes[i]) {
+				t.Fatalf("cards %v: code %d in %d bits has field value %#x, decoded %d", cards, codes[i], w, v, fieldCode(v, w))
+			}
+			sum.Or(sum, new(big.Int).Lsh(big.NewInt(int64(v)), kp.shifts[i]))
 		}
 		lo, hi := kp.pack(codes)
 		key := new(big.Int).Or(new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64), new(big.Int).SetUint64(lo))

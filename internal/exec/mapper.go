@@ -12,15 +12,16 @@ import (
 
 // dimLookup is the in-memory join structure the hash star join builds
 // from one dimension table: for every code at the view column's level it
-// gives the group-by code at the query's level and whether the code
-// passes the query's predicate.
+// gives the group-by code at the query's level — as the value its field
+// of the packed key holds (fieldValue), which the fold kernel ORs in
+// as is — and whether the code passes the query's predicate.
 //
 // It corresponds to the paper's per-dimension join hash table (Fig. 1);
 // because our member codes are dense the table is an array, but building
 // it still scans the stored dimension table and is charged per row, and
 // two queries needing the same table can share one (§3.1).
 type dimLookup struct {
-	out  []int32 // view-level code -> query-level code
+	out  []int32 // view-level code -> query-level field value
 	pass []bool  // nil when the dimension is unrestricted
 }
 
@@ -52,7 +53,7 @@ func buildLookup(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (*d
 		return nil, fmt.Errorf("exec: view level %d coarser than query level %d on %s",
 			viewLevel, targetLevel, d.Name)
 	}
-	card := d.Card(viewLevel)
+	card, w := d.Card(viewLevel), star.FieldBits(d.Card(targetLevel))
 	lk := &dimLookup{out: make([]int32, card)}
 	memberSet := q.MemberSet(dim)
 	if memberSet != nil {
@@ -80,7 +81,7 @@ func buildLookup(env *Env, stats *Stats, q *query.Query, dim, viewLevel int) (*d
 		if targetLevel < d.NumLevels() {
 			target = keys[targetLevel]
 		}
-		lk.out[code] = target
+		lk.out[code] = int32(fieldValue(uint32(target), w))
 		if lk.pass != nil {
 			lk.pass[code] = memberSet[target]
 		}

@@ -20,27 +20,19 @@ import (
 //
 // The canonical result ordering is the key's byte layout as one
 // little-endian int32 per dimension (the oracle sorts exactly those
-// bytes). Finalization never materializes it: sortKey permutes a
-// one-word key's bytes into a uint64 whose numeric order equals that
-// byte order, and compareKeys orders the keys that have no sort key.
+// bytes). The packed key is laid out so that its numeric order, (hi,
+// lo) as one 128-bit integer, is that order: dimension 0's field takes
+// the most significant bits, and each field stores its code with the
+// bytes reversed (fieldValue), so a code's low byte sits on top. The
+// key is its own sort key at every width, and its top bits are the
+// canonical prefix.
 
 // keyPacker packs and unpacks a query's group-by key. Immutable after
 // construction; safe to share across worker pipelines.
 type keyPacker struct {
-	shifts []uint // bit offset of each dimension's field in the 128-bit key
-	masks  []uint64
+	shifts []uint   // bit offset of each dimension's field; dimension 0's is the highest
+	masks  []uint64 // each field's mask, 1<<width - 1
 	bits   int
-	// sortSteps moves the packed key's significant code bytes into
-	// sort-key position (see sortKey); nil when they exceed 64 bits and
-	// ordering falls back to compareKeys. A two-word key never has one.
-	sortSteps []sortStep
-}
-
-// sortStep copies one code byte: the packed key's bits [src, src+8)
-// under mask land at bit dst of the sort key.
-type sortStep struct {
-	src, dst uint
-	mask     uint64
 }
 
 // newKeyPacker builds the packer of a group-by at the given levels.
@@ -62,100 +54,79 @@ func newKeyPackerFromCards(cards []int32) (*keyPacker, bool) {
 		shifts: make([]uint, len(cards)),
 		masks:  make([]uint64, len(cards)),
 	}
-	shift := 0
 	for i, card := range cards {
 		if card < 1 {
 			return nil, false
 		}
 		w := star.FieldBits(card)
-		kp.shifts[i] = uint(shift)
 		kp.masks[i] = 1<<w - 1
-		shift += w
+		kp.bits += w
 	}
-	if shift > star.MaxKeyBits {
+	if kp.bits > star.MaxKeyBits {
 		return nil, false
 	}
-	kp.bits = shift
-	kp.sortSteps = kp.buildSortSteps()
+	shift := kp.bits
+	for i, m := range kp.masks {
+		shift -= bits.Len64(m)
+		kp.shifts[i] = uint(shift)
+	}
 	return kp, true
 }
 
 // twoWords reports whether the key needs the high word.
 func (kp *keyPacker) twoWords() bool { return kp.bits > 64 }
 
-// buildSortSteps lays out the sort key: dimension by dimension, each
-// code's significant bytes (those a field of its width can set) from
-// least to most significant, concatenated big-endian. That is the
-// canonical byte key with its always-zero bytes dropped, so comparing
-// two sort keys as integers is bytes.Compare on the canonical keys. A
-// field width is rounded up to whole bytes here, so the sort key can
-// need more than the 64 bits a one-word key fits in; nil then.
-func (kp *keyPacker) buildSortSteps() []sortStep {
-	nbytes := 0
-	for _, m := range kp.masks {
-		nbytes += (bits.Len64(m) + 7) / 8
+// fieldValue is the value code c takes in a field of w bits: its bytes
+// reversed, the low byte on top — (c&0xff)<<(w-8) followed by the same
+// layout of c>>8 in the w-8 bits below — so that the fields' numeric
+// order is the order of the codes' little-endian bytes. A field of at
+// most 8 bits holds the code itself.
+func fieldValue(c uint32, w int) uint32 {
+	if w <= 8 {
+		return c
 	}
-	if nbytes > 8 {
-		return nil
-	}
-	steps := make([]sortStep, 0, nbytes)
-	dst := uint(8 * nbytes)
-	for i, m := range kp.masks {
-		for off := uint(0); m>>off != 0; off += 8 {
-			dst -= 8
-			steps = append(steps, sortStep{src: kp.shifts[i] + off, dst: dst, mask: m >> off & 0xff})
-		}
-	}
-	return steps
+	n := (w + 7) / 8 // code bytes
+	r := w - 8*(n-1) // bits of the top code byte, the field's lowest
+	rev := bits.ReverseBytes32(c) >> (32 - 8*n)
+	return rev>>8<<r | rev&0xff
 }
 
-// sortKey returns the order-preserving sort key of one-word key k; 0
-// for every key when the packer has no sort steps.
-func (kp *keyPacker) sortKey(k uint64) uint64 {
-	var sk uint64
-	for _, st := range kp.sortSteps {
-		sk |= k >> st.src & st.mask << st.dst
+// fieldCode inverts fieldValue: the code a field of w bits holds.
+func fieldCode(v uint32, w int) uint32 {
+	if w <= 8 {
+		return v
 	}
-	return sk
+	n := (w + 7) / 8
+	r := w - 8*(n-1)
+	return bits.ReverseBytes32((v>>r<<8 | v&(1<<r-1)) << (32 - 8*n))
 }
 
-// compareKeys orders two keys canonically without a sort key: the
-// first differing dimension decides, its codes compared as
-// little-endian byte strings (byte-reversed integers).
-func (kp *keyPacker) compareKeys(alo, ahi, blo, bhi uint64) int {
-	for i := range kp.shifts {
-		ca, cb := kp.code(alo, ahi, i), kp.code(blo, bhi, i)
-		if ca != cb {
-			if bits.ReverseBytes32(ca) < bits.ReverseBytes32(cb) {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
+// fieldOf is the value code c takes in dimension i's field.
+func (kp *keyPacker) fieldOf(i int, c int32) uint32 {
+	return fieldValue(uint32(c), bits.Len64(kp.masks[i]))
 }
 
-// code extracts dimension i's code from the key (lo, hi). Go shifts by
-// 64 or more yield zero, so a field below bit 64, above it, or across
-// it takes the same expression; the field of a one-word key never
-// reaches hi, whose terms then vanish or fall outside the mask.
-func (kp *keyPacker) code(lo, hi uint64, i int) uint32 {
+// field extracts dimension i's field value from the key (lo, hi). Go
+// shifts by 64 or more yield zero, so a field below bit 64, above it,
+// or across it takes the same expression; the field of a one-word key
+// never reaches hi, whose terms then vanish or fall outside the mask.
+func (kp *keyPacker) field(lo, hi uint64, i int) uint32 {
 	s := kp.shifts[i]
 	return uint32((lo>>s | hi<<(64-s) | hi>>(s-64)) & kp.masks[i])
 }
 
-// put ORs code c into dimension i's field of the key (lo, hi); the
-// inverse of code.
-func (kp *keyPacker) put(lo, hi uint64, i int, c uint32) (uint64, uint64) {
-	v, s := uint64(c)&kp.masks[i], kp.shifts[i]
-	return lo | v<<s, hi | v<<(s-64) | v>>(64-s)
+// put ORs field value v into dimension i's field of the key (lo, hi);
+// the inverse of field.
+func (kp *keyPacker) put(lo, hi uint64, i int, v uint32) (uint64, uint64) {
+	f, s := uint64(v)&kp.masks[i], kp.shifts[i]
+	return lo | f<<s, hi | f<<(s-64) | f>>(64-s)
 }
 
 // pack encodes one code per dimension into the key. Codes must be
 // within the cards the packer was built with.
 func (kp *keyPacker) pack(codes []int32) (lo, hi uint64) {
 	for i, c := range codes {
-		lo, hi = kp.put(lo, hi, i, uint32(c))
+		lo, hi = kp.put(lo, hi, i, kp.fieldOf(i, c))
 	}
 	return lo, hi
 }
@@ -163,7 +134,7 @@ func (kp *keyPacker) pack(codes []int32) (lo, hi uint64) {
 // unpack decodes the key into out, one code per dimension.
 func (kp *keyPacker) unpack(lo, hi uint64, out []int32) {
 	for i := range out {
-		out[i] = int32(kp.code(lo, hi, i))
+		out[i] = int32(fieldCode(kp.field(lo, hi, i), bits.Len64(kp.masks[i])))
 	}
 }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"cmp"
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -27,13 +27,16 @@ func pk(kp *keyPacker, codes ...int32) [2]uint64 {
 	return [2]uint64{lo, hi}
 }
 
-// rowKey is row r's key (lo, hi): a one-word row's second word is its
-// sort key, not part of the key.
-func rowKey(kp *keyPacker, r foldRow) [2]uint64 {
-	if kp.twoWords() {
-		return [2]uint64{r.key, r.sortKey}
-	}
-	return [2]uint64{r.key, 0}
+// rowKey is row r's key (lo, hi).
+func rowKey(r foldRow) [2]uint64 { return [2]uint64{r.lo, r.hi} }
+
+// sortCanonical sorts keys (lo, hi) of kp canonically: by
+// bytes.Compare on their legacy byte keys, independent of the packed
+// layout.
+func sortCanonical(kp *keyPacker, keys [][2]uint64) {
+	slices.SortFunc(keys, func(x, y [2]uint64) int {
+		return bytes.Compare(kp.legacyKey(nil, x[0], x[1]), kp.legacyKey(nil, y[0], y[1]))
+	})
 }
 
 // refFold folds ac into cur as the fold table does.
@@ -81,7 +84,7 @@ func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [
 	for k := range want {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(x, y [2]uint64) int { return kp.compareKeys(x[0], x[1], y[0], y[1]) })
+	sortCanonical(kp, keys)
 
 	env.Pool = NewPool(len(runs))
 	if err := finalizeSets(env, []*queryPipeline{root}); err != nil {
@@ -97,8 +100,8 @@ func partitionMerge(t *testing.T, env *Env, agg query.Agg, kp *keyPacker, runs [
 	codes := make([]int32, len(kp.shifts))
 	for i, k := range keys {
 		r, w := got[i], want[k]
-		if rowKey(kp, r) != k || r.a != w.a || r.b != w.b {
-			t.Fatalf("width %d row %d: key %#x (%v, %v), want %#x (%v, %v)", len(runs), i, rowKey(kp, r), r.a, r.b, k, w.a, w.b)
+		if rowKey(r) != k || r.a != w.a || r.b != w.b {
+			t.Fatalf("width %d row %d: key %#x (%v, %v), want %#x (%v, %v)", len(runs), i, rowKey(r), r.a, r.b, k, w.a, w.b)
 		}
 		kp.unpack(k[0], k[1], codes)
 		if g := rs.groups[i]; !slices.Equal(g.Keys, codes) || g.Value != finalValue(agg == query.Avg, w.a, w.b) {
@@ -125,13 +128,14 @@ func rangeSizes(rs *runSet) []int {
 // TestPartitionEdgeCases covers the degenerate layouts: no groups at
 // all, one key held by every worker (every row in one range, the others
 // empty), fewer groups than ranges, every group in one worker, and keys
-// without a sort key, of one word and of two (one range at any width).
+// wider than a byte-rounded word, of one word and of two, which split
+// into as many ranges as any.
 func TestPartitionEdgeCases(t *testing.T) {
 	narrow, _ := newKeyPackerFromCards([]int32{3, 300, 7})
 	wide, _ := newKeyPackerFromCards([]int32{1 << 17, 1 << 17, 1 << 17})
 	twoWord, _ := newKeyPackerFromCards([]int32{1 << 30, 1 << 30, 1 << 17})
-	if narrow.sortSteps == nil || wide.sortSteps != nil || wide.twoWords() || !twoWord.twoWords() {
-		t.Fatal("want a packer with a sort key, a one-word one without and a two-word one")
+	if narrow.twoWords() || wide.twoWords() || !twoWord.twoWords() {
+		t.Fatal("want two one-word packers and a two-word one")
 	}
 	same := func(width int, key [2]uint64) [][]delta {
 		runs := make([][]delta, width)
@@ -176,15 +180,87 @@ func TestPartitionEdgeCases(t *testing.T) {
 			partitionMerge(t, env, agg, narrow, lone)
 
 			for _, kp := range []*keyPacker{wide, twoWord} {
-				if rs = partitionMerge(t, env, agg, kp, same(width, pk(kp, 70000, 256, 65536))); rs.parts != 1 {
-					t.Fatalf("width %d: %d ranges for keys without a sort key, want 1", width, rs.parts)
+				if rs = partitionMerge(t, env, agg, kp, same(width, pk(kp, 70000, 256, 65536))); rs.parts != rangesPerWorker*width {
+					t.Fatalf("width %d: %d ranges for a %d-bit key, want %d", width, rs.parts, kp.bits, rangesPerWorker*width)
 				}
 			}
 		}
 	}
 }
 
-// TestPartitionBoundsBalanced: with dimension 0 at three codes the sort
+// TestPartitionTwoWordKeysMatchNaive runs highWordSpec's base level, an
+// 82-bit two-word key, at widths 1, 2 and 4: through the shared scan,
+// where every answer must equal Naive's, and through finalization alone
+// on worker tables built from Naive's groups, which must split into
+// rangesPerWorker × width key ranges, use more than one of them, and
+// reproduce Naive's groups in Naive's order.
+func TestPartitionTwoWordKeysMatchNaive(t *testing.T) {
+	db := buildDB(t, highWordSpec())
+	levels := make([]int, db.Schema.NumDims())
+	kp := newKeyPacker(db.Schema, levels)
+	if !kp.twoWords() {
+		t.Fatalf("the %d-bit base-level key packed into a word", kp.bits)
+	}
+	var class []*query.Query
+	for _, agg := range []query.Agg{query.Sum, query.Max} {
+		q, err := query.New("base_"+agg.String(), db.Schema, levels, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Agg = agg
+		class = append(class, q)
+	}
+	want := make([]*Result, len(class))
+	for i, q := range class {
+		want[i] = oracle(t, NewEnv(db), q)
+	}
+	maxGroups := want[1].Groups
+	for _, width := range []int{1, 2, 4} {
+		env := NewEnv(db)
+		env.Pool = NewPool(width)
+		got, err := SharedScanHash(env, db.Base(), class, new(Stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("width %d: %s differs from Naive (%d groups, want %d)", width, class[i].Name, len(got[i].Groups), len(want[i].Groups))
+			}
+		}
+
+		// Every worker holds every group, worker w at value - w, so the
+		// MAX of each key is Naive's.
+		runs := make([][]delta, width)
+		for w := range runs {
+			for _, g := range maxGroups {
+				k := pk(kp, g.Keys...)
+				runs[w] = append(runs[w], delta{k[0], k[1], g.Value - float64(w)})
+			}
+		}
+		rs := partitionMerge(t, &Env{Mem: mem.New(1 << 30)}, query.Max, kp, runs)
+		parts := rangesPerWorker * width
+		if width == 1 {
+			parts = 1
+		}
+		if rs.parts != parts {
+			t.Fatalf("width %d: %d key ranges, want %d", width, rs.parts, parts)
+		}
+		used := 0
+		for _, n := range rangeSizes(rs) {
+			if n > 0 {
+				used++
+			}
+		}
+		if width > 1 && used < 2 {
+			t.Fatalf("width %d: %d groups in %d of %d ranges", width, len(maxGroups), used, rs.parts)
+		}
+		if !(&Result{Groups: rs.groups}).Equal(want[1]) {
+			t.Fatalf("width %d: finalized groups differ from Naive's", width)
+		}
+	}
+}
+
+// TestPartitionBoundsBalanced: with dimension 0 at three codes the
 // key's top byte takes three values, so splitting on top bits would
 // leave most ranges empty; the sampled boundaries keep every range
 // within twice the mean.
@@ -226,26 +302,37 @@ func TestPartitionBoundsBalanced(t *testing.T) {
 }
 
 // TestRadixSortMatchesSort holds radixSort to a comparison sort on the
-// sort key: sizes around the insertion-sort cutoff, keys of one to eight
-// significant bytes, and a top byte that takes only three values.
+// key: sizes around the insertion-sort cutoff, keys of one to sixteen
+// significant bytes — the high word's and the low word's — and a top
+// byte that takes only three values.
 func TestRadixSortMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 47, 48, 49, 1000, 20000} {
-		for nbytes := 1; nbytes <= 8; nbytes++ {
+		for nbytes := 1; nbytes <= 16; nbytes++ {
 			rows := make([]foldRow, n)
+			top := 8*nbytes - 8
 			for i := range rows {
-				sk := rng.Uint64() >> (64 - 8*nbytes)
-				if nbytes > 1 && i%2 == 0 {
-					sk = sk&^(0xff<<(8*nbytes-8)) | uint64(rng.Intn(3))<<(8*nbytes-8)
+				r := foldRow{lo: rng.Uint64()}
+				if nbytes > 8 {
+					r.hi = rng.Uint64() >> (128 - 8*nbytes)
+				} else {
+					r.lo >>= 64 - 8*nbytes
 				}
-				rows[i] = foldRow{sortKey: sk, key: uint64(i)}
+				if nbytes > 1 && i%2 == 0 {
+					if three := uint64(rng.Intn(3)); top >= 64 {
+						r.hi = r.hi&^(0xff<<(top-64)) | three<<(top-64)
+					} else {
+						r.lo = r.lo&^(0xff<<top) | three<<top
+					}
+				}
+				rows[i] = r
 			}
 			want := slices.Clone(rows)
-			slices.SortStableFunc(want, func(x, y foldRow) int { return cmp.Compare(x.sortKey, y.sortKey) })
-			radixSort(rows, 8*nbytes-8)
+			slices.SortStableFunc(want, func(x, y foldRow) int { return compareRows(&x, &y) })
+			radixSort(rows, top)
 			for i := range rows {
-				if rows[i].sortKey != want[i].sortKey {
-					t.Fatalf("n=%d bytes=%d: row %d has sort key %#x, want %#x", n, nbytes, i, rows[i].sortKey, want[i].sortKey)
+				if rowKey(rows[i]) != rowKey(want[i]) {
+					t.Fatalf("n=%d bytes=%d: row %d has key %#x, want %#x", n, nbytes, i, rowKey(rows[i]), rowKey(want[i]))
 				}
 			}
 		}
@@ -255,8 +342,8 @@ func TestRadixSortMatchesSort(t *testing.T) {
 // FuzzPartitionMerge finalizes random worker tables — keys drawn from a
 // shared pool, so most have duplicates in other workers, folded several
 // times each with values whose float sums depend on the order — at
-// random widths, with a sort key, without one, or of two words,
-// resident or spilled, and requires exactly a map fold in worker order
+// random widths, with keys of one word within eight byte-rounded bytes,
+// one word past them, or two words, resident or spilled, and requires exactly a map fold in worker order
 // followed by a sort. Its spilled mode is the unit test of a spilled
 // worker table combined with its siblings.
 func FuzzPartitionMerge(f *testing.F) {
@@ -270,9 +357,9 @@ func FuzzPartitionMerge(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		var cards []int32
 		switch shape % 3 {
-		case 0: // one word, sort key
+		case 0: // one word, at most eight byte-rounded bytes
 			cards = []int32{int32(card0) + 1, 1000, 50}
-		case 1: // one word, comparator
+		case 1: // one word, more than eight byte-rounded bytes
 			cards = []int32{1 << 17, 1 << 17, int32(card0)<<9 + 1}
 		case 2: // two words
 			cards = []int32{1 << 30, int32(card0)<<20 + 1, 1 << 30, 300}

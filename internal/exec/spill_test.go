@@ -182,11 +182,12 @@ var mergeWidths = []struct {
 }
 
 // mergeKey is the i-th key of a spill-merge test. The two-word keys
-// share three low words and differ in the high word, so the merge
-// table's equality test must read both.
+// share three low words and differ in the high word, which holds
+// dimension 0's low code byte, so the merge table's equality test must
+// read both.
 func mergeKey(kp *keyPacker, i int) (lo, hi uint64) {
 	if kp.twoWords() {
-		return kp.pack([]int32{int32(i % 3), 0, int32(i) << 4})
+		return kp.pack([]int32{int32(i), 0, int32(i % 3)})
 	}
 	return kp.pack([]int32{int32(i), int32(i % 4)})
 }
@@ -216,14 +217,14 @@ func spilledTable(t *testing.T, env *Env, kp *keyPacker, rounds, keys int, value
 
 // checkMergedRows requires rows to hold every key of want exactly once,
 // with its exact sum.
-func checkMergedRows(t *testing.T, kp *keyPacker, rows []foldRow, want map[[2]uint64]float64) {
+func checkMergedRows(t *testing.T, rows []foldRow, want map[[2]uint64]float64) {
 	t.Helper()
 	if len(rows) != len(want) {
 		t.Fatalf("got %d groups, want %d (duplicates mean a key was split between merge table and overflow)", len(rows), len(want))
 	}
 	seen := make(map[[2]uint64]bool, len(rows))
 	for _, r := range rows {
-		k := rowKey(kp, r)
+		k := rowKey(r)
 		if seen[k] {
 			t.Fatalf("key %#x surfaced twice", k)
 		}
@@ -254,7 +255,7 @@ func TestFoldTableMergeOverflow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkMergedRows(t, kp, rows, want)
+			checkMergedRows(t, rows, want)
 			tab.close()
 			blocker.Release()
 			checkDrained(t, broker)
@@ -297,7 +298,7 @@ func TestFoldTableMergeStickyOverflow(t *testing.T) {
 			if denied := broker.Stats().Denied - deniedBefore; denied > keys {
 				t.Fatalf("merge denied %d grants for %d keys: diversion retries the broker per record instead of sticking to overflow", denied, keys)
 			}
-			checkMergedRows(t, kp, rows, want)
+			checkMergedRows(t, rows, want)
 			tab.close()
 			blocker.Release()
 			checkDrained(t, broker)

@@ -111,7 +111,12 @@ func (e *Estimator) ClassMemory(c *Class) int64 {
 	if len(c.Plans) == 0 {
 		return 0
 	}
-	parents := query.Forest(c.Queries())
+	return e.classMemory(c, query.Forest(c.Queries()))
+}
+
+// classMemory is ClassMemory of a non-empty class whose derivation
+// forest (query.Forest) is parents.
+func (e *Estimator) classMemory(c *Class, parents []int) int64 {
 	v := c.View
 	copies := e.foldTableCopies(c)
 	total := e.classLookupMemory(c, parents)

@@ -96,11 +96,16 @@ func (e *Estimator) BuildMemory(t BuildTask) int64 {
 // ClassPassMemory estimates the operator-state footprint of one class's
 // shared pass as one task of a run. With hoisted lookups the pass holds
 // no lookup memory of its own (the shared set does, priced by
-// BuildMemory); otherwise this is ClassMemory.
+// BuildMemory); otherwise this is ClassMemory. The class's derivation
+// forest is built once for both estimates.
 func (e *Estimator) ClassPassMemory(c *Class, hoistedLookups bool) int64 {
-	total := e.ClassMemory(c)
+	if len(c.Plans) == 0 {
+		return 0
+	}
+	parents := query.Forest(c.Queries())
+	total := e.classMemory(c, parents)
 	if hoistedLookups {
-		total -= e.classLookupMemory(c, query.Forest(c.Queries()))
+		total -= e.classLookupMemory(c, parents)
 	}
 	return total
 }

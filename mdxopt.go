@@ -145,6 +145,7 @@ type cachedPlan struct {
 	// the global plan references exactly these objects.
 	perPos [][]*query.Query
 	global *plan.Global
+	desc   string // global.Describe(), what Explain and Answer.Plan read
 }
 
 // maxCachedPlans bounds the plan cache; at capacity the
@@ -772,7 +773,7 @@ func (d *DB) serveOn(env *exec.Env, reqs []sched.Request, opts Options) []reply 
 		}
 		return reps
 	}
-	perReq, g, err := d.plan(env.DB, reqs, opts)
+	perReq, g, desc, err := d.plan(env.DB, reqs, opts)
 	if err == nil && opts.ColdCache {
 		// After planning, so the run itself starts cold.
 		err = env.DB.ColdReset()
@@ -807,7 +808,6 @@ func (d *DB) serveOn(env *exec.Env, reqs []sched.Request, opts Options) []reply 
 		return fail(err)
 	}
 
-	desc := g.Describe()
 	// seen[o] is the last request (1-based) that counted origin o; a
 	// lone request's origin is 0, a batch's are 1..len(reqs), and the
 	// admission queue merges at most sched.MaxBatch.
@@ -900,8 +900,9 @@ func parse(schema *star.Schema, src string) ([]*query.Query, error) {
 // result-cache epoch. On a miss the sources are parsed; in a composition
 // of several, each request's queries get its sorted position as their
 // Origin before optimizing. The entry's query objects are read-only from
-// then on, so concurrent runs of one entry may share them.
-func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]*query.Query, *plan.Global, error) {
+// then on, so concurrent runs of one entry may share them. The plan's
+// description (plan.Global.Describe) is rendered once, with the entry.
+func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]*query.Query, *plan.Global, string, error) {
 	// order[p] is the request at sorted position p; nil for one request.
 	var order []int
 	key := reqs[0].Key
@@ -927,7 +928,7 @@ func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]
 			d.cacheTick++
 			c.lastUse = d.cacheTick
 			d.mu.Unlock()
-			return inRequestOrder(c.perPos, order), c.global, nil
+			return inRequestOrder(c.perPos, order), c.global, c.desc, nil
 		}
 		delete(d.planCache, key)
 	}
@@ -943,7 +944,7 @@ func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]
 		}
 		qs, err := parse(snap.Schema, r.Key)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, "", err
 		}
 		if len(reqs) > 1 {
 			for _, q := range qs {
@@ -958,8 +959,9 @@ func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]
 	}
 	g, err := d.optimize(snap, merged, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, "", err
 	}
+	desc := g.Describe()
 	d.mu.Lock()
 	if d.planCache == nil {
 		d.planCache = make(map[string]*cachedPlan)
@@ -968,9 +970,9 @@ func (d *DB) plan(snap *star.Snapshot, reqs []sched.Request, opts Options) ([][]
 		d.evictOldest()
 	}
 	d.cacheTick++
-	d.planCache[key] = &cachedPlan{epoch: snap.Epoch, rcEpoch: rcEpoch, lastUse: d.cacheTick, perPos: perPos, global: g}
+	d.planCache[key] = &cachedPlan{epoch: snap.Epoch, rcEpoch: rcEpoch, lastUse: d.cacheTick, perPos: perPos, global: g, desc: desc}
 	d.mu.Unlock()
-	return inRequestOrder(perPos, order), g, nil
+	return inRequestOrder(perPos, order), g, desc, nil
 }
 
 // inRequestOrder maps query sets held in sorted composition order back
@@ -1000,11 +1002,8 @@ func algorithm(opts Options) Algorithm {
 func (d *DB) Explain(src string, opts Options) (string, error) {
 	snap, release := d.db.Pin()
 	defer release()
-	_, g, err := d.plan(snap, []sched.Request{{Key: src}}, opts)
-	if err != nil {
-		return "", err
-	}
-	return g.Describe(), nil
+	_, _, desc, err := d.plan(snap, []sched.Request{{Key: src}}, opts)
+	return desc, err
 }
 
 func (d *DB) optimize(snap *star.Snapshot, queries []*query.Query, opts Options) (*plan.Global, error) {

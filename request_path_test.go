@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mdxopt/internal/core"
 	"mdxopt/internal/datagen"
@@ -177,7 +178,8 @@ func TestServePlanFailureFallsBackPerSubmission(t *testing.T) {
 
 // TestExplainSharesThePlanCache: Explain plans as a lone request does,
 // so a Query of the same text afterwards reuses the plan — one
-// plan-cache hit — and reports the plan Explain showed.
+// plan-cache hit — and reports the plan Explain showed: the very string
+// rendered when the plan was cached, not a second rendering.
 func TestExplainSharesThePlanCache(t *testing.T) {
 	db, err := CreateSample(filepath.Join(t.TempDir(), "db"), 0.002)
 	if err != nil {
@@ -199,5 +201,8 @@ func TestExplainSharesThePlanCache(t *testing.T) {
 	}
 	if ans.Plan != plan {
 		t.Fatalf("Query ran plan\n%s\nExplain showed\n%s", ans.Plan, plan)
+	}
+	if unsafe.StringData(ans.Plan) != unsafe.StringData(plan) {
+		t.Fatal("a plan-cache hit rendered the plan description again")
 	}
 }

@@ -274,17 +274,17 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// parses and optimizes without executing, which is all the cache
 	// stores.
 	for i := 0; i < maxCachedPlans; i++ {
-		if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[i]}}, Options{}); err != nil {
+		if _, _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[i]}}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Refresh srcs[0]; srcs[1] becomes the LRU entry.
-	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[0]}}, Options{}); err != nil {
+	if _, _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[0]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := db.PlanCacheHits()
 	// Overflow with a fresh expression: exactly one entry is evicted.
-	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[maxCachedPlans]}}, Options{}); err != nil {
+	if _, _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[maxCachedPlans]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
@@ -294,14 +294,14 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 		t.Fatalf("plan cache holds %d entries, want %d", size, maxCachedPlans)
 	}
 	// The refreshed entry survived ...
-	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[0]}}, Options{}); err != nil {
+	if _, _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[0]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PlanCacheHits(); got != hitsBefore+1 {
 		t.Fatalf("refreshed entry was evicted (hits %d -> %d)", hitsBefore, got)
 	}
 	// ... and the least recently used one was the victim.
-	if _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[1]}}, Options{}); err != nil {
+	if _, _, _, err := db.plan(db.db.Snapshot(), []sched.Request{{Key: srcs[1]}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PlanCacheHits(); got != hitsBefore+1 {
